@@ -245,6 +245,9 @@ class ApiLatencyModel:
             raise ValueError(f"latency table missing kinds: {[k.value for k in missing]}")
         self.table = dict(table)
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
+        # the FNV hashes of actor and kind names, computed once per name
+        self._actor_hash: Dict[str, int] = {}
+        self._kind_hash = {k: _fnv1a64(k.value.encode()) for k in ApiKind}
 
     def mean_ns(self, kind: ApiKind) -> float:
         return self.table[kind].mean_ns
@@ -258,8 +261,11 @@ class ApiLatencyModel:
         law = self.table[kind]
         if law.tail_prob == 0.0:
             return round_half_up(law.common_ns)
-        h = _splitmix64(self.seed ^ _fnv1a64(actor.encode()))
-        h = _splitmix64(h ^ (_fnv1a64(kind.value.encode()) * 0x9E3779B97F4A7C15
+        actor_hash = self._actor_hash.get(actor)
+        if actor_hash is None:
+            actor_hash = self._actor_hash[actor] = _fnv1a64(actor.encode())
+        h = _splitmix64(self.seed ^ actor_hash)
+        h = _splitmix64(h ^ (self._kind_hash[kind] * 0x9E3779B97F4A7C15
                              & 0xFFFFFFFFFFFFFFFF))
         h = _splitmix64(h ^ (index * 0xD1B54A32D192ED03 & 0xFFFFFFFFFFFFFFFF))
         u = h / 2.0**64

@@ -16,9 +16,9 @@ Invariants the rest of the package leans on:
   ``CausalityError`` instead of silently reordering
 * two runs with identical inputs produce byte-identical traces: ties are
   broken by insertion sequence, never by hash or wall-clock state
-* no floats inside the engine.  Thread duty is tracked in milli-duty
-  integers and load factors are exact ``Fraction`` values, so the
-  processor-sharing arithmetic replays exactly
+* no floats inside the engine: integer arithmetic for a sole occupant,
+  exact ``Fraction`` only under sharing.  Thread duty is tracked in
+  milli-duty integers, so both paths replay exactly
 * a drained event queue with a non-daemon process still blocked raises
   ``DeadlockError`` naming every blocked actor
 """
@@ -102,7 +102,7 @@ class Event:
 class Process:
     """A named generator coroutine owned by the engine."""
 
-    __slots__ = ("name", "gen", "domain", "daemon", "state", "_waiting_on")
+    __slots__ = ("name", "gen", "domain", "daemon", "state")
 
     def __init__(self, name: str, gen: Generator, domain: Optional["Domain"], daemon: bool):
         self.name = name
@@ -110,23 +110,31 @@ class Process:
         self.domain = domain
         self.daemon = daemon
         self.state = _READY
-        self._waiting_on: Optional[Event] = None
 
     def __repr__(self):
         return f"Process({self.name!r}, {self.state})"
 
 
 class _ChargeState:
-    """An in-flight Charge tracked by its domain."""
+    """An in-flight Charge tracked by its domain.
 
-    __slots__ = ("proc", "name", "args", "begin_ns", "remaining")
+    ``solo`` marks a charge that started alone on its domain and has run
+    alone since: ``remaining`` is still its whole integer cost and its
+    finish is already scheduled.  Otherwise ``remaining`` is the exact
+    work left as of the domain's ``last_update`` (a ``Fraction`` once it
+    has been settled).
+    """
 
-    def __init__(self, proc: Process, name: str, args, begin_ns: int, cost_ns: int):
+    __slots__ = ("proc", "name", "args", "begin_ns", "remaining", "solo")
+
+    def __init__(self, proc: Process, name: str, args, begin_ns: int, cost_ns: int,
+                 solo: bool):
         self.proc = proc
         self.name = name
         self.args = args
         self.begin_ns = begin_ns
-        self.remaining = Fraction(cost_ns)  # work left, in exact ns
+        self.remaining = cost_ns  # work left, in ns
+        self.solo = solo
 
 
 class Domain:
@@ -135,11 +143,13 @@ class Domain:
     The instantaneous slowdown for every occupant is
     ``max(1, total_milli_duty / (MILLI_DUTY * cores))``: active charges
     contribute a full duty each, registered background threads contribute
-    their fixed duty whether or not anything else runs.
+    their fixed duty whether or not anything else runs.  The slowdown of
+    a sole occupant is kept as the integer ratio
+    ``stretch_num / stretch_den``.
     """
 
     __slots__ = ("name", "cores", "background_milli", "backgrounds",
-                 "active", "last_update", "pending")
+                 "active", "last_update", "pending", "stretch_num", "stretch_den")
 
     def __init__(self, name: str, cores: int):
         if cores < 1:
@@ -151,6 +161,12 @@ class Domain:
         self.active: list[_ChargeState] = []
         self.last_update = 0
         self.pending: list = []  # heap entries holding our finish guesses
+        self._set_stretch()
+
+    def _set_stretch(self) -> None:
+        total = self.background_milli + MILLI_DUTY
+        full = MILLI_DUTY * self.cores
+        self.stretch_num, self.stretch_den = (total, full) if total > full else (1, 1)
 
     def load(self) -> Fraction:
         total = self.background_milli + MILLI_DUTY * len(self.active)
@@ -183,9 +199,14 @@ class Trace:
 
 
 class Engine:
-    """Event loop: spawn processes, post events, run to quiescence."""
+    """Event loop: spawn processes, post events, run to quiescence.
 
-    def __init__(self):
+    With ``keep_trace`` false the returned ``Trace`` has no records;
+    ``busy_ns`` and the makespan are kept either way.
+    """
+
+    def __init__(self, keep_trace: bool = True):
+        self.keep_trace = keep_trace
         self.now = 0
         self._heap: list = []
         self._seq = 0
@@ -210,6 +231,7 @@ class Engine:
         self._settle(dom)
         dom.backgrounds.append((name, milli_duty))
         dom.background_milli += milli_duty
+        dom._set_stretch()
         self._domain_changed(dom)
 
     def spawn(self, name: str, gen: Generator, domain: Optional[Domain] = None,
@@ -243,12 +265,16 @@ class Engine:
     # -- the loop ---------------------------------------------------------
 
     def run_until_idle(self, limit_ns: Optional[int] = None) -> Trace:
-        while self._heap:
-            when, _, fn, args = heapq.heappop(self._heap)
+        """Run events in order until the heap drains or, with ``limit_ns``,
+        until the next event lies past it; that event stays queued, so a
+        later call resumes where this one stopped."""
+        heap = self._heap
+        while heap:
+            if limit_ns is not None and heap[0][0] > limit_ns:
+                break
+            when, _, fn, args = heapq.heappop(heap)
             if fn is None:
                 continue  # cancelled: must not advance the clock
-            if limit_ns is not None and when > limit_ns:
-                break
             if when < self.now:
                 raise CausalityError(f"event at {when} ns behind clock {self.now} ns")
             self.now = when
@@ -270,7 +296,6 @@ class Engine:
         waiters, event._waiters = event._waiters, []
         for proc in waiters:
             proc.state = _READY
-            proc._waiting_on = None
             self._push(self.now, self._step, (proc, payload))
 
     # -- process stepping -------------------------------------------------
@@ -289,7 +314,6 @@ class Engine:
                 self._push(self.now, self._step, (proc, ev.payload))
             else:
                 proc.state = _WAITING
-                proc._waiting_on = ev
                 ev._waiters.append(proc)
         elif isinstance(effect, Sleep):
             if effect.delay_ns < 0:
@@ -320,9 +344,17 @@ class Engine:
                        (proc, charge.name, charge.args, self.now))
             return
         dom = proc.domain
+        if not dom.active:
+            # alone on the domain: finish time in integers, no Fraction
+            ch = _ChargeState(proc, charge.name, charge.args, self.now, charge.cost_ns,
+                              solo=True)
+            dom.active.append(ch)
+            end = self.now - (-charge.cost_ns * dom.stretch_num // dom.stretch_den)
+            dom.pending.append(self._push(end, self._solo_tick, (dom, ch)))
+            return
         self._settle(dom)
         dom.active.append(_ChargeState(proc, charge.name, charge.args,
-                                       self.now, charge.cost_ns))
+                                       self.now, charge.cost_ns, solo=False))
         self._domain_changed(dom)
 
     def _finish_dedicated(self, proc: Process, name: str, args, begin: int) -> None:
@@ -330,15 +362,34 @@ class Engine:
         self._step(proc, None)
 
     def _finish_record(self, proc: Process, name: str, args, begin: int, end: int) -> None:
-        self._records.append({"actor": proc.name, "name": name,
-                              "begin_ns": begin, "end_ns": end,
-                              "args": args if args is not None else {}})
+        if self.keep_trace:
+            self._records.append({"actor": proc.name, "name": name,
+                                  "begin_ns": begin, "end_ns": end,
+                                  "args": args if args is not None else {}})
         self._busy[proc.name] = self._busy.get(proc.name, 0) + (end - begin)
 
+    def _solo_tick(self, dom: Domain, ch: _ChargeState) -> None:
+        """A solo charge's scheduled finish: it ran alone throughout."""
+        dom.active.clear()
+        dom.pending.clear()
+        self._finish_record(ch.proc, ch.name, ch.args, ch.begin_ns, self.now)
+        self._step(ch.proc, None)
+
     def _settle(self, dom: Domain) -> None:
-        """Advance every in-flight charge in ``dom`` to the current time."""
+        """Advance every in-flight charge in ``dom`` to the current time.
+
+        Callers are about to change the domain's membership or load, so a
+        solo charge leaves the integer path here: its work done so far,
+        at the one-occupant stretch, comes off exactly, and the caller's
+        ``_domain_changed`` replaces its scheduled finish.
+        """
         elapsed = self.now - dom.last_update
-        if elapsed and dom.active:
+        if dom.active and dom.active[0].solo:
+            ch = dom.active[0]
+            ch.solo = False
+            ch.remaining -= Fraction((self.now - ch.begin_ns) * dom.stretch_den,
+                                     dom.stretch_num)
+        elif elapsed and dom.active:
             rate = 1 / dom.load()  # work per wall ns, exact
             for ch in dom.active:
                 ch.remaining -= elapsed * rate

@@ -177,7 +177,7 @@ def simulate(plan: RunPlan, costs: Optional[CostTable] = None,
     costs = costs or default_cost_table()
     comm = comm or default_comm_model()
     api = api or default_api_model(seed=plan.settings.seed)
-    engine = Engine()
+    engine = Engine(keep_trace=keep_trace)
 
     sys_ = plan.system
     total_steps = plan.n_eras * sys_.nstlist

@@ -130,6 +130,22 @@ def test_sampler_is_pure_in_its_arguments():
     assert a == b
 
 
+def test_sampler_tail_draws_keep_their_pinned_indices():
+    """The counter hash is part of every simulated number: the calls that
+    hit the tail must not move, whichever actor or kind is drawn first."""
+    model = default_api_model(seed=7)
+    pinned = {
+        ("rank0.app", ApiKind.KERNEL_LAUNCH): [13, 18, 127, 281, 282, 363],
+        ("rank0.app", ApiKind.STREAM_WAIT_EVENT): [27, 100, 117, 167, 343, 348, 353],
+        ("pp3.dag-flush", ApiKind.KERNEL_LAUNCH):
+            [23, 125, 138, 156, 203, 250, 286, 346, 392, 398, 399],
+        ("pp3.dag-flush", ApiKind.STREAM_WAIT_EVENT): [10, 34, 65, 106, 157, 250, 274, 374],
+    }
+    for (actor, kind), tails in pinned.items():
+        tail = round_half_up(model.table[kind].tail_ns)
+        assert [i for i in range(400) if model.sample(actor, kind, i) == tail] == tails
+
+
 def test_sampler_draws_do_not_shift_when_other_kinds_interleave():
     """The structural guarantee behind comparing event-recording modes:
     extra EVENT_RECORD draws must leave KERNEL_LAUNCH latencies alone."""

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -177,10 +179,10 @@ def test_daemon_processes_do_not_count_as_deadlocked():
     assert tr.makespan_ns == 10
 
 
-def _random_workload(seed, n_procs=20, n_charges=50):
+def _random_workload(seed, n_procs=20, n_charges=50, keep_trace=True):
     """A tangle of charges, sleeps and cross-process event waits."""
     rng = random.Random(seed)
-    eng = Engine()
+    eng = Engine(keep_trace=keep_trace)
     dom = eng.domain("cpu", 4)
     eng.add_background(dom, "poll", 750)
     events = [eng.event(f"e{i}") for i in range(n_procs)]
@@ -294,3 +296,106 @@ def test_staggered_arrivals_share_fairly():
     tr = eng.run_until_idle()
     ends = {r["actor"]: r["end_ns"] for r in tr.records}
     assert ends == {"p0": 300, "p1": 400}
+
+
+@settings(max_examples=80, deadline=None)
+@given(cores=st.integers(min_value=1, max_value=4),
+       backgrounds=st.lists(st.integers(min_value=0, max_value=3000), max_size=3),
+       steps=st.lists(st.tuples(st.integers(min_value=1, max_value=10_000),
+                                st.integers(min_value=0, max_value=500)),
+                      min_size=1, max_size=12))
+def test_solo_charges_end_at_the_closed_form(cores, backgrounds, steps):
+    """A charge alone on its domain ends at begin + ceil(cost * stretch),
+    stretch = max(1, (background + 1000) / (1000 * cores))."""
+    eng = Engine()
+    dom = eng.domain("cpu", cores)
+    for i, duty in enumerate(backgrounds):
+        eng.add_background(dom, f"bg{i}", duty)
+
+    def body():
+        for cost, gap in steps:
+            yield Charge(cost, "w")
+            yield Sleep(gap)
+
+    eng.spawn("app", body(), domain=dom)
+    tr = eng.run_until_idle()
+    stretch = max(Fraction(1), Fraction(sum(backgrounds) + 1000, 1000 * cores))
+    begin = 0
+    for rec, (cost, gap) in zip(tr.records, steps, strict=True):
+        assert rec["begin_ns"] == begin
+        assert rec["end_ns"] == begin + math.ceil(cost * stretch)
+        begin = rec["end_ns"] + gap
+
+
+def _one_charge(cost, delay=0):
+    if delay:
+        yield Sleep(delay)
+    yield Charge(cost, "w")
+
+
+def _spans(tr):
+    return {r["actor"]: (r["begin_ns"], r["end_ns"]) for r in tr.records}
+
+
+def test_second_charge_joining_at_the_first_ones_begin_shares_from_the_start():
+    # one core, 750 background: two charges give load 11/4.  a (101) is
+    # due at 101 * 11/4 = 277.75 -> 278, by when each did 1112/11 work.
+    # b then runs alone at 7/4 with 300 - 1112/11 = 2188/11 left:
+    # 278 + 2188/11 * 7/4 = 626.09 -> 627.
+    eng = Engine()
+    dom = eng.domain("cpu", 1)
+    eng.add_background(dom, "bg", 750)
+    eng.spawn("a", _one_charge(101), domain=dom)
+    eng.spawn("b", _one_charge(300), domain=dom)
+    assert _spans(eng.run_until_idle()) == {"a": (0, 278), "b": (0, 627)}
+
+
+def test_charge_joining_mid_charge_then_leaving():
+    # one core, 750 background.  a (1000) runs alone at 7/4 until b joins
+    # at 101: a has 1000 - 101 * 4/7 = 6596/7 left.  At load 11/4 b (50)
+    # is due at 101 + 50 * 11/4 = 238.5 -> 239; by then a did 138 * 4/11
+    # more, leaving 68692/77.  Alone again at 7/4:
+    # 239 + 68692/77 * 7/4 = 1800.18 -> 1801, not the solo 1750.
+    eng = Engine()
+    dom = eng.domain("cpu", 1)
+    eng.add_background(dom, "bg", 750)
+    eng.spawn("a", _one_charge(1000), domain=dom)
+    eng.spawn("b", _one_charge(50, delay=101), domain=dom)
+    assert _spans(eng.run_until_idle()) == {"a": (0, 1801), "b": (101, 239)}
+
+
+def test_background_added_mid_charge_stretches_the_rest():
+    # a (1000) runs at full speed until a 750 background arrives at 333:
+    # 667 left at 7/4 is 1167.25, so a ends at 1500.25 -> 1501
+    eng = Engine()
+    dom = eng.domain("cpu", 1)
+    eng.spawn("a", _one_charge(1000), domain=dom)
+
+    def late():
+        yield Sleep(333)
+        eng.add_background(dom, "late", 750)
+
+    eng.spawn("late", late())
+    assert _spans(eng.run_until_idle()) == {"a": (0, 1501)}
+
+
+def test_limit_leaves_a_sleeper_to_wake_on_resume():
+    eng = Engine()
+    woke = []
+
+    def sleeper():
+        yield Sleep(100)
+        woke.append(eng.now)
+
+    eng.spawn("s", sleeper())
+    assert eng.run_until_idle(limit_ns=50).makespan_ns == 0
+    assert woke == []
+    assert eng.run_until_idle().makespan_ns == 100
+    assert woke == [100]
+
+
+def test_engine_without_trace_keeps_busy_time_and_makespan():
+    kept = _random_workload(3, n_procs=6, n_charges=12)
+    bare = _random_workload(3, n_procs=6, n_charges=12, keep_trace=False)
+    assert kept.records and bare.records == []
+    assert (bare.makespan_ns, bare.busy_ns) == (kept.makespan_ns, kept.busy_ns)
