@@ -30,7 +30,7 @@ from .config import ConfigError, dump_config, load_config, parse_config, require
 from .costs import KernelKind, fit_affine
 from .pipeline import RunPlan, RunReport, simulate
 from .presets import get_profile, get_system
-from .runtime import EventMode, RunSettings
+from .runtime import EventMode, RunSettings, as_bool
 from .topology import NODE_PROFILES, plan_affinity
 
 CSV_SCHEMA = "mdgpusim-csv v1"
@@ -115,14 +115,6 @@ class Scenario:
                        n_eras=self.eras)
 
 
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return bool(value)
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
-
-
 def _axis_values(value) -> List[str]:
     return str(value).split()
 
@@ -160,7 +152,7 @@ def scenarios_from_config(mapping: Dict[str, Any]) -> List[Scenario]:
                 ranks=int(combo.get("ranks", 1)),
                 backend=combo.get("backend", "sycl"),
                 max_cached_nodes=int(combo.get("max_cached_nodes", 100)),
-                instant=_as_bool(combo.get("instant", False)),
+                instant=as_bool(combo.get("instant", False)),
                 event_mode=combo.get("event_mode", "coarse"),
                 node=str(sub.get("node", "lumi")),
                 eras=int(sub.get("eras", 3)),
@@ -186,20 +178,20 @@ def _utilizations(report: RunReport) -> Tuple[float, float]:
 
 def _format_row(scenario: Scenario, report: RunReport,
                 median_ms: float, median_ns: float) -> Dict[str, str]:
-    base = report.to_row()
+    plan = report.plan
     gpu_u, app_u = _utilizations(report)
     return {
         "scenario": scenario.scenario_id,
-        "system": str(base["system"]),
-        "atoms": str(base["atoms"]),
-        "ranks": str(base["ranks"]),
-        "nodes": str(base["nodes"]),
-        "backend": str(base["backend"]),
-        "runtime": str(base["runtime"]),
-        "max_cached_nodes": str(base["max_cached_nodes"]),
-        "instant": str(base["instant"]),
-        "event_mode": str(base["event_mode"]),
-        "steps": str(base["steps"]),
+        "system": str(plan.system.name),
+        "atoms": str(plan.system.atoms),
+        "ranks": str(plan.ranks),
+        "nodes": str(plan.nodes_used),
+        "backend": str(plan.backend),
+        "runtime": str(plan.profile.name),
+        "max_cached_nodes": str(plan.settings.max_cached_nodes),
+        "instant": str(int(plan.settings.instant_submission)),
+        "event_mode": plan.settings.event_mode.value,
+        "steps": str(report.steps_measured),
         "ms_per_step": f"{report.ms_per_step:.6f}",
         "ns_per_day": f"{report.ns_per_day:.3f}",
         "gpu_utilization": f"{gpu_u:.4f}",
@@ -341,11 +333,14 @@ def run_check(rows: List[Dict[str, str]],
             missing += 1
             lines.append(f"{label}: report has no rows for this point")
             continue
-        rel_err = (simulated - point.value) / point.value
+        if point.value:
+            err = f"{(simulated - point.value) / point.value:+.1%}"
+        else:
+            err = f"{simulated - point.value:+.3f} absolute"
         tol = (f"{point.rel_tol:g} relative" if point.rel_tol is not None
                else f"{point.abs_tol:g} absolute")
         lines.append(f"{label}: simulated {simulated:.3f} vs published "
-                     f"{point.value:g} ({rel_err:+.1%}, tolerance {tol})")
+                     f"{point.value:g} ({err}, tolerance {tol})")
         failed += status == "FAIL"
     passed = len(points) - failed - missing
     lines.append(f"{passed} passed, {failed} failed, {missing} not covered "

@@ -4,10 +4,9 @@ Transfers follow an alpha-beta law per link class: a fixed startup
 latency plus bytes over sustained bandwidth.  Link classes come from
 the node wiring (same GPU package, same node, across the fabric).
 
-Halo sizes use a slab/shell picture of a roughly cubic local domain at
+Halo sizes use a slab picture of a roughly cubic local domain at
 uniform atom density: the fraction of atoms within one cutoff of a face
-gives per-neighbor slab sizes, and the full shell gives how many
-nonlocal atoms a rank works on after receiving all its halos.
+gives per-neighbor slab sizes.
 """
 
 from __future__ import annotations
@@ -73,25 +72,3 @@ def slab_atoms(atoms: int, cutoff_nm: float, density_per_nm3: float) -> int:
     edge = local_edge_nm(atoms, density_per_nm3)
     frac = min(1.0, cutoff_nm / edge)
     return round_half_up(atoms * frac)
-
-
-def shell_atoms(atoms: int, cutoff_nm: float, density_per_nm3: float) -> int:
-    """Nonlocal atoms a rank holds once every neighbour's halo arrived.
-
-    The shell volume around a cube of edge L out to distance c is
-    (L + 2c)^3 - L^3; at uniform density that over-counts slightly at
-    the corners of a real decomposition, so it is an upper shell bound,
-    capped at twice the local count which is where replication tops out
-    in practice.
-    """
-    edge = local_edge_nm(atoms, density_per_nm3)
-    grow = (1.0 + 2.0 * cutoff_nm / edge) ** 3 - 1.0
-    return round_half_up(atoms * min(2.0, grow))
-
-
-def halo_xyz_bytes(atoms_in_slab: int) -> int:
-    return atoms_in_slab * XYZ_BYTES_PER_ATOM
-
-
-def halo_force_bytes(atoms_in_slab: int) -> int:
-    return atoms_in_slab * FORCE_BYTES_PER_ATOM

@@ -9,7 +9,7 @@ format, and the command line accepts the same files as overrides.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 
 class ConfigError(ValueError):
@@ -90,10 +90,3 @@ def require(mapping: Dict[str, Any], key: str):
         return mapping[key]
     except KeyError:
         raise ConfigError(f"missing required key {key!r}") from None
-
-
-def merged(base: Dict[str, Any], *overrides: Dict[str, Any]) -> Dict[str, Any]:
-    out = dict(base)
-    for layer in overrides:
-        out.update(layer)
-    return out

@@ -190,9 +190,6 @@ class Trace:
             return 0.0
         return self.busy_ns.get(actor, 0) / self.makespan_ns
 
-    def by_actor(self, actor: str) -> list:
-        return [r for r in self.records if r["actor"] == actor]
-
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps({"makespan_ns": self.makespan_ns, "records": self.records},
                           indent=indent)

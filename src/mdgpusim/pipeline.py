@@ -1,29 +1,33 @@
-"""MD step execution pipelines over the runtime model.
+"""MD step execution over the runtime model.
 
 A run is organised in eras of ``nstlist`` steps: pair search happens at
 era start, host synchronization happens at era boundaries (plus
 whenever halo or long-range exchanges force one mid-step), and the
 first era is warm-up that measurement discards.
 
-Single rank: every kernel of a step goes to one device stream in a
-fixed order; with mesh electrostatics that is eleven kernels per step.
+Every rank layout runs one step program, that of a short-range rank.
+One representative short-range rank is simulated and its halo peers
+are mirrored (a peer's inbound halo becomes available exactly when the
+representative's symmetric outbound transfer completes, which is what
+symmetry gives on a homogeneous decomposition).  Mesh systems on two or
+more ranks add one real long-range rank that receives coordinates from
+every short-range peer over parallel links, runs the
+spread/FFT/solve/FFT/gather chain at full system size, and returns
+forces.  This keeps event counts per step independent of the total
+rank count, so 4096-rank sweeps stay desk-sized.
 
-Multi rank: one representative short-range rank is simulated and its
-halo peers are mirrored (a peer's inbound halo becomes available
-exactly when the representative's symmetric outbound transfer
-completes, which is what symmetry gives on a homogeneous
-decomposition).  Mesh systems add one real long-range rank that
-receives coordinates from every short-range peer over parallel links,
-runs the spread/FFT/solve/FFT/gather chain at full system size, and
-returns forces.  This keeps event counts per step independent of the
-total rank count, so 4096-rank sweeps stay desk-sized.
+One rank is the same program with nothing to exchange: its
+decomposition splits no dimension, so there is no halo, and a mesh
+system runs the long-range chain inline on the local queue, between
+the short-range and the listed forces, with the grid clear after
+constraints.  That is eleven kernels per step on one stream.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .comm import (
     CommModel,
@@ -36,7 +40,7 @@ from .costs import ApiLatencyModel, CostTable, KernelKind, default_api_model, de
 from .engine import Charge, Engine, Event, WaitFor
 from .presets import SystemPreset
 from .runtime import Device, RankRuntime, RunSettings, RuntimeProfile
-from .topology import NodeTopology, lumi_node
+from .topology import LinkClass, NodeTopology, lumi_node
 
 
 def balanced_dims(n: int) -> Tuple[int, int, int]:
@@ -133,31 +137,6 @@ class RunReport:
     def max_launch_delay_ns(self) -> int:
         return max(self.launch_delays) if self.launch_delays else 0
 
-    @property
-    def mean_launch_delay_ns(self) -> float:
-        if not self.launch_delays:
-            return 0.0
-        return sum(self.launch_delays) / len(self.launch_delays)
-
-    def to_row(self) -> Dict:
-        p = self.plan
-        return {
-            "system": p.system.name,
-            "atoms": p.system.atoms,
-            "ranks": p.ranks,
-            "nodes": p.nodes_used,
-            "backend": p.backend,
-            "runtime": p.profile.name,
-            "max_cached_nodes": p.settings.max_cached_nodes,
-            "instant": int(p.settings.instant_submission),
-            "event_mode": p.settings.event_mode.value,
-            "steps": self.steps_measured,
-            "ms_per_step": round(self.ms_per_step, 6),
-            "ns_per_day": round(self.ns_per_day, 3),
-            "max_launch_delay_us": round(self.max_launch_delay_ns / 1000.0, 3),
-        }
-
-
 class _RankBuild:
     """Wiring for one simulated rank: device, streams, runtime front-end."""
 
@@ -167,6 +146,24 @@ class _RankBuild:
         self.rt = RankRuntime(engine, name, plan.profile, plan.settings, api,
                               cores=plan.node.usable_cores_per_ccx())
         self.gcd_index = gcd_index
+
+
+# the long-range chain, in queue order, at full system size
+_PME_CHAIN = (("pme_spread", KernelKind.PME_SPREAD),
+              ("fft_3d_forward", KernelKind.FFT_3D_FORWARD),
+              ("pme_solve", KernelKind.PME_SOLVE),
+              ("fft_3d_inverse", KernelKind.FFT_3D_INVERSE),
+              ("pme_gather", KernelKind.PME_GATHER))
+
+
+class _PmeLink(NamedTuple):
+    """A short-range rank's side of the long-range exchange."""
+
+    link: LinkClass
+    x_wire: Wire
+    x_bytes: int
+    x_ready: List[Event]
+    f_ready: List[Event]
 
 
 def simulate(plan: RunPlan, costs: Optional[CostTable] = None,
@@ -182,23 +179,12 @@ def simulate(plan: RunPlan, costs: Optional[CostTable] = None,
     sys_ = plan.system
     total_steps = plan.n_eras * sys_.nstlist
     era_marks: List[int] = []
-    delays: List[int] = []
 
     def kcost(kind: KernelKind, atoms: int) -> int:
         return costs.duration_ns(kind, atoms, plan.backend, sys_.scale_for(kind))
 
-    if plan.ranks == 1:
-        rank = _RankBuild(engine, "rank0", plan, api, gcd_index=0)
-        q0 = rank.device.new_stream("q0")
-        engine.spawn(rank.rt.app_actor,
-                     _single_rank_app(engine, plan, rank.rt, q0, kcost,
-                                      total_steps, era_marks),
-                     domain=rank.rt.app_domain)
-        trace = engine.run_until_idle()
-        delays.extend(rank.rt.launch_delays)
-    else:
-        trace = _multi_rank_run(engine, plan, costs, comm, api, kcost,
-                                total_steps, era_marks, delays)
+    trace, delays = _run_ranks(engine, plan, comm, api, kcost, total_steps,
+                               era_marks)
 
     if len(era_marks) < 2:
         raise RuntimeError("need at least two eras to measure (first is warm-up)")
@@ -211,63 +197,12 @@ def simulate(plan: RunPlan, costs: Optional[CostTable] = None,
                      trace=trace if keep_trace else None)
 
 
-# -- single rank -------------------------------------------------------------
-
-
-def _single_rank_app(engine, plan, rt, q0, kcost, total_steps, era_marks):
-    sys_ = plan.system
-    atoms = sys_.atoms
-    hip_sort = plan.backend == "hip"
-    pending: List[Event] = []
-    for step in range(total_steps):
-        search = step % sys_.nstlist == 0
-        prune = (not search) and sys_.prune_every and step % sys_.prune_every == 0
-        yield Charge(plan.profile.app_step_cpu_ns, "step_cpu", {"step": step})
-        if search:
-            yield Charge(round(sys_.search_cpu_ns_per_atom * atoms), "pair_search_cpu")
-            ev = yield from rt.submit(q0, "pair_search",
-                                      kcost(KernelKind.PAIR_SEARCH, atoms))
-            pending.append(ev)
-        ev = yield from rt.submit(q0, "nbnxm_local", kcost(KernelKind.NBNXM_LOCAL, atoms))
-        pending.append(ev)
-        if prune:
-            ev = yield from rt.submit(q0, "prune_only", kcost(KernelKind.PRUNE_ONLY, atoms))
-            pending.append(ev)
-            if hip_sort:
-                ev = yield from rt.submit(
-                    q0, "prune_sort",
-                    round(0.3 * kcost(KernelKind.PRUNE_ONLY, atoms)))
-                pending.append(ev)
-        if sys_.pme:
-            for name, kind in (("pme_spread", KernelKind.PME_SPREAD),
-                               ("fft_3d_forward", KernelKind.FFT_3D_FORWARD),
-                               ("pme_solve", KernelKind.PME_SOLVE),
-                               ("fft_3d_inverse", KernelKind.FFT_3D_INVERSE),
-                               ("pme_gather", KernelKind.PME_GATHER)):
-                ev = yield from rt.submit(q0, name, kcost(kind, atoms))
-                pending.append(ev)
-        for name, kind in (("listed_forces", KernelKind.LISTED_FORCES),
-                           ("reduce_forces", KernelKind.REDUCE_FORCES),
-                           ("leap_frog", KernelKind.LEAP_FROG),
-                           ("constraints", KernelKind.CONSTRAINTS)):
-            ev = yield from rt.submit(q0, name, kcost(kind, atoms))
-            pending.append(ev)
-        if sys_.pme:
-            ev = yield from rt.submit(q0, "grid_memset", kcost(KernelKind.GRID_MEMSET, atoms))
-            pending.append(ev)
-        if step % sys_.nstlist == sys_.nstlist - 1:
-            yield from rt.sync(pending)
-            pending = []
-            era_marks.append(engine.now)
-
-
-# -- multiple ranks ----------------------------------------------------------
-
-
-def _multi_rank_run(engine, plan, costs, comm, api, kcost, total_steps,
-                    era_marks, delays):
+def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
+    """Wire the simulated ranks, run them, return the trace and delays."""
     sys_ = plan.system
     node = plan.node
+    if sys_.atoms < 1:
+        raise ValueError(f"{sys_.name}: need at least one atom, got {sys_.atoms}")
     pp_ranks = plan.pp_ranks
     atoms_pp = max(1, sys_.atoms // pp_ranks)
     dims = balanced_dims(pp_ranks)
@@ -277,8 +212,10 @@ def _multi_rank_run(engine, plan, costs, comm, api, kcost, total_steps,
     # the received one-sided shell, never more than the home domain
     nonlocal_atoms = min(atoms_pp, slab * len(halo_dims))
 
-    pp = _RankBuild(engine, "pp0", plan, api, gcd_index=0)
-    q_loc = pp.device.new_stream("q_loc")
+    # a lone rank is rank0 with queue q0 in traces, as saved ones expect
+    single = plan.ranks == 1
+    pp = _RankBuild(engine, "rank0" if single else "pp0", plan, api, gcd_index=0)
+    q_loc = pp.device.new_stream("q0" if single else "q_loc")
     q_nl = pp.device.new_stream("q_nl") if halo_dims else None
 
     # neighbour rank index along each split dimension decides the link class
@@ -294,12 +231,14 @@ def _multi_rank_run(engine, plan, costs, comm, api, kcost, total_steps,
                                same_node=(peer // node.n_gcds) == 0)
         halo_wires.append((Wire(engine, f"halo{i}.wire"), link))
 
-    pme = None
+    ranks = [pp]
+    pme_link = None
     if plan.pme_ranks:
         pme_rank_index = plan.ranks - 1
         pme = _RankBuild(engine, "pme0", plan, api, gcd_index=pme_rank_index % node.n_gcds)
+        ranks.append(pme)
         q_pme = pme.device.new_stream("q_pme")
-        pme_link = node.link_class(
+        link = node.link_class(
             0, pme_rank_index % node.n_gcds,
             same_node=(pme_rank_index // node.n_gcds) == 0)
         x_wire = Wire(engine, "pme-x.wire")
@@ -311,131 +250,145 @@ def _multi_rank_run(engine, plan, costs, comm, api, kcost, total_steps,
         comm_factor = 1 if plan.profile.pme_comm_overlap else pp_ranks
         x_bytes = atoms_pp * XYZ_BYTES_PER_ATOM * comm_factor
         f_bytes = atoms_pp * FORCE_BYTES_PER_ATOM * comm_factor
+        pme_link = _PmeLink(link, x_wire, x_bytes, x_ready, f_ready)
 
         engine.spawn(pme.rt.app_actor,
                      _pme_rank_app(engine, plan, pme.rt, q_pme, kcost, comm,
-                                   pme_link, f_wire, x_ready, f_ready,
+                                   link, f_wire, x_ready, f_ready,
                                    f_bytes, total_steps, pp_ranks),
                      domain=pme.rt.app_domain)
 
-    def pp_app():
-        pending: List[Event] = []
-        prev_constraints: Optional[Event] = None
-        mpi_cpu = plan.profile.mpi_msg_cpu_ns
-        for step in range(total_steps):
-            search = step % sys_.nstlist == 0
-            prune = (not search) and sys_.prune_every and step % sys_.prune_every == 0
-            yield Charge(plan.profile.app_step_cpu_ns, "step_cpu", {"step": step})
-            if search:
-                yield Charge(round(sys_.search_cpu_ns_per_atom * atoms_pp),
-                             "pair_search_cpu")
-                ev = yield from pp.rt.submit(q_loc, "pair_search",
-                                             kcost(KernelKind.PAIR_SEARCH, atoms_pp))
-                pending.append(ev)
-
-            if pme is not None:
-                # coordinates must be on the host before the MPI send, so
-                # this is a runtime sync point (it flushes a deferred graph)
-                yield from pp.rt.sync([prev_constraints] if prev_constraints else [])
-                yield Charge(mpi_cpu, "mpi_send_x")
-                x_wire.send(comm.transfer_ns(pme_link, x_bytes),
-                            x_ready[step], "x_transfer")
-
-            # local-only force work goes out first; it needs no remote
-            # coordinates and its stream crunches while the halo is on
-            # the wire
-            ev_loc = yield from pp.rt.submit(q_loc, "nbnxm_local",
-                                             kcost(KernelKind.NBNXM_LOCAL, atoms_pp))
-            pending.append(ev_loc)
-            if prune:
-                ev = yield from pp.rt.submit(q_loc, "prune_only",
-                                             kcost(KernelKind.PRUNE_ONLY, atoms_pp))
-                pending.append(ev)
-                if plan.backend == "hip":
-                    ev = yield from pp.rt.submit(
-                        q_loc, "prune_sort",
-                        round(0.3 * kcost(KernelKind.PRUNE_ONLY, atoms_pp)))
-                    pending.append(ev)
-            ev = yield from pp.rt.submit(q_loc, "listed_forces",
-                                         kcost(KernelKind.LISTED_FORCES, atoms_pp))
-            pending.append(ev)
-
-            # coordinate halo, one exchange per split dimension
-            unpack_evs = []
-            for i, (wire, link) in enumerate(halo_wires):
-                pack = yield from pp.rt.submit(
-                    q_nl, f"halo_pack_x{i}", kcost(KernelKind.HALO_PACK_UNPACK, slab),
-                    deps=[prev_constraints] if prev_constraints else ())
-                yield from pp.rt.sync([pack])
-                yield Charge(2 * mpi_cpu, "mpi_halo_x")
-                t = engine.event(f"halo_x.{step}.{i}")
-                wire.send(comm.transfer_ns(link, slab * XYZ_BYTES_PER_ATOM), t,
-                          "halo_transfer")
-                # the matching receive blocks on the host; by symmetry the
-                # peer's slab lands when ours finishes crossing the link
-                yield WaitFor(t)
-                unpack = yield from pp.rt.submit(
-                    q_nl, f"halo_unpack_x{i}",
-                    kcost(KernelKind.HALO_PACK_UNPACK, slab))
-                unpack_evs.append(unpack)
-
-            ev_nl = None
-            if halo_dims:
-                ev_nl = yield from pp.rt.submit(
-                    q_nl, "nbnxm_nonlocal",
-                    kcost(KernelKind.NBNXM_NONLOCAL, nonlocal_atoms),
-                    deps=unpack_evs)
-                pending.append(ev_nl)
-
-            reduce_deps = []
-            if ev_nl is not None:
-                reduce_deps.append(ev_nl)
-            if pme is not None:
-                # MPI receive of the long-range forces blocks the host; a
-                # deferred runtime sits on its unflushed graph meanwhile
-                yield Charge(mpi_cpu, "mpi_recv_f")
-                yield WaitFor(f_ready[step])
-            ev_red = yield from pp.rt.submit(q_loc, "reduce_forces",
-                                             kcost(KernelKind.REDUCE_FORCES, atoms_pp),
-                                             deps=reduce_deps)
-            pending.append(ev_red)
-
-            # force halo back out, then integrate
-            leap_deps = []
-            for i, (wire, link) in enumerate(halo_wires):
-                pack = yield from pp.rt.submit(
-                    q_nl, f"halo_pack_f{i}",
-                    kcost(KernelKind.HALO_PACK_UNPACK, slab), deps=[ev_red])
-                yield from pp.rt.sync([pack])
-                yield Charge(2 * mpi_cpu, "mpi_halo_f")
-                t = engine.event(f"halo_f.{step}.{i}")
-                wire.send(comm.transfer_ns(link, slab * FORCE_BYTES_PER_ATOM), t,
-                          "halo_transfer")
-                yield WaitFor(t)
-                unpack = yield from pp.rt.submit(
-                    q_nl, f"halo_unpack_f{i}",
-                    kcost(KernelKind.HALO_PACK_UNPACK, slab))
-                leap_deps.append(unpack)
-            ev = yield from pp.rt.submit(q_loc, "leap_frog",
-                                         kcost(KernelKind.LEAP_FROG, atoms_pp),
-                                         deps=leap_deps)
-            pending.append(ev)
-            ev = yield from pp.rt.submit(q_loc, "constraints",
-                                         kcost(KernelKind.CONSTRAINTS, atoms_pp))
-            pending.append(ev)
-            prev_constraints = ev
-
-            if step % sys_.nstlist == sys_.nstlist - 1:
-                yield from pp.rt.sync(pending)
-                pending = []
-                era_marks.append(engine.now)
-
-    engine.spawn(pp.rt.app_actor, pp_app(), domain=pp.rt.app_domain)
+    engine.spawn(pp.rt.app_actor,
+                 _pp_rank_app(engine, plan, pp.rt, q_loc, q_nl, kcost, comm,
+                              atoms_pp, slab, nonlocal_atoms, halo_wires,
+                              pme_link, total_steps, era_marks),
+                 domain=pp.rt.app_domain)
     trace = engine.run_until_idle()
-    delays.extend(pp.rt.launch_delays)
-    if pme is not None:
-        delays.extend(pme.rt.launch_delays)
-    return trace
+    return trace, [d for rank in ranks for d in rank.rt.launch_delays]
+
+
+def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, comm, atoms, slab,
+                 nonlocal_atoms, halo_wires, pme_link, total_steps, era_marks):
+    """Step program of one short-range rank, the one every layout runs.
+
+    ``atoms`` is the home domain; ``halo_wires`` holds one (wire, link)
+    pair per split dimension, and ``pme_link`` the long-range peer.  A
+    mesh system without such a peer runs the long-range chain inline on
+    ``q_loc``.
+    """
+    sys_ = plan.system
+    mpi_cpu = plan.profile.mpi_msg_cpu_ns
+    inline_pme = sys_.pme and pme_link is None
+    pending: List[Event] = []
+    prev_constraints: Optional[Event] = None
+    for step in range(total_steps):
+        search = step % sys_.nstlist == 0
+        prune = (not search) and sys_.prune_every and step % sys_.prune_every == 0
+        yield Charge(plan.profile.app_step_cpu_ns, "step_cpu", {"step": step})
+        if search:
+            yield Charge(round(sys_.search_cpu_ns_per_atom * atoms),
+                         "pair_search_cpu")
+            ev = yield from rt.submit(q_loc, "pair_search",
+                                      kcost(KernelKind.PAIR_SEARCH, atoms))
+            pending.append(ev)
+
+        if pme_link is not None:
+            # coordinates must be on the host before the MPI send, so
+            # this is a runtime sync point (it flushes a deferred graph)
+            yield from rt.sync([prev_constraints] if prev_constraints else [])
+            yield Charge(mpi_cpu, "mpi_send_x")
+            pme_link.x_wire.send(comm.transfer_ns(pme_link.link, pme_link.x_bytes),
+                                 pme_link.x_ready[step], "x_transfer")
+
+        # local-only force work goes out first; it needs no remote
+        # coordinates and its stream crunches while the halo is on
+        # the wire
+        ev = yield from rt.submit(q_loc, "nbnxm_local",
+                                  kcost(KernelKind.NBNXM_LOCAL, atoms))
+        pending.append(ev)
+        if prune:
+            ev = yield from rt.submit(q_loc, "prune_only",
+                                      kcost(KernelKind.PRUNE_ONLY, atoms))
+            pending.append(ev)
+            if plan.backend == "hip":
+                ev = yield from rt.submit(
+                    q_loc, "prune_sort",
+                    round(0.3 * kcost(KernelKind.PRUNE_ONLY, atoms)))
+                pending.append(ev)
+        if inline_pme:
+            for name, kind in _PME_CHAIN:
+                ev = yield from rt.submit(q_loc, name, kcost(kind, atoms))
+                pending.append(ev)
+        ev = yield from rt.submit(q_loc, "listed_forces",
+                                  kcost(KernelKind.LISTED_FORCES, atoms))
+        pending.append(ev)
+
+        unpacks = yield from _halo_exchange(
+            engine, rt, q_nl, kcost, comm, halo_wires, slab, step, "x",
+            XYZ_BYTES_PER_ATOM, [prev_constraints] if prev_constraints else ())
+        reduce_deps = []
+        if halo_wires:
+            ev = yield from rt.submit(
+                q_nl, "nbnxm_nonlocal",
+                kcost(KernelKind.NBNXM_NONLOCAL, nonlocal_atoms), deps=unpacks)
+            pending.append(ev)
+            reduce_deps.append(ev)
+        if pme_link is not None:
+            # MPI receive of the long-range forces blocks the host; a
+            # deferred runtime sits on its unflushed graph meanwhile
+            yield Charge(mpi_cpu, "mpi_recv_f")
+            yield WaitFor(pme_link.f_ready[step])
+        ev_red = yield from rt.submit(q_loc, "reduce_forces",
+                                      kcost(KernelKind.REDUCE_FORCES, atoms),
+                                      deps=reduce_deps)
+        pending.append(ev_red)
+
+        # force halo back out, then integrate
+        leap_deps = yield from _halo_exchange(
+            engine, rt, q_nl, kcost, comm, halo_wires, slab, step, "f",
+            FORCE_BYTES_PER_ATOM, [ev_red])
+        ev = yield from rt.submit(q_loc, "leap_frog",
+                                  kcost(KernelKind.LEAP_FROG, atoms),
+                                  deps=leap_deps)
+        pending.append(ev)
+        ev = yield from rt.submit(q_loc, "constraints",
+                                  kcost(KernelKind.CONSTRAINTS, atoms))
+        pending.append(ev)
+        prev_constraints = ev
+        if inline_pme:
+            ev = yield from rt.submit(q_loc, "grid_memset",
+                                      kcost(KernelKind.GRID_MEMSET, atoms))
+            pending.append(ev)
+
+        if step % sys_.nstlist == sys_.nstlist - 1:
+            yield from rt.sync(pending)
+            pending = []
+            era_marks.append(engine.now)
+
+
+def _halo_exchange(engine, rt, q_nl, kcost, comm, halo_wires, slab, step,
+                   letter, bytes_per_atom, pack_deps):
+    """One coordinate (``x``) or force (``f``) halo pulse per split
+    dimension; returns the unpack events."""
+    mpi_cpu = rt.profile.mpi_msg_cpu_ns
+    unpacks = []
+    for i, (wire, link) in enumerate(halo_wires):
+        pack = yield from rt.submit(
+            q_nl, f"halo_pack_{letter}{i}",
+            kcost(KernelKind.HALO_PACK_UNPACK, slab), deps=pack_deps)
+        yield from rt.sync([pack])
+        yield Charge(2 * mpi_cpu, f"mpi_halo_{letter}")
+        t = engine.event(f"halo_{letter}.{step}.{i}")
+        wire.send(comm.transfer_ns(link, slab * bytes_per_atom), t,
+                  "halo_transfer")
+        # the matching receive blocks on the host; by symmetry the
+        # peer's slab lands when ours finishes crossing the link
+        yield WaitFor(t)
+        unpack = yield from rt.submit(
+            q_nl, f"halo_unpack_{letter}{i}",
+            kcost(KernelKind.HALO_PACK_UNPACK, slab))
+        unpacks.append(unpack)
+    return unpacks
 
 
 def _pme_rank_app(engine, plan, rt, q_pme, kcost, comm, link, f_wire,
@@ -448,11 +401,7 @@ def _pme_rank_app(engine, plan, rt, q_pme, kcost, comm, link, f_wire,
         # progress engine works through them one message at a time
         yield Charge(pp_ranks * mpi_cpu, "mpi_recv_x", {"msgs": pp_ranks})
         evs = []
-        for name, kind in (("pme_spread", KernelKind.PME_SPREAD),
-                           ("fft_3d_forward", KernelKind.FFT_3D_FORWARD),
-                           ("pme_solve", KernelKind.PME_SOLVE),
-                           ("fft_3d_inverse", KernelKind.FFT_3D_INVERSE),
-                           ("pme_gather", KernelKind.PME_GATHER)):
+        for name, kind in _PME_CHAIN:
             ev = yield from rt.submit(q_pme, name, kcost(kind, sys_.atoms))
             evs.append(ev)
         yield from rt.sync(evs)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List
+from typing import Dict
 
 from .config import parse_config, subsection
 from .costs import KernelKind
@@ -100,11 +100,3 @@ def get_system(name: str) -> SystemPreset:
         return systems[name]
     except KeyError:
         raise KeyError(f"unknown system {name!r}; have {sorted(systems)}") from None
-
-
-def list_profiles() -> List[str]:
-    return sorted(load_profiles())
-
-
-def list_systems() -> List[str]:
-    return sorted(load_systems())

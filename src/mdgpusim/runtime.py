@@ -163,11 +163,11 @@ class RunSettings:
         if ENV_MAX_CACHED_NODES in env:
             kwargs.setdefault("max_cached_nodes", int(env[ENV_MAX_CACHED_NODES]))
         if ENV_INSTANT_SUBMISSION in env:
-            kwargs.setdefault("instant_submission", _as_bool(env[ENV_INSTANT_SUBMISSION]))
+            kwargs.setdefault("instant_submission", as_bool(env[ENV_INSTANT_SUBMISSION]))
         if ENV_MAX_HW_QUEUES in env:
             kwargs.setdefault("max_hw_queues", int(env[ENV_MAX_HW_QUEUES]))
         if ENV_HSA_AFFINITY in env:
-            kwargs.setdefault("hsa_affinity_override", _as_bool(env[ENV_HSA_AFFINITY]))
+            kwargs.setdefault("hsa_affinity_override", as_bool(env[ENV_HSA_AFFINITY]))
         return cls(**kwargs)
 
     def to_env(self) -> Dict[str, str]:
@@ -179,7 +179,7 @@ class RunSettings:
         }
 
 
-def _as_bool(value) -> bool:
+def as_bool(value) -> bool:
     if isinstance(value, bool):
         return value
     if isinstance(value, int):

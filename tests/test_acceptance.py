@@ -85,7 +85,7 @@ def event_mode_pair():
     return full, coarse
 
 
-NODE_POINTS = (16, 32, 64, 128, 256, 512)
+NODE_POINTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +124,15 @@ def test_single_gcd_submission_mode_rates():
     failures = []
     expect(failures, 964 * 0.9 <= instant <= 964 * 1.1,
            f"instant rate {instant:.1f} ns/day outside 964 +-10%")
+    expect(failures, 902 * 0.9 <= m094_100 <= 902 * 1.1,
+           f"0.9.4 MCN=100 rate {m094_100:.1f} ns/day outside 902 +-10%")
     slowdown = 1.0 - m094_0 / m094_100
     expect(failures, 0.09 <= slowdown <= 0.19,
            f"0.9.4 uncached slowdown {slowdown:.1%} outside 14% +-5pp")
+    # the same slowdown as step time: MCN=0 takes this much longer per step
+    longer = m094_100 / m094_0 - 1.0
+    expect(failures, 0.09 <= longer <= 0.19,
+           f"0.9.4 uncached step time {longer:+.1%} outside 14% +-5pp")
     for m, value in sorted(cached_2310.items()):
         expect(failures, 921 * 0.9 <= value <= 932 * 1.1,
                f"23.10 MCN={m} rate {value:.1f} outside the 921-932 +-10% band")
@@ -164,6 +170,11 @@ def test_stmv_single_node_scaling():
     spread = (max(sycl_vals) - min(sycl_vals)) / min(sycl_vals)
     expect(failures, spread <= 0.02,
            f"SYCL profile spread {spread:.1%} on one GCD, needs <=2%")
+    expect(failures, 17.8 * 0.9 <= min(sycl_vals) <= 17.8 * 1.1,
+           f"SYCL rate {min(sycl_vals):.2f} ns/day on one GCD outside 17.8 +-10%")
+    expect(failures, 21.6 * 0.9 <= one["hip"].ns_per_day <= 21.6 * 1.1,
+           f"hip-native rate {one['hip'].ns_per_day:.2f} ns/day on one GCD "
+           "outside 21.6 +-10%")
     hip_gain = one["hip"].ns_per_day / max(sycl_vals) - 1.0
     expect(failures, 0.16 <= hip_gain <= 0.26,
            f"hip-native gain {hip_gain:.1%} on one GCD outside 21% +-5pp")
@@ -173,7 +184,14 @@ def test_stmv_single_node_scaling():
                         instant=True).ns_per_day]
     cached = [run_one("stmv", p, ranks=2, mcn=m).ns_per_day
               for p in ("acpp-0.9.4", "acpp-23.10") for m in (100, 5)]
-    two_gcd_gain = (sum(uncached) / len(uncached)) / (sum(cached) / len(cached)) - 1.0
+    uncached_mean = sum(uncached) / len(uncached)
+    cached_mean = sum(cached) / len(cached)
+    expect(failures, 21.8 * 0.9 <= uncached_mean <= 21.9 * 1.1,
+           f"2-GCD uncached rate {uncached_mean:.2f} ns/day outside "
+           "21.8-21.9 +-10%")
+    expect(failures, 17.6 * 0.9 <= cached_mean <= 17.9 * 1.1,
+           f"2-GCD cached rate {cached_mean:.2f} ns/day outside 17.6-17.9 +-10%")
+    two_gcd_gain = uncached_mean / cached_mean - 1.0
     expect(failures, 0.18 <= two_gcd_gain <= 0.28,
            f"2-GCD uncached gain {two_gcd_gain:.1%} outside 23% +-5pp")
 
@@ -199,6 +217,13 @@ def test_multinode_cache_tradeoffs(multinode):
     expect(failures, 0.17 <= gain <= 0.27,
            f"instant gain over best cached {gain:.1%} at 512 nodes, "
            "outside 22% +-5pp")
+
+    for profile_id, ref in (("acpp-0.9.4", 0.38), ("acpp-23.10", 0.26)):
+        cached_rate = cached[(profile_id, 100)][512].ns_per_day
+        penalty = 1.0 - cached[(profile_id, 0)][512].ns_per_day / cached_rate
+        expect(failures, ref - 0.10 <= penalty <= ref + 0.10,
+               f"{profile_id} MCN=0 flushing penalty {penalty:.1%} at 512 "
+               f"nodes outside {ref:.0%} +-10pp")
 
     for profile_id, lo, hi in (("acpp-23.10", 0.5, 2.0),
                                ("acpp-0.9.4", 1.5, 6.0)):

@@ -96,6 +96,17 @@ def test_unknown_override_field_is_rejected(tmp_path, capsys):
     assert "no_such_knob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ranks", ["1", "3"])
+@pytest.mark.parametrize("atoms", ["0", "-5"])
+def test_atomless_system_is_rejected(capsys, ranks, atoms):
+    code = main(["simulate", "--system", "grappa_pme_1500",
+                 "--profile", "acpp-23.10", "--eras", "2", "--ranks", ranks,
+                 "--set", f"system.atoms={atoms}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: grappa_pme_1500: need at least one atom, got {atoms}\n")
+
+
 def test_unknown_system_is_rejected(capsys):
     code = main(["simulate", "--system", "not_a_system",
                  "--profile", "acpp-23.10"])
@@ -189,6 +200,36 @@ def test_check_fails_out_of_band_points(tmp_path, capsys):
                  "--references", str(refs)])
     assert code == 1
     assert "FAIL z" in capsys.readouterr().out
+
+
+def test_check_reports_zero_valued_point_by_absolute_difference(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    write_report(report, [{"system": "box", "ns_per_day": "100.0",
+                           "max_launch_delay_us": "0.2"}])
+    refs = tmp_path / "refs.cfg"
+    refs.write_text(
+        'a.source = II-A\n'
+        'a.metric = ns_per_day\n'
+        'a.value = 98.0\n'
+        'a.rel_tol = 0.05\n'
+        'a.match.system = box\n'
+        'a.quote = "nonzero sentence"\n'
+        'z.source = II-Z\n'
+        'z.metric = max_launch_delay_us\n'
+        'z.value = 0\n'
+        'z.abs_tol = 0.5\n'
+        'z.match.system = box\n'
+        'z.quote = "zero sentence"\n', encoding="utf-8")
+    code = main(["check", "--report", str(report),
+                 "--references", str(refs)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS a [II-A] ns_per_day: simulated 100.000 vs published 98 "
+        "(+2.0%, tolerance 0.05 relative)",
+        "PASS z [II-Z] max_launch_delay_us: simulated 0.200 vs published 0 "
+        "(+0.200 absolute, tolerance 0.5 absolute)",
+        "2 passed, 0 failed, 0 not covered by the report",
+    ]
 
 
 def test_check_with_empty_reference_set_passes(tmp_path, capsys):

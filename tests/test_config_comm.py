@@ -7,13 +7,11 @@ from mdgpusim.comm import (
     LinkParams,
     default_comm_model,
     local_edge_nm,
-    shell_atoms,
     slab_atoms,
 )
 from mdgpusim.config import (
     ConfigError,
     dump_config,
-    merged,
     parse_config,
     require,
     subsection,
@@ -61,13 +59,12 @@ def test_dump_parse_round_trip():
     assert text == dump_config(dict(reversed(list(cfg.items()))), header="generated")
 
 
-def test_subsection_and_require_and_merge():
+def test_subsection_and_require():
     cfg = parse_config("env.A = 1\nenv.B = 2\nsys.A = 3\n")
     assert subsection(cfg, "env") == {"A": 1, "B": 2}
     assert require(cfg, "sys.A") == 3
     with pytest.raises(ConfigError):
         require(cfg, "sys.missing")
-    assert merged({"a": 1, "b": 2}, {"b": 9}) == {"a": 1, "b": 9}
 
 
 def test_transfer_law_is_affine():
@@ -102,18 +99,11 @@ def test_slab_saturates_at_whole_domain():
     assert slab_atoms(1000, 50.0, 100.0) == 1000
 
 
-def test_shell_exceeds_slab_and_caps_out():
-    n = 100_000
-    assert shell_atoms(n, 1.2, 100.0) > 2 * slab_atoms(n, 1.2, 100.0)
-    assert shell_atoms(1000, 50.0, 100.0) == 2000  # capped at 2x local
-
-
 @given(atoms=st.integers(min_value=100, max_value=10**7),
        c1=st.floats(min_value=0.1, max_value=3.0),
        dc=st.floats(min_value=0.0, max_value=3.0))
 def test_halo_sizes_monotone_in_cutoff(atoms, c1, dc):
     assert slab_atoms(atoms, c1 + dc, 100.0) >= slab_atoms(atoms, c1, 100.0)
-    assert shell_atoms(atoms, c1 + dc, 100.0) >= shell_atoms(atoms, c1, 100.0)
 
 
 @given(nbytes=st.integers(min_value=0, max_value=10**9),

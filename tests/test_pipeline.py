@@ -6,10 +6,13 @@ under 1D and 3D decompositions, the long-range rank split, throughput
 arithmetic, and an exact critical-path oracle for small random DAGs.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from mdgpusim.cli import Scenario, render_csv, run_scenario
 from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency
 from mdgpusim.engine import Engine
 from mdgpusim.pipeline import RunPlan, RunReport, balanced_dims, simulate
@@ -190,18 +193,6 @@ def test_throughput_identity_on_simulated_run(pme12k):
     assert abs(product - 86.4 * dt) <= 1e-12 * 86.4 * dt
 
 
-def test_row_schema_is_stable(pme12k):
-    row = pme12k.to_row()
-    assert list(row) == ["system", "atoms", "ranks", "nodes", "backend",
-                         "runtime", "max_cached_nodes", "instant",
-                         "event_mode", "steps", "ms_per_step", "ns_per_day",
-                         "max_launch_delay_us"]
-    assert row["system"] == "grappa_pme_12k"
-    assert row["instant"] == 0
-    assert row["event_mode"] == "coarse"
-    assert isinstance(row["ms_per_step"], float)
-
-
 # -- domain decomposition and halos -------------------------------------------
 
 
@@ -276,6 +267,45 @@ def test_multi_rank_replay_is_identical():
     b = run_plan("grappa_pme_96k", ranks=4)
     assert a.era_marks == b.era_marks
     assert a.trace.records == b.trace.records
+
+
+# -- step program output ------------------------------------------------------
+
+
+# sha256 of the CSV report plus the trace JSON, two eras each, for rank
+# layouts and step flavours the benchmark's digests do not reach
+STEP_PROGRAM_DIGESTS = [
+    (dict(system="grappa_rf_12k", profile="acpp-23.10"),
+     "c0976b84e8b9f1ce9338cf491ebb87e1f76ecb4c1f0f33cb6cadfe177b0c1bbb"),
+    (dict(system="grappa_pme_12k", profile="acpp-0.9.4", max_cached_nodes=5,
+          event_mode="full"),
+     "2ec8c894fddad510750544c980a142a3e4f8afd52229e18c49284ec4e06b37f6"),
+    (dict(system="grappa_pme_12k", profile="hip-native", instant=True,
+          backend="hip"),
+     "c6650165a62240cde301522102339a546ed5f0e900f12330f7932c9714cf75d1"),
+    (dict(system="grappa_rf_24k", profile="acpp-23.10", ranks=2),
+     "718d9ef5f45e241954be0406744d898802ba5f0778c2582db54d789aa1fac328"),
+    (dict(system="grappa_rf_24k", profile="acpp-0.9.4", ranks=3,
+          max_cached_nodes=0),
+     "c791705ed891b99cebf938a84e50c3d686677407cb912ba0e7c50c7e49abb4e6"),
+    (dict(system="grappa_pme_96k", profile="acpp-23.10", ranks=2,
+          instant=True, max_cached_nodes=0),
+     "683cb74ba5e60d6bd595d440e706873053e4d6a11d3d9a1a87c27c9d6c8d7651"),
+    (dict(system="grappa_pme_96k", profile="acpp-23.10", ranks=3),
+     "feaad2807d08e08f2516b4100a8704bf45d36f4a1de38a06c9bb53e66d551d70"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields,digest", STEP_PROGRAM_DIGESTS,
+    ids=[f"{f['system']}-{f.get('ranks', 1)}r-{f['profile']}"
+         f"-{'instant' if f.get('instant') else f.get('event_mode', 'coarse')}"
+         for f, _ in STEP_PROGRAM_DIGESTS])
+def test_step_program_output_is_pinned(fields, digest):
+    rows, trace = run_scenario(Scenario(scenario_id="pin", eras=2, **fields),
+                               keep_trace=True)
+    text = render_csv(rows) + trace.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- reference throughput -----------------------------------------------------
