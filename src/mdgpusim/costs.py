@@ -20,9 +20,9 @@ same latency even when one of them records extra events in between.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class KernelKind(Enum):
@@ -221,19 +221,41 @@ class TwoPointLatency:
         return (self.mean_ns - self.tail_prob * self.tail_ns) / (1.0 - self.tail_prob)
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_KIND_MIX = 0x9E3779B97F4A7C15
+_INDEX_MIX = 0xD1B54A32D192ED03
+
+
 def _fnv1a64(data: bytes) -> int:
     h = 0xCBF29CE484222325
     for byte in data:
         h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        h = (h * 0x100000001B3) & _MASK64
     return h
 
 
 def _splitmix64(x: int) -> int:
-    x &= 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _tail_cut(tail_prob: float) -> int:
+    """The least 64-bit ``h`` with ``h / 2**64 >= tail_prob``.
+
+    ``h < _tail_cut(p)`` is the float test ``h / 2.0**64 < p`` as one
+    integer compare; the float test is monotone in ``h``, so a binary
+    search finds its edge exactly.
+    """
+    lo, hi = 0, 1 << 64  # the edge lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2.0**64 < tail_prob:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class ApiLatencyModel:
@@ -244,13 +266,22 @@ class ApiLatencyModel:
         if missing:
             raise ValueError(f"latency table missing kinds: {[k.value for k in missing]}")
         self.table = dict(table)
-        self.seed = seed & 0xFFFFFFFFFFFFFFFF
+        self.seed = seed & _MASK64
         # the FNV hashes of actor and kind names, computed once per name
         self._actor_hash: Dict[str, int] = {}
         self._kind_hash = {k: _fnv1a64(k.value.encode()) for k in ApiKind}
+        self._tail_cuts = {k: _tail_cut(law.tail_prob) for k, law in self.table.items()}
 
     def mean_ns(self, kind: ApiKind) -> float:
         return self.table[kind].mean_ns
+
+    def _stream_key(self, actor: str, kind: ApiKind) -> int:
+        """The hash of (seed, actor, kind) that every index is mixed into."""
+        actor_hash = self._actor_hash.get(actor)
+        if actor_hash is None:
+            actor_hash = self._actor_hash[actor] = _fnv1a64(actor.encode())
+        h = _splitmix64(self.seed ^ actor_hash)
+        return _splitmix64(h ^ (self._kind_hash[kind] * _KIND_MIX & _MASK64))
 
     def sample(self, actor: str, kind: ApiKind, index: int) -> int:
         """The latency of the ``index``-th call of ``kind`` made by ``actor``.
@@ -261,30 +292,37 @@ class ApiLatencyModel:
         law = self.table[kind]
         if law.tail_prob == 0.0:
             return round_half_up(law.common_ns)
-        actor_hash = self._actor_hash.get(actor)
-        if actor_hash is None:
-            actor_hash = self._actor_hash[actor] = _fnv1a64(actor.encode())
-        h = _splitmix64(self.seed ^ actor_hash)
-        h = _splitmix64(h ^ (self._kind_hash[kind] * 0x9E3779B97F4A7C15
-                             & 0xFFFFFFFFFFFFFFFF))
-        h = _splitmix64(h ^ (index * 0xD1B54A32D192ED03 & 0xFFFFFFFFFFFFFFFF))
+        h = _splitmix64(self._stream_key(actor, kind) ^ (index * _INDEX_MIX & _MASK64))
         u = h / 2.0**64
         value = law.tail_ns if u < law.tail_prob else law.common_ns
         return round_half_up(value)
 
 
 class ApiSampler:
-    """Auto-indexing wrapper: one monotone counter per (actor, kind)."""
+    """Auto-indexing wrapper: one monotone counter per (actor, kind).
+
+    Each (actor, kind) stream caches its key, the integer tail cut and
+    the two rounded values, so a draw is one splitmix and one compare;
+    it returns exactly what ``ApiLatencyModel.sample`` does.
+    """
 
     def __init__(self, model: ApiLatencyModel):
         self.model = model
-        self._counters: Dict[Tuple[str, ApiKind], int] = {}
+        # (actor, kind) -> [key, next index, tail cut, tail ns, common ns]
+        self._streams: Dict[Tuple[str, ApiKind], List[int]] = {}
 
     def draw(self, actor: str, kind: ApiKind) -> int:
-        key = (actor, kind)
-        idx = self._counters.get(key, 0)
-        self._counters[key] = idx + 1
-        return self.model.sample(actor, kind, idx)
+        stream = self._streams.get((actor, kind))
+        if stream is None:
+            stream = self._streams[(actor, kind)] = self._open(actor, kind)
+        key, idx, cut, tail, common = stream
+        stream[1] = idx + 1
+        return tail if _splitmix64(key ^ (idx * _INDEX_MIX & _MASK64)) < cut else common
+
+    def _open(self, actor: str, kind: ApiKind) -> List[int]:
+        law = self.model.table[kind]
+        return [self.model._stream_key(actor, kind), 0, self.model._tail_cuts[kind],
+                round_half_up(law.tail_ns), round_half_up(law.common_ns)]
 
 
 def default_api_model(seed: int = 0) -> ApiLatencyModel:

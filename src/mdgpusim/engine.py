@@ -21,6 +21,15 @@ Invariants the rest of the package leans on:
   milli-duty integers, so both paths replay exactly
 * a drained event queue with a non-daemon process still blocked raises
   ``DeadlockError`` naming every blocked actor
+* handoff: when the entry an effect would push is the next one the loop
+  would pop -- the heap is empty or its head lies strictly later, and the
+  entry lies within ``limit_ns`` -- ``_step`` moves the clock, writes the
+  record and resumes the process itself, with no heap round trip.  The
+  processing order and the records match a run that pushes every entry:
+  sequence numbers serve only to break ties between entries due at the
+  same time, so an entry that is never pushed shifts no relative order.
+  Only the last action of a handler may hand off, since the clock must
+  not move while the handler still has work at the current time
 """
 
 from __future__ import annotations
@@ -211,6 +220,7 @@ class Engine:
         self._domains: dict[str, Domain] = {}
         self._records: list[dict] = []
         self._busy: dict[str, int] = {}
+        self._limit: float = math.inf  # the running loop's limit_ns
 
     # -- construction -----------------------------------------------------
 
@@ -266,8 +276,9 @@ class Engine:
         until the next event lies past it; that event stays queued, so a
         later call resumes where this one stopped."""
         heap = self._heap
+        limit = self._limit = math.inf if limit_ns is None else limit_ns
         while heap:
-            if limit_ns is not None and heap[0][0] > limit_ns:
+            if heap[0][0] > limit:
                 break
             when, _, fn, args = heapq.heappop(heap)
             if fn is None:
@@ -291,33 +302,79 @@ class Engine:
         event.fire_time = self.now
         event.payload = payload
         waiters, event._waiters = event._waiters, []
-        for proc in waiters:
+        now = self.now
+        heap = self._heap
+        # with nothing else queued at now the first waiter's entry would be
+        # popped next, so it resumes here after the others are queued
+        direct = bool(waiters) and (not heap or heap[0][0] > now)
+        for proc in waiters[1:] if direct else waiters:
             proc.state = _READY
-            self._push(self.now, self._step, (proc, payload))
+            self._push(now, self._step, (proc, payload))
+        if direct:
+            proc = waiters[0]
+            proc.state = _READY
+            self._step(proc, payload)
 
     # -- process stepping -------------------------------------------------
 
-    def _step(self, proc: Process, send_value: Any) -> None:
-        try:
-            effect = proc.gen.send(send_value)
-        except StopIteration:
-            proc.state = _DONE
-            return
-        if isinstance(effect, Charge):
-            self._start_charge(proc, effect)
-        elif isinstance(effect, WaitFor):
-            ev = effect.event
-            if ev.fired:
-                self._push(self.now, self._step, (proc, ev.payload))
-            else:
-                proc.state = _WAITING
-                ev._waiters.append(proc)
-        elif isinstance(effect, Sleep):
-            if effect.delay_ns < 0:
-                raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
-            proc.state = _SLEEPING
-            self._push(self.now + effect.delay_ns, self._wake, (proc,))
-        else:
+    def _step(self, proc: Process, send_value: Any, direct: bool = True) -> None:
+        """Resume ``proc`` with ``send_value`` and act on what it yields.
+
+        With ``direct``, an effect whose completion entry would be the next
+        one popped completes here and the process resumes at once (the
+        handoff in the module docstring); otherwise the entry is pushed.
+        """
+        heap = self._heap
+        limit = self._limit if direct else -1  # below every time: no handoff
+        while True:
+            try:
+                effect = proc.gen.send(send_value)
+            except StopIteration:
+                proc.state = _DONE
+                return
+            now = self.now
+            if isinstance(effect, Charge):
+                cost = effect.cost_ns
+                dom = proc.domain
+                if cost < 0:
+                    raise ValueError(f"{proc.name} charged {cost} ns")
+                if cost == 0 or dom is None:
+                    when = now + cost  # nothing to share: exactly cost_ns
+                elif dom.active:
+                    self._join_charge(proc, effect)
+                    return
+                else:
+                    # alone on the domain: finish time in integers, no Fraction
+                    when = now - (-cost * dom.stretch_num // dom.stretch_den)
+                if when <= limit and (not heap or heap[0][0] > when):
+                    self.now = when
+                    self._finish_record(proc, effect.name, effect.args, now, when)
+                    send_value = None
+                    continue
+                self._queue_charge(proc, effect, when)
+                return
+            if isinstance(effect, WaitFor):
+                ev = effect.event
+                if not ev.fired:
+                    proc.state = _WAITING
+                    ev._waiters.append(proc)
+                    return
+                send_value = ev.payload
+                if now <= limit and (not heap or heap[0][0] > now):
+                    continue
+                self._push(now, self._step, (proc, send_value))
+                return
+            if isinstance(effect, Sleep):
+                if effect.delay_ns < 0:
+                    raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
+                when = now + effect.delay_ns
+                send_value = None
+                if when <= limit and (not heap or heap[0][0] > when):
+                    self.now = when
+                    continue
+                proc.state = _SLEEPING
+                self._push(when, self._wake, (proc,))
+                return
             raise TypeError(f"{proc.name} yielded {effect!r}, expected Charge/Sleep/WaitFor")
 
     def _wake(self, proc: Process) -> None:
@@ -326,29 +383,27 @@ class Engine:
 
     # -- charges ----------------------------------------------------------
 
-    def _start_charge(self, proc: Process, charge: Charge) -> None:
-        if charge.cost_ns < 0:
-            raise ValueError(f"{proc.name} charged {charge.cost_ns} ns")
+    def _queue_charge(self, proc: Process, charge: Charge, end: int) -> None:
+        """Push the completion, at ``end``, of a charge alone on its timeline."""
         if charge.cost_ns == 0:
             self._finish_record(proc, charge.name, charge.args, self.now, self.now)
             self._push(self.now, self._step, (proc, None))
             return
         proc.state = _CHARGING
-        if proc.domain is None:
-            # dedicated timeline, no sharing: completes after exactly cost_ns
-            end = self.now + charge.cost_ns
+        dom = proc.domain
+        if dom is None:
             self._push(end, self._finish_dedicated,
                        (proc, charge.name, charge.args, self.now))
             return
+        ch = _ChargeState(proc, charge.name, charge.args, self.now, charge.cost_ns,
+                          solo=True)
+        dom.active.append(ch)
+        dom.pending.append(self._push(end, self._solo_tick, (dom, ch)))
+
+    def _join_charge(self, proc: Process, charge: Charge) -> None:
+        """A charge joins a busy domain: exact sharing from here on."""
+        proc.state = _CHARGING
         dom = proc.domain
-        if not dom.active:
-            # alone on the domain: finish time in integers, no Fraction
-            ch = _ChargeState(proc, charge.name, charge.args, self.now, charge.cost_ns,
-                              solo=True)
-            dom.active.append(ch)
-            end = self.now - (-charge.cost_ns * dom.stretch_num // dom.stretch_den)
-            dom.pending.append(self._push(end, self._solo_tick, (dom, ch)))
-            return
         self._settle(dom)
         dom.active.append(_ChargeState(proc, charge.name, charge.args,
                                        self.now, charge.cost_ns, solo=False))
@@ -414,5 +469,6 @@ class Engine:
             dom.active.remove(ch)
             self._finish_record(ch.proc, ch.name, ch.args, ch.begin_ns, self.now)
         self._domain_changed(dom)
-        for ch in done:
-            self._step(ch.proc, None)
+        for ch in done[:-1]:
+            self._step(ch.proc, None, direct=False)
+        self._step(done[-1].proc, None)

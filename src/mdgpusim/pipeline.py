@@ -140,12 +140,10 @@ class RunReport:
 class _RankBuild:
     """Wiring for one simulated rank: device, streams, runtime front-end."""
 
-    def __init__(self, engine, name, plan, api, gcd_index):
-        self.name = name
+    def __init__(self, engine, name, plan, api):
         self.device = Device(engine, f"{name}.gcd", plan.profile, plan.settings)
         self.rt = RankRuntime(engine, name, plan.profile, plan.settings, api,
                               cores=plan.node.usable_cores_per_ccx())
-        self.gcd_index = gcd_index
 
 
 # the long-range chain, in queue order, at full system size
@@ -176,7 +174,7 @@ def simulate(plan: RunPlan, costs: Optional[CostTable] = None,
     api = api or default_api_model(seed=plan.settings.seed)
     engine = Engine(keep_trace=keep_trace)
 
-    sys_ = plan.system
+    sys_ = plan.system.validate()
     total_steps = plan.n_eras * sys_.nstlist
     era_marks: List[int] = []
 
@@ -201,8 +199,6 @@ def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
     """Wire the simulated ranks, run them, return the trace and delays."""
     sys_ = plan.system
     node = plan.node
-    if sys_.atoms < 1:
-        raise ValueError(f"{sys_.name}: need at least one atom, got {sys_.atoms}")
     pp_ranks = plan.pp_ranks
     atoms_pp = max(1, sys_.atoms // pp_ranks)
     dims = balanced_dims(pp_ranks)
@@ -214,7 +210,7 @@ def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
 
     # a lone rank is rank0 with queue q0 in traces, as saved ones expect
     single = plan.ranks == 1
-    pp = _RankBuild(engine, "rank0" if single else "pp0", plan, api, gcd_index=0)
+    pp = _RankBuild(engine, "rank0" if single else "pp0", plan, api)
     q_loc = pp.device.new_stream("q0" if single else "q_loc")
     q_nl = pp.device.new_stream("q_nl") if halo_dims else None
 
@@ -235,7 +231,7 @@ def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
     pme_link = None
     if plan.pme_ranks:
         pme_rank_index = plan.ranks - 1
-        pme = _RankBuild(engine, "pme0", plan, api, gcd_index=pme_rank_index % node.n_gcds)
+        pme = _RankBuild(engine, "pme0", plan, api)
         ranks.append(pme)
         q_pme = pme.device.new_stream("q_pme")
         link = node.link_class(

@@ -7,6 +7,7 @@ scale factors can stretch whole kernel families at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Dict
@@ -47,6 +48,36 @@ class SystemPreset:
     pme_scale: float = 1.0
     listed_scale: float = 1.0
     update_scale: float = 1.0
+
+    def validate(self) -> "SystemPreset":
+        """Reject fields no run can use, with a one-line reason."""
+        def need(f: str, what: str):
+            return ValueError(f"{self.name}: {f} must be {what}, got {getattr(self, f)!r}")
+
+        def is_number(value) -> bool:
+            return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+        for f in ("atoms", "nstlist", "prune_every"):
+            value = getattr(self, f)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise need(f, "an integer")
+        if self.atoms < 1:
+            raise ValueError(f"{self.name}: need at least one atom, got {self.atoms}")
+        if self.nstlist < 1:
+            raise need("nstlist", ">= 1")
+        if self.prune_every < 0:
+            raise need("prune_every", ">= 0")
+        if not isinstance(self.pme, bool):
+            raise need("pme", "true or false")
+        for f in ("dt_fs", "cutoff_nm", "density_per_nm3",
+                  "nbnxm_scale", "pme_scale", "listed_scale", "update_scale"):
+            value = getattr(self, f)
+            if not (is_number(value) and 0 < value < math.inf):
+                raise need(f, "a number above 0")
+        value = self.search_cpu_ns_per_atom
+        if not (is_number(value) and 0 <= value < math.inf):
+            raise need("search_cpu_ns_per_atom", "a number >= 0")
+        return self
 
     def scale_for(self, kind: KernelKind) -> float:
         if kind in _NBNXM_GROUP:

@@ -17,7 +17,7 @@ rank on the CCX wired to its GCD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Dict, List, Optional
 

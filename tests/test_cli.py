@@ -15,7 +15,6 @@ from mdgpusim.cli import (
     CSV_SCHEMA,
     load_bundled_references,
     main,
-    parse_reference_points,
     scenarios_from_config,
 )
 from mdgpusim.config import ConfigError, parse_config
@@ -105,6 +104,22 @@ def test_atomless_system_is_rejected(capsys, ranks, atoms):
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: grappa_pme_1500: need at least one atom, got {atoms}\n")
+
+
+@pytest.mark.parametrize("override, message", [
+    ("atoms=abc", "atoms must be an integer, got 'abc'"),
+    ("nstlist=0", "nstlist must be >= 1, got 0"),
+    ("dt_fs=0", "dt_fs must be a number above 0, got 0"),
+    ("pme=abc", "pme must be true or false, got 'abc'"),
+    ("nbnxm_scale=abc", "nbnxm_scale must be a number above 0, got 'abc'"),
+    ("search_cpu_ns_per_atom=-5", "search_cpu_ns_per_atom must be a number >= 0, got -5"),
+])
+def test_bad_system_field_is_one_error_line(capsys, override, message):
+    code = main(["simulate", "--system", "grappa_pme_1500",
+                 "--profile", "acpp-23.10", "--eras", "2",
+                 "--set", f"system.{override}"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: grappa_pme_1500: {message}\n"
 
 
 def test_unknown_system_is_rejected(capsys):

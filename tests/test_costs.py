@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from mdgpusim.costs import (
     NBNXM_ANCHORS,
-    NBNXM_BACKEND_RATIO,
     ApiKind,
     ApiLatencyModel,
     ApiSampler,
@@ -191,3 +191,33 @@ def test_default_api_means():
     assert model.mean_ns(ApiKind.EVENT_RECORD) == 2000.0
     assert model.mean_ns(ApiKind.STREAM_WAIT_EVENT) == 4000.0
     assert model.mean_ns(ApiKind.EVENT_CREATE_DESTROY) == 5500.0
+
+
+def test_sampler_draws_equal_the_pure_sample():
+    """Interleaved draws over several actors and every kind, one of them
+    with no tail, return ``sample`` at each stream's own index."""
+    table = dict(default_api_model().table)
+    table[ApiKind.MEMCPY_ASYNC] = TwoPointLatency(3000.0, 30000.0, tail_prob=0.0)
+    table[ApiKind.HOST_SYNC_POLL] = TwoPointLatency(10000.0, 30000.0, tail_prob=0.3)
+    model = ApiLatencyModel(table, seed=2024)
+    streams = [(actor, kind) for actor in ("rank0.app", "pp3.dag-flush", "pme0.app")
+               for kind in ApiKind]
+    calls = streams * 5000
+    random.Random(8).shuffle(calls)
+    sampler = ApiSampler(model)
+    index = dict.fromkeys(streams, 0)
+    for actor, kind in calls:
+        assert sampler.draw(actor, kind) == model.sample(actor, kind, index[actor, kind])
+        index[actor, kind] += 1
+
+
+def test_tail_cuts_are_the_edge_of_the_float_test():
+    """``h < cut`` must agree with ``sample``'s ``h / 2.0**64 < p`` at the
+    edge, where rounding ``h`` to a float decides."""
+    probs = [0.0, 0.02, 0.3, 0.5, 1 / 3, 1.0 - 2.0**-53]
+    model = ApiLatencyModel({kind: TwoPointLatency(1000.0, 5000.0, prob)
+                             for kind, prob in zip(ApiKind, probs, strict=True)})
+    for kind, prob in zip(ApiKind, probs):
+        cut = model._tail_cuts[kind]
+        for h in range(max(0, cut - 3), min(2**64, cut + 3)):
+            assert (h < cut) == (h / 2.0**64 < prob)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -399,3 +400,141 @@ def test_engine_without_trace_keeps_busy_time_and_makespan():
     bare = _random_workload(3, n_procs=6, n_charges=12, keep_trace=False)
     assert kept.records and bare.records == []
     assert (bare.makespan_ns, bare.busy_ns) == (kept.makespan_ns, kept.busy_ns)
+
+
+def test_charges_finishing_together_resume_at_their_finish_time():
+    # a and b share one core and both finish at 200; a's sleep must not
+    # move the clock before b has resumed at 200
+    eng = Engine()
+    dom = eng.domain("cpu", 1)
+
+    def a():
+        yield Charge(100, "a1")
+        yield Sleep(10)
+        yield Charge(5, "a2")
+
+    def b():
+        yield Charge(100, "b1")
+        yield Charge(5, "b2")
+
+    eng.spawn("a", a(), domain=dom)
+    eng.spawn("b", b(), domain=dom)
+    spans = {r["name"]: (r["begin_ns"], r["end_ns"]) for r in eng.run_until_idle().records}
+    assert spans == {"a1": (0, 200), "b1": (0, 200), "a2": (210, 215), "b2": (200, 205)}
+
+
+def test_woken_waiter_runs_after_entries_already_due():
+    # the sleeper's wake and its next step are queued at 50 before the
+    # event fires there, so both run before the waiter does
+    eng = Engine()
+    ev = eng.event("go")
+
+    def sleeper():
+        yield Sleep(50)
+        yield Charge(0, "s1")
+        yield Charge(0, "s2")
+
+    def waiter():
+        yield WaitFor(ev)
+        yield Charge(0, "w1")
+
+    def poster():
+        eng.post(ev, 50)
+        yield Sleep(0)
+
+    eng.spawn("s", sleeper())
+    eng.spawn("w", waiter())
+    eng.spawn("p", poster())
+    assert [r["name"] for r in eng.run_until_idle().records] == ["s1", "s2", "w1"]
+
+
+def _handoff_engine(seed, n_workers=10, n_steps=40):
+    """A seeded workload over every case the loop completes without the
+    heap: all workers wake from one event, zero-cost charges, ``Sleep(0)``,
+    waits on events that may already have fired, two processes sharing a
+    1-core domain, and backgrounds added mid-run.  Returned unrun."""
+    rng = random.Random(seed)
+    eng = Engine()
+    shared = eng.domain("shared", 1)
+    quad = eng.domain("quad", 4)
+    eng.add_background(quad, "poll", 750)
+    events = [eng.event(f"e{i}") for i in range(12)]
+
+    def poster():
+        for ev in events:
+            yield Sleep(rng.randrange(0, 400))
+            eng.post(ev, rng.choice((0, 0, 50)), payload=ev.name)
+
+    def worker(idx):
+        got = yield WaitFor(events[0])
+        yield Charge(0, "woke", {"got": got})
+        for j in range(n_steps):
+            pick = rng.random()
+            if pick < 0.3:
+                yield Charge(rng.randrange(1, 600), f"w{idx}.{j}")
+            elif pick < 0.4:
+                yield Charge(0, f"z{idx}.{j}")
+            elif pick < 0.5:
+                yield Sleep(0)
+            elif pick < 0.7:
+                yield Sleep(rng.randrange(1, 300))
+            else:
+                got = yield WaitFor(rng.choice(events))
+                yield Charge(rng.randrange(0, 3), f"got{idx}.{j}", {"got": got})
+
+    def late_backgrounds():
+        yield Sleep(rng.randrange(200, 2000))
+        eng.add_background(shared, "late0", 500)
+        yield Sleep(rng.randrange(200, 2000))
+        eng.add_background(quad, "late1", 1500)
+
+    eng.spawn("poster", poster())
+    eng.spawn("late", late_backgrounds())
+    for i in range(n_workers):
+        dom = shared if i < 2 else (quad if i % 2 else None)
+        eng.spawn(f"w{i}", worker(i), domain=dom)
+    return eng
+
+
+def _digest(trace):
+    return hashlib.sha256(trace.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0,
+     "cef8756f807ae3827747792111ff7dc2ed7ef9a68f88a02d842b1a502d4bb8ee"),
+    (1,
+     "903f5b50f94c8167dfd569982f70df99bb8b2602d7feb5eafdece045394eb53a"),
+    (2,
+     "6ea19dd5bf9feefc83822a5253e427fc7eba5b411531f5ceb223d322da5d4855"),
+    (3,
+     "f633d178df428ca2dd077f7469ca52de08af3b8cb4dc8a03c66b332b420473ff"),
+    (4,
+     "cb608592e1d3f1c22dc4186a47224cc010fe42c4326ca107057133747749350c"),
+])
+def test_mixed_workload_traces_are_pinned(seed, digest):
+    """Digests recorded with an engine that pushed every entry on the heap."""
+    assert _digest(_handoff_engine(seed).run_until_idle()) == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1234,
+     "ac06a4c1ac2bbda93597e5e579131f9e0f452e467f4b5807c20fd3702842067d"),
+    (99,
+     "becd2363122dc7382d8a123d1124e1013949a70037596abbe842ea4273a8e1b6"),
+])
+def test_random_workload_traces_are_pinned(seed, digest):
+    assert _digest(_random_workload(seed, n_procs=12, n_charges=60)) == digest
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chunked_run_matches_one_call(seed):
+    whole = _handoff_engine(seed).run_until_idle()
+    eng = _handoff_engine(seed)
+    rng = random.Random(seed)
+    limit = 0
+    while limit < whole.makespan_ns:
+        limit += rng.choice((0, 1, 7, 50, 333))
+        eng.run_until_idle(limit_ns=limit)
+        assert eng.now <= limit
+    assert eng.run_until_idle().to_json() == whole.to_json()

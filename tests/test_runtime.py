@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency, default_api_model
-from mdgpusim.engine import Charge, Engine, WaitFor
+from mdgpusim.engine import Engine
 from mdgpusim.presets import get_profile, load_profiles
 from mdgpusim.runtime import (
     Device,
