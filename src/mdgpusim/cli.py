@@ -83,7 +83,7 @@ class Scenario:
         settings_kwargs: Dict[str, Any] = dict(
             max_cached_nodes=self.max_cached_nodes,
             instant_submission=self.instant,
-            event_mode=EventMode(self.event_mode),
+            event_mode=self.event_mode,
             visible_devices=min(self.ranks, node.n_gcds),
             seed=self.seed)
         for key in sorted(self.overrides):
@@ -104,6 +104,7 @@ class Scenario:
                 raise ConfigError(f"{self.scenario_id}: unknown {scope} "
                                   f"field {name!r}") from None
         profile.validate()
+        settings_kwargs["event_mode"] = EventMode(settings_kwargs["event_mode"])
         try:
             run_settings = RunSettings(**settings_kwargs)
         except TypeError:

@@ -85,6 +85,16 @@ def subsection(mapping: Dict[str, Any], prefix: str) -> Dict[str, Any]:
     return {k[len(dot):]: v for k, v in mapping.items() if k.startswith(dot)}
 
 
+def is_int(value) -> bool:
+    """An integer, not a bool (``bool`` subclasses ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """An integer or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def require(mapping: Dict[str, Any], key: str):
     try:
         return mapping[key]

@@ -75,12 +75,12 @@ class KernelCost:
         return self.floor_ns + self.slope_ns_per_atom * atoms
 
 
-def fit_affine(points: Sequence[Tuple[int, float]], clamp_floor: bool = True) -> KernelCost:
+def fit_affine(points: Sequence[Tuple[int, float]]) -> KernelCost:
     """Least-squares affine fit of (atoms, duration_ns) samples.
 
-    Two points give the exact interpolant.  With ``clamp_floor`` a
-    negative intercept is clipped to zero and the slope refitted
-    through the origin, since a negative fixed cost is meaningless.
+    Two points give the exact interpolant.  A negative intercept is
+    clipped to zero and the slope refitted through the origin, since a
+    negative fixed cost is meaningless.
     """
     if len(points) < 2:
         raise ValueError("need at least two samples to fit")
@@ -101,7 +101,7 @@ def fit_affine(points: Sequence[Tuple[int, float]], clamp_floor: bool = True) ->
             raise ValueError("all samples at the same atom count")
         slope = (n * sxy - sx * sy) / denom
         floor = (sy - slope * sx) / n
-    if clamp_floor and floor < 0:
+    if floor < 0:
         floor = 0.0
         slope = sxy / sxx
     return KernelCost(floor_ns=floor, slope_ns_per_atom=slope, source="fitted")
@@ -121,9 +121,6 @@ class CostTable:
             raise ValueError(f"base table missing kinds: {[k.value for k in missing]}")
         self.base = dict(base)
         self.multipliers = {name: dict(table) for name, table in (multipliers or {}).items()}
-
-    def backends(self) -> list:
-        return ["sycl"] + sorted(self.multipliers)
 
     def multiplier(self, backend: str, kind: KernelKind) -> float:
         if backend == "sycl":
@@ -271,9 +268,6 @@ class ApiLatencyModel:
         self._actor_hash: Dict[str, int] = {}
         self._kind_hash = {k: _fnv1a64(k.value.encode()) for k in ApiKind}
         self._tail_cuts = {k: _tail_cut(law.tail_prob) for k, law in self.table.items()}
-
-    def mean_ns(self, kind: ApiKind) -> float:
-        return self.table[kind].mean_ns
 
     def _stream_key(self, actor: str, kind: ApiKind) -> int:
         """The hash of (seed, actor, kind) that every index is mixed into."""

@@ -19,17 +19,19 @@ Invariants the rest of the package leans on:
 * no floats inside the engine: integer arithmetic for a sole occupant,
   exact ``Fraction`` only under sharing.  Thread duty is tracked in
   milli-duty integers, so both paths replay exactly
-* a drained event queue with a non-daemon process still blocked raises
-  ``DeadlockError`` naming every blocked actor
+* a drained event queue with a non-daemon process unfinished raises
+  ``DeadlockError`` naming every such actor: a process with work left
+  always has an entry queued, so once the heap drains each of them is
+  parked on an event that nothing will post
 * handoff: when the entry an effect would push is the next one the loop
-  would pop -- the heap is empty or its head lies strictly later, and the
-  entry lies within ``limit_ns`` -- ``_step`` moves the clock, writes the
-  record and resumes the process itself, with no heap round trip.  The
-  processing order and the records match a run that pushes every entry:
-  sequence numbers serve only to break ties between entries due at the
-  same time, so an entry that is never pushed shifts no relative order.
-  Only the last action of a handler may hand off, since the clock must
-  not move while the handler still has work at the current time
+  would pop -- the heap is empty or its head lies strictly later --
+  ``_step`` moves the clock, writes the record and resumes the process
+  itself, with no heap round trip.  The processing order and the records
+  match a run that pushes every entry: sequence numbers serve only to
+  break ties between entries due at the same time, so an entry that is
+  never pushed shifts no relative order.  Only the last action of a
+  handler may hand off, since the clock must not move while the handler
+  still has work at the current time
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ from fractions import Fraction
 from typing import Any, Generator, Optional
 
 MILLI_DUTY = 1000  # duty units contributed by one fully-busy thread
-
-_READY = "ready"
-_CHARGING = "charging"
-_WAITING = "waiting"
-_SLEEPING = "sleeping"
-_DONE = "done"
 
 
 class CausalityError(RuntimeError):
@@ -111,17 +107,17 @@ class Event:
 class Process:
     """A named generator coroutine owned by the engine."""
 
-    __slots__ = ("name", "gen", "domain", "daemon", "state")
+    __slots__ = ("name", "gen", "domain", "daemon", "done")
 
     def __init__(self, name: str, gen: Generator, domain: Optional["Domain"], daemon: bool):
         self.name = name
         self.gen = gen
         self.domain = domain
         self.daemon = daemon
-        self.state = _READY
+        self.done = False
 
     def __repr__(self):
-        return f"Process({self.name!r}, {self.state})"
+        return f"Process({self.name!r}{', done' if self.done else ''})"
 
 
 class _ChargeState:
@@ -157,7 +153,7 @@ class Domain:
     ``stretch_num / stretch_den``.
     """
 
-    __slots__ = ("name", "cores", "background_milli", "backgrounds",
+    __slots__ = ("name", "cores", "background_milli",
                  "active", "last_update", "pending", "stretch_num", "stretch_den")
 
     def __init__(self, name: str, cores: int):
@@ -166,7 +162,6 @@ class Domain:
         self.name = name
         self.cores = cores
         self.background_milli = 0
-        self.backgrounds: list[tuple[str, int]] = []
         self.active: list[_ChargeState] = []
         self.last_update = 0
         self.pending: list = []  # heap entries holding our finish guesses
@@ -194,11 +189,6 @@ class Trace:
     makespan_ns: int = 0
     busy_ns: dict = field(default_factory=dict)
 
-    def utilization(self, actor: str) -> float:
-        if self.makespan_ns == 0:
-            return 0.0
-        return self.busy_ns.get(actor, 0) / self.makespan_ns
-
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps({"makespan_ns": self.makespan_ns, "records": self.records},
                           indent=indent)
@@ -220,7 +210,6 @@ class Engine:
         self._domains: dict[str, Domain] = {}
         self._records: list[dict] = []
         self._busy: dict[str, int] = {}
-        self._limit: float = math.inf  # the running loop's limit_ns
 
     # -- construction -----------------------------------------------------
 
@@ -232,11 +221,11 @@ class Engine:
         return dom
 
     def add_background(self, dom: Domain, name: str, milli_duty: int) -> None:
-        """Register an always-on thread (a poller, a progress thread)."""
+        """Register an always-on thread (a poller, a progress thread); only
+        its duty is kept, and ``name`` appears in no record."""
         if milli_duty < 0:
             raise ValueError("milli_duty must be >= 0")
         self._settle(dom)
-        dom.backgrounds.append((name, milli_duty))
         dom.background_milli += milli_duty
         dom._set_stretch()
         self._domain_changed(dom)
@@ -271,15 +260,10 @@ class Engine:
 
     # -- the loop ---------------------------------------------------------
 
-    def run_until_idle(self, limit_ns: Optional[int] = None) -> Trace:
-        """Run events in order until the heap drains or, with ``limit_ns``,
-        until the next event lies past it; that event stays queued, so a
-        later call resumes where this one stopped."""
+    def run_until_idle(self) -> Trace:
+        """Run events in order until the heap drains."""
         heap = self._heap
-        limit = self._limit = math.inf if limit_ns is None else limit_ns
         while heap:
-            if heap[0][0] > limit:
-                break
             when, _, fn, args = heapq.heappop(heap)
             if fn is None:
                 continue  # cancelled: must not advance the clock
@@ -287,9 +271,8 @@ class Engine:
                 raise CausalityError(f"event at {when} ns behind clock {self.now} ns")
             self.now = when
             fn(*args)
-        blocked = [p.name for p in self._procs
-                   if p.state == _WAITING and not p.daemon]
-        if blocked and not self._heap:
+        blocked = [p.name for p in self._procs if not (p.done or p.daemon)]
+        if blocked:
             raise DeadlockError(blocked)
         return Trace(records=self._records, makespan_ns=self.now, busy_ns=self._busy)
 
@@ -308,12 +291,9 @@ class Engine:
         # popped next, so it resumes here after the others are queued
         direct = bool(waiters) and (not heap or heap[0][0] > now)
         for proc in waiters[1:] if direct else waiters:
-            proc.state = _READY
             self._push(now, self._step, (proc, payload))
         if direct:
-            proc = waiters[0]
-            proc.state = _READY
-            self._step(proc, payload)
+            self._step(waiters[0], payload)
 
     # -- process stepping -------------------------------------------------
 
@@ -325,12 +305,11 @@ class Engine:
         handoff in the module docstring); otherwise the entry is pushed.
         """
         heap = self._heap
-        limit = self._limit if direct else -1  # below every time: no handoff
         while True:
             try:
                 effect = proc.gen.send(send_value)
             except StopIteration:
-                proc.state = _DONE
+                proc.done = True
                 return
             now = self.now
             if isinstance(effect, Charge):
@@ -346,7 +325,7 @@ class Engine:
                 else:
                     # alone on the domain: finish time in integers, no Fraction
                     when = now - (-cost * dom.stretch_num // dom.stretch_den)
-                if when <= limit and (not heap or heap[0][0] > when):
+                if direct and (not heap or heap[0][0] > when):
                     self.now = when
                     self._finish_record(proc, effect.name, effect.args, now, when)
                     send_value = None
@@ -356,11 +335,10 @@ class Engine:
             if isinstance(effect, WaitFor):
                 ev = effect.event
                 if not ev.fired:
-                    proc.state = _WAITING
                     ev._waiters.append(proc)
                     return
                 send_value = ev.payload
-                if now <= limit and (not heap or heap[0][0] > now):
+                if direct and (not heap or heap[0][0] > now):
                     continue
                 self._push(now, self._step, (proc, send_value))
                 return
@@ -369,17 +347,12 @@ class Engine:
                     raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
                 when = now + effect.delay_ns
                 send_value = None
-                if when <= limit and (not heap or heap[0][0] > when):
+                if direct and (not heap or heap[0][0] > when):
                     self.now = when
                     continue
-                proc.state = _SLEEPING
-                self._push(when, self._wake, (proc,))
+                self._push(when, self._step, (proc, None))
                 return
             raise TypeError(f"{proc.name} yielded {effect!r}, expected Charge/Sleep/WaitFor")
-
-    def _wake(self, proc: Process) -> None:
-        proc.state = _READY
-        self._step(proc, None)
 
     # -- charges ----------------------------------------------------------
 
@@ -389,7 +362,6 @@ class Engine:
             self._finish_record(proc, charge.name, charge.args, self.now, self.now)
             self._push(self.now, self._step, (proc, None))
             return
-        proc.state = _CHARGING
         dom = proc.domain
         if dom is None:
             self._push(end, self._finish_dedicated,
@@ -402,7 +374,6 @@ class Engine:
 
     def _join_charge(self, proc: Process, charge: Charge) -> None:
         """A charge joins a busy domain: exact sharing from here on."""
-        proc.state = _CHARGING
         dom = proc.domain
         self._settle(dom)
         dom.active.append(_ChargeState(proc, charge.name, charge.args,

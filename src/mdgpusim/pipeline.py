@@ -29,14 +29,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .comm import (
-    CommModel,
-    FORCE_BYTES_PER_ATOM,
-    XYZ_BYTES_PER_ATOM,
-    default_comm_model,
-    slab_atoms,
-)
-from .costs import ApiLatencyModel, CostTable, KernelKind, default_api_model, default_cost_table
+from .comm import FORCE_BYTES_PER_ATOM, XYZ_BYTES_PER_ATOM, default_comm_model, slab_atoms
+from .costs import KernelKind, default_api_model, default_cost_table
 from .engine import Charge, Engine, Event, WaitFor
 from .presets import SystemPreset
 from .runtime import Device, RankRuntime, RunSettings, RuntimeProfile
@@ -142,8 +136,7 @@ class _RankBuild:
 
     def __init__(self, engine, name, plan, api):
         self.device = Device(engine, f"{name}.gcd", plan.profile, plan.settings)
-        self.rt = RankRuntime(engine, name, plan.profile, plan.settings, api,
-                              cores=plan.node.usable_cores_per_ccx())
+        self.rt = RankRuntime(engine, name, plan.profile, plan.settings, api)
 
 
 # the long-range chain, in queue order, at full system size
@@ -164,14 +157,11 @@ class _PmeLink(NamedTuple):
     f_ready: List[Event]
 
 
-def simulate(plan: RunPlan, costs: Optional[CostTable] = None,
-             comm: Optional[CommModel] = None,
-             api: Optional[ApiLatencyModel] = None,
-             keep_trace: bool = False) -> RunReport:
+def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
     """Run ``plan`` and report steady-state per-step timing."""
-    costs = costs or default_cost_table()
-    comm = comm or default_comm_model()
-    api = api or default_api_model(seed=plan.settings.seed)
+    costs = default_cost_table()
+    comm = default_comm_model()
+    api = default_api_model(seed=plan.settings.seed)
     engine = Engine(keep_trace=keep_trace)
 
     sys_ = plan.system.validate()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict
 
-from .config import parse_config, subsection
+from .config import is_int, is_number, parse_config, subsection
 from .costs import KernelKind
 from .runtime import RuntimeProfile
 
@@ -54,12 +54,8 @@ class SystemPreset:
         def need(f: str, what: str):
             return ValueError(f"{self.name}: {f} must be {what}, got {getattr(self, f)!r}")
 
-        def is_number(value) -> bool:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-
         for f in ("atoms", "nstlist", "prune_every"):
-            value = getattr(self, f)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(getattr(self, f)):
                 raise need(f, "an integer")
         if self.atoms < 1:
             raise ValueError(f"{self.name}: need at least one atom, got {self.atoms}")

@@ -32,11 +32,13 @@ run and can only add cost, never reshuffle it.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .config import is_int, is_number
 from .costs import ApiKind, ApiLatencyModel, ApiSampler, round_half_up
 from .engine import Charge, Engine, Event, WaitFor
 
@@ -98,13 +100,19 @@ class RuntimeProfile:
                   "retire_flush_cap_ns", "retire_sync_cap_ns", "app_step_cpu_ns",
                   "dispatch_gap_ns", "oversub_extra_ns", "event_device_cost_ns",
                   "mpi_msg_cpu_ns", "flush_contention_ns_per_peer",
-                  "flush_contention_scan_ns", "flush_contention_cutoff_ns"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{self.name}: {f} must be >= 0")
+                  "flush_contention_scan_ns", "flush_contention_cutoff_ns",
+                  "hsa_worker_duty_milli"):
+            value = getattr(self, f)
+            if not (is_int(value) and value >= 0):
+                raise ValueError(f"{self.name}: {f} must be an integer >= 0, got {value!r}")
         if self.submission not in ("deferred", "instant", "both"):
             raise ValueError(f"{self.name}: bad submission mode {self.submission!r}")
-        if self.retire_rate < 0:
-            raise ValueError(f"{self.name}: retire_rate must be >= 0")
+        if not (is_number(self.retire_rate) and 0 <= self.retire_rate < math.inf):
+            raise ValueError(f"{self.name}: retire_rate must be a number >= 0, "
+                             f"got {self.retire_rate!r}")
+        if not isinstance(self.pme_comm_overlap, bool):
+            raise ValueError(f"{self.name}: pme_comm_overlap must be true or false, "
+                             f"got {self.pme_comm_overlap!r}")
         if self.supports_deferred():
             budget = self.submit_cost_ns + self.flush_trigger_cost_ns
             if self.flush_bookkeeping_cost_ns > budget:
@@ -120,9 +128,6 @@ class RuntimeProfile:
     def supports_instant(self) -> bool:
         return self.submission in ("instant", "both")
 
-    def worker_threads(self, instant: bool) -> int:
-        return 0 if instant else 2
-
     @classmethod
     def from_mapping(cls, mapping: Dict) -> "RuntimeProfile":
         kwargs = {}
@@ -133,9 +138,7 @@ class RuntimeProfile:
 
 
 ENV_MAX_CACHED_NODES = "HIPSYCL_RT_MAX_CACHED_NODES"
-ENV_INSTANT_SUBMISSION = "HIPSYCL_ALLOW_INSTANT_SUBMISSION"
 ENV_MAX_HW_QUEUES = "GPU_MAX_HW_QUEUES"
-ENV_HSA_AFFINITY = "HSA_OVERRIDE_CPU_AFFINITY_DEBUG"
 
 
 @dataclass
@@ -151,32 +154,21 @@ class RunSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_cached_nodes < 0:
-            raise ValueError(f"{ENV_MAX_CACHED_NODES} must be >= 0")
-        if self.max_hw_queues < 1:
-            raise ValueError(f"{ENV_MAX_HW_QUEUES} must be >= 1")
-        if self.visible_devices < 1:
-            raise ValueError("at least one device must be visible")
-
-    @classmethod
-    def from_env_mapping(cls, env: Dict, **kwargs) -> "RunSettings":
-        if ENV_MAX_CACHED_NODES in env:
-            kwargs.setdefault("max_cached_nodes", int(env[ENV_MAX_CACHED_NODES]))
-        if ENV_INSTANT_SUBMISSION in env:
-            kwargs.setdefault("instant_submission", as_bool(env[ENV_INSTANT_SUBMISSION]))
-        if ENV_MAX_HW_QUEUES in env:
-            kwargs.setdefault("max_hw_queues", int(env[ENV_MAX_HW_QUEUES]))
-        if ENV_HSA_AFFINITY in env:
-            kwargs.setdefault("hsa_affinity_override", as_bool(env[ENV_HSA_AFFINITY]))
-        return cls(**kwargs)
-
-    def to_env(self) -> Dict[str, str]:
-        return {
-            ENV_MAX_CACHED_NODES: str(self.max_cached_nodes),
-            ENV_INSTANT_SUBMISSION: "1" if self.instant_submission else "0",
-            ENV_MAX_HW_QUEUES: str(self.max_hw_queues),
-            ENV_HSA_AFFINITY: "1" if self.hsa_affinity_override else "0",
-        }
+        # types before ranges, so a bad override is one error line
+        if not (is_int(self.max_cached_nodes) and self.max_cached_nodes >= 0):
+            raise ValueError(f"{ENV_MAX_CACHED_NODES} must be an integer >= 0, "
+                             f"got {self.max_cached_nodes!r}")
+        if not (is_int(self.max_hw_queues) and self.max_hw_queues >= 1):
+            raise ValueError(f"{ENV_MAX_HW_QUEUES} must be an integer >= 1, "
+                             f"got {self.max_hw_queues!r}")
+        if not (is_int(self.visible_devices) and self.visible_devices >= 1):
+            raise ValueError("at least one device must be visible, "
+                             f"got {self.visible_devices!r}")
+        for f in ("instant_submission", "hsa_affinity_override"):
+            if not isinstance(getattr(self, f), bool):
+                raise ValueError(f"{f} must be true or false, got {getattr(self, f)!r}")
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def as_bool(value) -> bool:
@@ -294,19 +286,19 @@ class Device:
 class RankRuntime:
     """Submission front-end for one rank: buffer, workers, sync taxes.
 
-    Each simulated thread gets its own single-core domain, mirroring
-    one-thread-per-core pinning.  The HSA poller thread has no core of
-    its own: it lands on the application core and steals cycles there,
-    unless the affinity override banishes it (modelling the debug knob
-    that lets runtime threads escape the rank's mask).
+    Every simulated thread -- the application thread and, when deferred,
+    the flush and monitor workers -- gets a single-core domain of its
+    own, mirroring one-thread-per-core pinning, so no two of them ever
+    share a core.  The HSA poller thread has no core of its own: it
+    lands on the application core and steals cycles there, unless the
+    affinity override banishes it (modelling the debug knob that lets
+    runtime threads escape the rank's mask).
     """
 
     def __init__(self, engine: Engine, name: str,
                  profile: RuntimeProfile, settings: RunSettings,
-                 api_model: ApiLatencyModel, cores: int = 7):
+                 api_model: ApiLatencyModel):
         profile.validate()
-        if cores < 1:
-            raise ValueError("need at least one core")
         self.engine = engine
         self.name = name
         self.profile = profile
@@ -327,9 +319,7 @@ class RankRuntime:
         self._notify_requests: deque = deque()
         self._notify_wake: Optional[Event] = None
 
-        n_domains = min(cores, 1 + profile.worker_threads(self.instant))
-        self._cores = [engine.domain(f"{name}.core{i}", 1) for i in range(n_domains)]
-        self.app_domain = self._cores[0]
+        self.app_domain = engine.domain(f"{name}.core0", 1)
         if not settings.hsa_affinity_override:
             engine.add_background(self.app_domain, f"{name}.hsa-worker",
                                   profile.hsa_worker_duty_milli)
@@ -337,9 +327,9 @@ class RankRuntime:
             self.flush_actor = f"{name}.dag-flush"
             self.monitor_actor = f"{name}.dag-monitor"
             engine.spawn(self.flush_actor, self._flush_loop(),
-                         domain=self._cores[1 % n_domains], daemon=True)
+                         domain=engine.domain(f"{name}.core1", 1), daemon=True)
             engine.spawn(self.monitor_actor, self._monitor_loop(),
-                         domain=self._cores[2 % n_domains], daemon=True)
+                         domain=engine.domain(f"{name}.core2", 1), daemon=True)
         else:
             self.flush_actor = None
             self.monitor_actor = None
@@ -395,7 +385,7 @@ class RankRuntime:
                      {"nodes": len(self._buffer)})
         batch = self._buffer
         self._buffer = []
-        self._batches.append((self.engine.now, batch))
+        self._batches.append(batch)
         self._flushes_since_sync.append(self.engine.now)
         if self._flush_wake is not None and not self._flush_wake.fired:
             self.engine.post(self._flush_wake, 0)
@@ -434,7 +424,7 @@ class RankRuntime:
                 self._flush_wake = self.engine.event(f"{self.name}.flush-wake")
                 yield WaitFor(self._flush_wake)
                 continue
-            _, batch = self._batches.popleft()
+            batch = self._batches.popleft()
             yield Charge(self.profile.flush_bookkeeping_cost_ns, "flush_bookkeeping",
                          {"nodes": len(batch)})
             for task, stream in batch:
@@ -472,8 +462,3 @@ class RankRuntime:
             if tax:
                 yield Charge(tax, "graph_retire", {"flushes": len(triggers)})
             self.engine.post(req, 0)
-
-    # -- measurements --------------------------------------------------------
-
-    def first_launch_delay_ns(self) -> Optional[int]:
-        return self.launch_delays[0] if self.launch_delays else None

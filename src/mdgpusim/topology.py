@@ -70,10 +70,6 @@ class NodeTopology:
         self._check_gcd(gcd)
         return gcd // 2
 
-    def package_for_gcd(self, gcd: int) -> int:
-        self._check_gcd(gcd)
-        return gcd // 2
-
     def link_class(self, gcd_a: int, gcd_b: int, same_node: bool = True) -> LinkClass:
         self._check_gcd(gcd_a)
         self._check_gcd(gcd_b)
@@ -109,18 +105,6 @@ class NodeTopology:
         for s in range(1, self.smt):
             out.extend(c + s * total for c in cores)
         return out
-
-    def numa_node(self, ccx: int) -> int:
-        if not 0 <= ccx < self.n_ccx:
-            raise ValueError(f"ccx {ccx} out of range 0..{self.n_ccx - 1}")
-        return ccx // 2
-
-    def numa_distance(self, ccx_a: int, ccx_b: int) -> int:
-        if ccx_a == ccx_b:
-            return 10
-        if self.numa_node(ccx_a) == self.numa_node(ccx_b):
-            return 12
-        return 32
 
 
 def lumi_node() -> NodeTopology:
@@ -159,9 +143,6 @@ class RankBinding:
 class AffinityPlan:
     node: NodeTopology
     ranks: List[RankBinding]
-
-    def cpu_bind_masks(self) -> List[str]:
-        return [r.cpu_bind_mask() for r in self.ranks]
 
     def env_lines(self) -> List[str]:
         lines = []

@@ -313,7 +313,7 @@ def _run_burst(spec, profile=None, api=None, mcn=None):
     prof = profile or get_profile(profile_id)
     dev = Device(eng, "gcd0", prof, settings)
     rt = RankRuntime(eng, "rank0", prof, settings,
-                     api or default_api_model(seed=settings.seed), cores=7)
+                     api or default_api_model(seed=settings.seed))
     queues = [dev.new_stream(f"q{i}") for i in range(queue_count)]
 
     def app():
@@ -377,7 +377,7 @@ def test_execution_properties(event_mode_pair, multinode):
         delays = []
         for mcn in (0, 1, 2, 5, 20, 100):
             _, rt = _run_burst(spec, mcn=mcn)
-            delays.append(rt.first_launch_delay_ns())
+            delays.append(rt.launch_delays[0])
         if any(b < a for a, b in zip(delays, delays[1:])):
             expect(failures, False,
                    f"first-launch delay not monotone in cache size on "

@@ -122,6 +122,43 @@ def test_bad_system_field_is_one_error_line(capsys, override, message):
     assert capsys.readouterr().err == f"error: grappa_pme_1500: {message}\n"
 
 
+@pytest.mark.parametrize("override, message", [
+    ("settings.event_mode=bogus", "'bogus' is not a valid EventMode"),
+    ("settings.seed=abc", "seed must be an integer, got 'abc'"),
+    ("settings.seed=1.5", "seed must be an integer, got 1.5"),
+    ("settings.max_hw_queues=abc",
+     "GPU_MAX_HW_QUEUES must be an integer >= 1, got 'abc'"),
+    ("settings.max_cached_nodes=2.5",
+     "HIPSYCL_RT_MAX_CACHED_NODES must be an integer >= 0, got 2.5"),
+    ("settings.instant_submission=yes",
+     "instant_submission must be true or false, got 'yes'"),
+    ("profile.retire_rate=abc",
+     "acpp-23.10: retire_rate must be a number >= 0, got 'abc'"),
+    ("profile.submit_cost_ns=abc",
+     "acpp-23.10: submit_cost_ns must be an integer >= 0, got 'abc'"),
+    ("profile.pme_comm_overlap=abc",
+     "acpp-23.10: pme_comm_overlap must be true or false, got 'abc'"),
+])
+def test_bad_override_is_one_error_line(capsys, override, message):
+    code = main(["simulate", "--system", "grappa_pme_1500",
+                 "--profile", "acpp-23.10", "--eras", "2", "--set", override])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == f"error: {message}\n"
+    assert out.out == ""
+
+
+def test_event_mode_override_runs_like_the_flag(capsys):
+    runs = []
+    for extra in (["--set", "settings.event_mode=full"], ["--event-mode", "full"]):
+        code = main(["simulate", "--system", "grappa_pme_1500",
+                     "--profile", "acpp-23.10", "--eras", "2"] + extra)
+        assert code == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    assert ",full," in runs[0]
+
+
 def test_unknown_system_is_rejected(capsys):
     code = main(["simulate", "--system", "not_a_system",
                  "--profile", "acpp-23.10"])

@@ -188,9 +188,9 @@ def test_zero_tail_prob_is_deterministic_mean():
 
 def test_default_api_means():
     model = default_api_model()
-    assert model.mean_ns(ApiKind.EVENT_RECORD) == 2000.0
-    assert model.mean_ns(ApiKind.STREAM_WAIT_EVENT) == 4000.0
-    assert model.mean_ns(ApiKind.EVENT_CREATE_DESTROY) == 5500.0
+    assert model.table[ApiKind.EVENT_RECORD].mean_ns == 2000.0
+    assert model.table[ApiKind.STREAM_WAIT_EVENT].mean_ns == 4000.0
+    assert model.table[ApiKind.EVENT_CREATE_DESTROY].mean_ns == 5500.0
 
 
 def test_sampler_draws_equal_the_pure_sample():

@@ -164,6 +164,32 @@ def test_deadlock_error_names_blocked_actors():
     assert "A" in str(exc.value) and "B" in str(exc.value)
 
 
+def test_deadlock_names_only_processes_parked_on_unposted_events():
+    eng = Engine()
+    posted = eng.event("posted")
+    never = eng.event("never")
+
+    def finisher():
+        yield Charge(10, "work")
+        eng.post(posted, 5)
+
+    def woken():
+        yield WaitFor(posted)
+        yield Sleep(20)
+
+    def stuck():
+        yield WaitFor(never)
+
+    eng.spawn("finisher", finisher())
+    eng.spawn("woken", woken())
+    eng.spawn("stuck", stuck())
+    eng.spawn("poller", stuck(), daemon=True)
+    with pytest.raises(DeadlockError) as exc:
+        eng.run_until_idle()
+    assert exc.value.actors == ("stuck",)
+    assert eng.now == 35
+
+
 def test_daemon_processes_do_not_count_as_deadlocked():
     eng = Engine()
     ev = eng.event()
@@ -231,8 +257,6 @@ def test_utilization_and_busy_accounting():
     tr = eng.run_until_idle()
     assert tr.makespan_ns == 100
     assert tr.busy_ns["app"] == 50
-    assert tr.utilization("app") == 0.5
-    assert tr.utilization("ghost") == 0.0
 
 
 def test_trace_json_round_trip():
@@ -380,21 +404,6 @@ def test_background_added_mid_charge_stretches_the_rest():
     assert _spans(eng.run_until_idle()) == {"a": (0, 1501)}
 
 
-def test_limit_leaves_a_sleeper_to_wake_on_resume():
-    eng = Engine()
-    woke = []
-
-    def sleeper():
-        yield Sleep(100)
-        woke.append(eng.now)
-
-    eng.spawn("s", sleeper())
-    assert eng.run_until_idle(limit_ns=50).makespan_ns == 0
-    assert woke == []
-    assert eng.run_until_idle().makespan_ns == 100
-    assert woke == [100]
-
-
 def test_engine_without_trace_keeps_busy_time_and_makespan():
     kept = _random_workload(3, n_procs=6, n_charges=12)
     bare = _random_workload(3, n_procs=6, n_charges=12, keep_trace=False)
@@ -525,16 +534,3 @@ def test_mixed_workload_traces_are_pinned(seed, digest):
 ])
 def test_random_workload_traces_are_pinned(seed, digest):
     assert _digest(_random_workload(seed, n_procs=12, n_charges=60)) == digest
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_chunked_run_matches_one_call(seed):
-    whole = _handoff_engine(seed).run_until_idle()
-    eng = _handoff_engine(seed)
-    rng = random.Random(seed)
-    limit = 0
-    while limit < whole.makespan_ns:
-        limit += rng.choice((0, 1, 7, 50, 333))
-        eng.run_until_idle(limit_ns=limit)
-        assert eng.now <= limit
-    assert eng.run_until_idle().to_json() == whole.to_json()

@@ -4,7 +4,13 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = sorted((ROOT / "src" / "mdgpusim").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "mdgpusim").glob("*.py"))
+CHECKED = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# code whose references keep a package function alive: the package and
+# the benchmark, never the tests
+CALLERS = PACKAGE + sorted((ROOT / "bench").rglob("*.py"))
+# the pure reference that the sampler tests compare ApiSampler.draw with
+UNCALLED_ON_PURPOSE = {"ApiLatencyModel.sample"}
 
 
 def unused_imports(source: str):
@@ -36,4 +42,57 @@ def test_no_unused_imports():
     offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
                  for path in CHECKED
                  for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+
+
+def references(source: str) -> set:
+    """Every name the module reads as a bare name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unreferenced_defs(source: str, refs: set):
+    """(line, qualified name) of every non-dunder ``def`` whose name is
+    not in ``refs``; methods are qualified by their class."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = prefix + child.name
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                if (not isinstance(child, ast.ClassDef) and not dunder
+                        and child.name not in refs):
+                    found.append((child.lineno, qual))
+                visit(child, qual + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_gate_sees_unreferenced_defs():
+    source = ("class A:\n"
+              "    def __init__(self):\n"
+              "        self.used()\n"
+              "    def used(self):\n"
+              "        \"\"\"Not a reference: spare, helper.\"\"\"\n"
+              "        def inner(): pass\n"
+              "    def spare(self): pass\n"
+              "def helper(): pass\n"
+              "def called(): pass\n"
+              "called()\n")
+    assert unreferenced_defs(source, references(source)) == [
+        (6, "A.used.inner"), (7, "A.spare"), (8, "helper")]
+
+
+def test_every_package_def_has_a_caller():
+    refs = set().union(*(references(path.read_text(encoding="utf-8"))
+                         for path in CALLERS))
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {qual}"
+                 for path in PACKAGE
+                 for line, qual in unreferenced_defs(path.read_text(encoding="utf-8"), refs)
+                 if qual not in UNCALLED_ON_PURPOSE]
     assert offenders == []

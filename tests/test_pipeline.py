@@ -362,8 +362,7 @@ def test_makespan_equals_longest_path(tasks):
     eng = Engine()
     settings = RunSettings(instant_submission=True, max_hw_queues=3)
     dev = Device(eng, "gcd0", ZERO_PROFILE, settings)
-    rt = RankRuntime(eng, "rank0", ZERO_PROFILE, settings, zero_api(),
-                     cores=4)
+    rt = RankRuntime(eng, "rank0", ZERO_PROFILE, settings, zero_api())
     queues = [dev.new_stream(f"s{i}") for i in range(3)]
 
     def app():

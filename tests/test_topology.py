@@ -28,7 +28,6 @@ def test_ccx_gcd_map_is_self_inverse_bijection():
 def test_one_nic_per_gpu_package():
     node = lumi_node()
     assert [node.nic_for_gcd(g) for g in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
-    assert all(node.package_for_gcd(g) == node.nic_for_gcd(g) for g in range(8))
 
 
 def test_link_classes():
@@ -55,15 +54,6 @@ def test_smt_profile_exposes_all_cores_twice():
     assert node.usable_cores_per_ccx() == 8
     assert node.usable_cores(0) == [0, 1, 2, 3, 4, 5, 6, 7]
     assert node.hw_threads([0, 1]) == [0, 1, 64, 65]
-
-
-def test_numa_grouping():
-    node = lumi_node()
-    assert node.numa_node(0) == node.numa_node(1) == 0
-    assert node.numa_node(6) == node.numa_node(7) == 3
-    assert node.numa_distance(2, 2) == 10
-    assert node.numa_distance(2, 3) == 12
-    assert node.numa_distance(0, 7) == 32
 
 
 def test_plan_binds_each_rank_to_the_ccx_wired_to_its_device():
@@ -129,7 +119,7 @@ def test_plans_never_share_devices_or_cores(n):
         assert len(set(gcds)) == n
         all_cores = [c for r in plan.ranks for c in r.cores]
         assert len(set(all_cores)) == len(all_cores)
-        masks = plan.cpu_bind_masks()
+        masks = [r.cpu_bind_mask() for r in plan.ranks]
         combined = 0
         for m in masks:
             v = int(m, 16)
