@@ -293,6 +293,14 @@ STEP_PROGRAM_DIGESTS = [
      "683cb74ba5e60d6bd595d440e706873053e4d6a11d3d9a1a87c27c9d6c8d7651"),
     (dict(system="grappa_pme_96k", profile="acpp-23.10", ranks=3),
      "feaad2807d08e08f2516b4100a8704bf45d36f4a1de38a06c9bb53e66d551d70"),
+    # 4x4x4 and 16x16x16 grids: three halo wires each, on intra-node and
+    # inter-node links
+    (dict(system="grappa_rf_46m", profile="acpp-23.10", ranks=64,
+          max_cached_nodes=5),
+     "6905b8871641e0ed38747eda3c68cc849151ebba15d11957cd0a2a4648ad2773"),
+    (dict(system="grappa_rf_46m", profile="acpp-23.10", ranks=4096,
+          instant=True),
+     "a8b0fe37f34b7bb2620dbec9c0c7fe4b2fbc0399bce0aefe1805d90f9bd9e566"),
 ]
 
 
