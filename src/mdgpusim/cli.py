@@ -84,7 +84,8 @@ class Scenario:
             max_cached_nodes=self.max_cached_nodes,
             instant_submission=self.instant,
             event_mode=self.event_mode,
-            visible_devices=min(self.ranks, node.n_gcds),
+            # ranks below 1 are left to RunPlan.validate, which names them
+            visible_devices=max(1, min(self.ranks, node.n_gcds)),
             seed=self.seed)
         for key in sorted(self.overrides):
             value = self.overrides[key]
@@ -113,7 +114,7 @@ class Scenario:
                               f"field(s) {bad}") from None
         return RunPlan(system=system, profile=profile, settings=run_settings,
                        backend=self.backend, ranks=self.ranks, node=node,
-                       n_eras=self.eras)
+                       n_eras=self.eras).validate()
 
 
 def _axis_values(value) -> List[str]:

@@ -26,6 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class KernelKind(Enum):
+    # members are singletons compared by identity, so the C identity hash
+    # is sound and spares each dict or set lookup a Python-level call
+    __hash__ = object.__hash__
+
     NBNXM_LOCAL = "nbnxm_local"
     NBNXM_NONLOCAL = "nbnxm_nonlocal"
     PRUNE_ONLY = "prune_only"
@@ -44,6 +48,8 @@ class KernelKind(Enum):
 
 
 class ApiKind(Enum):
+    __hash__ = object.__hash__  # as for KernelKind
+
     KERNEL_LAUNCH = "kernel_launch"
     EVENT_RECORD = "event_record"
     EVENT_CREATE_DESTROY = "event_create_destroy"

@@ -7,6 +7,8 @@ Building blocks:
 * ``Charge``     -- CPU work, slowed by other threads in the same domain
 * ``Sleep``      -- plain timer, occupies no CPU
 * ``WaitFor``    -- block until an Event fires, returns its payload
+* ``PARK``       -- sleep with no heap entry until ``Engine.wake``; for
+  idle workers that only one waker ever resumes
 * ``Domain``     -- a set of cores whose occupants share cycles fluidly
 * ``Trace``      -- completed charge records plus per-actor busy time
 
@@ -22,16 +24,19 @@ Invariants the rest of the package leans on:
 * a drained event queue with a non-daemon process unfinished raises
   ``DeadlockError`` naming every such actor: a process with work left
   always has an entry queued, so once the heap drains each of them is
-  parked on an event that nothing will post
+  parked on an event that nothing will post or has yielded ``PARK`` and
+  is never woken
 * handoff: when the entry an effect would push is the next one the loop
   would pop -- the heap is empty or its head lies strictly later --
   ``_step`` moves the clock, writes the record and resumes the process
-  itself, with no heap round trip.  The processing order and the records
-  match a run that pushes every entry: sequence numbers serve only to
-  break ties between entries due at the same time, so an entry that is
-  never pushed shifts no relative order.  Only the last action of a
-  handler may hand off, since the clock must not move while the handler
-  still has work at the current time
+  itself, with no heap round trip.  ``_fire`` and the wake handler do
+  the same for the (first) process they resume at the current time.
+  The processing order and the records match a run that pushes every
+  entry: sequence numbers serve only to break ties between entries due
+  at the same time, so an entry that is never pushed shifts no relative
+  order.  Only the last action of a handler may hand off, since the
+  clock must not move while the handler still has work at the current
+  time
 """
 
 from __future__ import annotations
@@ -87,6 +92,17 @@ class WaitFor:
     event: "Event"
 
 
+class _Park:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "PARK"
+
+
+# Yield to sleep, with no heap entry, until ``Engine.wake``; resumes with None.
+PARK = _Park()
+
+
 class Event:
     """One-shot occurrence processes can wait on."""
 
@@ -105,9 +121,13 @@ class Event:
 
 
 class Process:
-    """A named generator coroutine owned by the engine."""
+    """A named generator coroutine owned by the engine.
 
-    __slots__ = ("name", "gen", "domain", "daemon", "done")
+    ``parked`` is true while it sits on a ``PARK`` that no ``wake`` has
+    answered yet.
+    """
+
+    __slots__ = ("name", "gen", "domain", "daemon", "done", "parked")
 
     def __init__(self, name: str, gen: Generator, domain: Optional["Domain"], daemon: bool):
         self.name = name
@@ -115,6 +135,7 @@ class Process:
         self.domain = domain
         self.daemon = daemon
         self.done = False
+        self.parked = False
 
     def __repr__(self):
         return f"Process({self.name!r}{', done' if self.done else ''})"
@@ -250,6 +271,14 @@ class Engine:
             raise ValueError(f"event {event.name!r} already fired")
         self._push(self.now + delay_ns, self._fire, (event, payload))
 
+    def wake(self, proc: Process) -> None:
+        """Resume ``proc`` from ``PARK`` at the current time, queued behind
+        entries already due then, as ``post(event, 0)`` would for an event
+        it alone waits on.  A no-op unless ``proc`` is parked."""
+        if proc.parked:
+            proc.parked = False
+            self._push(self.now, self._unpark, (proc,))
+
     def _push(self, when: int, fn, args) -> list:
         if when < self.now:
             raise CausalityError(f"schedule at {when} ns but clock is at {self.now} ns")
@@ -294,6 +323,14 @@ class Engine:
             self._push(now, self._step, (proc, payload))
         if direct:
             self._step(waiters[0], payload)
+
+    def _unpark(self, proc: Process) -> None:
+        # _fire for a lone waiter: resume here unless another entry is due now
+        heap = self._heap
+        if heap and heap[0][0] <= self.now:
+            self._push(self.now, self._step, (proc, None))
+        else:
+            self._step(proc, None)
 
     # -- process stepping -------------------------------------------------
 
@@ -342,6 +379,9 @@ class Engine:
                     continue
                 self._push(now, self._step, (proc, send_value))
                 return
+            if effect is PARK:
+                proc.parked = True
+                return
             if isinstance(effect, Sleep):
                 if effect.delay_ns < 0:
                     raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
@@ -352,7 +392,8 @@ class Engine:
                     continue
                 self._push(when, self._step, (proc, None))
                 return
-            raise TypeError(f"{proc.name} yielded {effect!r}, expected Charge/Sleep/WaitFor")
+            raise TypeError(f"{proc.name} yielded {effect!r}, "
+                            "expected Charge/Sleep/WaitFor/PARK")
 
     # -- charges ----------------------------------------------------------
 

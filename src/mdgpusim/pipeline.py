@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .comm import FORCE_BYTES_PER_ATOM, XYZ_BYTES_PER_ATOM, default_comm_model, slab_atoms
+from .config import is_int
 from .costs import KernelKind, default_api_model, default_cost_table
-from .engine import Charge, Engine, Event, WaitFor
+from .engine import PARK, Charge, Engine, Event, WaitFor
 from .presets import SystemPreset
 from .runtime import Device, RankRuntime, RunSettings, RuntimeProfile
 from .topology import LinkClass, NodeTopology, lumi_node
@@ -63,22 +64,17 @@ class Wire:
 
     def __init__(self, engine: Engine, name: str):
         self.engine = engine
-        self.name = name
         self.fifo: deque = deque()
-        self._wake: Optional[Event] = None
-        engine.spawn(name, self._run(), daemon=True)
+        self._proc = engine.spawn(name, self._run(), daemon=True)
 
     def send(self, duration_ns: int, done: Event, label: str) -> None:
         self.fifo.append((duration_ns, done, label))
-        if self._wake is not None and not self._wake.fired:
-            self.engine.post(self._wake, 0)
-            self._wake = None
+        self.engine.wake(self._proc)
 
     def _run(self):
         while True:
             if not self.fifo:
-                self._wake = self.engine.event(f"{self.name}.wake")
-                yield WaitFor(self._wake)
+                yield PARK
                 continue
             duration, done, label = self.fifo.popleft()
             yield Charge(duration, label)
@@ -96,6 +92,15 @@ class RunPlan:
     ranks: int = 1
     n_eras: int = 3
     node: NodeTopology = field(default_factory=lumi_node)
+
+    def validate(self) -> "RunPlan":
+        """Reject a rank or era count no run can use, naming the field."""
+        if not (is_int(self.ranks) and self.ranks >= 1):
+            raise ValueError(f"ranks must be an integer >= 1, got {self.ranks!r}")
+        if not (is_int(self.n_eras) and self.n_eras >= 2):
+            raise ValueError("n_eras must be an integer >= 2 (the first era is "
+                             f"warm-up), got {self.n_eras!r}")
+        return self
 
     @property
     def pme_ranks(self) -> int:
@@ -159,6 +164,7 @@ class _PmeLink(NamedTuple):
 
 def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
     """Run ``plan`` and report steady-state per-step timing."""
+    plan.validate()
     costs = default_cost_table()
     comm = default_comm_model()
     api = default_api_model(seed=plan.settings.seed)
@@ -168,14 +174,19 @@ def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
     total_steps = plan.n_eras * sys_.nstlist
     era_marks: List[int] = []
 
+    # a run prices a handful of (kind, atoms) pairs, each thousands of times
+    kernel_ns: Dict[Tuple[KernelKind, int], int] = {}
+
     def kcost(kind: KernelKind, atoms: int) -> int:
-        return costs.duration_ns(kind, atoms, plan.backend, sys_.scale_for(kind))
+        ns = kernel_ns.get((kind, atoms))
+        if ns is None:
+            ns = kernel_ns[kind, atoms] = costs.duration_ns(
+                kind, atoms, plan.backend, sys_.scale_for(kind))
+        return ns
 
     trace, delays = _run_ranks(engine, plan, comm, api, kcost, total_steps,
                                era_marks)
 
-    if len(era_marks) < 2:
-        raise RuntimeError("need at least two eras to measure (first is warm-up)")
     window_ns = era_marks[-1] - era_marks[0]
     steps = (len(era_marks) - 1) * sys_.nstlist
     ms_per_step = window_ns / steps / 1e6

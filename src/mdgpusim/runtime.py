@@ -22,6 +22,11 @@ and sharing a slot serializes otherwise-independent streams.  When
 more streams exist than slots, every dispatch pays a small extra
 scheduling penalty.
 
+An idle queue slot, flush worker or monitor parks (``PARK``) rather
+than waiting on an event of its own; whoever hands it work calls
+``Engine.wake``, which resumes it exactly where posting such an event
+would have.
+
 Event-recording modes: ``COARSE`` records only the sync marker, while
 ``FULL`` records one event per node, paying host-side create/record
 API costs on the launching thread plus a device-side packet after
@@ -40,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import is_int, is_number
 from .costs import ApiKind, ApiLatencyModel, ApiSampler, round_half_up
-from .engine import Charge, Engine, Event, WaitFor
+from .engine import PARK, Charge, Engine, Event, WaitFor
 
 
 class EventMode(Enum):
@@ -214,23 +219,19 @@ class _Slot:
         self.engine = engine
         self.name = name
         self.fifo: deque = deque()
-        self._wake: Optional[Event] = None
         self.dispatch_gap_ns = 0
-        engine.spawn(name, self._run(), daemon=True)
+        self._proc = engine.spawn(name, self._run(), daemon=True)
 
     def enqueue(self, task: _DevTask, stream_name: str) -> None:
         task.args = dict(task.args or {})
         task.args["stream"] = stream_name
         self.fifo.append(task)
-        if self._wake is not None and not self._wake.fired:
-            self.engine.post(self._wake, 0)
-            self._wake = None
+        self.engine.wake(self._proc)
 
     def _run(self):
         while True:
             if not self.fifo:
-                self._wake = self.engine.event(f"{self.name}.wake")
-                yield WaitFor(self._wake)
+                yield PARK
                 continue
             task = self.fifo.popleft()
             for dep in task.deps:
@@ -314,10 +315,8 @@ class RankRuntime:
         self.launch_delays: List[int] = []
         self._buffer: List[Tuple[_DevTask, Stream]] = []
         self._batches: deque = deque()
-        self._flush_wake: Optional[Event] = None
         self._flushes_since_sync: List[int] = []  # trigger timestamps
         self._notify_requests: deque = deque()
-        self._notify_wake: Optional[Event] = None
 
         self.app_domain = engine.domain(f"{name}.core0", 1)
         if not settings.hsa_affinity_override:
@@ -326,10 +325,12 @@ class RankRuntime:
         if not self.instant:
             self.flush_actor = f"{name}.dag-flush"
             self.monitor_actor = f"{name}.dag-monitor"
-            engine.spawn(self.flush_actor, self._flush_loop(),
-                         domain=engine.domain(f"{name}.core1", 1), daemon=True)
-            engine.spawn(self.monitor_actor, self._monitor_loop(),
-                         domain=engine.domain(f"{name}.core2", 1), daemon=True)
+            self._flusher = engine.spawn(self.flush_actor, self._flush_loop(),
+                                         domain=engine.domain(f"{name}.core1", 1),
+                                         daemon=True)
+            self._monitor = engine.spawn(self.monitor_actor, self._monitor_loop(),
+                                         domain=engine.domain(f"{name}.core2", 1),
+                                         daemon=True)
         else:
             self.flush_actor = None
             self.monitor_actor = None
@@ -387,9 +388,7 @@ class RankRuntime:
         self._buffer = []
         self._batches.append(batch)
         self._flushes_since_sync.append(self.engine.now)
-        if self._flush_wake is not None and not self._flush_wake.fired:
-            self.engine.post(self._flush_wake, 0)
-            self._flush_wake = None
+        self.engine.wake(self._flusher)
 
     def sync(self, events: Sequence[Event]):
         """Generator; host-side synchronization against ``events``."""
@@ -405,9 +404,7 @@ class RankRuntime:
             req = self.engine.event("sync_notify")
             self._notify_requests.append((req, list(self._flushes_since_sync)))
             self._flushes_since_sync.clear()
-            if self._notify_wake is not None and not self._notify_wake.fired:
-                self.engine.post(self._notify_wake, 0)
-                self._notify_wake = None
+            self.engine.wake(self._monitor)
             yield WaitFor(req)
         # sync marker bookkeeping, identical in every mode
         yield Charge(self.api.draw(self.app_actor, ApiKind.EVENT_CREATE_DESTROY),
@@ -421,8 +418,7 @@ class RankRuntime:
         full = self.settings.event_mode is EventMode.FULL
         while True:
             if not self._batches:
-                self._flush_wake = self.engine.event(f"{self.name}.flush-wake")
-                yield WaitFor(self._flush_wake)
+                yield PARK
                 continue
             batch = self._batches.popleft()
             yield Charge(self.profile.flush_bookkeeping_cost_ns, "flush_bookkeeping",
@@ -448,8 +444,7 @@ class RankRuntime:
         prof = self.profile
         while True:
             if not self._notify_requests:
-                self._notify_wake = self.engine.event(f"{self.name}.monitor-wake")
-                yield WaitFor(self._notify_wake)
+                yield PARK
                 continue
             req, triggers = self._notify_requests.popleft()
             yield Charge(prof.notify_cost_ns, "sync_notify")

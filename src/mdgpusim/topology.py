@@ -23,6 +23,8 @@ from typing import Dict, List, Optional
 
 
 class LinkClass(Enum):
+    __hash__ = object.__hash__  # identity hash, as for costs.KernelKind
+
     INTRA_GCD_PAIR = auto()   # two dies in one GPU package
     INTRA_NODE = auto()       # different packages, same node
     INTER_NODE = auto()       # over the interconnect

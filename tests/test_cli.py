@@ -106,6 +106,15 @@ def test_atomless_system_is_rejected(capsys, ranks, atoms):
         f"error: grappa_pme_1500: need at least one atom, got {atoms}\n")
 
 
+@pytest.mark.parametrize("ranks", ["0", "-3"])
+def test_rankless_run_is_one_error_line_naming_ranks(capsys, ranks):
+    code = main(["simulate", "--system", "grappa_pme_1500",
+                 "--profile", "acpp-23.10", "--eras", "2", "--ranks", ranks])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: ranks must be an integer >= 1, got {ranks}\n")
+
+
 @pytest.mark.parametrize("override, message", [
     ("atoms=abc", "atoms must be an integer, got 'abc'"),
     ("nstlist=0", "nstlist must be >= 1, got 0"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdgpusim.engine import (
+    PARK,
     CausalityError,
     Charge,
     DeadlockError,
@@ -455,6 +456,109 @@ def test_woken_waiter_runs_after_entries_already_due():
     eng.spawn("w", waiter())
     eng.spawn("p", poster())
     assert [r["name"] for r in eng.run_until_idle().records] == ["s1", "s2", "w1"]
+
+
+def _wake_run(park, waker_tail, daemon_cost=0):
+    """A daemon idles until a waker rouses it at 50 and then charges
+    ``daemon_cost`` as "d1"; the waker goes on with ``waker_tail``.  With
+    ``park`` the daemon yields ``PARK`` and is woken with ``wake``, else
+    it waits on an event that the waker posts with no delay.  Returns the
+    record names and the number of heap entries the run pushed."""
+    eng = Engine()
+    ev = eng.event("wake")
+
+    def daemon():
+        yield PARK if park else WaitFor(ev)
+        yield Charge(daemon_cost, "d1")
+
+    proc = eng.spawn("d", daemon(), daemon=True)
+
+    def waker():
+        yield Sleep(50)
+        if park:
+            eng.wake(proc)
+        else:
+            eng.post(ev, 0)
+        yield from waker_tail()
+
+    eng.spawn("w", waker())
+    tr = eng.run_until_idle()
+    return [(r["name"], r["begin_ns"], r["end_ns"]) for r in tr.records], eng._seq
+
+
+def test_woken_daemon_runs_after_entries_already_due():
+    # the waker's zero-cost charges queue its next step at 50 behind the
+    # wake, so the daemon resumes only after both of them
+    def tail():
+        yield Charge(0, "w1")
+        yield Charge(0, "w2")
+
+    order = [("w1", 50, 50), ("w2", 50, 50), ("d1", 50, 50)]
+    assert _wake_run(True, tail) == _wake_run(False, tail)
+    assert _wake_run(True, tail)[0] == order
+
+
+def test_woken_daemon_with_nothing_due_resumes_at_once():
+    def tail():
+        yield Sleep(10)
+        yield Charge(5, "w1")
+
+    parked, pushes = _wake_run(True, tail, daemon_cost=7)
+    assert (parked, pushes) == _wake_run(False, tail, daemon_cost=7)
+    assert parked == [("d1", 50, 57), ("w1", 60, 65)]
+
+
+def test_wake_is_a_no_op_unless_parked():
+    eng = Engine()
+    resumes = []
+
+    def daemon():
+        while True:
+            yield PARK
+            resumes.append(eng.now)
+
+    proc = eng.spawn("d", daemon(), daemon=True)
+
+    def body():
+        me = procs["self"]
+        seq = eng._seq
+        eng.wake(me)  # running
+        eng.wake(proc)
+        eng.wake(proc)  # already woken, not yet resumed
+        assert eng._seq == seq + 1
+        yield Sleep(10)
+        assert proc.parked
+        eng.wake(proc)
+        yield Sleep(10)
+
+    procs = {"self": eng.spawn("w", body())}
+    eng.run_until_idle()
+    assert resumes == [0, 10]
+    seq = eng._seq
+    eng.wake(procs["self"])  # finished
+    assert eng._seq == seq and not eng._heap
+
+
+def test_deadlock_names_parked_processes_but_not_parked_daemons():
+    eng = Engine()
+
+    def parker():
+        yield PARK
+        yield Charge(5, "after")
+
+    woken = eng.spawn("woken", parker())
+    eng.spawn("stuck", parker())
+    eng.spawn("idle", parker(), daemon=True)
+
+    def waker():
+        yield Sleep(20)
+        eng.wake(woken)
+
+    eng.spawn("waker", waker())
+    with pytest.raises(DeadlockError) as exc:
+        eng.run_until_idle()
+    assert exc.value.actors == ("stuck",)
+    assert eng.now == 25
 
 
 def _handoff_engine(seed, n_workers=10, n_steps=40):

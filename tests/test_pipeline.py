@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from mdgpusim import pipeline
 from mdgpusim.cli import Scenario, render_csv, run_scenario
 from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency
 from mdgpusim.engine import Engine
@@ -43,6 +44,20 @@ def run_plan(system_id, profile_id="acpp-23.10", *, ranks=1, mcn=100,
                              event_mode=mode, visible_devices=min(ranks, 8)),
         backend=backend, ranks=ranks, n_eras=eras)
     return simulate(plan, keep_trace=keep_trace)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ranks", 0), ("ranks", -3), ("ranks", 2.0), ("n_eras", 1), ("n_eras", "3")])
+def test_bad_plan_shape_raises_before_anything_runs(monkeypatch, field, value):
+    def run_ranks(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(pipeline, "_run_ranks", run_ranks)
+    plan = RunPlan(system=get_system("grappa_pme_1500"),
+                   profile=get_profile("acpp-23.10"), settings=RunSettings())
+    setattr(plan, field, value)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        simulate(plan)
 
 
 def device_kernels(trace, prefix):
