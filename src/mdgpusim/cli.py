@@ -67,9 +67,6 @@ class Scenario:
     overrides: Dict[str, Any] = field(default_factory=dict)
 
     def build_plan(self) -> RunPlan:
-        if self.eras < 2:
-            raise ConfigError(f"{self.scenario_id}: need at least 2 eras "
-                              "(the first is warm-up)")
         if self.repetitions < 1:
             raise ConfigError(f"{self.scenario_id}: repetitions must be >= 1")
         system = get_system(self.system)

@@ -106,13 +106,16 @@ def test_atomless_system_is_rejected(capsys, ranks, atoms):
         f"error: grappa_pme_1500: need at least one atom, got {atoms}\n")
 
 
-@pytest.mark.parametrize("ranks", ["0", "-3"])
-def test_rankless_run_is_one_error_line_naming_ranks(capsys, ranks):
+@pytest.mark.parametrize("flags, message", [
+    (["--ranks", "0"], "ranks must be an integer >= 1, got 0"),
+    (["--ranks", "-3"], "ranks must be an integer >= 1, got -3"),
+    (["--eras", "1"], "n_eras must be an integer >= 2 (the first era is warm-up), got 1"),
+])
+def test_bad_run_shape_is_one_error_line(capsys, flags, message):
     code = main(["simulate", "--system", "grappa_pme_1500",
-                 "--profile", "acpp-23.10", "--eras", "2", "--ranks", ranks])
+                 "--profile", "acpp-23.10", "--eras", "2"] + flags)
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"error: ranks must be an integer >= 1, got {ranks}\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("override, message", [
