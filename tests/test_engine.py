@@ -207,12 +207,26 @@ def test_daemon_processes_do_not_count_as_deadlocked():
     assert tr.makespan_ns == 10
 
 
+# (cores, background milli-duty) of a process's own domain; None runs it
+# with no domain.  Stretches: 7/4, 11/8, 1 and 1 (background under a core)
+_SHAPES = (None, (1, 750), (4, 4500), (1, 0), (4, 750))
+
+
+def _own_domain(eng, name, shape):
+    if shape is None:
+        return None
+    cores, duty = shape
+    dom = eng.domain(name, cores)
+    if duty:
+        eng.add_background(dom, "poll", duty)
+    return dom
+
+
 def _random_workload(seed, n_procs=20, n_charges=50, keep_trace=True):
-    """A tangle of charges, sleeps and cross-process event waits."""
+    """A tangle of charges, sleeps and cross-process event waits, each
+    process on a domain of its own or on none."""
     rng = random.Random(seed)
     eng = Engine(keep_trace=keep_trace)
-    dom = eng.domain("cpu", 4)
-    eng.add_background(dom, "poll", 750)
     events = [eng.event(f"e{i}") for i in range(n_procs)]
 
     def body(idx):
@@ -228,7 +242,8 @@ def _random_workload(seed, n_procs=20, n_charges=50, keep_trace=True):
             eng.post(events[idx], 0)
 
     for i in range(n_procs):
-        eng.spawn(f"p{i}", body(i), domain=dom if i % 2 else None)
+        dom = _own_domain(eng, f"cpu{i}", _SHAPES[i % len(_SHAPES)])
+        eng.spawn(f"p{i}", body(i), domain=dom)
     return eng.run_until_idle()
 
 
@@ -563,14 +578,11 @@ def test_deadlock_names_parked_processes_but_not_parked_daemons():
 
 def _handoff_engine(seed, n_workers=10, n_steps=40):
     """A seeded workload over every case the loop completes without the
-    heap: all workers wake from one event, zero-cost charges, ``Sleep(0)``,
-    waits on events that may already have fired, two processes sharing a
-    1-core domain, and backgrounds added mid-run.  Returned unrun."""
+    heap: all workers wake from one event, zero-cost charges, ``Sleep(0)``
+    and waits on events that may already have fired, with each worker on
+    a domain of its own or on none.  Returned unrun."""
     rng = random.Random(seed)
     eng = Engine()
-    shared = eng.domain("shared", 1)
-    quad = eng.domain("quad", 4)
-    eng.add_background(quad, "poll", 750)
     events = [eng.event(f"e{i}") for i in range(12)]
 
     def poster():
@@ -595,16 +607,9 @@ def _handoff_engine(seed, n_workers=10, n_steps=40):
                 got = yield WaitFor(rng.choice(events))
                 yield Charge(rng.randrange(0, 3), f"got{idx}.{j}", {"got": got})
 
-    def late_backgrounds():
-        yield Sleep(rng.randrange(200, 2000))
-        eng.add_background(shared, "late0", 500)
-        yield Sleep(rng.randrange(200, 2000))
-        eng.add_background(quad, "late1", 1500)
-
     eng.spawn("poster", poster())
-    eng.spawn("late", late_backgrounds())
     for i in range(n_workers):
-        dom = shared if i < 2 else (quad if i % 2 else None)
+        dom = _own_domain(eng, f"cpu{i}", _SHAPES[i % len(_SHAPES)])
         eng.spawn(f"w{i}", worker(i), domain=dom)
     return eng
 
@@ -615,26 +620,28 @@ def _digest(trace):
 
 @pytest.mark.parametrize("seed, digest", [
     (0,
-     "cef8756f807ae3827747792111ff7dc2ed7ef9a68f88a02d842b1a502d4bb8ee"),
+     "fe3c54b4094eaaa2358010f4e5de7c61485e2dee6956f667b8cb4fd8e6d42629"),
     (1,
-     "903f5b50f94c8167dfd569982f70df99bb8b2602d7feb5eafdece045394eb53a"),
+     "b9b63c9f3188d38513e773ec6f2956fadb4d8fab02233aed4dcaa4c402e1d66e"),
     (2,
-     "6ea19dd5bf9feefc83822a5253e427fc7eba5b411531f5ceb223d322da5d4855"),
+     "d4e1502021eab9d67a6dd2814faa0b693e046c8452e702f0d48779e60b5a54c8"),
     (3,
-     "f633d178df428ca2dd077f7469ca52de08af3b8cb4dc8a03c66b332b420473ff"),
+     "53fb8b53d853868f2fd3fd0bd9e3e88e35ad39194dee430171fd93307ab7e699"),
     (4,
-     "cb608592e1d3f1c22dc4186a47224cc010fe42c4326ca107057133747749350c"),
+     "b7fa4925ea9182733d4ab9d70c8032bd56c87309557508fbbcc6d3bece2879d4"),
 ])
 def test_mixed_workload_traces_are_pinned(seed, digest):
-    """Digests recorded with an engine that pushed every entry on the heap."""
+    """Digests recorded with the processor-sharing engine, before domains
+    ran their charges one at a time; an engine that pushed every entry on
+    the heap gives the same ones."""
     assert _digest(_handoff_engine(seed).run_until_idle()) == digest
 
 
 @pytest.mark.parametrize("seed, digest", [
     (1234,
-     "ac06a4c1ac2bbda93597e5e579131f9e0f452e467f4b5807c20fd3702842067d"),
+     "994f1b786bc644ae652cb95d33c43ba375e051980a1563ec3e356e3d983665ec"),
     (99,
-     "becd2363122dc7382d8a123d1124e1013949a70037596abbe842ea4273a8e1b6"),
+     "259a7214711b3215124ab2c37122d1c23ab87843f6c0fc0cbf970f82901a5914"),
 ])
 def test_random_workload_traces_are_pinned(seed, digest):
     assert _digest(_random_workload(seed, n_procs=12, n_charges=60)) == digest
