@@ -390,6 +390,8 @@ def cmd_sweep(args) -> int:
     scenarios = scenarios_from_config(load_config(args.scenarios))
     if not scenarios:
         raise ConfigError(f"{args.scenarios}: no scenarios defined")
+    for scenario in scenarios:
+        scenario.build_plan()  # a bad scenario fails before any of them runs
     rows: List[Dict[str, str]] = []
     for scenario in scenarios:
         new_rows, _ = run_scenario(scenario)

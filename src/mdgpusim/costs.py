@@ -128,6 +128,11 @@ class CostTable:
         self.base = dict(base)
         self.multipliers = {name: dict(table) for name, table in (multipliers or {}).items()}
 
+    @property
+    def backends(self) -> Tuple[str, ...]:
+        """Every backend the table prices, the reference one first."""
+        return ("sycl", *self.multipliers)
+
     def multiplier(self, backend: str, kind: KernelKind) -> float:
         if backend == "sycl":
             return 1.0

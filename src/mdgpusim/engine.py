@@ -1,15 +1,16 @@
-"""Discrete-event core with processor-shared CPU charges.
+"""Discrete-event core with CPU charges run one at a time per core.
 
 Building blocks:
 
 * ``Engine``     -- integer-nanosecond clock, (fire_time, seq) ordered heap
 * ``Process``    -- generator coroutine spawned onto the engine
-* ``Charge``     -- CPU work, slowed by other threads in the same domain
+* ``Charge``     -- CPU work, stretched by its domain's background threads
 * ``Sleep``      -- plain timer, occupies no CPU
 * ``WaitFor``    -- block until an Event fires, returns its payload
 * ``PARK``       -- sleep with no heap entry until ``Engine.wake``; for
   idle workers that only one waker ever resumes
-* ``Domain``     -- a set of cores whose occupants share cycles fluidly
+* ``Domain``     -- one core that runs its occupants' charges one at a
+  time, in arrival order, each stretched by the background duty
 * ``Trace``      -- completed charge records plus per-actor busy time
 
 Invariants the rest of the package leans on:
@@ -18,9 +19,9 @@ Invariants the rest of the package leans on:
   ``CausalityError`` instead of silently reordering
 * two runs with identical inputs produce byte-identical traces: ties are
   broken by insertion sequence, never by hash or wall-clock state
-* no floats inside the engine: integer arithmetic for a sole occupant,
-  exact ``Fraction`` only under sharing.  Thread duty is tracked in
-  milli-duty integers, so both paths replay exactly
+* integers only inside the engine, no floats or ``Fraction``s: thread
+  duty is tracked in milli-duty integers and a charge's stretch is the
+  integer ratio ``stretch_num / stretch_den``, fixed when it begins
 * a drained event queue with a non-daemon process unfinished raises
   ``DeadlockError`` naming every such actor: a process with work left
   always has an entry queued, so once the heap drains each of them is
@@ -30,7 +31,9 @@ Invariants the rest of the package leans on:
   would pop -- the heap is empty or its head lies strictly later --
   ``_step`` moves the clock, writes the record and resumes the process
   itself, with no heap round trip.  ``_fire`` and the wake handler do
-  the same for the (first) process they resume at the current time.
+  the same for the (first) process they resume at the current time, and
+  ``_finish_charge`` resumes its process through ``_step`` so that its
+  next effect may hand off too.
   The processing order and the records match a run that pushes every
   entry: sequence numbers serve only to break ties between entries due
   at the same time, so an entry that is never pushed shifts no relative
@@ -43,9 +46,7 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Generator, Optional
 
 MILLI_DUTY = 1000  # duty units contributed by one fully-busy thread
@@ -65,7 +66,11 @@ class DeadlockError(RuntimeError):
 
 @dataclass
 class Charge:
-    """Yield to spend ``cost_ns`` of CPU work (wall time grows under sharing).
+    """Yield to spend ``cost_ns`` of CPU work.
+
+    On a domain the charge waits for the core's earlier charges, then
+    takes ``ceil(cost_ns * stretch)``; with no domain, or at zero cost,
+    it takes exactly ``cost_ns`` from now.
 
     Attributes:
         cost_ns: pure work in nanoseconds, before any slowdown
@@ -141,41 +146,19 @@ class Process:
         return f"Process({self.name!r}{', done' if self.done else ''})"
 
 
-class _ChargeState:
-    """An in-flight Charge tracked by its domain.
-
-    ``solo`` marks a charge that started alone on its domain and has run
-    alone since: ``remaining`` is still its whole integer cost and its
-    finish is already scheduled.  Otherwise ``remaining`` is the exact
-    work left as of the domain's ``last_update`` (a ``Fraction`` once it
-    has been settled).
-    """
-
-    __slots__ = ("proc", "name", "args", "begin_ns", "remaining", "solo")
-
-    def __init__(self, proc: Process, name: str, args, begin_ns: int, cost_ns: int,
-                 solo: bool):
-        self.proc = proc
-        self.name = name
-        self.args = args
-        self.begin_ns = begin_ns
-        self.remaining = cost_ns  # work left, in ns
-        self.solo = solo
-
-
 class Domain:
-    """Cores shared by a set of threads under fluid processor sharing.
+    """One core that runs its occupants' charges one at a time, in
+    arrival order.
 
-    The instantaneous slowdown for every occupant is
-    ``max(1, total_milli_duty / (MILLI_DUTY * cores))``: active charges
-    contribute a full duty each, registered background threads contribute
-    their fixed duty whether or not anything else runs.  The slowdown of
-    a sole occupant is kept as the integer ratio
-    ``stretch_num / stretch_den``.
+    Registered background threads slow every charge by
+    ``max(1, (background_milli + MILLI_DUTY) / (MILLI_DUTY * cores))``,
+    kept as the integer ratio ``stretch_num / stretch_den``; ``cores``
+    only spreads that background duty.  ``free_at`` is when the last
+    charge queued on the core ends.
     """
 
-    __slots__ = ("name", "cores", "background_milli",
-                 "active", "last_update", "pending", "stretch_num", "stretch_den")
+    __slots__ = ("name", "cores", "background_milli", "stretch_num", "stretch_den",
+                 "free_at")
 
     def __init__(self, name: str, cores: int):
         if cores < 1:
@@ -183,9 +166,7 @@ class Domain:
         self.name = name
         self.cores = cores
         self.background_milli = 0
-        self.active: list[_ChargeState] = []
-        self.last_update = 0
-        self.pending: list = []  # heap entries holding our finish guesses
+        self.free_at = 0
         self._set_stretch()
 
     def _set_stretch(self) -> None:
@@ -193,13 +174,8 @@ class Domain:
         full = MILLI_DUTY * self.cores
         self.stretch_num, self.stretch_den = (total, full) if total > full else (1, 1)
 
-    def load(self) -> Fraction:
-        total = self.background_milli + MILLI_DUTY * len(self.active)
-        f = Fraction(total, MILLI_DUTY * self.cores)
-        return f if f > 1 else Fraction(1)
-
     def __repr__(self):
-        return f"Domain({self.name!r}, cores={self.cores}, active={len(self.active)})"
+        return f"Domain({self.name!r}, cores={self.cores}, free_at={self.free_at})"
 
 
 @dataclass
@@ -243,13 +219,16 @@ class Engine:
 
     def add_background(self, dom: Domain, name: str, milli_duty: int) -> None:
         """Register an always-on thread (a poller, a progress thread); only
-        its duty is kept, and ``name`` appears in no record."""
+        its duty is kept, and ``name`` appears in no record.  It stretches
+        the charges that begin later, so it may not arrive while a charge
+        is in flight on ``dom``."""
         if milli_duty < 0:
             raise ValueError("milli_duty must be >= 0")
-        self._settle(dom)
+        if dom.free_at > self.now:
+            raise ValueError(f"background {name!r} added to domain {dom.name!r} "
+                             f"while a charge runs there until {dom.free_at} ns")
         dom.background_milli += milli_duty
         dom._set_stretch()
-        self._domain_changed(dom)
 
     def spawn(self, name: str, gen: Generator, domain: Optional[Domain] = None,
               daemon: bool = False) -> Process:
@@ -279,13 +258,11 @@ class Engine:
             proc.parked = False
             self._push(self.now, self._unpark, (proc,))
 
-    def _push(self, when: int, fn, args) -> list:
+    def _push(self, when: int, fn, args) -> None:
         if when < self.now:
             raise CausalityError(f"schedule at {when} ns but clock is at {self.now} ns")
-        entry = [when, self._seq, fn, args]
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, (when, self._seq, fn, args))
         self._seq += 1
-        return entry
 
     # -- the loop ---------------------------------------------------------
 
@@ -294,8 +271,6 @@ class Engine:
         heap = self._heap
         while heap:
             when, _, fn, args = heapq.heappop(heap)
-            if fn is None:
-                continue  # cancelled: must not advance the clock
             if when < self.now:
                 raise CausalityError(f"event at {when} ns behind clock {self.now} ns")
             self.now = when
@@ -334,12 +309,12 @@ class Engine:
 
     # -- process stepping -------------------------------------------------
 
-    def _step(self, proc: Process, send_value: Any, direct: bool = True) -> None:
+    def _step(self, proc: Process, send_value: Any) -> None:
         """Resume ``proc`` with ``send_value`` and act on what it yields.
 
-        With ``direct``, an effect whose completion entry would be the next
-        one popped completes here and the process resumes at once (the
-        handoff in the module docstring); otherwise the entry is pushed.
+        An effect whose completion entry would be the next one popped
+        completes here and the process resumes at once (the handoff in the
+        module docstring); otherwise the entry is pushed.
         """
         heap = self._heap
         while True:
@@ -355,19 +330,23 @@ class Engine:
                 if cost < 0:
                     raise ValueError(f"{proc.name} charged {cost} ns")
                 if cost == 0 or dom is None:
-                    when = now + cost  # nothing to share: exactly cost_ns
-                elif dom.active:
-                    self._join_charge(proc, effect)
-                    return
+                    begin = now
+                    when = now + cost  # no core to wait for: exactly cost_ns
                 else:
-                    # alone on the domain: finish time in integers, no Fraction
-                    when = now - (-cost * dom.stretch_num // dom.stretch_den)
-                if direct and (not heap or heap[0][0] > when):
+                    # behind the core's earlier charges, ceil(cost * stretch)
+                    begin = dom.free_at if dom.free_at > now else now
+                    when = dom.free_at = begin - (-cost * dom.stretch_num // dom.stretch_den)
+                if not heap or heap[0][0] > when:
                     self.now = when
-                    self._finish_record(proc, effect.name, effect.args, now, when)
+                    self._finish_record(proc, effect.name, effect.args, begin, when)
                     send_value = None
                     continue
-                self._queue_charge(proc, effect, when)
+                if cost == 0:
+                    self._finish_record(proc, effect.name, effect.args, now, now)
+                    self._push(now, self._step, (proc, None))
+                else:
+                    self._push(when, self._finish_charge,
+                               (proc, effect.name, effect.args, begin))
                 return
             if isinstance(effect, WaitFor):
                 ev = effect.event
@@ -375,7 +354,7 @@ class Engine:
                     ev._waiters.append(proc)
                     return
                 send_value = ev.payload
-                if direct and (not heap or heap[0][0] > now):
+                if not heap or heap[0][0] > now:
                     continue
                 self._push(now, self._step, (proc, send_value))
                 return
@@ -387,7 +366,7 @@ class Engine:
                     raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
                 when = now + effect.delay_ns
                 send_value = None
-                if direct and (not heap or heap[0][0] > when):
+                if not heap or heap[0][0] > when:
                     self.now = when
                     continue
                 self._push(when, self._step, (proc, None))
@@ -397,31 +376,7 @@ class Engine:
 
     # -- charges ----------------------------------------------------------
 
-    def _queue_charge(self, proc: Process, charge: Charge, end: int) -> None:
-        """Push the completion, at ``end``, of a charge alone on its timeline."""
-        if charge.cost_ns == 0:
-            self._finish_record(proc, charge.name, charge.args, self.now, self.now)
-            self._push(self.now, self._step, (proc, None))
-            return
-        dom = proc.domain
-        if dom is None:
-            self._push(end, self._finish_dedicated,
-                       (proc, charge.name, charge.args, self.now))
-            return
-        ch = _ChargeState(proc, charge.name, charge.args, self.now, charge.cost_ns,
-                          solo=True)
-        dom.active.append(ch)
-        dom.pending.append(self._push(end, self._solo_tick, (dom, ch)))
-
-    def _join_charge(self, proc: Process, charge: Charge) -> None:
-        """A charge joins a busy domain: exact sharing from here on."""
-        dom = proc.domain
-        self._settle(dom)
-        dom.active.append(_ChargeState(proc, charge.name, charge.args,
-                                       self.now, charge.cost_ns, solo=False))
-        self._domain_changed(dom)
-
-    def _finish_dedicated(self, proc: Process, name: str, args, begin: int) -> None:
+    def _finish_charge(self, proc: Process, name: str, args, begin: int) -> None:
         self._finish_record(proc, name, args, begin, self.now)
         self._step(proc, None)
 
@@ -431,56 +386,3 @@ class Engine:
                                   "begin_ns": begin, "end_ns": end,
                                   "args": args if args is not None else {}})
         self._busy[proc.name] = self._busy.get(proc.name, 0) + (end - begin)
-
-    def _solo_tick(self, dom: Domain, ch: _ChargeState) -> None:
-        """A solo charge's scheduled finish: it ran alone throughout."""
-        dom.active.clear()
-        dom.pending.clear()
-        self._finish_record(ch.proc, ch.name, ch.args, ch.begin_ns, self.now)
-        self._step(ch.proc, None)
-
-    def _settle(self, dom: Domain) -> None:
-        """Advance every in-flight charge in ``dom`` to the current time.
-
-        Callers are about to change the domain's membership or load, so a
-        solo charge leaves the integer path here: its work done so far,
-        at the one-occupant stretch, comes off exactly, and the caller's
-        ``_domain_changed`` replaces its scheduled finish.
-        """
-        elapsed = self.now - dom.last_update
-        if dom.active and dom.active[0].solo:
-            ch = dom.active[0]
-            ch.solo = False
-            ch.remaining -= Fraction((self.now - ch.begin_ns) * dom.stretch_den,
-                                     dom.stretch_num)
-        elif elapsed and dom.active:
-            rate = 1 / dom.load()  # work per wall ns, exact
-            for ch in dom.active:
-                ch.remaining -= elapsed * rate
-        dom.last_update = self.now
-
-    def _domain_changed(self, dom: Domain) -> None:
-        """Membership changed: drop outstanding finish guesses, reschedule."""
-        for entry in dom.pending:
-            entry[2] = None
-        dom.pending.clear()
-        if not dom.active:
-            return
-        load = dom.load()
-        for ch in dom.active:
-            finish = self.now + ch.remaining * load
-            entry = self._push(max(self.now, math.ceil(finish)), self._charge_tick, (dom,))
-            dom.pending.append(entry)
-
-    def _charge_tick(self, dom: Domain) -> None:
-        self._settle(dom)
-        done = [ch for ch in dom.active if ch.remaining <= 0]
-        if not done:
-            return
-        for ch in done:
-            dom.active.remove(ch)
-            self._finish_record(ch.proc, ch.name, ch.args, ch.begin_ns, self.now)
-        self._domain_changed(dom)
-        for ch in done[:-1]:
-            self._step(ch.proc, None, direct=False)
-        self._step(done[-1].proc, None)

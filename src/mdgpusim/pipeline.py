@@ -94,12 +94,17 @@ class RunPlan:
     node: NodeTopology = field(default_factory=lumi_node)
 
     def validate(self) -> "RunPlan":
-        """Reject a rank or era count no run can use, naming the field."""
+        """Reject a rank count, era count or backend no run can use,
+        naming the field."""
         if not (is_int(self.ranks) and self.ranks >= 1):
             raise ValueError(f"ranks must be an integer >= 1, got {self.ranks!r}")
         if not (is_int(self.n_eras) and self.n_eras >= 2):
             raise ValueError("n_eras must be an integer >= 2 (the first era is "
                              f"warm-up), got {self.n_eras!r}")
+        backends = default_cost_table().backends
+        if self.backend not in backends:
+            raise ValueError(f"backend must be one of {', '.join(backends)}, "
+                             f"got {self.backend!r}")
         return self
 
     @property

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from mdgpusim import cli
 from mdgpusim.cli import (
     COLUMNS,
     CSV_SCHEMA,
@@ -110,6 +111,7 @@ def test_atomless_system_is_rejected(capsys, ranks, atoms):
     (["--ranks", "0"], "ranks must be an integer >= 1, got 0"),
     (["--ranks", "-3"], "ranks must be an integer >= 1, got -3"),
     (["--eras", "1"], "n_eras must be an integer >= 2 (the first era is warm-up), got 1"),
+    (["--backend", "cuda"], "backend must be one of sycl, hip, got 'cuda'"),
 ])
 def test_bad_run_shape_is_one_error_line(capsys, flags, message):
     code = main(["simulate", "--system", "grappa_pme_1500",
@@ -199,6 +201,24 @@ def test_sweep_expands_axis_lists(tmp_path):
     assert [r["scenario"] for r in rows] == [
         "fig/max_cached_nodes=0", "fig/max_cached_nodes=100"]
     assert [r["max_cached_nodes"] for r in rows] == ["0", "100"]
+
+
+def test_sweep_with_an_unknown_backend_fails_before_any_scenario_runs(
+        monkeypatch, tmp_path, capsys):
+    def simulate(*args, **kwargs):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    cfg = tmp_path / "matrix.cfg"
+    cfg.write_text(
+        "fig.system = grappa_pme_1500\n"
+        "fig.profile = acpp-23.10\n"
+        "fig.backend = sycl hip cuda\n"
+        "fig.eras = 2\n", encoding="utf-8")
+    out = tmp_path / "matrix.csv"
+    assert main(["sweep", "--scenarios", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: backend must be one of sycl, hip, got 'cuda'\n"
+    assert not out.exists()
 
 
 def test_scenario_config_rejects_unknown_keys():

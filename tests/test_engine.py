@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -17,6 +18,16 @@ from mdgpusim.engine import (
     Sleep,
     WaitFor,
 )
+
+
+def _one_charge(cost, delay=0):
+    if delay:
+        yield Sleep(delay)
+    yield Charge(cost, "w")
+
+
+def _spans(tr):
+    return {r["actor"]: (r["begin_ns"], r["end_ns"]) for r in tr.records}
 
 
 def run_one_charge(cores, backgrounds, cost):
@@ -44,7 +55,7 @@ def test_charge_next_to_duty_080_background_stretches_to_180ns():
     assert tr.makespan_ns == 180
 
 
-def test_two_equal_charges_on_one_core_take_200ns_each():
+def test_two_charges_on_one_core_run_one_after_the_other():
     eng = Engine()
     dom = eng.domain("rank0", 1)
 
@@ -54,10 +65,9 @@ def test_two_equal_charges_on_one_core_take_200ns_each():
     eng.spawn("a", body(), domain=dom)
     eng.spawn("b", body(), domain=dom)
     tr = eng.run_until_idle()
+    assert [(r["actor"], r["begin_ns"], r["end_ns"]) for r in tr.records] == [
+        ("a", 0, 100), ("b", 100, 200)]
     assert tr.makespan_ns == 200
-    for rec in tr.records:
-        assert rec["begin_ns"] == 0
-        assert rec["end_ns"] == 200
 
 
 def test_background_under_one_core_total_means_no_slowdown():
@@ -81,6 +91,7 @@ def test_trace_record_fields():
 
 
 def test_dedicated_actor_ignores_domain_sharing():
+    # two threads queue on one core; a process with no domain keeps its cost
     eng = Engine()
     dom = eng.domain("rank0", 1)
 
@@ -94,9 +105,8 @@ def test_dedicated_actor_ignores_domain_sharing():
     eng.spawn("cpu1", busy(), domain=dom)
     eng.spawn("gpu", device())  # no domain: dedicated timeline
     tr = eng.run_until_idle()
-    ends = {r["actor"]: r["end_ns"] for r in tr.records}
-    assert ends["gpu"] == 1000
-    assert ends["cpu0"] == ends["cpu1"] == 2000
+    spans = {r["actor"]: (r["begin_ns"], r["end_ns"]) for r in tr.records}
+    assert spans == {"cpu0": (0, 1000), "cpu1": (1000, 2000), "gpu": (0, 1000)}
 
 
 def test_wait_for_returns_payload():
@@ -283,31 +293,42 @@ def test_trace_json_round_trip():
                for r in blob["records"])
 
 
-@settings(max_examples=60, deadline=None)
-@given(costs=st.lists(st.integers(min_value=1, max_value=10_000), min_size=1, max_size=8),
-       cores=st.integers(min_value=1, max_value=4))
-def test_work_conservation_under_sharing(costs, cores):
-    """N simultaneous charges on C cores: nobody finishes before cost*load,
-    and the busiest possible schedule still conserves total work."""
+@settings(max_examples=80, deadline=None)
+@given(cores=st.integers(min_value=1, max_value=4),
+       backgrounds=st.lists(st.integers(min_value=0, max_value=3000), max_size=3),
+       charges=st.lists(st.tuples(st.integers(min_value=1, max_value=10_000),
+                                  st.integers(min_value=0, max_value=20_000)),
+                        min_size=1, max_size=8),
+       together=st.booleans())
+def test_work_conservation_under_sharing(cores, backgrounds, charges, together):
+    """Charges that share a domain never overlap: each begins when it
+    arrives or when the one before it ends, whichever is later, and takes
+    ceil(cost * stretch).  Arrivals at one time queue in spawn order, so
+    simultaneous ones end at the running sum of their stretched costs."""
     eng = Engine()
     dom = eng.domain("cpu", cores)
-
-    def body(c):
-        yield Charge(c, "w")
-
-    for i, c in enumerate(costs):
-        eng.spawn(f"p{i}", body(c), domain=dom)
+    for i, duty in enumerate(backgrounds):
+        eng.add_background(dom, f"bg{i}", duty)
+    if together:
+        charges = [(cost, 0) for cost, _ in charges]
+    for i, (cost, delay) in enumerate(charges):
+        eng.spawn(f"p{i}", _one_charge(cost, delay), domain=dom)
     tr = eng.run_until_idle()
 
-    for rec, cost in zip(sorted(tr.records, key=lambda r: r["actor"]),
-                         sorted(enumerate(costs)), strict=True):
-        assert rec["end_ns"] - rec["begin_ns"] >= cost[1]
-    # wall time can never beat perfect packing, and rounding costs at most
-    # one tick per membership change
-    total = sum(costs)
-    lower = total / cores if len(costs) > 1 else max(costs)
-    assert tr.makespan_ns >= min(max(costs), lower) - len(costs)
-    assert tr.makespan_ns <= total + len(costs)
+    stretch = max(Fraction(1), Fraction(sum(backgrounds) + 1000, 1000 * cores))
+    free, want = 0, []
+    for i, (cost, delay) in sorted(enumerate(charges), key=lambda ic: (ic[1][1], ic[0])):
+        begin = max(delay, free)
+        free = begin + math.ceil(cost * stretch)
+        want.append((f"p{i}", begin, free))
+    got = sorted((r["actor"], r["begin_ns"], r["end_ns"]) for r in tr.records)
+    assert got == sorted(want)
+    spans = sorted(got, key=lambda g: g[1])
+    assert all(a[2] <= b[1] for a, b in zip(spans, spans[1:]))
+    if together:
+        ends = [end for _, _, end in spans]
+        assert ends == list(itertools.accumulate(math.ceil(c * stretch) for c, _ in charges))
+    assert tr.makespan_ns == free
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,25 +339,13 @@ def test_random_workloads_replay_exactly(seed):
     assert a.to_json() == b.to_json()
 
 
-def test_staggered_arrivals_share_fairly():
-    # p0 runs alone for 100ns (does 100 work), then shares with p1 at load 2.
-    # p0 needs 100 more -> +200ns, done at 300. p1 then runs alone:
-    # it did 100 work during sharing, 100 left -> done at 400.
+def test_staggered_arrivals_run_in_arrival_order():
+    # p1 arrives while p0 runs and starts once p0 is done
     eng = Engine()
     dom = eng.domain("cpu", 1)
-
-    def first():
-        yield Charge(200, "w0")
-
-    def second():
-        yield Sleep(100)
-        yield Charge(200, "w1")
-
-    eng.spawn("p0", first(), domain=dom)
-    eng.spawn("p1", second(), domain=dom)
-    tr = eng.run_until_idle()
-    ends = {r["actor"]: r["end_ns"] for r in tr.records}
-    assert ends == {"p0": 300, "p1": 400}
+    eng.spawn("p0", _one_charge(200), domain=dom)
+    eng.spawn("p1", _one_charge(200, delay=100), domain=dom)
+    assert _spans(eng.run_until_idle()) == {"p0": (0, 200), "p1": (200, 400)}
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,56 +377,64 @@ def test_solo_charges_end_at_the_closed_form(cores, backgrounds, steps):
         begin = rec["end_ns"] + gap
 
 
-def _one_charge(cost, delay=0):
-    if delay:
-        yield Sleep(delay)
-    yield Charge(cost, "w")
-
-
-def _spans(tr):
-    return {r["actor"]: (r["begin_ns"], r["end_ns"]) for r in tr.records}
-
-
-def test_second_charge_joining_at_the_first_ones_begin_shares_from_the_start():
-    # one core, 750 background: two charges give load 11/4.  a (101) is
-    # due at 101 * 11/4 = 277.75 -> 278, by when each did 1112/11 work.
-    # b then runs alone at 7/4 with 300 - 1112/11 = 2188/11 left:
-    # 278 + 2188/11 * 7/4 = 626.09 -> 627.
+def test_charges_queued_beside_a_background_take_the_stretched_cost():
+    # one core, 750 background: each charge takes ceil(100 * 7/4) = 175
     eng = Engine()
     dom = eng.domain("cpu", 1)
     eng.add_background(dom, "bg", 750)
-    eng.spawn("a", _one_charge(101), domain=dom)
-    eng.spawn("b", _one_charge(300), domain=dom)
-    assert _spans(eng.run_until_idle()) == {"a": (0, 278), "b": (0, 627)}
+    eng.spawn("a", _one_charge(100), domain=dom)
+    eng.spawn("b", _one_charge(100), domain=dom)
+    assert _spans(eng.run_until_idle()) == {"a": (0, 175), "b": (175, 350)}
 
 
-def test_charge_joining_mid_charge_then_leaving():
-    # one core, 750 background.  a (1000) runs alone at 7/4 until b joins
-    # at 101: a has 1000 - 101 * 4/7 = 6596/7 left.  At load 11/4 b (50)
-    # is due at 101 + 50 * 11/4 = 238.5 -> 239; by then a did 138 * 4/11
-    # more, leaving 68692/77.  Alone again at 7/4:
-    # 239 + 68692/77 * 7/4 = 1800.18 -> 1801, not the solo 1750.
+def test_charge_arriving_mid_charge_waits_for_the_core():
+    # one core, 750 background: a (1000) ends at 1750; b (50) arrives at
+    # 101 and runs from 1750 for ceil(50 * 7/4) = 88
     eng = Engine()
     dom = eng.domain("cpu", 1)
     eng.add_background(dom, "bg", 750)
     eng.spawn("a", _one_charge(1000), domain=dom)
     eng.spawn("b", _one_charge(50, delay=101), domain=dom)
-    assert _spans(eng.run_until_idle()) == {"a": (0, 1801), "b": (101, 239)}
+    assert _spans(eng.run_until_idle()) == {"a": (0, 1750), "b": (1750, 1838)}
 
 
-def test_background_added_mid_charge_stretches_the_rest():
-    # a (1000) runs at full speed until a 750 background arrives at 333:
-    # 667 left at 7/4 is 1167.25, so a ends at 1500.25 -> 1501
+@pytest.mark.parametrize("delay", [333, 1500])
+def test_background_added_mid_charge_raises(delay):
+    # at 333 a runs; at 1500 b is still queued behind a
     eng = Engine()
     dom = eng.domain("cpu", 1)
     eng.spawn("a", _one_charge(1000), domain=dom)
+    eng.spawn("b", _one_charge(1000), domain=dom)
 
     def late():
-        yield Sleep(333)
+        yield Sleep(delay)
         eng.add_background(dom, "late", 750)
 
     eng.spawn("late", late())
-    assert _spans(eng.run_until_idle()) == {"a": (0, 1501)}
+    with pytest.raises(ValueError, match="^background 'late' added to domain 'cpu' "
+                                         "while a charge runs there until 2000 ns$"):
+        eng.run_until_idle()
+    assert (dom.background_milli, dom.stretch_num, dom.stretch_den) == (0, 1, 1)
+
+
+def test_background_added_between_charges_stretches_only_later_ones():
+    # the background arrives at 100, as a's first charge ends there
+    eng = Engine()
+    dom = eng.domain("cpu", 1)
+
+    def a():
+        yield Charge(100, "a1")
+        yield Sleep(50)
+        yield Charge(100, "a2")
+
+    def late():
+        yield Sleep(100)
+        eng.add_background(dom, "late", 750)
+
+    eng.spawn("a", a(), domain=dom)
+    eng.spawn("late", late())
+    spans = {r["name"]: (r["begin_ns"], r["end_ns"]) for r in eng.run_until_idle().records}
+    assert spans == {"a1": (0, 100), "a2": (150, 325)}
 
 
 def test_engine_without_trace_keeps_busy_time_and_makespan():
@@ -428,22 +445,22 @@ def test_engine_without_trace_keeps_busy_time_and_makespan():
 
 
 def test_charges_finishing_together_resume_at_their_finish_time():
-    # a and b share one core and both finish at 200; a's sleep must not
-    # move the clock before b has resumed at 200
+    # a (on a core) and b (on no domain) both finish at 200; a's sleep
+    # must not move the clock before b has resumed at 200
     eng = Engine()
     dom = eng.domain("cpu", 1)
 
     def a():
-        yield Charge(100, "a1")
+        yield Charge(200, "a1")
         yield Sleep(10)
         yield Charge(5, "a2")
 
     def b():
-        yield Charge(100, "b1")
+        yield Charge(200, "b1")
         yield Charge(5, "b2")
 
     eng.spawn("a", a(), domain=dom)
-    eng.spawn("b", b(), domain=dom)
+    eng.spawn("b", b())
     spans = {r["name"]: (r["begin_ns"], r["end_ns"]) for r in eng.run_until_idle().records}
     assert spans == {"a1": (0, 200), "b1": (0, 200), "a2": (210, 215), "b2": (200, 205)}
 

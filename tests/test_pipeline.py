@@ -47,7 +47,8 @@ def run_plan(system_id, profile_id="acpp-23.10", *, ranks=1, mcn=100,
 
 
 @pytest.mark.parametrize("field, value", [
-    ("ranks", 0), ("ranks", -3), ("ranks", 2.0), ("n_eras", 1), ("n_eras", "3")])
+    ("ranks", 0), ("ranks", -3), ("ranks", 2.0), ("n_eras", 1), ("n_eras", "3"),
+    ("backend", "cuda"), ("backend", "SYCL")])
 def test_bad_plan_shape_raises_before_anything_runs(monkeypatch, field, value):
     def run_ranks(*args):
         raise AssertionError("the run started")
@@ -56,7 +57,9 @@ def test_bad_plan_shape_raises_before_anything_runs(monkeypatch, field, value):
     plan = RunPlan(system=get_system("grappa_pme_1500"),
                    profile=get_profile("acpp-23.10"), settings=RunSettings())
     setattr(plan, field, value)
-    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+    message = ("must be one of sycl, hip, got " if field == "backend"
+               else "must be an integer")
+    with pytest.raises(ValueError, match=f"^{field} {message}"):
         simulate(plan)
 
 
