@@ -398,9 +398,7 @@ def test_charge_arriving_mid_charge_waits_for_the_core():
     assert _spans(eng.run_until_idle()) == {"a": (0, 1750), "b": (1750, 1838)}
 
 
-@pytest.mark.parametrize("delay", [333, 1500])
-def test_background_added_mid_charge_raises(delay):
-    # at 333 a runs; at 1500 b is still queued behind a
+def _add_background_at(delay):
     eng = Engine()
     dom = eng.domain("cpu", 1)
     eng.spawn("a", _one_charge(1000), domain=dom)
@@ -415,6 +413,16 @@ def test_background_added_mid_charge_raises(delay):
                                          "while a charge runs there until 2000 ns$"):
         eng.run_until_idle()
     assert (dom.background_milli, dom.stretch_num, dom.stretch_den) == (0, 1, 1)
+
+
+def test_background_added_mid_charge_raises():
+    # at 333 a runs
+    _add_background_at(333)
+
+
+def test_background_added_while_a_charge_is_queued_raises():
+    # at 1500 b is still queued behind a
+    _add_background_at(1500)
 
 
 def test_background_added_between_charges_stretches_only_later_ones():
