@@ -26,11 +26,12 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Dict, List, Optional, Tuple
 
-from .config import ConfigError, dump_config, load_config, parse_config, require, subsection
+from .config import (ConfigError, dump_config, is_int, load_config, parse_config,
+                     parse_value, require, subsection)
 from .costs import KernelKind, fit_affine
 from .pipeline import RunPlan, RunReport, simulate
 from .presets import get_profile, get_system
-from .runtime import EventMode, RunSettings, as_bool
+from .runtime import EventMode, RunSettings
 from .topology import NODE_PROFILES, plan_affinity
 
 CSV_SCHEMA = "mdgpusim-csv v1"
@@ -39,7 +40,8 @@ COLUMNS = ["scenario", "system", "atoms", "ranks", "nodes", "backend",
            "ms_per_step", "ns_per_day", "gpu_utilization", "app_utilization",
            "max_launch_delay_us", "median_ms_per_step", "median_ns_per_day"]
 
-# scenario keys that may hold several space-separated values to sweep over
+# the run fields of a Scenario: axis keys may hold several space-separated
+# values to sweep over, scalar keys hold one
 AXIS_KEYS = ("system", "profile", "ranks", "max_cached_nodes", "instant",
              "event_mode", "backend")
 SCALAR_KEYS = ("eras", "repetitions", "seed", "node")
@@ -50,7 +52,11 @@ SCALAR_KEYS = ("eras", "repetitions", "seed", "node")
 
 @dataclass
 class Scenario:
-    """One resolvable benchmark run request."""
+    """One resolvable benchmark run request.
+
+    The only place a run field's default is written: the command-line
+    flags and the sweep reader pass on just the fields the user gave.
+    """
 
     scenario_id: str
     system: str
@@ -67,8 +73,9 @@ class Scenario:
     overrides: Dict[str, Any] = field(default_factory=dict)
 
     def build_plan(self) -> RunPlan:
-        if self.repetitions < 1:
-            raise ConfigError(f"{self.scenario_id}: repetitions must be >= 1")
+        if not (is_int(self.repetitions) and self.repetitions >= 1):
+            raise ConfigError(f"{self.scenario_id}: repetitions must be an "
+                              f"integer >= 1, got {self.repetitions!r}")
         system = get_system(self.system)
         profile = get_profile(self.profile)
         try:
@@ -81,8 +88,10 @@ class Scenario:
             max_cached_nodes=self.max_cached_nodes,
             instant_submission=self.instant,
             event_mode=self.event_mode,
-            # ranks below 1 are left to RunPlan.validate, which names them
-            visible_devices=max(1, min(self.ranks, node.n_gcds)),
+            # a ranks that is not an integer >= 1 is left to
+            # RunPlan.validate, which names it
+            visible_devices=(max(1, min(self.ranks, node.n_gcds))
+                             if is_int(self.ranks) else 1),
             seed=self.seed)
         for key in sorted(self.overrides):
             value = self.overrides[key]
@@ -101,6 +110,7 @@ class Scenario:
             except TypeError:
                 raise ConfigError(f"{self.scenario_id}: unknown {scope} "
                                   f"field {name!r}") from None
+        system.validate()
         profile.validate()
         settings_kwargs["event_mode"] = EventMode(settings_kwargs["event_mode"])
         try:
@@ -112,10 +122,6 @@ class Scenario:
         return RunPlan(system=system, profile=profile, settings=run_settings,
                        backend=self.backend, ranks=self.ranks, node=node,
                        n_eras=self.eras).validate()
-
-
-def _axis_values(value) -> List[str]:
-    return str(value).split()
 
 
 def scenarios_from_config(mapping: Dict[str, Any]) -> List[Scenario]:
@@ -131,33 +137,27 @@ def scenarios_from_config(mapping: Dict[str, Any]) -> List[Scenario]:
                    and k not in AXIS_KEYS and k not in SCALAR_KEYS]
         if unknown:
             raise ConfigError(f"{prefix}: unknown scenario key(s) {sorted(unknown)}")
-        axes = {k: _axis_values(sub[k]) for k in AXIS_KEYS if k in sub}
-        if "system" not in axes or "profile" not in axes:
+        if "system" not in sub or "profile" not in sub:
             raise ConfigError(f"{prefix}: scenario needs system and profile")
-        varying = [k for k in AXIS_KEYS if len(axes.get(k, ())) > 1]
+        scalars = {k: sub[k] for k in SCALAR_KEYS if k in sub}
+        # a value parse_config already typed (one token) is a single point;
+        # a list is split into raw tokens, which the scenario id keeps
+        axes = {k: sub[k].split() if isinstance(sub[k], str) else [sub[k]]
+                for k in AXIS_KEYS if k in sub}
+        empty = [k for k, values in axes.items() if not values]
+        if empty:
+            raise ConfigError(f"{prefix}: no values for {empty}")
+        varying = [k for k, values in axes.items() if len(values) > 1]
 
-        combos: List[Dict[str, str]] = [{}]
-        for key in AXIS_KEYS:
-            if key not in axes:
-                continue
-            combos = [dict(combo, **{key: v}) for combo in combos
-                      for v in axes[key]]
+        combos: List[Dict[str, Any]] = [{}]
+        for key, values in axes.items():
+            combos = [dict(combo, **{key: v}) for combo in combos for v in values]
         for combo in combos:
             suffix = "/".join(f"{k}={combo[k]}" for k in varying)
-            scenarios.append(Scenario(
-                scenario_id=f"{prefix}/{suffix}" if suffix else prefix,
-                system=combo["system"],
-                profile=combo["profile"],
-                ranks=int(combo.get("ranks", 1)),
-                backend=combo.get("backend", "sycl"),
-                max_cached_nodes=int(combo.get("max_cached_nodes", 100)),
-                instant=as_bool(combo.get("instant", False)),
-                event_mode=combo.get("event_mode", "coarse"),
-                node=str(sub.get("node", "lumi")),
-                eras=int(sub.get("eras", 3)),
-                repetitions=int(sub.get("repetitions", 1)),
-                seed=int(sub.get("seed", 0)),
-                overrides=dict(overrides)))
+            typed = {k: parse_value(v) if isinstance(v, str) else v
+                     for k, v in combo.items()}
+            scenarios.append(Scenario(f"{prefix}/{suffix}" if suffix else prefix,
+                                      overrides=dict(overrides), **typed, **scalars))
     return scenarios
 
 
@@ -175,8 +175,7 @@ def _utilizations(report: RunReport) -> Tuple[float, float]:
     return gpu_u, app_u
 
 
-def _format_row(scenario: Scenario, report: RunReport,
-                median_ms: float, median_ns: float) -> Dict[str, str]:
+def _format_row(scenario: Scenario, report: RunReport) -> Dict[str, str]:
     plan = report.plan
     gpu_u, app_u = _utilizations(report)
     return {
@@ -196,30 +195,25 @@ def _format_row(scenario: Scenario, report: RunReport,
         "gpu_utilization": f"{gpu_u:.4f}",
         "app_utilization": f"{app_u:.4f}",
         "max_launch_delay_us": f"{report.max_launch_delay_ns / 1000.0:.3f}",
-        "median_ms_per_step": f"{median_ms:.6f}",
-        "median_ns_per_day": f"{median_ns:.3f}",
+        "median_ms_per_step": f"{report.ms_per_step:.6f}",
+        "median_ns_per_day": f"{report.ns_per_day:.3f}",
     }
 
 
 def run_scenario(scenario: Scenario,
                  keep_trace: bool = False) -> Tuple[List[Dict[str, str]], Any]:
-    """Run every repetition of one scenario; rows plus optional trace.
+    """One row per repetition of one scenario, plus the trace if kept.
 
-    Repetition ``i`` always runs with the scenario's pinned seed, so a
-    deterministic engine produces identical rows; the trace, when
-    requested, comes from the first repetition.
+    Every repetition runs the scenario's pinned seed on a deterministic
+    engine, so the scenario is simulated once and its row repeated; the
+    medians across repetitions are that run's own figures.
     """
     plan = scenario.build_plan()
-    reports = []
     try:
-        for rep_index in range(scenario.repetitions):
-            reports.append(simulate(plan, keep_trace=keep_trace and rep_index == 0))
+        report = simulate(plan, keep_trace=keep_trace)
     except RuntimeError as exc:
         raise RuntimeError(f"scenario {scenario.scenario_id}: {exc}") from exc
-    median_ms = statistics.median(r.ms_per_step for r in reports)
-    median_ns = statistics.median(r.ns_per_day for r in reports)
-    rows = [_format_row(scenario, r, median_ms, median_ns) for r in reports]
-    return rows, reports[0].trace
+    return [_format_row(scenario, report)] * scenario.repetitions, report.trace
 
 
 def render_csv(rows: List[Dict[str, str]]) -> str:
@@ -361,20 +355,8 @@ def _parse_set(items: List[str]) -> Dict[str, Any]:
 
 
 def _scenario_from_args(args, scenario_id: str) -> Scenario:
-    return Scenario(
-        scenario_id=scenario_id,
-        system=args.system,
-        profile=args.profile,
-        ranks=args.ranks,
-        backend=args.backend,
-        max_cached_nodes=args.max_cached_nodes,
-        instant=args.instant,
-        event_mode=args.event_mode,
-        node=args.node,
-        eras=args.eras,
-        repetitions=getattr(args, "repetitions", 1),
-        seed=args.seed,
-        overrides=_parse_set(args.set))
+    given = {k: v for k, v in vars(args).items() if k in Scenario.__dataclass_fields__}
+    return Scenario(scenario_id, overrides=_parse_set(args.set), **given)
 
 
 def cmd_simulate(args) -> int:
@@ -390,8 +372,13 @@ def cmd_sweep(args) -> int:
     scenarios = scenarios_from_config(load_config(args.scenarios))
     if not scenarios:
         raise ConfigError(f"{args.scenarios}: no scenarios defined")
-    for scenario in scenarios:
-        scenario.build_plan()  # a bad scenario fails before any of them runs
+    for scenario in scenarios:  # a bad scenario fails before any of them runs
+        try:
+            scenario.build_plan()
+        except ConfigError:
+            raise  # build_plan's own checks already name the scenario
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{scenario.scenario_id}: {_message(exc)}") from None
     rows: List[Dict[str, str]] = []
     for scenario in scenarios:
         new_rows, _ = run_scenario(scenario)
@@ -465,7 +452,6 @@ def cmd_plan_affinity(args) -> int:
 
 def cmd_export_trace(args) -> int:
     scenario = _scenario_from_args(args, "trace")
-    scenario.repetitions = 1
     _, trace = run_scenario(scenario, keep_trace=True)
     _emit(trace.to_json(indent=2) + "\n", args.output)
     return 0
@@ -475,27 +461,30 @@ def cmd_export_trace(args) -> int:
 
 
 def _add_scenario_flags(sub, with_repetitions: bool) -> None:
+    """Flags for the run fields of ``Scenario``.  An absent flag leaves no
+    attribute, so the field takes the default ``Scenario`` gives it."""
+    absent = argparse.SUPPRESS
     sub.add_argument("--system", required=True,
                      help="benchmark system preset id")
     sub.add_argument("--profile", required=True,
                      help="runtime profile id")
-    sub.add_argument("--ranks", type=int, default=1)
-    sub.add_argument("--backend", default="sycl")
-    sub.add_argument("--max-cached-nodes", type=int, default=100,
+    sub.add_argument("--ranks", type=int, default=absent)
+    sub.add_argument("--backend", default=absent)
+    sub.add_argument("--max-cached-nodes", type=int, default=absent,
                      dest="max_cached_nodes")
-    sub.add_argument("--instant", action="store_true",
+    sub.add_argument("--instant", action="store_true", default=absent,
                      help="submit work as it arrives instead of batching")
     sub.add_argument("--event-mode", choices=["coarse", "full"],
-                     default="coarse", dest="event_mode")
-    sub.add_argument("--node", default="lumi",
+                     default=absent, dest="event_mode")
+    sub.add_argument("--node", default=absent,
                      help="node topology profile")
-    sub.add_argument("--eras", type=int, default=3,
+    sub.add_argument("--eras", type=int, default=absent,
                      help="neighbour-list eras to run; the first is warm-up")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=absent)
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a system., profile. or settings. field")
     if with_repetitions:
-        sub.add_argument("--repetitions", type=int, default=1)
+        sub.add_argument("--repetitions", type=int, default=absent)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,16 +540,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: Exception):
+    # a KeyError's str() quotes its message
+    return exc.args[0] if exc.args else str(exc)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+    except (KeyError, ValueError) as exc:  # ConfigError is a ValueError
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 
 

@@ -16,9 +16,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_value(raw: str, lineno: int):
-    if raw == "":
-        raise ConfigError(f"line {lineno}: empty value")
+def parse_value(raw: str):
+    """Type one raw value by its shape, as a config line's value is."""
     if raw == "true":
         return True
     if raw == "false":
@@ -51,7 +50,10 @@ def parse_config(text: str) -> Dict[str, Any]:
             raise ConfigError(f"line {lineno}: missing key")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = _parse_value(raw.strip(), lineno)
+        raw = raw.strip()
+        if not raw:
+            raise ConfigError(f"line {lineno}: empty value")
+        out[key] = parse_value(raw)
     return out
 
 

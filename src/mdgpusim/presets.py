@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict
+from typing import Any, Dict
 
-from .config import is_int, is_number, parse_config, subsection
+from .config import ConfigError, is_int, is_number, parse_config, subsection
 from .costs import KernelKind
 from .runtime import RuntimeProfile
 
@@ -91,14 +91,23 @@ def _data_text(filename: str) -> str:
     return resources.files("mdgpusim").joinpath("data", filename).read_text(encoding="utf-8")
 
 
+def _checked(cls, filename: str, prefix: str, fields: Dict[str, Any]) -> Dict[str, Any]:
+    """``fields``, once each key is known to name a field of ``cls``: a
+    misspelt key must not quietly leave its field at the default."""
+    for key in fields:
+        if key not in cls.__dataclass_fields__:
+            raise ConfigError(f"{filename}: unknown key {prefix + key!r}")
+    return fields
+
+
 def load_profiles() -> Dict[str, RuntimeProfile]:
     profiles = {}
     data_dir = resources.files("mdgpusim").joinpath("data")
-    for entry in sorted(data_dir.iterdir(), key=lambda e: e.name):
-        if entry.name.startswith("runtime-") and entry.name.endswith(".cfg"):
-            mapping = parse_config(entry.read_text(encoding="utf-8"))
-            profile = RuntimeProfile.from_mapping(mapping)
-            profiles[profile.name] = profile
+    for name in sorted(entry.name for entry in data_dir.iterdir()):
+        if name.startswith("runtime-") and name.endswith(".cfg"):
+            mapping = parse_config(_data_text(name))
+            profile = RuntimeProfile(**_checked(RuntimeProfile, name, "", mapping))
+            profiles[profile.name] = profile.validate()
     return profiles
 
 
@@ -116,7 +125,7 @@ def load_systems() -> Dict[str, SystemPreset]:
     names = sorted({k.split(".", 1)[0] for k in mapping})
     systems = {}
     for name in names:
-        fields = subsection(mapping, name)
+        fields = _checked(SystemPreset, "systems.cfg", f"{name}.", subsection(mapping, name))
         systems[name] = SystemPreset(name=name, **fields)
     return systems
 

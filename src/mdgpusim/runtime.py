@@ -41,7 +41,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .config import is_int, is_number
 from .costs import ApiKind, ApiLatencyModel, ApiSampler, round_half_up
@@ -133,14 +133,6 @@ class RuntimeProfile:
     def supports_instant(self) -> bool:
         return self.submission in ("instant", "both")
 
-    @classmethod
-    def from_mapping(cls, mapping: Dict) -> "RuntimeProfile":
-        kwargs = {}
-        for f in cls.__dataclass_fields__:
-            if f in mapping:
-                kwargs[f] = mapping[f]
-        return cls(**kwargs).validate()
-
 
 ENV_MAX_CACHED_NODES = "HIPSYCL_RT_MAX_CACHED_NODES"
 ENV_MAX_HW_QUEUES = "GPU_MAX_HW_QUEUES"
@@ -174,14 +166,6 @@ class RunSettings:
                 raise ValueError(f"{f} must be true or false, got {getattr(self, f)!r}")
         if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-
-
-def as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return bool(value)
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
 
 
 # -- device side -------------------------------------------------------------

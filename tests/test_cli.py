@@ -6,14 +6,22 @@ exit-code contract, the kernel-cost fitter, affinity printing, and
 trace export.
 """
 
+import argparse
+import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mdgpusim import cli
 from mdgpusim.cli import (
+    AXIS_KEYS,
     COLUMNS,
     CSV_SCHEMA,
+    SCALAR_KEYS,
+    Scenario,
     load_bundled_references,
     main,
     scenarios_from_config,
@@ -58,16 +66,43 @@ def test_simulate_writes_versioned_csv(tmp_path):
     assert row["median_ms_per_step"] == row["ms_per_step"]
 
 
-def test_five_repetitions_give_identical_rows(tmp_path):
+def test_five_repetitions_give_identical_rows(monkeypatch, tmp_path):
+    calls = []
+    real = cli.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", counting)
     out = tmp_path / "reps.csv"
     code = main(["simulate", "--system", "grappa_pme_1500",
                  "--profile", "acpp-23.10", "--eras", "2",
                  "--repetitions", "5", "--output", str(out)])
     assert code == 0
+    assert len(calls) == 1
     data_lines = [ln for ln in out.read_text(encoding="utf-8").splitlines()
                   if ln and not ln.startswith("#")][1:]
     assert len(data_lines) == 5
     assert len(set(data_lines)) == 1
+    # the bytes five separate simulations used to write
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fbbae539dde4bda4782937789b3de143f0e9ddde9abfeac98a135f79ec015876")
+
+
+def test_scenario_alone_defines_the_run_fields():
+    run_fields = [f for f in Scenario.__dataclass_fields__
+                  if f not in ("scenario_id", "overrides")]
+    assert sorted(run_fields) == sorted(AXIS_KEYS + SCALAR_KEYS)
+    parser = cli.build_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in verbs.choices["simulate"]._actions}
+    assert set(run_fields) <= flags
+    # an absent flag leaves no attribute, so Scenario's default applies
+    given_fields = vars(parser.parse_args(
+        ["simulate", "--system", "s", "--profile", "p"]))
+    assert set(given_fields) & set(run_fields) == {"system", "profile"}
 
 
 def test_csv_output_is_byte_stable(tmp_path):
@@ -203,8 +238,22 @@ def test_sweep_expands_axis_lists(tmp_path):
     assert [r["max_cached_nodes"] for r in rows] == ["0", "100"]
 
 
-def test_sweep_with_an_unknown_backend_fails_before_any_scenario_runs(
-        monkeypatch, tmp_path, capsys):
+def test_sweep_types_axis_tokens_like_config_values():
+    scenarios = scenarios_from_config(parse_config(
+        "a.system = grappa_pme_1500\n"
+        "a.profile = acpp-23.10\n"
+        "a.instant = false true\n"
+        "a.max_cached_nodes = 5\n"
+        "b.system = grappa_pme_1500\n"
+        "b.profile = acpp-23.10\n"
+        "b.instant = true\n"))
+    assert [(s.scenario_id, s.instant, s.max_cached_nodes) for s in scenarios] == [
+        ("a/instant=false", False, 5), ("a/instant=true", True, 5),
+        ("b", True, 100)]
+
+
+def sweep_fails_before_any_scenario_runs(monkeypatch, tmp_path, capsys, line):
+    """The one stderr line of a sweep over ``line`` that must not run."""
     def simulate(*args, **kwargs):
         raise AssertionError("a scenario ran")
 
@@ -213,12 +262,84 @@ def test_sweep_with_an_unknown_backend_fails_before_any_scenario_runs(
     cfg.write_text(
         "fig.system = grappa_pme_1500\n"
         "fig.profile = acpp-23.10\n"
-        "fig.backend = sycl hip cuda\n"
-        "fig.eras = 2\n", encoding="utf-8")
+        f"{line}\n", encoding="utf-8")
     out = tmp_path / "matrix.csv"
     assert main(["sweep", "--scenarios", str(cfg), "--output", str(out)]) == 2
-    assert capsys.readouterr().err == "error: backend must be one of sycl, hip, got 'cuda'\n"
+    captured = capsys.readouterr()
     assert not out.exists()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_sweep_with_an_unknown_backend_fails_before_any_scenario_runs(
+        monkeypatch, tmp_path, capsys):
+    err = sweep_fails_before_any_scenario_runs(
+        monkeypatch, tmp_path, capsys, "fig.backend = sycl hip cuda")
+    assert err == "error: fig/backend=cuda: backend must be one of sycl, hip, got 'cuda'\n"
+
+
+BAD_SWEEP_LINES = [
+    ("fig.ranks = 1 0", "fig/ranks=0: ranks must be an integer >= 1, got 0"),
+    ("fig.ranks = 1 two", "fig/ranks=two: ranks must be an integer >= 1, got 'two'"),
+    ("fig.instant = treu", "fig: instant_submission must be true or false, got 'treu'"),
+    ("fig.instant = 1", "fig: instant_submission must be true or false, got 1"),
+    ("fig.instant = yes", "fig: instant_submission must be true or false, got 'yes'"),
+    ("fig.eras = 2.9",
+     "fig: n_eras must be an integer >= 2 (the first era is warm-up), got 2.9"),
+    ("fig.seed = 1.5", "fig: seed must be an integer, got 1.5"),
+    ("fig.repetitions = abc", "fig: repetitions must be an integer >= 1, got 'abc'"),
+    ("fig.backend = \"\"", "fig: no values for ['backend']"),
+    ("fig.set.system.atoms = 0", "fig: grappa_pme_1500: need at least one atom, got 0"),
+]
+
+
+@pytest.mark.parametrize("line, message", BAD_SWEEP_LINES,
+                         ids=[line for line, _ in BAD_SWEEP_LINES])
+def test_bad_sweep_value_is_one_error_line_naming_its_scenario(
+        monkeypatch, tmp_path, capsys, line, message):
+    err = sweep_fails_before_any_scenario_runs(monkeypatch, tmp_path, capsys, line)
+    assert err == f"error: {message}\n"
+
+
+class _Reached(Exception):
+    """Raised by the stand-in for ``simulate``: the sweep got that far."""
+
+
+def _config_text(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_VALUES = st.one_of(
+    st.integers(), st.integers(max_value=-1), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+            max_size=12))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(AXIS_KEYS + SCALAR_KEYS), value=_VALUES)
+def test_sweep_value_runs_or_is_one_error_line(monkeypatch, tmp_path, capsys,
+                                               key, value):
+    def simulate(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    fields = {"system": "grappa_pme_1500", "profile": "acpp-23.10", "eras": 2}
+    fields[key] = _config_text(value)
+    cfg = tmp_path / "matrix.cfg"
+    cfg.write_text("".join(f"fig.{k} = {v}\n" for k, v in fields.items()),
+                   encoding="utf-8")
+    capsys.readouterr()
+    try:
+        code = main(["sweep", "--scenarios", str(cfg)])
+    except _Reached:
+        return
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_scenario_config_rejects_unknown_keys():

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency, default_api_model
 from mdgpusim.engine import Engine
+from mdgpusim import presets
+from mdgpusim.config import ConfigError
 from mdgpusim.presets import get_profile, load_profiles
 from mdgpusim.runtime import (
     Device,
@@ -59,6 +61,26 @@ def test_profiles_load_and_validate():
     assert profiles["hip-native"].submission == "instant"
     for p in profiles.values():
         p.validate()
+
+
+@pytest.mark.parametrize("filename, line, loader, message", [
+    ("runtime-acpp-23.10.cfg", "submit_cost = 1700", load_profiles,
+     "runtime-acpp-23.10.cfg: unknown key 'submit_cost'"),
+    ("systems.cfg", "stmv.nbnxm_scal = 2.0", presets.load_systems,
+     "systems.cfg: unknown key 'stmv.nbnxm_scal'"),
+], ids=["profile", "system"])
+def test_misspelt_bundled_key_names_the_file_and_the_key(
+        monkeypatch, filename, line, loader, message):
+    data_text = presets._data_text
+
+    def with_typo(name):
+        text = data_text(name)
+        return text + line + "\n" if name == filename else text
+
+    monkeypatch.setattr(presets, "_data_text", with_typo)
+    with pytest.raises(ConfigError) as excinfo:
+        loader()
+    assert str(excinfo.value) == message
 
 
 def test_monotonicity_guard_rejects_heavy_bookkeeping():
