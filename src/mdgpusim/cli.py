@@ -32,7 +32,7 @@ from .costs import KernelKind, fit_affine
 from .pipeline import RunPlan, RunReport, simulate
 from .presets import get_profile, get_system
 from .runtime import EventMode, RunSettings
-from .topology import NODE_PROFILES, plan_affinity
+from .topology import NODE_PROFILES, NodeTopology, plan_affinity
 
 CSV_SCHEMA = "mdgpusim-csv v1"
 COLUMNS = ["scenario", "system", "atoms", "ranks", "nodes", "backend",
@@ -74,16 +74,11 @@ class Scenario:
 
     def build_plan(self) -> RunPlan:
         if not (is_int(self.repetitions) and self.repetitions >= 1):
-            raise ConfigError(f"{self.scenario_id}: repetitions must be an "
-                              f"integer >= 1, got {self.repetitions!r}")
+            raise ConfigError("repetitions must be an integer >= 1, "
+                              f"got {self.repetitions!r}")
         system = get_system(self.system)
         profile = get_profile(self.profile)
-        try:
-            node = NODE_PROFILES[self.node]()
-        except KeyError:
-            known = ", ".join(sorted(NODE_PROFILES))
-            raise ConfigError(f"{self.scenario_id}: unknown node profile "
-                              f"{self.node!r}; available: {known}") from None
+        node = _node_profile(self.node)
         settings_kwargs: Dict[str, Any] = dict(
             max_cached_nodes=self.max_cached_nodes,
             instant_submission=self.instant,
@@ -104,12 +99,10 @@ class Scenario:
                 elif scope == "settings" and name:
                     settings_kwargs[name] = value
                 else:
-                    raise ConfigError(
-                        f"{self.scenario_id}: override {key!r} must start "
-                        "with system., profile. or settings.")
+                    raise ConfigError(f"override {key!r} must start with "
+                                      "system., profile. or settings.")
             except TypeError:
-                raise ConfigError(f"{self.scenario_id}: unknown {scope} "
-                                  f"field {name!r}") from None
+                raise ConfigError(f"unknown {scope} field {name!r}") from None
         system.validate()
         profile.validate()
         settings_kwargs["event_mode"] = EventMode(settings_kwargs["event_mode"])
@@ -117,11 +110,19 @@ class Scenario:
             run_settings = RunSettings(**settings_kwargs)
         except TypeError:
             bad = sorted(set(settings_kwargs) - set(RunSettings.__dataclass_fields__))
-            raise ConfigError(f"{self.scenario_id}: unknown settings "
-                              f"field(s) {bad}") from None
+            raise ConfigError(f"unknown settings field(s) {bad}") from None
         return RunPlan(system=system, profile=profile, settings=run_settings,
                        backend=self.backend, ranks=self.ranks, node=node,
                        n_eras=self.eras).validate()
+
+
+def _node_profile(name: str) -> NodeTopology:
+    try:
+        return NODE_PROFILES[name]()
+    except KeyError:
+        known = ", ".join(sorted(NODE_PROFILES))
+        raise ConfigError(f"unknown node profile {name!r}; "
+                          f"available: {known}") from None
 
 
 def scenarios_from_config(mapping: Dict[str, Any]) -> List[Scenario]:
@@ -202,13 +203,18 @@ def _format_row(scenario: Scenario, report: RunReport) -> Dict[str, str]:
 
 def run_scenario(scenario: Scenario,
                  keep_trace: bool = False) -> Tuple[List[Dict[str, str]], Any]:
-    """One row per repetition of one scenario, plus the trace if kept.
+    """One row per repetition of one scenario, plus the trace if kept."""
+    return run_plan(scenario, scenario.build_plan(), keep_trace)
+
+
+def run_plan(scenario: Scenario, plan: RunPlan,
+             keep_trace: bool) -> Tuple[List[Dict[str, str]], Any]:
+    """``run_scenario`` on the plan ``scenario`` already built.
 
     Every repetition runs the scenario's pinned seed on a deterministic
     engine, so the scenario is simulated once and its row repeated; the
     medians across repetitions are that run's own figures.
     """
-    plan = scenario.build_plan()
     try:
         report = simulate(plan, keep_trace=keep_trace)
     except RuntimeError as exc:
@@ -258,10 +264,26 @@ class ReferencePoint:
     baseline: Dict[str, str] = field(default_factory=dict)
 
 
+_POINT_KEYS = ("source", "metric", "value", "quote", "rel_tol", "abs_tol")
+
+
+def _check_point_keys(pid: str, sub: Dict[str, Any]) -> None:
+    """A misspelt key must not drop a tolerance or a selector quietly, nor
+    leave a point selecting no rows forever."""
+    for key in sub:
+        scope, _, column = key.partition(".")
+        if scope in ("match", "baseline") and column:
+            if column not in COLUMNS:
+                raise ConfigError(f"{pid}: unknown column {column!r} in {key}")
+        elif key not in _POINT_KEYS:
+            raise ConfigError(f"{pid}: unknown key {key!r}")
+
+
 def parse_reference_points(mapping: Dict[str, Any]) -> List[ReferencePoint]:
     points = []
     for pid in sorted({k.split(".", 1)[0] for k in mapping}):
         sub = subsection(mapping, pid)
+        _check_point_keys(pid, sub)
         point = ReferencePoint(
             point_id=pid,
             source=str(require(sub, "source")),
@@ -272,6 +294,8 @@ def parse_reference_points(mapping: Dict[str, Any]) -> List[ReferencePoint]:
             abs_tol=float(sub["abs_tol"]) if "abs_tol" in sub else None,
             match={k: str(v) for k, v in subsection(sub, "match").items()},
             baseline={k: str(v) for k, v in subsection(sub, "baseline").items()})
+        if point.metric not in COLUMNS:
+            raise ConfigError(f"{pid}: unknown column {point.metric!r} in metric")
         if (point.rel_tol is None) == (point.abs_tol is None):
             raise ConfigError(f"{pid}: exactly one of rel_tol or abs_tol")
         if not point.quote:
@@ -372,16 +396,15 @@ def cmd_sweep(args) -> int:
     scenarios = scenarios_from_config(load_config(args.scenarios))
     if not scenarios:
         raise ConfigError(f"{args.scenarios}: no scenarios defined")
+    plans = []
     for scenario in scenarios:  # a bad scenario fails before any of them runs
         try:
-            scenario.build_plan()
-        except ConfigError:
-            raise  # build_plan's own checks already name the scenario
-        except (KeyError, ValueError) as exc:
+            plans.append(scenario.build_plan())
+        except (KeyError, ValueError) as exc:  # ConfigError is a ValueError
             raise ConfigError(f"{scenario.scenario_id}: {_message(exc)}") from None
     rows: List[Dict[str, str]] = []
-    for scenario in scenarios:
-        new_rows, _ = run_scenario(scenario)
+    for scenario, plan in zip(scenarios, plans):
+        new_rows, _ = run_plan(scenario, plan, keep_trace=False)
         rows.extend(new_rows)
     _emit(render_csv(rows), args.output)
     return 0
@@ -431,12 +454,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_plan_affinity(args) -> int:
-    try:
-        node = NODE_PROFILES[args.node]()
-    except KeyError:
-        known = ", ".join(sorted(NODE_PROFILES))
-        raise ConfigError(f"unknown node profile {args.node!r}; "
-                          f"available: {known}") from None
+    node = _node_profile(args.node)
     plan = plan_affinity(node, args.ranks, args.threads_per_rank)
     print(f"node {node.name}: {len(plan.ranks)} ranks, "
           f"{len(plan.ranks[0].cores)} cores each")

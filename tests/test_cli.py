@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mdgpusim import cli
+from mdgpusim import cli, presets
 from mdgpusim.cli import (
     AXIS_KEYS,
     COLUMNS,
@@ -147,6 +147,8 @@ def test_atomless_system_is_rejected(capsys, ranks, atoms):
     (["--ranks", "-3"], "ranks must be an integer >= 1, got -3"),
     (["--eras", "1"], "n_eras must be an integer >= 2 (the first era is warm-up), got 1"),
     (["--backend", "cuda"], "backend must be one of sycl, hip, got 'cuda'"),
+    (["--node", "mars"], "unknown node profile 'mars'; available: dardel, lumi"),
+    (["--repetitions", "0"], "repetitions must be an integer >= 1, got 0"),
 ])
 def test_bad_run_shape_is_one_error_line(capsys, flags, message):
     code = main(["simulate", "--system", "grappa_pme_1500",
@@ -290,6 +292,7 @@ BAD_SWEEP_LINES = [
     ("fig.repetitions = abc", "fig: repetitions must be an integer >= 1, got 'abc'"),
     ("fig.backend = \"\"", "fig: no values for ['backend']"),
     ("fig.set.system.atoms = 0", "fig: grappa_pme_1500: need at least one atom, got 0"),
+    ("fig.node = mars", "fig: unknown node profile 'mars'; available: dardel, lumi"),
 ]
 
 
@@ -299,6 +302,37 @@ def test_bad_sweep_value_is_one_error_line_naming_its_scenario(
         monkeypatch, tmp_path, capsys, line, message):
     err = sweep_fails_before_any_scenario_runs(monkeypatch, tmp_path, capsys, line)
     assert err == f"error: {message}\n"
+
+
+def test_sweep_builds_each_plan_once(monkeypatch, tmp_path):
+    builds, parses = [], []
+    build_plan, parse_config_ = Scenario.build_plan, presets.parse_config
+
+    def counting_build(scenario):
+        builds.append(scenario.scenario_id)
+        return build_plan(scenario)
+
+    def counting_parse(text):
+        parses.append(text)
+        return parse_config_(text)
+
+    monkeypatch.setattr(Scenario, "build_plan", counting_build)
+    monkeypatch.setattr(presets, "parse_config", counting_parse)
+    Scenario("one", "grappa_pme_1500", "acpp-23.10").build_plan()
+    parses_per_build = len(parses)
+    builds.clear()
+    parses.clear()
+    cfg = tmp_path / "matrix.cfg"
+    cfg.write_text(
+        "fig.system = grappa_pme_1500\n"
+        "fig.profile = acpp-23.10\n"
+        "fig.max_cached_nodes = 0 5 100\n"
+        "fig.eras = 2\n", encoding="utf-8")
+    assert main(["sweep", "--scenarios", str(cfg),
+                 "--output", str(tmp_path / "matrix.csv")]) == 0
+    assert builds == ["fig/max_cached_nodes=0", "fig/max_cached_nodes=5",
+                      "fig/max_cached_nodes=100"]
+    assert len(parses) == 3 * parses_per_build
 
 
 class _Reached(Exception):
@@ -437,6 +471,54 @@ def test_check_reports_zero_valued_point_by_absolute_difference(tmp_path, capsys
     ]
 
 
+BAD_POINT_KEYS = [
+    ("rel_tl", "0.2", "p: unknown key 'rel_tl'"),
+    ("baselin.system", "box", "p: unknown key 'baselin.system'"),
+    ("match.evnt_mode", "coarse", "p: unknown column 'evnt_mode' in match.evnt_mode"),
+    ("baseline.sytem", "box", "p: unknown column 'sytem' in baseline.sytem"),
+    ("metric", "ns_per_dy", "p: unknown column 'ns_per_dy' in metric"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", BAD_POINT_KEYS,
+                         ids=[key for key, _, _ in BAD_POINT_KEYS])
+def test_misspelt_reference_key_is_one_error_line(tmp_path, capsys, key, value,
+                                                  message):
+    report = tmp_path / "report.csv"
+    write_report(report, [{"system": "box", "ns_per_day": "100.0"}])
+    fields = {"source": "II-A", "metric": "ns_per_day", "value": "98.0",
+              "rel_tol": "0.05", "match.system": "box",
+              "quote": '"a sentence"'}
+    fields[key] = value
+    refs = tmp_path / "refs.cfg"
+    refs.write_text("".join(f"p.{k} = {v}\n" for k, v in fields.items()),
+                    encoding="utf-8")
+    code = main(["check", "--report", str(report), "--references", str(refs)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == f"error: {message}\n"
+    assert out.out == ""
+
+
+def test_full_event_rows_leave_the_12k_points_alone():
+    """The bundled 12k points judge the coarse-event rows of a report that
+    also holds full-event rows of the same runs."""
+    scenarios = scenarios_from_config(parse_config(
+        "m.system = grappa_pme_12k\n"
+        "m.profile = acpp-0.9.4 acpp-23.10\n"
+        "m.max_cached_nodes = 0 5 100\n"
+        "m.event_mode = coarse full\n"
+        "i.system = grappa_pme_12k\n"
+        "i.profile = acpp-23.10\n"
+        "i.instant = true\n"
+        "i.event_mode = coarse full\n"))
+    rows = [row for scenario in scenarios for row in cli.run_scenario(scenario)[0]]
+    assert {row["event_mode"] for row in rows} == {"coarse", "full"}
+    points = [p for p in load_bundled_references() if p.point_id.endswith("-12k")]
+    lines, _ = cli.run_check(rows, points)
+    assert lines[-1] == "4 passed, 0 failed, 0 not covered by the report", lines
+
+
 def test_check_with_empty_reference_set_passes(tmp_path, capsys):
     report = tmp_path / "report.csv"
     write_report(report, [{"system": "box", "ns_per_day": "1.0"}])
@@ -483,6 +565,12 @@ def test_plan_affinity_prints_published_association(capsys):
     out = capsys.readouterr().out
     assert "rank4: gcd=4 ccx=0 nic=2" in out
     assert "ROCR_VISIBLE_DEVICES=4" in out
+
+
+def test_plan_affinity_rejects_an_unknown_node(capsys):
+    assert main(["plan-affinity", "--node", "mars", "--ranks", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown node profile 'mars'; available: dardel, lumi\n")
 
 
 def test_export_trace_round_trips(tmp_path):
