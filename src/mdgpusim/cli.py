@@ -20,14 +20,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import statistics
 import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Dict, List, Optional, Tuple
 
-from .config import (ConfigError, dump_config, is_int, load_config, parse_config,
-                     parse_value, require, subsection)
+from .config import (ConfigError, dump_config, is_int, is_number, load_config,
+                     parse_config, parse_value, require, subsection)
 from .costs import KernelKind, fit_affine
 from .pipeline import RunPlan, RunReport, simulate
 from .presets import get_profile, get_system
@@ -279,19 +280,29 @@ def _check_point_keys(pid: str, sub: Dict[str, Any]) -> None:
             raise ConfigError(f"{pid}: unknown key {key!r}")
 
 
+def _point_number(pid: str, key: str, raw, tolerance: bool = False) -> float:
+    """A point's finite ``value``, or a finite non-negative tolerance."""
+    if not is_number(raw) or not math.isfinite(raw) or (tolerance and raw < 0):
+        kind = "a finite number >= 0" if tolerance else "a finite number"
+        raise ConfigError(f"{pid}: {key} must be {kind}, got {raw!r}")
+    return float(raw)
+
+
 def parse_reference_points(mapping: Dict[str, Any]) -> List[ReferencePoint]:
     points = []
     for pid in sorted({k.split(".", 1)[0] for k in mapping}):
         sub = subsection(mapping, pid)
         _check_point_keys(pid, sub)
+        tols = {key: _point_number(pid, key, sub[key], tolerance=True)
+                for key in ("rel_tol", "abs_tol") if key in sub}
         point = ReferencePoint(
             point_id=pid,
             source=str(require(sub, "source")),
             metric=str(require(sub, "metric")),
-            value=float(require(sub, "value")),
+            value=_point_number(pid, "value", require(sub, "value")),
             quote=str(require(sub, "quote")),
-            rel_tol=float(sub["rel_tol"]) if "rel_tol" in sub else None,
-            abs_tol=float(sub["abs_tol"]) if "abs_tol" in sub else None,
+            rel_tol=tols.get("rel_tol"),
+            abs_tol=tols.get("abs_tol"),
             match={k: str(v) for k, v in subsection(sub, "match").items()},
             baseline={k: str(v) for k, v in subsection(sub, "baseline").items()})
         if point.metric not in COLUMNS:
@@ -317,18 +328,34 @@ def _select(rows: List[Dict[str, str]], selector: Dict[str, str]):
             if all(r.get(col) == want for col, want in selector.items())]
 
 
+def _metric_values(point: ReferencePoint, rows: List[Dict[str, str]]) -> List[float]:
+    """The point's metric in each row; a report that lacks the column or
+    holds a non-number there is an error naming the point."""
+    values = []
+    for row in rows:
+        if point.metric not in row:
+            raise ConfigError(f"{point.point_id}: report has no {point.metric!r} column")
+        raw = row[point.metric]
+        try:
+            values.append(float(raw))
+        except (TypeError, ValueError):  # TypeError: a short row's None
+            raise ConfigError(f"{point.point_id}: report row has {point.metric} = "
+                              f"{raw!r}, not a number") from None
+    return values
+
+
 def evaluate_point(point: ReferencePoint,
                    rows: List[Dict[str, str]]) -> Tuple[str, Optional[float]]:
     """Status for one point: PASS, FAIL, or MISSING (no matching rows)."""
     matched = _select(rows, point.match)
     if not matched:
         return "MISSING", None
-    simulated = statistics.median(float(r[point.metric]) for r in matched)
+    simulated = statistics.median(_metric_values(point, matched))
     if point.baseline:
         base_rows = _select(rows, point.baseline)
         if not base_rows:
             return "MISSING", None
-        best = max(float(r[point.metric]) for r in base_rows)
+        best = max(_metric_values(point, base_rows))
         if best == 0:
             return "FAIL", float("inf")
         simulated = simulated / best

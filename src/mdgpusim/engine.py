@@ -11,7 +11,8 @@ Building blocks:
   idle workers that only one waker ever resumes
 * ``Domain``     -- one core that runs its occupants' charges one at a
   time, in arrival order, each stretched by the background duty
-* ``Trace``      -- completed charge records plus per-actor busy time
+* ``Trace``      -- completed charge records plus per-actor busy time;
+  writes its own JSON
 
 Invariants the rest of the package leans on:
 
@@ -45,8 +46,8 @@ Invariants the rest of the package leans on:
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Generator, Optional
 
 MILLI_DUTY = 1000  # duty units contributed by one fully-busy thread
@@ -75,7 +76,10 @@ class Charge:
     Attributes:
         cost_ns: pure work in nanoseconds, before any slowdown
         name:    label recorded in the trace
-        args:    optional JSON-safe payload stored alongside the record
+        args:    optional payload stored, by reference, alongside the
+                 record: a flat dict whose keys are str and whose values
+                 are JSON scalars (str, int, float, bool or None);
+                 ``Trace.to_json`` raises on a nested value
     """
 
     cost_ns: int
@@ -180,15 +184,78 @@ class Domain:
 
 @dataclass
 class Trace:
-    """Everything a finished run left behind."""
+    """Everything a finished run left behind.
+
+    Each record is the tuple ``(actor, name, begin_ns, end_ns, args)``,
+    with ``args`` the charge's payload or None.
+    """
 
     records: list = field(default_factory=list)
     makespan_ns: int = 0
     busy_ns: dict = field(default_factory=dict)
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps({"makespan_ns": self.makespan_ns, "records": self.records},
-                          indent=indent)
+        """The bytes ``json.dumps({"makespan_ns": ..., "records": [...]},
+        indent=indent)`` gives with each record the object ``{"actor",
+        "name", "begin_ns", "end_ns", "args"}``, ``args`` ``{}`` for none.
+
+        Written one record at a time with the C string encoder, because
+        ``json`` falls back to its pure-Python encoder whenever ``indent``
+        is set.  ``indent=None`` and an int share one path: they differ
+        only in the item separator and in the line break and padding
+        before each nested item.
+        """
+        def pad(level: int) -> str:
+            return "" if indent is None else "\n" + " " * (indent * level)
+
+        comma = ", " if indent is None else ","
+        # levels: the top object's keys, records, record fields, args entries
+        p0, p1, p2, p3, p4 = (pad(level) for level in range(5))
+        field_sep = comma + p3
+        record = ("{" + p3 + '"actor": %s' + field_sep + '"name": %s' + field_sep
+                  + '"begin_ns": %d' + field_sep + '"end_ns": %d' + field_sep
+                  + '"args": %s' + p2 + "}")
+        args_open, args_sep, args_close = "{" + p4, comma + p4, p3 + "}"
+        enc = encode_basestring_ascii
+        parts = []
+        for actor, name, begin, end, args in self.records:
+            if args:
+                text = args_open + args_sep.join(
+                    [enc(k) + ": " + _json_scalar(v) for k, v in args.items()]
+                ) + args_close
+            else:
+                text = "{}"
+            parts.append(record % (enc(actor), enc(name), begin, end, text))
+        records = "[" + p2 + (comma + p2).join(parts) + p1 + "]" if parts else "[]"
+        return ("{" + p1 + '"makespan_ns": %d' % self.makespan_ns + comma + p1
+                + '"records": ' + records + p0 + "}")
+
+
+_INF = float("inf")
+
+
+def _json_scalar(value) -> str:
+    """``value`` as ``json.dumps`` writes it; only scalars are accepted."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"trace args value {value!r} is not a JSON scalar "
+                    "(str, int, float, bool or None)")
 
 
 class Engine:
@@ -205,7 +272,7 @@ class Engine:
         self._seq = 0
         self._procs: list[Process] = []
         self._domains: dict[str, Domain] = {}
-        self._records: list[dict] = []
+        self._records: list[tuple] = []
         self._busy: dict[str, int] = {}
 
     # -- construction -----------------------------------------------------
@@ -382,7 +449,5 @@ class Engine:
 
     def _finish_record(self, proc: Process, name: str, args, begin: int, end: int) -> None:
         if self.keep_trace:
-            self._records.append({"actor": proc.name, "name": name,
-                                  "begin_ns": begin, "end_ns": end,
-                                  "args": args if args is not None else {}})
+            self._records.append((proc.name, name, begin, end, args))
         self._busy[proc.name] = self._busy.get(proc.name, 0) + (end - begin)

@@ -41,7 +41,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .config import is_int, is_number
 from .costs import ApiKind, ApiLatencyModel, ApiSampler, round_half_up
@@ -172,28 +172,31 @@ class RunSettings:
 
 
 class _DevTask:
-    __slots__ = ("name", "duration_ns", "deps", "done", "args",
-                 "event_packet_ns", "submit_time")
+    __slots__ = ("name", "duration_ns", "deps", "done", "event_packet_ns",
+                 "submit_time")
 
-    def __init__(self, name, duration_ns, deps, done, args, event_packet_ns):
+    def __init__(self, name, duration_ns, deps, done, event_packet_ns):
         self.name = name
         self.duration_ns = duration_ns
         self.deps = tuple(deps)
         self.done = done
-        self.args = args
         self.event_packet_ns = event_packet_ns
         self.submit_time = None
 
 
 class Stream:
-    """An in-order submission queue, muxed onto one hardware slot."""
+    """An in-order submission queue, muxed onto one hardware slot.
+
+    ``args`` is the trace payload of every task it runs, built once.
+    """
 
     def __init__(self, name: str, slot: "_Slot"):
         self.name = name
         self.slot = slot
+        self.args = {"stream": name}
 
     def enqueue(self, task: _DevTask) -> None:
-        self.slot.enqueue(task, self.name)
+        self.slot.enqueue(task, self.args)
 
 
 class _Slot:
@@ -206,10 +209,8 @@ class _Slot:
         self.dispatch_gap_ns = 0
         self._proc = engine.spawn(name, self._run(), daemon=True)
 
-    def enqueue(self, task: _DevTask, stream_name: str) -> None:
-        task.args = dict(task.args or {})
-        task.args["stream"] = stream_name
-        self.fifo.append(task)
+    def enqueue(self, task: _DevTask, stream_args: dict) -> None:
+        self.fifo.append((task, stream_args))
         self.engine.wake(self._proc)
 
     def _run(self):
@@ -217,13 +218,13 @@ class _Slot:
             if not self.fifo:
                 yield PARK
                 continue
-            task = self.fifo.popleft()
+            task, stream_args = self.fifo.popleft()
             for dep in task.deps:
                 if not dep.fired:
                     yield WaitFor(dep)
             if self.dispatch_gap_ns:
                 yield Charge(self.dispatch_gap_ns, "dispatch", {"for": task.name})
-            yield Charge(task.duration_ns, task.name, task.args)
+            yield Charge(task.duration_ns, task.name, stream_args)
             if task.event_packet_ns:
                 yield Charge(task.event_packet_ns, "event_packet", {"for": task.name})
             self.engine.post(task.done, 0)
@@ -322,12 +323,12 @@ class RankRuntime:
     # -- submission (runs on the application process) ----------------------
 
     def submit(self, stream: Stream, name: str, duration_ns: int,
-               deps: Sequence[Event] = (), args: Optional[dict] = None):
+               deps: Sequence[Event] = ()):
         """Generator; ``yield from`` it on the app process.  Returns the
         completion event of the device task."""
         done = self.engine.event(f"{name}.done")
         full = self.settings.event_mode is EventMode.FULL
-        task = _DevTask(name, duration_ns, deps, done, args,
+        task = _DevTask(name, duration_ns, deps, done,
                         self.profile.event_device_cost_ns if full else 0)
         task.submit_time = self.engine.now
         if self.instant:

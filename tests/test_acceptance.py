@@ -332,13 +332,13 @@ def _run_burst(spec, profile=None, api=None, mcn=None):
 
 def _check_queues_in_order(failures, trace, where):
     by_actor = {}
-    for r in trace.records:
-        if "gcd" in r["actor"] and ".q" in r["actor"]:
-            by_actor.setdefault(r["actor"], []).append(r)
-    for actor, recs in by_actor.items():
-        recs.sort(key=lambda r: (r["begin_ns"], r["end_ns"]))
-        for prev, cur in zip(recs, recs[1:]):
-            if cur["begin_ns"] < prev["end_ns"]:
+    for actor, _, begin, end, _ in trace.records:
+        if "gcd" in actor and ".q" in actor:
+            by_actor.setdefault(actor, []).append((begin, end))
+    for actor, spans in by_actor.items():
+        spans.sort()
+        for (_, prev_end), (cur_begin, _) in zip(spans, spans[1:]):
+            if cur_begin < prev_end:
                 failures.append(f"{where}: overlapping work on {actor}")
                 return
 
@@ -394,11 +394,11 @@ def test_execution_properties(event_mode_pair, multinode):
                            keep_trace=True)
 
     def kernel_names(trace):
-        recs = [r for r in trace.records
-                if r["actor"].startswith("rank0.gcd.q")
-                and r["name"] not in ("dispatch", "event_packet")]
-        recs.sort(key=lambda r: (r["begin_ns"], r["end_ns"]))
-        return [r["name"] for r in recs]
+        recs = [(begin, end, name) for actor, name, begin, end, _ in trace.records
+                if actor.startswith("rank0.gcd.q")
+                and name not in ("dispatch", "event_packet")]
+        recs.sort(key=lambda r: r[:2])  # stable on (begin_ns, end_ns) only
+        return [name for _, _, name in recs]
 
     expect(failures,
            kernel_names(instant_run.trace) == kernel_names(deferred_run.trace),

@@ -480,21 +480,74 @@ BAD_POINT_KEYS = [
 ]
 
 
+def check_one_point(tmp_path, capsys, rows, **fields):
+    """``mdgpusim check`` of ``rows`` against point ``p``, a 98 ns/day
+    point on the ``box`` rows with ``fields`` replaced (None drops a key);
+    returns the exit code and the captured output."""
+    report = tmp_path / "report.csv"
+    write_report(report, rows)
+    point = {"source": "II-A", "metric": "ns_per_day", "value": "98.0",
+             "rel_tol": "0.05", "match.system": "box",
+             "quote": '"a sentence"'}
+    point.update(fields)
+    point = {k: v for k, v in point.items() if v is not None}
+    refs = tmp_path / "refs.cfg"
+    refs.write_text("".join(f"p.{k} = {v}\n" for k, v in point.items()),
+                    encoding="utf-8")
+    code = main(["check", "--report", str(report), "--references", str(refs)])
+    return code, capsys.readouterr()
+
+
 @pytest.mark.parametrize("key, value, message", BAD_POINT_KEYS,
                          ids=[key for key, _, _ in BAD_POINT_KEYS])
 def test_misspelt_reference_key_is_one_error_line(tmp_path, capsys, key, value,
                                                   message):
-    report = tmp_path / "report.csv"
-    write_report(report, [{"system": "box", "ns_per_day": "100.0"}])
-    fields = {"source": "II-A", "metric": "ns_per_day", "value": "98.0",
-              "rel_tol": "0.05", "match.system": "box",
-              "quote": '"a sentence"'}
-    fields[key] = value
-    refs = tmp_path / "refs.cfg"
-    refs.write_text("".join(f"p.{k} = {v}\n" for k, v in fields.items()),
-                    encoding="utf-8")
-    code = main(["check", "--report", str(report), "--references", str(refs)])
-    out = capsys.readouterr()
+    code, out = check_one_point(tmp_path, capsys,
+                                [{"system": "box", "ns_per_day": "100.0"}],
+                                **{key: value})
+    assert code == 2
+    assert out.err == f"error: {message}\n"
+    assert out.out == ""
+
+
+BAD_POINT_NUMBERS = [
+    ({"value": "abc"}, "p: value must be a finite number, got 'abc'"),
+    ({"value": "true"}, "p: value must be a finite number, got True"),
+    ({"value": "nan"}, "p: value must be a finite number, got nan"),
+    ({"value": "-inf"}, "p: value must be a finite number, got -inf"),
+    ({"rel_tol": "-0.05"}, "p: rel_tol must be a finite number >= 0, got -0.05"),
+    ({"rel_tol": "inf"}, "p: rel_tol must be a finite number >= 0, got inf"),
+    ({"rel_tol": "abc"}, "p: rel_tol must be a finite number >= 0, got 'abc'"),
+    ({"rel_tol": "nan"}, "p: rel_tol must be a finite number >= 0, got nan"),
+    ({"rel_tol": None, "abs_tol": "-1"},
+     "p: abs_tol must be a finite number >= 0, got -1"),
+    ({"rel_tol": None, "abs_tol": "nan"},
+     "p: abs_tol must be a finite number >= 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("fields, message", BAD_POINT_NUMBERS,
+                         ids=[" ".join(f"{k}={v}" for k, v in f.items() if v)
+                              for f, _ in BAD_POINT_NUMBERS])
+def test_bad_reference_number_is_one_error_line(tmp_path, capsys, fields, message):
+    """A point whose value or tolerance is not a usable number is refused,
+    naming the point and the key, rather than failing forever."""
+    code, out = check_one_point(tmp_path, capsys,
+                                [{"system": "box", "ns_per_day": "100.0"}],
+                                **fields)
+    assert code == 2
+    assert out.err == f"error: {message}\n"
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{"system": "box", "instant": "1"}],
+     "p: report has no 'ns_per_day' column"),
+    ([{"system": "box", "ns_per_day": "fast"}],
+     "p: report row has ns_per_day = 'fast', not a number"),
+], ids=["no-column", "not-a-number"])
+def test_report_without_the_metric_is_one_error_line(tmp_path, capsys, rows, message):
+    code, out = check_one_point(tmp_path, capsys, rows)
     assert code == 2
     assert out.err == f"error: {message}\n"
     assert out.out == ""

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdgpusim.engine import (
@@ -16,6 +16,7 @@ from mdgpusim.engine import (
     DeadlockError,
     Engine,
     Sleep,
+    Trace,
     WaitFor,
 )
 
@@ -27,7 +28,11 @@ def _one_charge(cost, delay=0):
 
 
 def _spans(tr):
-    return {r["actor"]: (r["begin_ns"], r["end_ns"]) for r in tr.records}
+    return {actor: (begin, end) for actor, _, begin, end, _ in tr.records}
+
+
+def _name_spans(tr):
+    return {name: (begin, end) for _, name, begin, end, _ in tr.records}
 
 
 def run_one_charge(cores, backgrounds, cost):
@@ -46,8 +51,8 @@ def run_one_charge(cores, backgrounds, cost):
 def test_unshared_charge_takes_exactly_its_cost():
     tr = run_one_charge(cores=1, backgrounds=[], cost=100)
     assert tr.makespan_ns == 100
-    assert tr.records[0]["begin_ns"] == 0
-    assert tr.records[0]["end_ns"] == 100
+    _, _, begin, end, _ = tr.records[0]
+    assert (begin, end) == (0, 100)
 
 
 def test_charge_next_to_duty_080_background_stretches_to_180ns():
@@ -65,7 +70,7 @@ def test_two_charges_on_one_core_run_one_after_the_other():
     eng.spawn("a", body(), domain=dom)
     eng.spawn("b", body(), domain=dom)
     tr = eng.run_until_idle()
-    assert [(r["actor"], r["begin_ns"], r["end_ns"]) for r in tr.records] == [
+    assert [(actor, begin, end) for actor, _, begin, end, _ in tr.records] == [
         ("a", 0, 100), ("b", 100, 200)]
     assert tr.makespan_ns == 200
 
@@ -85,8 +90,9 @@ def test_trace_record_fields():
     eng.spawn("app", body())
     tr = eng.run_until_idle()
     (rec,) = tr.records
-    assert set(rec) == {"actor", "name", "begin_ns", "end_ns", "args"}
-    assert rec == {"actor": "app", "name": "submit", "begin_ns": 0,
+    assert rec == ("app", "submit", 0, 10, {"node": 3})
+    (obj,) = json.loads(tr.to_json())["records"]
+    assert obj == {"actor": "app", "name": "submit", "begin_ns": 0,
                    "end_ns": 10, "args": {"node": 3}}
 
 
@@ -105,8 +111,7 @@ def test_dedicated_actor_ignores_domain_sharing():
     eng.spawn("cpu1", busy(), domain=dom)
     eng.spawn("gpu", device())  # no domain: dedicated timeline
     tr = eng.run_until_idle()
-    spans = {r["actor"]: (r["begin_ns"], r["end_ns"]) for r in tr.records}
-    assert spans == {"cpu0": (0, 1000), "cpu1": (1000, 2000), "gpu": (0, 1000)}
+    assert _spans(tr) == {"cpu0": (0, 1000), "cpu1": (1000, 2000), "gpu": (0, 1000)}
 
 
 def test_wait_for_returns_payload():
@@ -293,6 +298,51 @@ def test_trace_json_round_trip():
                for r in blob["records"])
 
 
+# strings that exercise every escape: quotes, backslashes, control
+# characters and non-ASCII text, alongside whatever else Hypothesis draws
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€\u2028😀'),
+                               st.characters()), max_size=12)
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _JSON_TEXT,
+                          st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]))
+_RECORDS = st.lists(st.tuples(_JSON_TEXT, _JSON_TEXT, st.integers(min_value=0),
+                              st.integers(min_value=0),
+                              st.none() | st.dictionaries(_JSON_TEXT, _JSON_SCALARS,
+                                                          max_size=4)),
+                    max_size=6)
+# one record holding every kind of scalar, and the two empty payloads
+_EVERY_SCALAR = [
+    ("a\"\\\x00\x1fé😀", "k\n", 0, 5,
+     {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "t": True, "f": False,
+      "n": None, "i": -3, "third": 1 / 3, "tiny": 5e-324, "s": "\u2028"}),
+    ("app", "idle", 5, 7, None),
+    ("app", "empty", 7, 7, {}),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_RECORDS, makespan=st.integers(min_value=0),
+       indent=st.sampled_from([None, 0, 2, 4]))
+@example(records=[], makespan=0, indent=None)
+@example(records=[], makespan=0, indent=2)
+@example(records=_EVERY_SCALAR, makespan=7, indent=None)
+@example(records=_EVERY_SCALAR, makespan=7, indent=4)
+def test_trace_json_matches_json_dumps_of_the_dict_form(records, makespan, indent):
+    dict_form = {"makespan_ns": makespan, "records": [
+        {"actor": actor, "name": name, "begin_ns": begin, "end_ns": end,
+         "args": args if args is not None else {}}
+        for actor, name, begin, end, args in records]}
+    got = Trace(records=records, makespan_ns=makespan).to_json(indent)
+    assert got == json.dumps(dict_form, indent=indent)
+
+
+@pytest.mark.parametrize("value", [[1], {"node": 3}, (1, 2)], ids=["list", "dict", "tuple"])
+@pytest.mark.parametrize("indent", [None, 2])
+def test_trace_json_refuses_a_nested_args_value(value, indent):
+    trace = Trace(records=[("app", "submit", 0, 10, {"nested": value})])
+    with pytest.raises(TypeError, match="not a JSON scalar"):
+        trace.to_json(indent)
+
+
 @settings(max_examples=80, deadline=None)
 @given(cores=st.integers(min_value=1, max_value=4),
        backgrounds=st.lists(st.integers(min_value=0, max_value=3000), max_size=3),
@@ -321,7 +371,7 @@ def test_work_conservation_under_sharing(cores, backgrounds, charges, together):
         begin = max(delay, free)
         free = begin + math.ceil(cost * stretch)
         want.append((f"p{i}", begin, free))
-    got = sorted((r["actor"], r["begin_ns"], r["end_ns"]) for r in tr.records)
+    got = sorted((actor, begin, end) for actor, _, begin, end, _ in tr.records)
     assert got == sorted(want)
     spans = sorted(got, key=lambda g: g[1])
     assert all(a[2] <= b[1] for a, b in zip(spans, spans[1:]))
@@ -371,10 +421,10 @@ def test_solo_charges_end_at_the_closed_form(cores, backgrounds, steps):
     tr = eng.run_until_idle()
     stretch = max(Fraction(1), Fraction(sum(backgrounds) + 1000, 1000 * cores))
     begin = 0
-    for rec, (cost, gap) in zip(tr.records, steps, strict=True):
-        assert rec["begin_ns"] == begin
-        assert rec["end_ns"] == begin + math.ceil(cost * stretch)
-        begin = rec["end_ns"] + gap
+    for (_, _, rec_begin, rec_end, _), (cost, gap) in zip(tr.records, steps, strict=True):
+        assert rec_begin == begin
+        assert rec_end == begin + math.ceil(cost * stretch)
+        begin = rec_end + gap
 
 
 def test_charges_queued_beside_a_background_take_the_stretched_cost():
@@ -441,7 +491,7 @@ def test_background_added_between_charges_stretches_only_later_ones():
 
     eng.spawn("a", a(), domain=dom)
     eng.spawn("late", late())
-    spans = {r["name"]: (r["begin_ns"], r["end_ns"]) for r in eng.run_until_idle().records}
+    spans = _name_spans(eng.run_until_idle())
     assert spans == {"a1": (0, 100), "a2": (150, 325)}
 
 
@@ -469,7 +519,7 @@ def test_charges_finishing_together_resume_at_their_finish_time():
 
     eng.spawn("a", a(), domain=dom)
     eng.spawn("b", b())
-    spans = {r["name"]: (r["begin_ns"], r["end_ns"]) for r in eng.run_until_idle().records}
+    spans = _name_spans(eng.run_until_idle())
     assert spans == {"a1": (0, 200), "b1": (0, 200), "a2": (210, 215), "b2": (200, 205)}
 
 
@@ -495,7 +545,7 @@ def test_woken_waiter_runs_after_entries_already_due():
     eng.spawn("s", sleeper())
     eng.spawn("w", waiter())
     eng.spawn("p", poster())
-    assert [r["name"] for r in eng.run_until_idle().records] == ["s1", "s2", "w1"]
+    assert [name for _, name, *_ in eng.run_until_idle().records] == ["s1", "s2", "w1"]
 
 
 def _wake_run(park, waker_tail, daemon_cost=0):
@@ -523,7 +573,7 @@ def _wake_run(park, waker_tail, daemon_cost=0):
 
     eng.spawn("w", waker())
     tr = eng.run_until_idle()
-    return [(r["name"], r["begin_ns"], r["end_ns"]) for r in tr.records], eng._seq
+    return [(name, begin, end) for _, name, begin, end, _ in tr.records], eng._seq
 
 
 def test_woken_daemon_runs_after_entries_already_due():

@@ -66,16 +66,15 @@ def test_bad_plan_shape_raises_before_anything_runs(monkeypatch, field, value):
 def device_kernels(trace, prefix):
     """Device-side work records under one device, in execution order."""
     recs = [r for r in trace.records
-            if r["actor"].startswith(prefix)
-            and r["name"] not in ("dispatch", "event_packet")]
-    recs.sort(key=lambda r: (r["begin_ns"], r["end_ns"]))
+            if r[0].startswith(prefix) and r[1] not in ("dispatch", "event_packet")]
+    recs.sort(key=lambda r: (r[2], r[3]))  # (begin_ns, end_ns)
     return recs
 
 
 def count_by_name(trace):
     counts = {}
-    for r in trace.records:
-        counts[r["name"]] = counts.get(r["name"], 0) + 1
+    for _, name, *_ in trace.records:
+        counts[name] = counts.get(name, 0) + 1
     return counts
 
 
@@ -126,8 +125,8 @@ def test_single_rank_pme_kernel_census(pme12k):
     # era start and one prune per tenth non-search step
     kernels = device_kernels(pme12k.trace, "rank0.gcd.q")
     counts = {}
-    for r in kernels:
-        counts[r["name"]] = counts.get(r["name"], 0) + 1
+    for _, name, *_ in kernels:
+        counts[name] = counts.get(name, 0) + 1
     assert len(kernels) == 200 * 11 + 2 + 18
     assert counts["pair_search"] == 2
     assert counts["prune_only"] == 18
@@ -140,8 +139,8 @@ def test_single_rank_rf_kernel_census():
     report = run_plan("grappa_rf_12k")
     kernels = device_kernels(report.trace, "rank0.gcd.q")
     counts = {}
-    for r in kernels:
-        counts[r["name"]] = counts.get(r["name"], 0) + 1
+    for _, name, *_ in kernels:
+        counts[name] = counts.get(name, 0) + 1
     assert len(kernels) == 200 * 5 + 2 + 18
     for name in RF_STEP:
         assert counts[name] == 200, name
@@ -160,7 +159,7 @@ def test_hip_backend_adds_prune_sort():
 
 
 def test_first_steps_run_in_submission_order(pme12k):
-    names = [r["name"] for r in device_kernels(pme12k.trace, "rank0.gcd.q")]
+    names = [name for _, name, *_ in device_kernels(pme12k.trace, "rank0.gcd.q")]
     assert tuple(names[:12]) == SEARCH_STEP
     assert tuple(names[12:23]) == PME_STEP
 
@@ -237,9 +236,9 @@ def test_halo_exchange_counts_1d():
     assert counts["halo_unpack_f0"] == 200
     assert "halo_pack_x1" not in counts
     assert counts["nbnxm_nonlocal"] == 200
-    nonlocal_recs = [r for r in report.trace.records
-                     if r["name"] == "nbnxm_nonlocal"]
-    assert all(r["args"]["stream"] == "pp0.gcd.q_nl" for r in nonlocal_recs)
+    nonlocal_args = [args for _, name, _, _, args in report.trace.records
+                     if name == "nbnxm_nonlocal"]
+    assert all(args["stream"] == "pp0.gcd.q_nl" for args in nonlocal_args)
 
 
 def test_long_range_rank_wiring():
@@ -251,8 +250,8 @@ def test_long_range_rank_wiring():
     assert counts["mpi_send_f"] == 200
     assert counts["x_transfer"] == 200
     assert counts["f_transfer"] == 200
-    recv = [r for r in report.trace.records if r["name"] == "mpi_recv_x"]
-    assert all(r["args"]["msgs"] == 7 for r in recv)
+    recv = [args for _, name, _, _, args in report.trace.records if name == "mpi_recv_x"]
+    assert all(args["msgs"] == 7 for args in recv)
     mesh = count_by_name(report.trace)
     for name in ("pme_spread", "fft_3d_forward", "pme_solve",
                  "fft_3d_inverse", "pme_gather"):
@@ -275,8 +274,8 @@ def test_parallel_efficiency_stays_below_unity():
 def test_instant_matches_uncached_deferred_on_device():
     instant = run_plan("grappa_pme_12k", instant=True)
     deferred = run_plan("grappa_pme_12k", mcn=0)
-    seq_i = [r["name"] for r in device_kernels(instant.trace, "rank0.gcd.q")]
-    seq_d = [r["name"] for r in device_kernels(deferred.trace, "rank0.gcd.q")]
+    seq_i = [name for _, name, *_ in device_kernels(instant.trace, "rank0.gcd.q")]
+    seq_d = [name for _, name, *_ in device_kernels(deferred.trace, "rank0.gcd.q")]
     assert seq_i == seq_d
 
 

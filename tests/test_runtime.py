@@ -53,6 +53,11 @@ def run_submit_burst(settings, n_nodes, dur=50_000, profile=None):
     return trace, rt
 
 
+def named(trace, name):
+    """The trace records of charges called ``name``, in record order."""
+    return [r for r in trace.records if r[1] == name]
+
+
 def test_profiles_load_and_validate():
     profiles = load_profiles()
     assert set(profiles) == {"acpp-0.9.4", "acpp-23.10", "hip-native"}
@@ -152,10 +157,11 @@ def test_same_slot_serializes_distinct_slots_overlap():
 
     eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
     tr = eng.run_until_idle()
-    recs = {r["name"]: r for r in tr.records if r["name"] in ("ka", "kb", "kc")}
+    spans = {name: (begin, end) for _, name, begin, end, _ in tr.records
+             if name in ("ka", "kb", "kc")}
     # a and b overlap on different slots; c waits for a on slot 0
-    assert recs["kb"]["begin_ns"] < recs["ka"]["end_ns"]
-    assert recs["kc"]["begin_ns"] >= recs["ka"]["end_ns"]
+    assert spans["kb"][0] < spans["ka"][1]
+    assert spans["kc"][0] >= spans["ka"][1]
 
 
 def test_deferred_holds_nodes_until_cache_exceeded():
@@ -163,46 +169,48 @@ def test_deferred_holds_nodes_until_cache_exceeded():
     trace, rt = run_submit_burst(settings, n_nodes=5)
     # five nodes never exceeded the cache: they reached the device only
     # at the sync-triggered flush, after all submits were done
-    launches = [r for r in trace.records if r["name"] == "kernel_launch"]
-    submits = [r for r in trace.records if r["name"] == "submit_node"]
+    launches = named(trace, "kernel_launch")
+    submits = named(trace, "submit_node")
     assert len(launches) == 5
     assert len(submits) == 5
-    assert min(l["begin_ns"] for l in launches) > max(s["end_ns"] for s in submits)
-    assert all(l["actor"] == "rank0.dag-flush" for l in launches)
+    assert min(begin for _, _, begin, _, _ in launches) > \
+        max(end for _, _, _, end, _ in submits)
+    assert all(actor == "rank0.dag-flush" for actor, *_ in launches)
 
 
 def test_deferred_flushes_mid_burst_once_cache_exceeded():
     settings = RunSettings(max_cached_nodes=3)
     trace, rt = run_submit_burst(settings, n_nodes=10)
-    triggers = [r for r in trace.records if r["name"] == "flush_trigger"]
+    triggers = named(trace, "flush_trigger")
     # 10 submits with cache 3: flush after the 4th and 8th submit, plus
     # the sync flush for the tail
     assert len(triggers) == 3
-    assert [t["args"]["nodes"] for t in triggers] == [4, 4, 2]
+    assert [args["nodes"] for *_, args in triggers] == [4, 4, 2]
 
 
 def test_instant_launches_from_the_app_thread():
     settings = RunSettings(instant_submission=True)
     trace, rt = run_submit_burst(settings, n_nodes=4)
-    launches = [r for r in trace.records if r["name"] == "kernel_launch"]
+    launches = named(trace, "kernel_launch")
     assert len(launches) == 4
-    assert all(l["actor"] == "rank0.app" for l in launches)
-    assert not any(r["name"] == "flush_trigger" for r in trace.records)
-    assert not any(r["name"] == "graph_process" for r in trace.records)
+    assert all(actor == "rank0.app" for actor, *_ in launches)
+    assert not named(trace, "flush_trigger")
+    assert not named(trace, "graph_process")
     assert rt.flush_actor is None
 
 
 def test_deferred_sync_pays_notify_and_retire():
     settings = RunSettings(max_cached_nodes=0)
     trace, rt = run_submit_burst(settings, n_nodes=6)
-    notifies = [r for r in trace.records if r["name"] == "sync_notify"]
-    retires = [r for r in trace.records if r["name"] == "graph_retire"]
+    notifies = named(trace, "sync_notify")
+    retires = named(trace, "graph_retire")
     assert len(notifies) == 1
-    assert notifies[0]["actor"] == "rank0.dag-monitor"
+    assert notifies[0][0] == "rank0.dag-monitor"
     assert len(retires) == 1
-    assert retires[0]["args"]["flushes"] == 6
+    _, _, begin, end, args = retires[0]
+    assert args["flushes"] == 6
     prof = get_profile("acpp-23.10")
-    tax = retires[0]["end_ns"] - retires[0]["begin_ns"]
+    tax = end - begin
     assert 0 < tax * 1.0  # charged
     # capped per sync even with many aged flushes
     assert tax <= prof.retire_sync_cap_ns * 2  # wall time under sharing
@@ -211,8 +219,8 @@ def test_deferred_sync_pays_notify_and_retire():
 def test_instant_sync_is_a_poll():
     settings = RunSettings(instant_submission=True)
     trace, rt = run_submit_burst(settings, n_nodes=2)
-    assert any(r["name"] == "host_sync_poll" for r in trace.records)
-    assert not any(r["name"] == "sync_notify" for r in trace.records)
+    assert named(trace, "host_sync_poll")
+    assert not named(trace, "sync_notify")
 
 
 def test_hsa_worker_duty_slows_the_app_unless_overridden():
@@ -220,12 +228,11 @@ def test_hsa_worker_duty_slows_the_app_unless_overridden():
     t1, _ = run_submit_burst(base, n_nodes=3)
     override = RunSettings(instant_submission=True, hsa_affinity_override=True)
     t2, _ = run_submit_burst(override, n_nodes=3)
-    app1 = [r for r in t1.records if r["actor"] == "rank0.app"]
-    app2 = [r for r in t2.records if r["actor"] == "rank0.app"]
+    app1 = [end - begin for actor, _, begin, end, _ in t1.records if actor == "rank0.app"]
+    app2 = [end - begin for actor, _, begin, end, _ in t2.records if actor == "rank0.app"]
     # same work, but the poller shares the app core: every app charge
     # stretches by 1.75x until it is banished
-    assert sum(r["end_ns"] - r["begin_ns"] for r in app1) > \
-        sum(r["end_ns"] - r["begin_ns"] for r in app2)
+    assert sum(app1) > sum(app2)
 
 
 def test_full_mode_records_per_node_and_pays_device_packets():
@@ -233,12 +240,12 @@ def test_full_mode_records_per_node_and_pays_device_packets():
     full = RunSettings(max_cached_nodes=0, event_mode=EventMode.FULL)
     t_cg, _ = run_submit_burst(cg, n_nodes=5)
     t_full, _ = run_submit_burst(full, n_nodes=5)
-    recs_cg = [r for r in t_cg.records if r["name"] == "event_record"]
-    recs_full = [r for r in t_full.records if r["name"] == "event_record"]
+    recs_cg = named(t_cg, "event_record")
+    recs_full = named(t_full, "event_record")
     assert len(recs_cg) == 1          # the sync marker only
     assert len(recs_full) == 1 + 5    # marker plus one per node
-    packets_cg = [r for r in t_cg.records if r["name"] == "event_packet"]
-    packets_full = [r for r in t_full.records if r["name"] == "event_packet"]
+    packets_cg = named(t_cg, "event_packet")
+    packets_full = named(t_full, "event_packet")
     assert len(packets_cg) == 0
     assert len(packets_full) == 5
 
@@ -273,8 +280,8 @@ def test_full_mode_sees_identical_launch_latencies():
 
         eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
         trace = eng.run_until_idle()
-        collected[mode] = [r["end_ns"] - r["begin_ns"] for r in trace.records
-                           if r["name"] == "kernel_launch"]
+        collected[mode] = [end - begin for _, _, begin, end, _
+                           in named(trace, "kernel_launch")]
     assert collected[EventMode.COARSE] == collected[EventMode.FULL]
 
 
@@ -324,8 +331,7 @@ def test_single_batch_regime_all_arrivals_monotone(n_nodes, dur, pair):
     for mcn in (lo, hi):
         settings = RunSettings(max_cached_nodes=mcn)
         trace, rt = run_submit_burst(settings, n_nodes=n_nodes, dur=dur)
-        launches = [r for r in trace.records if r["name"] == "kernel_launch"]
-        arrivals[mcn] = sorted(r["end_ns"] for r in launches)
+        arrivals[mcn] = sorted(end for _, _, _, end, _ in named(trace, "kernel_launch"))
     assert all(a <= b for a, b in zip(arrivals[lo], arrivals[hi]))
 
 
@@ -351,9 +357,9 @@ def test_instant_and_deferred0_execute_streams_in_the_same_order():
         eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
         trace = eng.run_until_idle()
         per_stream = {}
-        for r in trace.records:
-            if r["name"].startswith("k") and "stream" in (r["args"] or {}):
-                per_stream.setdefault(r["args"]["stream"], []).append(r["name"])
+        for _, name, _, _, args in trace.records:
+            if name.startswith("k") and "stream" in (args or {}):
+                per_stream.setdefault(args["stream"], []).append(name)
         orders[instant] = per_stream
     assert orders[True] == orders[False]
 
@@ -374,8 +380,9 @@ def test_cross_stream_dependency_blocks_the_consumer():
 
     eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
     tr = eng.run_until_idle()
-    recs = {r["name"]: r for r in tr.records if r["name"] in ("producer", "consumer")}
-    assert recs["consumer"]["begin_ns"] >= recs["producer"]["end_ns"]
+    spans = {name: (begin, end) for _, name, begin, end, _ in tr.records
+             if name in ("producer", "consumer")}
+    assert spans["consumer"][0] >= spans["producer"][1]
 
 
 def test_replay_determinism_with_real_api_model():
