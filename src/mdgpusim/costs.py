@@ -322,7 +322,12 @@ class ApiSampler:
             stream = self._streams[(actor, kind)] = self._open(actor, kind)
         key, idx, cut, tail, common = stream
         stream[1] = idx + 1
-        return tail if _splitmix64(key ^ (idx * _INDEX_MIX & _MASK64)) < cut else common
+        # _splitmix64(key ^ (idx * _INDEX_MIX & _MASK64)), inlined; both
+        # operands are below 2**64, so its first mask is a no-op
+        x = key ^ (idx * _INDEX_MIX & _MASK64)
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return tail if x ^ (x >> 31) < cut else common
 
     def _open(self, actor: str, kind: ApiKind) -> List[int]:
         law = self.model.table[kind]

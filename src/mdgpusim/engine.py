@@ -28,19 +28,19 @@ Invariants the rest of the package leans on:
   always has an entry queued, so once the heap drains each of them is
   parked on an event that nothing will post or has yielded ``PARK`` and
   is never woken
-* handoff: when the entry an effect would push is the next one the loop
-  would pop -- the heap is empty or its head lies strictly later --
-  ``_step`` moves the clock, writes the record and resumes the process
-  itself, with no heap round trip.  ``_fire`` and the wake handler do
-  the same for the (first) process they resume at the current time, and
-  ``_finish_charge`` resumes its process through ``_step`` so that its
-  next effect may hand off too.
-  The processing order and the records match a run that pushes every
-  entry: sequence numbers serve only to break ties between entries due
-  at the same time, so an entry that is never pushed shifts no relative
-  order.  Only the last action of a handler may hand off, since the
-  clock must not move while the handler still has work at the current
-  time
+* handoff: ``run_until_idle`` alone pops entries and resumes processes.
+  In its inner loop a ``Charge``, a ``WaitFor`` on a fired event or a
+  ``Sleep`` whose entry would be the next one popped -- the heap is
+  empty or its head lies strictly later -- completes at once: the loop
+  moves the clock, writes the record and resumes the process, with no
+  heap round trip.  Of the pop branches, fire resumes its first waiter
+  at once after queueing the others, and unpark its process unless
+  another entry is due now.  The order and the records match a run that pushes
+  every entry (``tests/reference_engine.py``): sequence numbers only
+  break ties between entries due at the same time, so an entry never
+  pushed shifts no relative order.  A branch may hand off only as its
+  last action: the clock must not move while it has work left at the
+  current time, such as fire's other waiters
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class DeadlockError(RuntimeError):
         super().__init__("deadlock: blocked actors: " + ", ".join(self.actors))
 
 
-@dataclass
+@dataclass(slots=True)
 class Charge:
     """Yield to spend ``cost_ns`` of CPU work.
 
@@ -87,14 +87,14 @@ class Charge:
     args: Optional[dict] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Sleep:
     """Yield to pause for ``delay_ns`` without occupying a core."""
 
     delay_ns: int
 
 
-@dataclass
+@dataclass(slots=True)
 class WaitFor:
     """Yield to block until ``event`` fires; the yield evaluates to its payload."""
 
@@ -233,6 +233,12 @@ class Trace:
 
 _INF = float("inf")
 
+# kinds of heap entry, each the tuple (when, seq, kind, obj, value, begin)
+_RESUME = "resume"  # obj: a Process, value: what its yield evaluates to
+_FINISH = "finish"  # obj: a Process, value: its Charge, begin: begin_ns
+_FIRE = "fire"      # obj: an Event, value: its payload
+_UNPARK = "unpark"  # obj: a Process that Engine.wake roused
+
 
 def _json_scalar(value) -> str:
     """``value`` as ``json.dumps`` writes it; only scalars are accepted."""
@@ -301,7 +307,7 @@ class Engine:
               daemon: bool = False) -> Process:
         proc = Process(name, gen, domain, daemon)
         self._procs.append(proc)
-        self._push(self.now, self._step, (proc, None))
+        self._push(self.now, _RESUME, proc)
         return proc
 
     def event(self, name: str = "") -> Event:
@@ -315,7 +321,7 @@ class Engine:
             raise CausalityError(f"event {event.name!r} posted {-delay_ns} ns in the past")
         if event.fired:
             raise ValueError(f"event {event.name!r} already fired")
-        self._push(self.now + delay_ns, self._fire, (event, payload))
+        self._push(self.now + delay_ns, _FIRE, event, payload)
 
     def wake(self, proc: Process) -> None:
         """Resume ``proc`` from ``PARK`` at the current time, queued behind
@@ -323,131 +329,125 @@ class Engine:
         it alone waits on.  A no-op unless ``proc`` is parked."""
         if proc.parked:
             proc.parked = False
-            self._push(self.now, self._unpark, (proc,))
+            self._push(self.now, _UNPARK, proc)
 
-    def _push(self, when: int, fn, args) -> None:
+    def _push(self, when: int, kind: str, obj, value: Any = None) -> None:
         if when < self.now:
             raise CausalityError(f"schedule at {when} ns but clock is at {self.now} ns")
-        heapq.heappush(self._heap, (when, self._seq, fn, args))
+        heapq.heappush(self._heap, (when, self._seq, kind, obj, value, None))
         self._seq += 1
 
     # -- the loop ---------------------------------------------------------
 
     def run_until_idle(self) -> Trace:
-        """Run events in order until the heap drains."""
+        """Run entries in (time, seq) order until the heap drains.
+
+        The only place that pops an entry and resumes a process: a popped
+        entry picks the process to resume, and the inner loop acts on
+        each effect it yields until one must wait on the heap (the
+        handoff in the module docstring).
+        """
         heap = self._heap
+        pop, push = heapq.heappop, heapq.heappush
+        records = self._records if self.keep_trace else None
+        busy = self._busy
+        resume, finish, fire, unpark = _RESUME, _FINISH, _FIRE, _UNPARK
         while heap:
-            when, _, fn, args = heapq.heappop(heap)
+            # begin is a _FINISH entry's begin_ns and None on the others
+            when, _, kind, proc, value, begin = pop(heap)
             if when < self.now:
                 raise CausalityError(f"event at {when} ns behind clock {self.now} ns")
-            self.now = when
-            fn(*args)
+            self.now = now = when
+            if kind is finish:  # value is the Charge that ends now
+                name = proc.name
+                if records is not None:
+                    records.append((name, value.name, begin, now, value.args))
+                busy[name] = busy.get(name, 0) + (now - begin)
+                value = None
+            elif kind is fire:  # proc is the Event, value its payload
+                event = proc
+                if event.fired:
+                    raise ValueError(f"event {event.name!r} fired twice")
+                event.fired = True
+                event.fire_time = now
+                event.payload = value
+                waiters, event._waiters = event._waiters, []
+                # with nothing else due now the first waiter's entry would
+                # be popped next, so it resumes here after the others queue
+                direct = bool(waiters) and (not heap or heap[0][0] > now)
+                for proc in waiters[1:] if direct else waiters:
+                    push(heap, (now, self._seq, resume, proc, value, None))
+                    self._seq += 1
+                if not direct:
+                    continue
+                proc = waiters[0]
+            elif kind is unpark and heap and heap[0][0] <= now:  # behind entries due now
+                push(heap, (now, self._seq, resume, proc, None, None))
+                self._seq += 1
+                continue
+            send = proc.gen.send
+            while True:
+                try:
+                    effect = send(value)
+                except StopIteration:
+                    proc.done = True
+                    break
+                cls = type(effect)
+                if cls is Charge:
+                    cost = effect.cost_ns
+                    dom = proc.domain
+                    if cost < 0:
+                        raise ValueError(f"{proc.name} charged {cost} ns")
+                    if cost == 0 or dom is None:
+                        begin = now
+                        when = now + cost  # no core to wait for: exactly cost_ns
+                    else:
+                        # behind the core's earlier charges, ceil(cost * stretch)
+                        begin = dom.free_at if dom.free_at > now else now
+                        when = dom.free_at = begin - (-cost * dom.stretch_num // dom.stretch_den)
+                    if cost and heap and heap[0][0] <= when:
+                        push(heap, (when, self._seq, finish, proc, effect, begin))
+                        self._seq += 1
+                        break
+                    # it ends here: handed off, or at zero cost with its
+                    # resume queued behind the entries due now
+                    name = proc.name
+                    if records is not None:
+                        records.append((name, effect.name, begin, when, effect.args))
+                    busy[name] = busy.get(name, 0) + (when - begin)
+                    value = None
+                    if heap and heap[0][0] <= when:
+                        push(heap, (now, self._seq, resume, proc, None, None))
+                        self._seq += 1
+                        break
+                    self.now = now = when
+                elif cls is WaitFor:
+                    event = effect.event
+                    if not event.fired:
+                        event._waiters.append(proc)
+                        break
+                    value = event.payload
+                    if heap and heap[0][0] <= now:
+                        push(heap, (now, self._seq, resume, proc, value, None))
+                        self._seq += 1
+                        break
+                elif effect is PARK:
+                    proc.parked = True
+                    break
+                elif cls is Sleep:
+                    if effect.delay_ns < 0:
+                        raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
+                    when = now + effect.delay_ns
+                    value = None
+                    if heap and heap[0][0] <= when:
+                        push(heap, (when, self._seq, resume, proc, None, None))
+                        self._seq += 1
+                        break
+                    self.now = now = when
+                else:
+                    raise TypeError(f"{proc.name} yielded {effect!r}, "
+                                    "expected Charge/Sleep/WaitFor/PARK")
         blocked = [p.name for p in self._procs if not (p.done or p.daemon)]
         if blocked:
             raise DeadlockError(blocked)
         return Trace(records=self._records, makespan_ns=self.now, busy_ns=self._busy)
-
-    # -- event firing -----------------------------------------------------
-
-    def _fire(self, event: Event, payload: Any) -> None:
-        if event.fired:
-            raise ValueError(f"event {event.name!r} fired twice")
-        event.fired = True
-        event.fire_time = self.now
-        event.payload = payload
-        waiters, event._waiters = event._waiters, []
-        now = self.now
-        heap = self._heap
-        # with nothing else queued at now the first waiter's entry would be
-        # popped next, so it resumes here after the others are queued
-        direct = bool(waiters) and (not heap or heap[0][0] > now)
-        for proc in waiters[1:] if direct else waiters:
-            self._push(now, self._step, (proc, payload))
-        if direct:
-            self._step(waiters[0], payload)
-
-    def _unpark(self, proc: Process) -> None:
-        # _fire for a lone waiter: resume here unless another entry is due now
-        heap = self._heap
-        if heap and heap[0][0] <= self.now:
-            self._push(self.now, self._step, (proc, None))
-        else:
-            self._step(proc, None)
-
-    # -- process stepping -------------------------------------------------
-
-    def _step(self, proc: Process, send_value: Any) -> None:
-        """Resume ``proc`` with ``send_value`` and act on what it yields.
-
-        An effect whose completion entry would be the next one popped
-        completes here and the process resumes at once (the handoff in the
-        module docstring); otherwise the entry is pushed.
-        """
-        heap = self._heap
-        while True:
-            try:
-                effect = proc.gen.send(send_value)
-            except StopIteration:
-                proc.done = True
-                return
-            now = self.now
-            if isinstance(effect, Charge):
-                cost = effect.cost_ns
-                dom = proc.domain
-                if cost < 0:
-                    raise ValueError(f"{proc.name} charged {cost} ns")
-                if cost == 0 or dom is None:
-                    begin = now
-                    when = now + cost  # no core to wait for: exactly cost_ns
-                else:
-                    # behind the core's earlier charges, ceil(cost * stretch)
-                    begin = dom.free_at if dom.free_at > now else now
-                    when = dom.free_at = begin - (-cost * dom.stretch_num // dom.stretch_den)
-                if not heap or heap[0][0] > when:
-                    self.now = when
-                    self._finish_record(proc, effect.name, effect.args, begin, when)
-                    send_value = None
-                    continue
-                if cost == 0:
-                    self._finish_record(proc, effect.name, effect.args, now, now)
-                    self._push(now, self._step, (proc, None))
-                else:
-                    self._push(when, self._finish_charge,
-                               (proc, effect.name, effect.args, begin))
-                return
-            if isinstance(effect, WaitFor):
-                ev = effect.event
-                if not ev.fired:
-                    ev._waiters.append(proc)
-                    return
-                send_value = ev.payload
-                if not heap or heap[0][0] > now:
-                    continue
-                self._push(now, self._step, (proc, send_value))
-                return
-            if effect is PARK:
-                proc.parked = True
-                return
-            if isinstance(effect, Sleep):
-                if effect.delay_ns < 0:
-                    raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
-                when = now + effect.delay_ns
-                send_value = None
-                if not heap or heap[0][0] > when:
-                    self.now = when
-                    continue
-                self._push(when, self._step, (proc, None))
-                return
-            raise TypeError(f"{proc.name} yielded {effect!r}, "
-                            "expected Charge/Sleep/WaitFor/PARK")
-
-    # -- charges ----------------------------------------------------------
-
-    def _finish_charge(self, proc: Process, name: str, args, begin: int) -> None:
-        self._finish_record(proc, name, args, begin, self.now)
-        self._step(proc, None)
-
-    def _finish_record(self, proc: Process, name: str, args, begin: int, end: int) -> None:
-        if self.keep_trace:
-            self._records.append((proc.name, name, begin, end, args))
-        self._busy[proc.name] = self._busy.get(proc.name, 0) + (end - begin)
