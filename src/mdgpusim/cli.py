@@ -293,14 +293,19 @@ def parse_reference_points(mapping: Dict[str, Any]) -> List[ReferencePoint]:
     for pid in sorted({k.split(".", 1)[0] for k in mapping}):
         sub = subsection(mapping, pid)
         _check_point_keys(pid, sub)
+        try:
+            source, metric, value, quote = (require(sub, key) for key in
+                                             ("source", "metric", "value", "quote"))
+        except ConfigError as exc:
+            raise ConfigError(f"{pid}: {exc}") from None
         tols = {key: _point_number(pid, key, sub[key], tolerance=True)
                 for key in ("rel_tol", "abs_tol") if key in sub}
         point = ReferencePoint(
             point_id=pid,
-            source=str(require(sub, "source")),
-            metric=str(require(sub, "metric")),
-            value=_point_number(pid, "value", require(sub, "value")),
-            quote=str(require(sub, "quote")),
+            source=str(source),
+            metric=str(metric),
+            value=_point_number(pid, "value", value),
+            quote=str(quote),
             rel_tol=tols.get("rel_tol"),
             abs_tol=tols.get("abs_tol"),
             match={k: str(v) for k, v in subsection(sub, "match").items()},
@@ -596,6 +601,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (KeyError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {_message(exc)}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a finite setting so large a duration overflows
+        print(f"error: a setting is too large to simulate: {exc}", file=sys.stderr)
         return 2
 
 

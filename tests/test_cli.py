@@ -7,12 +7,15 @@ trace export.
 """
 
 import argparse
+import dataclasses
 import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mdgpusim import cli, presets
@@ -26,7 +29,9 @@ from mdgpusim.cli import (
     main,
     scenarios_from_config,
 )
-from mdgpusim.config import ConfigError, parse_config
+from mdgpusim.config import ConfigError, is_int, parse_config
+from mdgpusim.presets import SystemPreset
+from mdgpusim.runtime import RunSettings, RuntimeProfile
 
 
 def read_rows(path):
@@ -189,6 +194,10 @@ def test_bad_system_field_is_one_error_line(capsys, override, message):
      "acpp-23.10: submit_cost_ns must be an integer >= 0, got 'abc'"),
     ("profile.pme_comm_overlap=abc",
      "acpp-23.10: pme_comm_overlap must be true or false, got 'abc'"),
+    ("system.nbnxm_scale=1.7e308",
+     "a setting is too large to simulate: cannot convert float infinity to integer"),
+    ("profile.retire_rate=1.7e308",
+     "a setting is too large to simulate: cannot convert float infinity to integer"),
 ])
 def test_bad_override_is_one_error_line(capsys, override, message):
     code = main(["simulate", "--system", "grappa_pme_1500",
@@ -197,6 +206,38 @@ def test_bad_override_is_one_error_line(capsys, override, message):
     assert code == 2
     assert out.err == f"error: {message}\n"
     assert out.out == ""
+
+
+_SET_KEYS = [f"{scope}.{f.name}" for scope, cls in (
+    ("system", SystemPreset), ("profile", RuntimeProfile), ("settings", RunSettings))
+    for f in dataclasses.fields(cls)]
+# nstlist sets how many steps run and max_hw_queues how many queue slots
+# each device builds, so a large one asks for a long or huge valid run
+_SIZING_KEYS = ("system.nstlist", "settings.max_hw_queues")
+_SET_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=64), st.integers(), st.integers(max_value=-1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+
+
+@pytest.mark.parametrize("key", _SET_KEYS)
+@settings(max_examples=12, deadline=None)
+@given(value=_SET_VALUES, ranks=st.sampled_from(["1", "3"]))
+def test_set_value_runs_or_is_one_error_line(key, value, ranks):
+    assume(not (key in _SIZING_KEYS and is_int(value) and value > 64))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["simulate", "--system", "grappa_pme_1500",
+                     "--profile", "acpp-23.10", "--eras", "2", "--ranks", ranks,
+                     "--set", "system.nstlist=10",
+                     "--set", f"{key}={_config_text(value)}"])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n")
 
 
 def test_event_mode_override_runs_like_the_flag(capsys):
@@ -507,6 +548,17 @@ def test_misspelt_reference_key_is_one_error_line(tmp_path, capsys, key, value,
                                 **{key: value})
     assert code == 2
     assert out.err == f"error: {message}\n"
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("key", ["source", "metric", "value", "quote"])
+def test_reference_point_without_a_required_key_is_one_error_line(tmp_path, capsys,
+                                                                   key):
+    code, out = check_one_point(tmp_path, capsys,
+                                [{"system": "box", "ns_per_day": "100.0"}],
+                                **{key: None})
+    assert code == 2
+    assert out.err == f"error: p: missing required key {key!r}\n"
     assert out.out == ""
 
 
