@@ -65,11 +65,11 @@ def _wake_workload(engine_cls, seed, n_daemons=6, n_wakers=3, n_steps=40):
             yield PARK
             yield Charge(rng.choice((0, 0, 1, 20)), f"d{idx}")
 
+    shapes = test_engine._SHAPES
     daemons = [eng.spawn(f"d{i}", daemon(i), daemon=True,
-                         domain=test_engine._own_domain(eng, f"cpu{i}", shape))
-               for i, shape in enumerate(test_engine._SHAPES[:n_daemons])]
-    daemons += [eng.spawn(f"d{i}", daemon(i), daemon=True)
-                for i in range(len(daemons), n_daemons)]
+                         domain=test_engine._own_domain(eng, f"cpu{i}",
+                                                        shapes[i % len(shapes)]))
+               for i in range(n_daemons)]
 
     def waker(idx):
         for j in range(n_steps):
