@@ -404,8 +404,9 @@ def _parse_set(items: List[str]) -> Dict[str, Any]:
     overrides: Dict[str, Any] = {}
     for item in items:
         key, sep, raw = item.partition("=")
-        if not sep or not key.strip():
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+        # one line, so one --set sets one key
+        if not sep or not key.strip() or len(item.splitlines()) > 1:
+            raise ConfigError(f"--set expects one key=value, got {item!r}")
         overrides.update(parse_config(f"{key.strip()} = {raw.strip()}"))
     return overrides
 

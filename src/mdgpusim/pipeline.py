@@ -14,7 +14,9 @@ more ranks add one real long-range rank that receives coordinates from
 every short-range peer over parallel links, runs the
 spread/FFT/solve/FFT/gather chain at full system size, and returns
 forces.  This keeps event counts per step independent of the total
-rank count, so 4096-rank sweeps stay desk-sized.
+rank count, so 4096-rank sweeps stay desk-sized.  Each link, halo or
+long-range, is a FIFO ``Slot`` of its own, the class that serves the
+device queues: transfers queued on it serialize.
 
 One rank is the same program with nothing to exchange: its
 decomposition splits no dimension, so there is no halo, and a mesh
@@ -25,16 +27,15 @@ constraints.  That is eleven kernels per step on one stream.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .comm import FORCE_BYTES_PER_ATOM, XYZ_BYTES_PER_ATOM, default_comm_model, slab_atoms
 from .config import is_int
 from .costs import KernelKind, default_api_model, default_cost_table
-from .engine import PARK, Charge, Engine, Event, WaitFor
+from .engine import Charge, Engine, Event, WaitFor
 from .presets import SystemPreset
-from .runtime import Device, RankRuntime, RunSettings, RuntimeProfile
+from .runtime import DevTask, Device, RankRuntime, RunSettings, RuntimeProfile, Slot
 from .topology import LinkClass, NodeTopology, lumi_node
 
 
@@ -57,28 +58,6 @@ def balanced_dims(n: int) -> Tuple[int, int, int]:
                 if cand_spread < best_spread:
                     best = (dx, dy, dz)
     return best
-
-
-class Wire:
-    """A dedicated transfer link: transfers queued on it serialize."""
-
-    def __init__(self, engine: Engine, name: str):
-        self.engine = engine
-        self.fifo: deque = deque()
-        self._proc = engine.spawn(name, self._run(), daemon=True)
-
-    def send(self, duration_ns: int, done: Event, label: str) -> None:
-        self.fifo.append((duration_ns, done, label))
-        self.engine.wake(self._proc)
-
-    def _run(self):
-        while True:
-            if not self.fifo:
-                yield PARK
-                continue
-            duration, done, label = self.fifo.popleft()
-            yield Charge(duration, label)
-            self.engine.post(done, 0)
 
 
 @dataclass
@@ -141,14 +120,6 @@ class RunReport:
     def max_launch_delay_ns(self) -> int:
         return max(self.launch_delays) if self.launch_delays else 0
 
-class _RankBuild:
-    """Wiring for one simulated rank: device, streams, runtime front-end."""
-
-    def __init__(self, engine, name, plan, api):
-        self.device = Device(engine, f"{name}.gcd", plan.profile, plan.settings)
-        self.rt = RankRuntime(engine, name, plan.profile, plan.settings, api)
-
-
 # the long-range chain, in queue order, at full system size
 _PME_CHAIN = (("pme_spread", KernelKind.PME_SPREAD),
               ("fft_3d_forward", KernelKind.FFT_3D_FORWARD),
@@ -161,7 +132,7 @@ class _PmeLink(NamedTuple):
     """A short-range rank's side of the long-range exchange."""
 
     link: LinkClass
-    x_wire: Wire
+    x_wire: Slot
     x_bytes: int
     x_ready: List[Event]
     f_ready: List[Event]
@@ -216,9 +187,11 @@ def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
 
     # a lone rank is rank0 with queue q0 in traces, as saved ones expect
     single = plan.ranks == 1
-    pp = _RankBuild(engine, "rank0" if single else "pp0", plan, api)
-    q_loc = pp.device.new_stream("q0" if single else "q_loc")
-    q_nl = pp.device.new_stream("q_nl") if halo_dims else None
+    pp_name = "rank0" if single else "pp0"
+    pp_device = Device(engine, f"{pp_name}.gcd", plan.profile, plan.settings)
+    pp = RankRuntime(engine, pp_name, plan.profile, plan.settings, api)
+    q_loc = pp_device.new_stream("q0" if single else "q_loc")
+    q_nl = pp_device.new_stream("q_nl") if halo_dims else None
 
     # neighbour rank index along each split dimension decides the link class
     neighbor_strides = []
@@ -231,20 +204,21 @@ def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
     for i, peer in enumerate(neighbor_strides):
         link = node.link_class(0, peer % node.n_gcds,
                                same_node=(peer // node.n_gcds) == 0)
-        halo_wires.append((Wire(engine, f"halo{i}.wire"), link))
+        halo_wires.append((Slot(engine, f"halo{i}.wire"), link))
 
     ranks = [pp]
     pme_link = None
     if plan.pme_ranks:
         pme_rank_index = plan.ranks - 1
-        pme = _RankBuild(engine, "pme0", plan, api)
+        pme_device = Device(engine, "pme0.gcd", plan.profile, plan.settings)
+        pme = RankRuntime(engine, "pme0", plan.profile, plan.settings, api)
         ranks.append(pme)
-        q_pme = pme.device.new_stream("q_pme")
+        q_pme = pme_device.new_stream("q_pme")
         link = node.link_class(
             0, pme_rank_index % node.n_gcds,
             same_node=(pme_rank_index // node.n_gcds) == 0)
-        x_wire = Wire(engine, "pme-x.wire")
-        f_wire = Wire(engine, "pme-f.wire")
+        x_wire = Slot(engine, "pme-x.wire")
+        f_wire = Slot(engine, "pme-f.wire")
         x_ready = [engine.event(f"x_ready.{s}") for s in range(total_steps)]
         f_ready = [engine.event(f"f_ready.{s}") for s in range(total_steps)]
         # with comm overlap the chain hides all but one peer's transfer;
@@ -254,19 +228,19 @@ def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
         f_bytes = atoms_pp * FORCE_BYTES_PER_ATOM * comm_factor
         pme_link = _PmeLink(link, x_wire, x_bytes, x_ready, f_ready)
 
-        engine.spawn(pme.rt.app_actor,
-                     _pme_rank_app(engine, plan, pme.rt, q_pme, kcost, comm,
+        engine.spawn(pme.app_actor,
+                     _pme_rank_app(engine, plan, pme, q_pme, kcost, comm,
                                    link, f_wire, x_ready, f_ready,
                                    f_bytes, total_steps, pp_ranks),
-                     domain=pme.rt.app_domain)
+                     domain=pme.app_domain)
 
-    engine.spawn(pp.rt.app_actor,
-                 _pp_rank_app(engine, plan, pp.rt, q_loc, q_nl, kcost, comm,
+    engine.spawn(pp.app_actor,
+                 _pp_rank_app(engine, plan, pp, q_loc, q_nl, kcost, comm,
                               atoms_pp, slab, nonlocal_atoms, halo_wires,
                               pme_link, total_steps, era_marks),
-                 domain=pp.rt.app_domain)
+                 domain=pp.app_domain)
     trace = engine.run_until_idle()
-    return trace, [d for rank in ranks for d in rank.rt.launch_delays]
+    return trace, [d for rt in ranks for d in rt.launch_delays]
 
 
 def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, comm, atoms, slab,
@@ -299,8 +273,9 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, comm, atoms, slab,
             # this is a runtime sync point (it flushes a deferred graph)
             yield from rt.sync([prev_constraints] if prev_constraints else [])
             yield Charge(mpi_cpu, "mpi_send_x")
-            pme_link.x_wire.send(comm.transfer_ns(pme_link.link, pme_link.x_bytes),
-                                 pme_link.x_ready[step], "x_transfer")
+            pme_link.x_wire.enqueue(DevTask(
+                "x_transfer", comm.transfer_ns(pme_link.link, pme_link.x_bytes), (),
+                pme_link.x_ready[step], 0), None)
 
         # local-only force work goes out first; it needs no remote
         # coordinates and its stream crunches while the halo is on
@@ -381,8 +356,8 @@ def _halo_exchange(engine, rt, q_nl, kcost, comm, halo_wires, slab, step,
         yield from rt.sync([pack])
         yield Charge(2 * mpi_cpu, f"mpi_halo_{letter}")
         t = engine.event(f"halo_{letter}.{step}.{i}")
-        wire.send(comm.transfer_ns(link, slab * bytes_per_atom), t,
-                  "halo_transfer")
+        wire.enqueue(DevTask("halo_transfer", comm.transfer_ns(link, slab * bytes_per_atom),
+                             (), t, 0), None)
         # the matching receive blocks on the host; by symmetry the
         # peer's slab lands when ours finishes crossing the link
         yield WaitFor(t)
@@ -408,7 +383,8 @@ def _pme_rank_app(engine, plan, rt, q_pme, kcost, comm, link, f_wire,
             evs.append(ev)
         yield from rt.sync(evs)
         yield Charge(pp_ranks * mpi_cpu, "mpi_send_f", {"msgs": pp_ranks})
-        f_wire.send(comm.transfer_ns(link, f_bytes), f_ready[step], "f_transfer")
+        f_wire.enqueue(DevTask("f_transfer", comm.transfer_ns(link, f_bytes), (),
+                               f_ready[step], 0), None)
         # grid clearing is next-step preparation; it rides the in-order
         # queue behind this step's chain and off the force-return path
         yield from rt.submit(q_pme, "grid_memset",

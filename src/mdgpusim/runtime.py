@@ -15,17 +15,19 @@ Two submission disciplines are modelled:
   application thread and the node reaches its queue immediately; sync
   is a plain completion poll.  No worker threads exist.
 
-Device side, streams are multiplexed round-robin onto a fixed number
-of hardware queue slots in creation order.  Work in one slot is FIFO:
+Device side, streams are multiplexed round-robin onto at most
+``max_hw_queues`` hardware queue slots in creation order; a slot is
+built when the first stream maps onto it.  Work in one slot is FIFO:
 a cross-stream dependency blocks the whole slot until it resolves,
 and sharing a slot serializes otherwise-independent streams.  When
-more streams exist than slots, every dispatch pays a small extra
-scheduling penalty.
+more streams exist than ``max_hw_queues``, every dispatch pays a small
+extra scheduling penalty.  The same slot class serves the transfer
+links between ranks.
 
-An idle queue slot, flush worker or monitor parks (``PARK``) rather
-than waiting on an event of its own; whoever hands it work calls
-``Engine.wake``, which resumes it exactly where posting such an event
-would have.
+An idle queue slot or link, flush worker or monitor parks (``PARK``)
+rather than waiting on an event of its own; whoever hands it work
+calls ``Engine.wake``, which resumes it exactly where posting such an
+event would have.
 
 Event-recording modes: ``COARSE`` records only the sync marker, while
 ``FULL`` records one event per node, paying host-side create/record
@@ -41,7 +43,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .config import is_int, is_number
 from .costs import ApiKind, ApiLatencyModel, ApiSampler, round_half_up
@@ -171,7 +173,9 @@ class RunSettings:
 # -- device side -------------------------------------------------------------
 
 
-class _DevTask:
+class DevTask:
+    """A kernel or a link transfer: waits for ``deps``, runs, posts ``done``."""
+
     __slots__ = ("name", "duration_ns", "deps", "done", "event_packet_ns",
                  "submit_time")
 
@@ -190,17 +194,19 @@ class Stream:
     ``args`` is the trace payload of every task it runs, built once.
     """
 
-    def __init__(self, name: str, slot: "_Slot"):
+    def __init__(self, name: str, slot: "Slot"):
         self.name = name
         self.slot = slot
         self.args = {"stream": name}
 
-    def enqueue(self, task: _DevTask) -> None:
+    def enqueue(self, task: DevTask) -> None:
         self.slot.enqueue(task, self.args)
 
 
-class _Slot:
-    """One hardware queue: strict FIFO over everything mapped to it."""
+class Slot:
+    """One hardware queue or link: strict FIFO over everything mapped to
+    it.  Each task's charge carries ``args``, its stream's trace payload,
+    or None on a link."""
 
     def __init__(self, engine: Engine, name: str):
         self.engine = engine
@@ -209,8 +215,8 @@ class _Slot:
         self.dispatch_gap_ns = 0
         self._proc = engine.spawn(name, self._run(), daemon=True)
 
-    def enqueue(self, task: _DevTask, stream_args: dict) -> None:
-        self.fifo.append((task, stream_args))
+    def enqueue(self, task: DevTask, args: Optional[dict]) -> None:
+        self.fifo.append((task, args))
         self.engine.wake(self._proc)
 
     def _run(self):
@@ -218,13 +224,13 @@ class _Slot:
             if not self.fifo:
                 yield PARK
                 continue
-            task, stream_args = self.fifo.popleft()
+            task, args = self.fifo.popleft()
             for dep in task.deps:
                 if not dep.fired:
                     yield WaitFor(dep)
             if self.dispatch_gap_ns:
                 yield Charge(self.dispatch_gap_ns, "dispatch", {"for": task.name})
-            yield Charge(task.duration_ns, task.name, stream_args)
+            yield Charge(task.duration_ns, task.name, args)
             if task.event_packet_ns:
                 yield Charge(task.event_packet_ns, "event_packet", {"for": task.name})
             self.engine.post(task.done, 0)
@@ -236,6 +242,7 @@ class Device:
     The runtime opens ``idle_streams`` of its own before the application
     creates any (it does so for every visible device), so restricting
     device visibility changes which slots application streams land on.
+    ``slots`` holds only the slots some stream maps onto.
     """
 
     def __init__(self, engine: Engine, name: str, profile: RuntimeProfile,
@@ -243,22 +250,24 @@ class Device:
         self.engine = engine
         self.name = name
         self.profile = profile
-        self.slots = [_Slot(engine, f"{name}.q{i}")
-                      for i in range(settings.max_hw_queues)]
+        self.max_hw_queues = settings.max_hw_queues
+        self.slots: List[Slot] = []
         self.streams: List[Stream] = []
         idle = 4 if settings.visible_devices > 1 else 0
         for i in range(idle):
             self.new_stream(f"idle{i}")
 
     def new_stream(self, label: str) -> Stream:
-        slot = self.slots[len(self.streams) % len(self.slots)]
-        stream = Stream(f"{self.name}.{label}", slot)
+        index = len(self.streams) % self.max_hw_queues
+        if index == len(self.slots):
+            self.slots.append(Slot(self.engine, f"{self.name}.q{index}"))
+        stream = Stream(f"{self.name}.{label}", self.slots[index])
         self.streams.append(stream)
         self._retune_dispatch()
         return stream
 
     def _retune_dispatch(self) -> None:
-        ratio = len(self.streams) / len(self.slots)
+        ratio = len(self.streams) / self.max_hw_queues
         gap = self.profile.dispatch_gap_ns
         if ratio > 1.0:
             gap += round_half_up(self.profile.oversub_extra_ns * (ratio - 1.0))
@@ -272,13 +281,12 @@ class Device:
 class RankRuntime:
     """Submission front-end for one rank: buffer, workers, sync taxes.
 
-    Every simulated thread -- the application thread and, when deferred,
-    the flush and monitor workers -- gets a single-core domain of its
-    own, mirroring one-thread-per-core pinning, so no two of them ever
-    share a core.  The HSA poller thread has no core of its own: it
-    lands on the application core and steals cycles there, unless the
-    affinity override banishes it (modelling the debug knob that lets
-    runtime threads escape the rank's mask).
+    Threads are pinned one per core, but only the application thread
+    gets a single-core domain: the HSA poller thread has no core of its
+    own, lands on the application core and steals cycles there, unless
+    the affinity override banishes it (modelling the debug knob that
+    lets runtime threads escape the rank's mask).  The flush and monitor
+    workers share their cores with nothing, so they need no domain.
     """
 
     def __init__(self, engine: Engine, name: str,
@@ -298,7 +306,7 @@ class RankRuntime:
 
         self.app_actor = f"{name}.app"
         self.launch_delays: List[int] = []
-        self._buffer: List[Tuple[_DevTask, Stream]] = []
+        self._buffer: List[Tuple[DevTask, Stream]] = []
         self._batches: deque = deque()
         self._flushes_since_sync: List[int] = []  # trigger timestamps
         self._notify_requests: deque = deque()
@@ -311,10 +319,8 @@ class RankRuntime:
             self.flush_actor = f"{name}.dag-flush"
             self.monitor_actor = f"{name}.dag-monitor"
             self._flusher = engine.spawn(self.flush_actor, self._flush_loop(),
-                                         domain=engine.domain(f"{name}.core1", 1),
                                          daemon=True)
             self._monitor = engine.spawn(self.monitor_actor, self._monitor_loop(),
-                                         domain=engine.domain(f"{name}.core2", 1),
                                          daemon=True)
         else:
             self.flush_actor = None
@@ -328,8 +334,8 @@ class RankRuntime:
         completion event of the device task."""
         done = self.engine.event(f"{name}.done")
         full = self.settings.event_mode is EventMode.FULL
-        task = _DevTask(name, duration_ns, deps, done,
-                        self.profile.event_device_cost_ns if full else 0)
+        task = DevTask(name, duration_ns, deps, done,
+                       self.profile.event_device_cost_ns if full else 0)
         task.submit_time = self.engine.now
         if self.instant:
             for _ in task.deps:

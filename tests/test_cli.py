@@ -119,6 +119,19 @@ def test_csv_output_is_byte_stable(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_unclaimed_hw_queues_change_no_byte(tmp_path):
+    # pp0 has 6 streams at 3 ranks, so 6 queues already give each its own
+    outputs = []
+    for queues in ("6", "1000000"):
+        csv, trace = tmp_path / f"{queues}.csv", tmp_path / f"{queues}.json"
+        assert main(["simulate", "--system", "grappa_pme_1500", "--profile", "acpp-23.10",
+                     "--ranks", "3", "--eras", "2", "--set", "system.nstlist=10",
+                     "--set", f"settings.max_hw_queues={queues}",
+                     "--output", str(csv), "--trace", str(trace)]) == 0
+        outputs.append((csv.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_set_override_reaches_the_system(tmp_path):
     out = tmp_path / "short.csv"
     code = main(["simulate", "--system", "grappa_pme_1500",
@@ -198,6 +211,13 @@ def test_bad_system_field_is_one_error_line(capsys, override, message):
      "a setting is too large to simulate: cannot convert float infinity to integer"),
     ("profile.retire_rate=1.7e308",
      "a setting is too large to simulate: cannot convert float infinity to integer"),
+    # a line break would start a second key
+    ("system.nstlist=10\nsystem.atoms=50",
+     "--set expects one key=value, got 'system.nstlist=10\\nsystem.atoms=50'"),
+    ("system.nstlist=10\r\nsystem.atoms=50",
+     "--set expects one key=value, got 'system.nstlist=10\\r\\nsystem.atoms=50'"),
+    ("system.nstlist=10\u2028system.atoms=50",
+     "--set expects one key=value, got 'system.nstlist=10\\u2028system.atoms=50'"),
 ])
 def test_bad_override_is_one_error_line(capsys, override, message):
     code = main(["simulate", "--system", "grappa_pme_1500",
@@ -211,9 +231,8 @@ def test_bad_override_is_one_error_line(capsys, override, message):
 _SET_KEYS = [f"{scope}.{f.name}" for scope, cls in (
     ("system", SystemPreset), ("profile", RuntimeProfile), ("settings", RunSettings))
     for f in dataclasses.fields(cls)]
-# nstlist sets how many steps run and max_hw_queues how many queue slots
-# each device builds, so a large one asks for a long or huge valid run
-_SIZING_KEYS = ("system.nstlist", "settings.max_hw_queues")
+# nstlist sets how many steps run, so a large one asks for a long valid run
+_SIZING_KEYS = ("system.nstlist",)
 _SET_VALUES = st.one_of(
     st.integers(min_value=-3, max_value=64), st.integers(), st.integers(max_value=-1),
     st.floats(allow_nan=False, allow_infinity=False),

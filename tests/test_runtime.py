@@ -116,6 +116,19 @@ def test_streams_round_robin_onto_hw_slots():
     streams = [dev.new_stream(f"s{i}") for i in range(6)]
     slots = [s.slot.name for s in streams]
     assert slots == ["gcd0.q0", "gcd0.q1", "gcd0.q2", "gcd0.q3", "gcd0.q0", "gcd0.q1"]
+    assert [s.name for s in dev.slots] == ["gcd0.q0", "gcd0.q1", "gcd0.q2", "gcd0.q3"]
+
+
+def test_slots_are_built_only_for_streams_that_claim_them():
+    eng = Engine()
+    prof = get_profile("acpp-23.10")
+    dev = Device(eng, "gcd0", prof, RunSettings(max_hw_queues=10**6))
+    assert dev.slots == []
+    streams = [dev.new_stream("a"), dev.new_stream("b")]
+    assert [s.slot for s in streams] == dev.slots
+    assert len(dev.slots) == 2
+    # two streams on a million queues: no oversubscription extra
+    assert [s.dispatch_gap_ns for s in dev.slots] == [prof.dispatch_gap_ns] * 2
 
 
 def test_idle_streams_occupy_slots_first_when_many_devices_visible():
