@@ -232,12 +232,14 @@ def render_csv(rows: List[Dict[str, str]]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(text: str, path: Optional[str], end: str = "") -> None:
+    """Write ``text`` then ``end`` to ``path``, or to stdout for None,
+    without joining them into a second copy of ``text``."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines((text, end))
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines((text, end))
 
 
 def read_report(path: str) -> List[Dict[str, str]]:
@@ -421,7 +423,7 @@ def cmd_simulate(args) -> int:
     rows, trace = run_scenario(scenario, keep_trace=args.trace is not None)
     _emit(render_csv(rows), args.output)
     if args.trace is not None:
-        _emit(trace.to_json(indent=2) + "\n", args.trace)
+        _emit(trace.to_json(indent=2), args.trace, end="\n")
     return 0
 
 
@@ -504,7 +506,7 @@ def cmd_plan_affinity(args) -> int:
 def cmd_export_trace(args) -> int:
     scenario = _scenario_from_args(args, "trace")
     _, trace = run_scenario(scenario, keep_trace=True)
-    _emit(trace.to_json(indent=2) + "\n", args.output)
+    _emit(trace.to_json(indent=2), args.output, end="\n")
     return 0
 
 

@@ -12,7 +12,8 @@ Building blocks:
 * ``Domain``     -- one core that runs its occupants' charges one at a
   time, in arrival order, each stretched by the background duty
 * ``Trace``      -- completed charge records plus per-actor busy time;
-  writes its own JSON
+  writes its own JSON from one template per distinct record head,
+  joined once
 
 Invariants the rest of the package leans on:
 
@@ -79,7 +80,9 @@ class Charge:
         args:    optional payload stored, by reference, alongside the
                  record: a flat dict whose keys are str and whose values
                  are JSON scalars (str, int, float, bool or None);
-                 ``Trace.to_json`` raises on a nested value
+                 ``Trace.to_json`` raises on a nested value.  One payload
+                 may be shared by many records, so it must not be
+                 mutated once it is yielded
     """
 
     cost_ns: int
@@ -199,11 +202,22 @@ class Trace:
         indent=indent)`` gives with each record the object ``{"actor",
         "name", "begin_ns", "end_ns", "args"}``, ``args`` ``{}`` for none.
 
-        Written one record at a time with the C string encoder, because
-        ``json`` falls back to its pure-Python encoder whenever ``indent``
-        is set.  ``indent=None`` and an int share one path: they differ
-        only in the item separator and in the line break and padding
-        before each nested item.
+        Each distinct record head ``(actor, name, args)`` is encoded once,
+        with the C string encoder, into a ``%d`` template of its record
+        and the separator before it; a record is its head's template
+        filled with ``(begin_ns, end_ns)``, and the header, every record
+        and the closing bracket are joined once.  A head is cached only
+        when each args value is a str, int or bool, keyed with the
+        value's type, so ``1`` and ``True`` never share a template; any
+        other value (``0.0 == -0.0``, ``nan != nan``) is encoded anew for
+        every record.  A payload shared by many records is looked up by
+        identity first: every payload stays alive in ``records`` for the
+        whole call, so its id names one object.
+
+        ``json`` itself would fall back to its pure-Python encoder
+        whenever ``indent`` is set.  ``indent=None`` and an int share one
+        path: they differ only in the item separator and in the line
+        break and padding before each nested item.
         """
         def pad(level: int) -> str:
             return "" if indent is None else "\n" + " " * (indent * level)
@@ -212,26 +226,57 @@ class Trace:
         # levels: the top object's keys, records, record fields, args entries
         p0, p1, p2, p3, p4 = (pad(level) for level in range(5))
         field_sep = comma + p3
-        record = ("{" + p3 + '"actor": %s' + field_sep + '"name": %s' + field_sep
-                  + '"begin_ns": %d' + field_sep + '"end_ns": %d' + field_sep
-                  + '"args": %s' + p2 + "}")
         args_open, args_sep, args_close = "{" + p4, comma + p4, p3 + "}"
         enc = encode_basestring_ascii
-        parts = []
-        for actor, name, begin, end, args in self.records:
+
+        def template(actor, name, args) -> str:
             if args:
                 text = args_open + args_sep.join(
                     [enc(k) + ": " + _json_scalar(v) for k, v in args.items()]
                 ) + args_close
             else:
                 text = "{}"
-            parts.append(record % (enc(actor), enc(name), begin, end, text))
-        records = "[" + p2 + (comma + p2).join(parts) + p1 + "]" if parts else "[]"
-        return ("{" + p1 + '"makespan_ns": %d' % self.makespan_ns + comma + p1
-                + '"records": ' + records + p0 + "}")
+            before = (comma + p2 + "{" + p3 + '"actor": ' + enc(actor) + field_sep
+                      + '"name": ' + enc(name) + field_sep + '"begin_ns": ')
+            after = field_sep + '"args": ' + text + p2 + "}"
+            return (before.replace("%", "%%") + "%d" + field_sep + '"end_ns": %d'
+                    + after.replace("%", "%%"))
+
+        cached = _CACHED_TYPES.issuperset
+        by_head: dict = {}  # (actor, name, value types, args items) -> template
+        by_ref: dict = {}   # (actor, name, id(args)) -> template of a cached head
+        parts = ["{" + p1 + '"makespan_ns": %d' % self.makespan_ns + comma + p1
+                 + '"records": [']
+        append = parts.append
+        for actor, name, begin, end, args in self.records:
+            ref = (actor, name, id(args))
+            text = by_ref.get(ref)
+            if text is None:
+                if args:
+                    # types first: a nested value must raise, not fail to hash
+                    types = tuple(map(type, args.values()))
+                    if not cached(types):
+                        append(template(actor, name, args) % (begin, end))
+                        continue
+                    head = (actor, name, types, tuple(args.items()))
+                else:
+                    head = (actor, name)
+                text = by_head.get(head)
+                if text is None:
+                    text = by_head[head] = template(actor, name, args)
+                by_ref[ref] = text
+            append(text % (begin, end))
+        if len(parts) > 1:
+            parts[1] = parts[1][len(comma):]  # no separator before the first
+            append(p1 + "]" + p0 + "}")
+        else:
+            append("]" + p0 + "}")
+        return "".join(parts)
 
 
 _INF = float("inf")
+# args value types whose equal values always print alike
+_CACHED_TYPES = frozenset((str, int, bool))
 
 # kinds of heap entry, each the tuple (when, seq, kind, obj, value, begin)
 _RESUME = "resume"  # obj: a Process, value: what its yield evaluates to

@@ -372,17 +372,18 @@ def _pme_rank_app(engine, plan, rt, q_pme, kcost, comm, link, f_wire,
                   x_ready, f_ready, f_bytes, total_steps, pp_ranks):
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns
+    msgs = {"msgs": pp_ranks}
     for step in range(total_steps):
         yield WaitFor(x_ready[step])
         # one receive per short-range peer; links run in parallel but the
         # progress engine works through them one message at a time
-        yield Charge(pp_ranks * mpi_cpu, "mpi_recv_x", {"msgs": pp_ranks})
+        yield Charge(pp_ranks * mpi_cpu, "mpi_recv_x", msgs)
         evs = []
         for name, kind in _PME_CHAIN:
             ev = yield from rt.submit(q_pme, name, kcost(kind, sys_.atoms))
             evs.append(ev)
         yield from rt.sync(evs)
-        yield Charge(pp_ranks * mpi_cpu, "mpi_send_f", {"msgs": pp_ranks})
+        yield Charge(pp_ranks * mpi_cpu, "mpi_send_f", msgs)
         f_wire.enqueue(DevTask("f_transfer", comm.transfer_ns(link, f_bytes), (),
                                f_ready[step], 0), None)
         # grid clearing is next-step preparation; it rides the in-order

@@ -174,17 +174,25 @@ class RunSettings:
 
 
 class DevTask:
-    """A kernel or a link transfer: waits for ``deps``, runs, posts ``done``."""
+    """A kernel or a link transfer: waits for ``deps``, runs, posts ``done``.
+
+    ``node_args`` and ``for_args`` are the trace payloads ``{"node": name}``
+    and ``{"for": name}`` of a kernel, shared by every task its rank
+    submits under that name; a link transfer has neither.
+    """
 
     __slots__ = ("name", "duration_ns", "deps", "done", "event_packet_ns",
-                 "submit_time")
+                 "node_args", "for_args", "submit_time")
 
-    def __init__(self, name, duration_ns, deps, done, event_packet_ns):
+    def __init__(self, name, duration_ns, deps, done, event_packet_ns,
+                 node_args=None, for_args=None):
         self.name = name
         self.duration_ns = duration_ns
         self.deps = tuple(deps)
         self.done = done
         self.event_packet_ns = event_packet_ns
+        self.node_args = node_args
+        self.for_args = for_args
         self.submit_time = None
 
 
@@ -229,10 +237,10 @@ class Slot:
                 if not dep.fired:
                     yield WaitFor(dep)
             if self.dispatch_gap_ns:
-                yield Charge(self.dispatch_gap_ns, "dispatch", {"for": task.name})
+                yield Charge(self.dispatch_gap_ns, "dispatch", task.for_args)
             yield Charge(task.duration_ns, task.name, args)
             if task.event_packet_ns:
-                yield Charge(task.event_packet_ns, "event_packet", {"for": task.name})
+                yield Charge(task.event_packet_ns, "event_packet", task.for_args)
             self.engine.post(task.done, 0)
 
 
@@ -310,6 +318,7 @@ class RankRuntime:
         self._batches: deque = deque()
         self._flushes_since_sync: List[int] = []  # trigger timestamps
         self._notify_requests: deque = deque()
+        self._payloads: dict = {}  # node name -> its DevTask trace payloads
 
         self.app_domain = engine.domain(f"{name}.core0", 1)
         if not settings.hsa_affinity_override:
@@ -334,8 +343,11 @@ class RankRuntime:
         completion event of the device task."""
         done = self.engine.event(f"{name}.done")
         full = self.settings.event_mode is EventMode.FULL
+        payloads = self._payloads.get(name)
+        if payloads is None:
+            payloads = self._payloads[name] = ({"node": name}, {"for": name})
         task = DevTask(name, duration_ns, deps, done,
-                       self.profile.event_device_cost_ns if full else 0)
+                       self.profile.event_device_cost_ns if full else 0, *payloads)
         task.submit_time = self.engine.now
         if self.instant:
             for _ in task.deps:
@@ -347,11 +359,11 @@ class RankRuntime:
                 yield Charge(self.api.draw(self.app_actor, ApiKind.EVENT_RECORD),
                              "event_record")
             yield Charge(self.api.draw(self.app_actor, ApiKind.KERNEL_LAUNCH),
-                         "kernel_launch", {"node": name})
+                         "kernel_launch", task.node_args)
             self.launch_delays.append(self.engine.now - task.submit_time)
             stream.enqueue(task)
         else:
-            yield Charge(self.profile.submit_cost_ns, "submit_node", {"node": name})
+            yield Charge(self.profile.submit_cost_ns, "submit_node", task.node_args)
             self._buffer.append((task, stream))
             if len(self._buffer) > self.settings.max_cached_nodes:
                 yield from self._trigger_flush(threshold=True)
@@ -425,9 +437,9 @@ class RankRuntime:
                                  "event_record")
                 if self.profile.per_node_flush_cost_ns:
                     yield Charge(self.profile.per_node_flush_cost_ns, "graph_process",
-                                 {"node": task.name})
+                                 task.node_args)
                 yield Charge(self.api.draw(self.flush_actor, ApiKind.KERNEL_LAUNCH),
-                             "kernel_launch", {"node": task.name})
+                             "kernel_launch", task.node_args)
                 self.launch_delays.append(self.engine.now - task.submit_time)
                 stream.enqueue(task)
 

@@ -708,3 +708,8 @@ def test_export_trace_round_trips(tmp_path):
     assert data["records"]
     record = data["records"][0]
     assert set(record) == {"actor", "name", "begin_ns", "end_ns", "args"}
+    # the text and its line break, written one after the other
+    _, trace = cli.run_scenario(Scenario("trace", system="grappa_pme_1500",
+                                         profile="acpp-23.10", eras=2),
+                                keep_trace=True)
+    assert out.read_bytes() == (trace.to_json(indent=2) + "\n").encode("ascii")

@@ -304,11 +304,19 @@ _JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€\
                                st.characters()), max_size=12)
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _JSON_TEXT,
                           st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]))
-_RECORDS = st.lists(st.tuples(_JSON_TEXT, _JSON_TEXT, st.integers(min_value=0),
+# values that compare equal but print differently, so a template keyed
+# on equality alone would write the wrong one
+_LOOKALIKES = (1, True, 1.0, 0.0, -0.0, math.nan, "1")
+# actors, names, keys and payloads drawn partly from small pools, so
+# record heads repeat and cached templates are reused; a pooled payload
+# is one dict object shared by every record that draws it
+_POOL_TEXT = st.sampled_from(["app", "q0", "%", "%d", "100%s"])
+_HEAD_TEXT = _POOL_TEXT | _JSON_TEXT
+_ARGS = st.dictionaries(_HEAD_TEXT, st.sampled_from(_LOOKALIKES) | _JSON_SCALARS, max_size=4)
+_RECORDS = st.lists(st.tuples(_HEAD_TEXT, _HEAD_TEXT, st.integers(min_value=0),
                               st.integers(min_value=0),
-                              st.none() | st.dictionaries(_JSON_TEXT, _JSON_SCALARS,
-                                                          max_size=4)),
-                    max_size=6)
+                              st.none() | _ARGS | st.sampled_from([{"node": "%d"}, {"n": 1}])),
+                    max_size=8)
 # one record holding every kind of scalar, and the two empty payloads
 _EVERY_SCALAR = [
     ("a\"\\\x00\x1fé😀", "k\n", 0, 5,
@@ -317,6 +325,12 @@ _EVERY_SCALAR = [
     ("app", "idle", 5, 7, None),
     ("app", "empty", 7, 7, {}),
 ]
+# one head whose values compare equal but print differently, with "%"
+# in the actor, name, key and value, and one payload behind two records
+# of different heads
+_SHARED = {"%d": "%s%%", "n": 1}
+_ONE_HEAD = ([("q%d%", "%", 0, 1, {"%d": value}) for value in _LOOKALIKES]
+             + [("q%d%", "%", 1, 2, _SHARED), ("app", "%d", 2, 3, _SHARED)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -326,6 +340,10 @@ _EVERY_SCALAR = [
 @example(records=[], makespan=0, indent=2)
 @example(records=_EVERY_SCALAR, makespan=7, indent=None)
 @example(records=_EVERY_SCALAR, makespan=7, indent=4)
+@example(records=_ONE_HEAD, makespan=3, indent=None)
+@example(records=_ONE_HEAD, makespan=3, indent=0)
+@example(records=_ONE_HEAD, makespan=3, indent=2)
+@example(records=_ONE_HEAD, makespan=3, indent=4)
 def test_trace_json_matches_json_dumps_of_the_dict_form(records, makespan, indent):
     dict_form = {"makespan_ns": makespan, "records": [
         {"actor": actor, "name": name, "begin_ns": begin, "end_ns": end,

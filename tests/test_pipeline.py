@@ -6,7 +6,9 @@ under 1D and 3D decompositions, the long-range rank split, throughput
 arithmetic, and an exact critical-path oracle for small random DAGs.
 """
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -331,6 +333,41 @@ def test_step_program_output_is_pinned(fields, digest):
                                keep_trace=True)
     text = render_csv(rows) + trace.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def full12k_trace():
+    """The 27,021-record trace of a full-event deferred 12k run, the
+    largest one the benchmark writes."""
+    _, trace = run_scenario(Scenario(scenario_id="full12k", system="grappa_pme_12k",
+                                     profile="acpp-23.10", max_cached_nodes=100,
+                                     event_mode="full"),
+                            keep_trace=True)
+    return trace
+
+
+def test_trace_json_peak_memory_stays_below_three_outputs(full12k_trace):
+    """Writing the trace allocates less than three times its text at peak.
+
+    Joining the records and then concatenating the whole text three more
+    times peaked at 4.29x the output (20.2 MB for 4.71 MB); one template
+    per record head and a single join peak at 2.38x.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = full12k_trace.to_json(indent=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
+
+
+def test_trace_payloads_are_built_once_per_node(full12k_trace):
+    """Records of one node share its payloads: the 27,021 records hold
+    fewer than 400 args objects, where one per record gave 17,020."""
+    payloads = {id(args) for *_, args in full12k_trace.records if args is not None}
+    assert len(payloads) <= 400
 
 
 # -- reference throughput -----------------------------------------------------
