@@ -28,7 +28,7 @@ from importlib import resources
 from typing import Any, Dict, List, Optional, Tuple
 
 from .config import (ConfigError, dump_config, is_int, is_number, load_config,
-                     parse_config, parse_value, require, subsection)
+                     parse_config, parse_value, read_text, require, subsection)
 from .costs import KernelKind, fit_affine
 from .pipeline import RunPlan, RunReport, simulate
 from .presets import get_profile, get_system
@@ -243,9 +243,8 @@ def _emit(text: str, path: Optional[str], end: str = "") -> None:
 
 
 def read_report(path: str) -> List[Dict[str, str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh.read().splitlines()
-                 if ln and not ln.startswith("#")]
+    lines = [ln for ln in read_text(path).splitlines()
+             if ln and not ln.startswith("#")]
     return list(csv.DictReader(lines))
 
 
@@ -457,8 +456,14 @@ def cmd_calibrate(args) -> int:
         if len(parts) != 2:
             raise ConfigError(f"{key}: expected 'atoms duration_ns', "
                               f"got {value!r}")
-        by_kind.setdefault(kind, []).append(
-            (int(parts[0].replace("_", "")), float(parts[1])))
+        atoms, duration = map(parse_value, parts)
+        if not (is_int(atoms) and atoms >= 0):
+            raise ConfigError(f"{key}: atoms must be an integer >= 0, "
+                              f"got {parts[0]!r}")
+        if not (is_number(duration) and 0 <= duration < math.inf):
+            raise ConfigError(f"{key}: duration_ns must be a finite number >= 0, "
+                              f"got {parts[1]!r}")
+        by_kind.setdefault(kind, []).append((atoms, float(duration)))
     if not by_kind:
         raise ConfigError(f"{args.samples}: no samples found")
     fitted: Dict[str, Any] = {}
@@ -607,6 +612,10 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:  # a finite setting so large a duration overflows
         print(f"error: a setting is too large to simulate: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be opened, read or written
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

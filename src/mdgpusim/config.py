@@ -57,9 +57,19 @@ def parse_config(text: str) -> Dict[str, Any]:
     return out
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line breaks untranslated; a file that is
+    not UTF-8 is a ``ConfigError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+
+
 def load_config(path) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path))
 
 
 def _format_value(value) -> str:

@@ -69,13 +69,10 @@ class KernelCost:
     Attributes:
         floor_ns:          fixed cost at zero atoms
         slope_ns_per_atom: asymptotic per-atom cost
-        source:            where the numbers came from ("fitted",
-                           "calibrated" or "assumed")
     """
 
     floor_ns: float
     slope_ns_per_atom: float
-    source: str = "assumed"
 
     def at(self, atoms: int) -> float:
         return self.floor_ns + self.slope_ns_per_atom * atoms
@@ -110,7 +107,7 @@ def fit_affine(points: Sequence[Tuple[int, float]]) -> KernelCost:
     if floor < 0:
         floor = 0.0
         slope = sxy / sxx
-    return KernelCost(floor_ns=floor, slope_ns_per_atom=slope, source="fitted")
+    return KernelCost(floor_ns=floor, slope_ns_per_atom=slope)
 
 
 class CostTable:
@@ -161,12 +158,10 @@ NBNXM_BACKEND_RATIO = 1.22
 def default_cost_table() -> CostTable:
     fit = fit_affine(NBNXM_ANCHORS)
     nbnxm = KernelCost(fit.floor_ns * NBNXM_BACKEND_RATIO,
-                       fit.slope_ns_per_atom * NBNXM_BACKEND_RATIO,
-                       source="fitted")
+                       fit.slope_ns_per_atom * NBNXM_BACKEND_RATIO)
     base = {
         KernelKind.NBNXM_LOCAL: nbnxm,
-        KernelKind.NBNXM_NONLOCAL: KernelCost(nbnxm.floor_ns, nbnxm.slope_ns_per_atom,
-                                              source="fitted"),
+        KernelKind.NBNXM_NONLOCAL: KernelCost(nbnxm.floor_ns, nbnxm.slope_ns_per_atom),
         KernelKind.PRUNE_ONLY: KernelCost(8000.0, 1.1),
         KernelKind.PAIR_SEARCH: KernelCost(30000.0, 2.0),
         KernelKind.PME_SPREAD: KernelCost(6000.0, 0.22),

@@ -2,7 +2,7 @@
 
 Building blocks:
 
-* ``Engine``     -- integer-nanosecond clock, (fire_time, seq) ordered heap
+* ``Engine``     -- integer-nanosecond clock, (time, seq) ordered heap
 * ``Process``    -- generator coroutine spawned onto the engine
 * ``Charge``     -- CPU work, stretched by its domain's background threads
 * ``Sleep``      -- plain timer, occupies no CPU
@@ -12,8 +12,8 @@ Building blocks:
 * ``Domain``     -- one core that runs its occupants' charges one at a
   time, in arrival order, each stretched by the background duty
 * ``Trace``      -- completed charge records plus per-actor busy time;
-  writes its own JSON from one template per distinct record head,
-  joined once
+  writes its own JSON from one template per payload object, joined
+  once
 
 Invariants the rest of the package leans on:
 
@@ -47,6 +47,7 @@ Invariants the rest of the package leans on:
 from __future__ import annotations
 
 import heapq
+import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Generator, Optional
@@ -118,18 +119,16 @@ PARK = _Park()
 class Event:
     """One-shot occurrence processes can wait on."""
 
-    __slots__ = ("name", "fired", "fire_time", "payload", "_waiters")
+    __slots__ = ("name", "fired", "payload", "_waiters")
 
     def __init__(self, name: str = ""):
         self.name = name
         self.fired = False
-        self.fire_time: Optional[int] = None
         self.payload: Any = None
         self._waiters: list["Process"] = []
 
     def __repr__(self):
-        state = f"fired@{self.fire_time}" if self.fired else "pending"
-        return f"Event({self.name!r}, {state})"
+        return f"Event({self.name!r}, {'fired' if self.fired else 'pending'})"
 
 
 class Process:
@@ -202,17 +201,14 @@ class Trace:
         indent=indent)`` gives with each record the object ``{"actor",
         "name", "begin_ns", "end_ns", "args"}``, ``args`` ``{}`` for none.
 
-        Each distinct record head ``(actor, name, args)`` is encoded once,
-        with the C string encoder, into a ``%d`` template of its record
-        and the separator before it; a record is its head's template
-        filled with ``(begin_ns, end_ns)``, and the header, every record
-        and the closing bracket are joined once.  A head is cached only
-        when each args value is a str, int or bool, keyed with the
-        value's type, so ``1`` and ``True`` never share a template; any
-        other value (``0.0 == -0.0``, ``nan != nan``) is encoded anew for
-        every record.  A payload shared by many records is looked up by
-        identity first: every payload stays alive in ``records`` for the
-        whole call, so its id names one object.
+        Each distinct ``(actor, name, id(args))`` is encoded once, with
+        the C string encoder, into a template of three strings: the text
+        of its record and the separator before it, split around
+        ``begin_ns`` and ``end_ns``.  A record is its template with the
+        two numbers written between those strings, and the header, every
+        record and the closing bracket are joined once.  Every payload
+        stays alive in ``records`` for the whole call, so an id names
+        one object.
 
         ``json`` itself would fall back to its pure-Python encoder
         whenever ``indent`` is set.  ``indent=None`` and an int share one
@@ -229,43 +225,29 @@ class Trace:
         args_open, args_sep, args_close = "{" + p4, comma + p4, p3 + "}"
         enc = encode_basestring_ascii
 
-        def template(actor, name, args) -> str:
+        def template(actor, name, args) -> tuple:
             if args:
                 text = args_open + args_sep.join(
                     [enc(k) + ": " + _json_scalar(v) for k, v in args.items()]
                 ) + args_close
             else:
                 text = "{}"
-            before = (comma + p2 + "{" + p3 + '"actor": ' + enc(actor) + field_sep
-                      + '"name": ' + enc(name) + field_sep + '"begin_ns": ')
-            after = field_sep + '"args": ' + text + p2 + "}"
-            return (before.replace("%", "%%") + "%d" + field_sep + '"end_ns": %d'
-                    + after.replace("%", "%%"))
+            return (comma + p2 + "{" + p3 + '"actor": ' + enc(actor) + field_sep
+                    + '"name": ' + enc(name) + field_sep + '"begin_ns": ',
+                    field_sep + '"end_ns": ',
+                    field_sep + '"args": ' + text + p2 + "}")
 
-        cached = _CACHED_TYPES.issuperset
-        by_head: dict = {}  # (actor, name, value types, args items) -> template
-        by_ref: dict = {}   # (actor, name, id(args)) -> template of a cached head
+        templates: dict = {}  # (actor, name, id(args)) -> (before, mid, after)
         parts = ["{" + p1 + '"makespan_ns": %d' % self.makespan_ns + comma + p1
                  + '"records": [']
         append = parts.append
         for actor, name, begin, end, args in self.records:
             ref = (actor, name, id(args))
-            text = by_ref.get(ref)
-            if text is None:
-                if args:
-                    # types first: a nested value must raise, not fail to hash
-                    types = tuple(map(type, args.values()))
-                    if not cached(types):
-                        append(template(actor, name, args) % (begin, end))
-                        continue
-                    head = (actor, name, types, tuple(args.items()))
-                else:
-                    head = (actor, name)
-                text = by_head.get(head)
-                if text is None:
-                    text = by_head[head] = template(actor, name, args)
-                by_ref[ref] = text
-            append(text % (begin, end))
+            pieces = templates.get(ref)
+            if pieces is None:
+                pieces = templates[ref] = template(actor, name, args)
+            before, mid, after = pieces
+            append(f"{before}{begin}{mid}{end}{after}")
         if len(parts) > 1:
             parts[1] = parts[1][len(comma):]  # no separator before the first
             append(p1 + "]" + p0 + "}")
@@ -273,10 +255,6 @@ class Trace:
             append("]" + p0 + "}")
         return "".join(parts)
 
-
-_INF = float("inf")
-# args value types whose equal values always print alike
-_CACHED_TYPES = frozenset((str, int, bool))
 
 # kinds of heap entry, each the tuple (when, seq, kind, obj, value, begin)
 _RESUME = "resume"  # obj: a Process, value: what its yield evaluates to
@@ -287,26 +265,10 @@ _UNPARK = "unpark"  # obj: a Process that Engine.wake roused
 
 def _json_scalar(value) -> str:
     """``value`` as ``json.dumps`` writes it; only scalars are accepted."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"trace args value {value!r} is not a JSON scalar "
-                    "(str, int, float, bool or None)")
+    if not (value is None or isinstance(value, (str, int, float))):
+        raise TypeError(f"trace args value {value!r} is not a JSON scalar "
+                        "(str, int, float, bool or None)")
+    return json.dumps(value)
 
 
 class Engine:
@@ -414,7 +376,6 @@ class Engine:
                 if event.fired:
                     raise ValueError(f"event {event.name!r} fired twice")
                 event.fired = True
-                event.fire_time = now
                 event.payload = value
                 waiters, event._waiters = event._waiters, []
                 # with nothing else due now the first waiter's entry would

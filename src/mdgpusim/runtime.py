@@ -99,7 +99,6 @@ class RuntimeProfile:
     mpi_msg_cpu_ns: int = 4000
     pme_comm_overlap: bool = True        # overlap PME-rank MPI with its chain
     hsa_worker_duty_milli: int = 750
-    source: str = "assumed"
 
     def validate(self) -> "RuntimeProfile":
         for f in ("submit_cost_ns", "flush_trigger_cost_ns", "flush_bookkeeping_cost_ns",

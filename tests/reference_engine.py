@@ -95,7 +95,7 @@ class ReferenceEngine:
     def _fire(self, event, payload):
         if event.fired:
             raise ValueError(f"event {event.name!r} fired twice")
-        event.fired, event.fire_time, event.payload = True, self.now, payload
+        event.fired, event.payload = True, payload
         waiters, event._waiters = event._waiters, []
         for proc in waiters:
             self._push(self.now, self._resume, proc, payload)

@@ -684,6 +684,59 @@ def test_calibrate_rejects_unknown_kernel(tmp_path, capsys):
     assert "warp_drive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sample, message", [
+    ("1000 nan", "duration_ns must be a finite number >= 0, got 'nan'"),
+    ("1000 inf", "duration_ns must be a finite number >= 0, got 'inf'"),
+    ("1000 -inf", "duration_ns must be a finite number >= 0, got '-inf'"),
+    ("1000 -5000", "duration_ns must be a finite number >= 0, got '-5000'"),
+    ("1000 abc", "duration_ns must be a finite number >= 0, got 'abc'"),
+    ("1000 true", "duration_ns must be a finite number >= 0, got 'true'"),
+    ("-1000 10", "atoms must be an integer >= 0, got '-1000'"),
+    ("x1000 10", "atoms must be an integer >= 0, got 'x1000'"),
+    ("1000.5 10", "atoms must be an integer >= 0, got '1000.5'"),
+    ("1e3 10", "atoms must be an integer >= 0, got '1e3'"),
+])
+def test_calibrate_rejects_a_bad_sample(tmp_path, capsys, sample, message):
+    samples = tmp_path / "samples.cfg"
+    samples.write_text(f"nbnxm_local.a = {sample}\nnbnxm_local.b = 2000 5000\n",
+                       encoding="utf-8")
+    assert main(["calibrate", "--samples", str(samples)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: nbnxm_local.a: {message}\n"
+    assert out.out == ""
+
+
+_RUN_FLAGS = ["--system", "grappa_pme_1500", "--profile", "acpp-23.10", "--eras", "2"]
+
+
+# each file a verb reads or writes: {missing} does not exist, {unwritable}
+# lies in a missing directory, {latin1} holds bytes that are not UTF-8
+@pytest.mark.parametrize("argv", [
+    ["check", "--report", "{missing}"],
+    ["check", "--report", "{latin1}"],
+    ["check", "--report", "{report}", "--references", "{missing}"],
+    ["check", "--report", "{report}", "--references", "{latin1}"],
+    ["sweep", "--scenarios", "{missing}"],
+    ["sweep", "--scenarios", "{latin1}"],
+    ["calibrate", "--samples", "{missing}"],
+    ["calibrate", "--samples", "{latin1}"],
+    ["simulate", *_RUN_FLAGS, "--output", "{unwritable}"],
+    ["simulate", *_RUN_FLAGS, "--trace", "{unwritable}"],
+    ["export-trace", *_RUN_FLAGS, "--output", "{unwritable}"],
+], ids=lambda argv: " ".join(a for a in argv if a not in _RUN_FLAGS))
+def test_unusable_file_is_one_error_line_naming_it(tmp_path, capsys, argv):
+    paths = {"missing": tmp_path / "nope.cfg",
+             "unwritable": tmp_path / "no-such-dir" / "out.txt",
+             "latin1": tmp_path / "latin1.cfg",
+             "report": tmp_path / "report.csv"}
+    paths["latin1"].write_bytes("fig.system = caf\u00e9\n".encode("latin-1"))
+    paths["report"].write_text(f"# {CSV_SCHEMA}\r\nscenario\r\n", encoding="utf-8")
+    (bad,) = (paths[a[1:-1]] for a in argv if a in ("{missing}", "{unwritable}", "{latin1}"))
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+
+
 def test_plan_affinity_prints_published_association(capsys):
     assert main(["plan-affinity", "--node", "lumi", "--ranks", "8"]) == 0
     out = capsys.readouterr().out

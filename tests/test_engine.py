@@ -305,11 +305,12 @@ _JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€\
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _JSON_TEXT,
                           st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300]))
 # values that compare equal but print differently, so a template keyed
-# on equality alone would write the wrong one
+# on payload content rather than identity would write the wrong one
 _LOOKALIKES = (1, True, 1.0, 0.0, -0.0, math.nan, "1")
 # actors, names, keys and payloads drawn partly from small pools, so
-# record heads repeat and cached templates are reused; a pooled payload
-# is one dict object shared by every record that draws it
+# (actor, name, payload) keys repeat and templates are reused; a pooled
+# payload is one dict object shared by every record that draws it, and
+# "%" guards against a template filled in by %-formatting
 _POOL_TEXT = st.sampled_from(["app", "q0", "%", "%d", "100%s"])
 _HEAD_TEXT = _POOL_TEXT | _JSON_TEXT
 _ARGS = st.dictionaries(_HEAD_TEXT, st.sampled_from(_LOOKALIKES) | _JSON_SCALARS, max_size=4)
@@ -325,9 +326,10 @@ _EVERY_SCALAR = [
     ("app", "idle", 5, 7, None),
     ("app", "empty", 7, 7, {}),
 ]
-# one head whose values compare equal but print differently, with "%"
-# in the actor, name, key and value, and one payload behind two records
-# of different heads
+# one actor and name whose payloads compare equal but print differently,
+# with "%" in the actor, name, key and value, and one payload behind two
+# records of different actors and names, which a template keyed on the
+# payload's id alone would write with the first one's
 _SHARED = {"%d": "%s%%", "n": 1}
 _ONE_HEAD = ([("q%d%", "%", 0, 1, {"%d": value}) for value in _LOOKALIKES]
              + [("q%d%", "%", 1, 2, _SHARED), ("app", "%d", 2, 3, _SHARED)])
