@@ -23,9 +23,10 @@ import io
 import math
 import statistics
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .config import (ConfigError, dump_config, is_int, is_number, load_config,
                      parse_config, parse_value, read_text, require, subsection)
@@ -232,14 +233,19 @@ def render_csv(rows: List[Dict[str, str]]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, path: Optional[str], end: str = "") -> None:
-    """Write ``text`` then ``end`` to ``path``, or to stdout for None,
-    without joining them into a second copy of ``text``."""
+def _output(files: ExitStack, path: Optional[str]) -> TextIO:
+    """``path`` opened for writing and closed with ``files``, or stdout
+    for None.  Verbs open their outputs before they simulate, so an
+    unusable path fails before any run and before any other output."""
     if path is None:
-        sys.stdout.writelines((text, end))
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines((text, end))
+        return sys.stdout
+    return files.enter_context(open(path, "w", encoding="utf-8", newline=""))
+
+
+def _emit(text: str, out: TextIO, end: str = "") -> None:
+    """Write ``text`` then ``end`` to ``out`` without joining them into a
+    second copy of ``text``."""
+    out.writelines((text, end))
 
 
 def read_report(path: str) -> List[Dict[str, str]]:
@@ -419,10 +425,14 @@ def _scenario_from_args(args, scenario_id: str) -> Scenario:
 
 def cmd_simulate(args) -> int:
     scenario = _scenario_from_args(args, "cli")
-    rows, trace = run_scenario(scenario, keep_trace=args.trace is not None)
-    _emit(render_csv(rows), args.output)
-    if args.trace is not None:
-        _emit(trace.to_json(indent=2), args.trace, end="\n")
+    plan = scenario.build_plan()
+    with ExitStack() as files:
+        out = _output(files, args.output)
+        trace_out = None if args.trace is None else _output(files, args.trace)
+        rows, trace = run_plan(scenario, plan, keep_trace=trace_out is not None)
+        _emit(render_csv(rows), out)
+        if trace_out is not None:
+            _emit(trace.to_json(indent=2), trace_out, end="\n")
     return 0
 
 
@@ -437,10 +447,12 @@ def cmd_sweep(args) -> int:
         except (KeyError, ValueError) as exc:  # ConfigError is a ValueError
             raise ConfigError(f"{scenario.scenario_id}: {_message(exc)}") from None
     rows: List[Dict[str, str]] = []
-    for scenario, plan in zip(scenarios, plans):
-        new_rows, _ = run_plan(scenario, plan, keep_trace=False)
-        rows.extend(new_rows)
-    _emit(render_csv(rows), args.output)
+    with ExitStack() as files:
+        out = _output(files, args.output)
+        for scenario, plan in zip(scenarios, plans):
+            new_rows, _ = run_plan(scenario, plan, keep_trace=False)
+            rows.extend(new_rows)
+        _emit(render_csv(rows), out)
     return 0
 
 
@@ -474,8 +486,9 @@ def cmd_calibrate(args) -> int:
             raise ConfigError(f"{kind}: {exc}") from None
         fitted[f"{kind}.floor_ns"] = round(fit.floor_ns, 3)
         fitted[f"{kind}.slope_ns_per_atom"] = round(fit.slope_ns_per_atom, 6)
-    _emit(dump_config(fitted, header=f"affine kernel costs fitted from "
-                                     f"{args.samples}"), args.output)
+    with ExitStack() as files:
+        _emit(dump_config(fitted, header=f"affine kernel costs fitted from "
+                                         f"{args.samples}"), _output(files, args.output))
     return 0
 
 
@@ -510,8 +523,11 @@ def cmd_plan_affinity(args) -> int:
 
 def cmd_export_trace(args) -> int:
     scenario = _scenario_from_args(args, "trace")
-    _, trace = run_scenario(scenario, keep_trace=True)
-    _emit(trace.to_json(indent=2), args.output, end="\n")
+    plan = scenario.build_plan()
+    with ExitStack() as files:
+        out = _output(files, args.output)
+        _, trace = run_plan(scenario, plan, keep_trace=True)
+        _emit(trace.to_json(indent=2), out, end="\n")
     return 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -83,11 +84,17 @@ def fit_affine(points: Sequence[Tuple[int, float]]) -> KernelCost:
 
     Two points give the exact interpolant.  A negative intercept is
     clipped to zero and the slope refitted through the origin, since a
-    negative fixed cost is meaningless.
+    negative fixed cost is meaningless.  Durations that fall with atom
+    count raise ``ValueError``: their slope would price every large
+    enough system below zero.  That is decided on the exact sign of
+    the slope's numerator, so rounding cannot reject a flat fit; it
+    only clips such a fit's slope to zero.
     """
     if len(points) < 2:
         raise ValueError("need at least two samples to fit")
     n = len(points)
+    exact_sx = sum(Fraction(x) for x, _ in points)
+    falls = sum((n * Fraction(x) - exact_sx) * Fraction(y) for x, y in points) < 0
     sxx = sum(p[0] * p[0] for p in points)
     sxy = sum(p[0] * p[1] for p in points)
     if n == 2:
@@ -107,7 +114,9 @@ def fit_affine(points: Sequence[Tuple[int, float]]) -> KernelCost:
     if floor < 0:
         floor = 0.0
         slope = sxy / sxx
-    return KernelCost(floor_ns=floor, slope_ns_per_atom=slope)
+    if falls:
+        raise ValueError(f"duration falls with atom count (slope {slope:g} ns/atom)")
+    return KernelCost(floor_ns=floor, slope_ns_per_atom=max(slope, 0.0))
 
 
 class CostTable:

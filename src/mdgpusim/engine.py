@@ -21,6 +21,11 @@ Invariants the rest of the package leans on:
   ``CausalityError`` instead of silently reordering
 * two runs with identical inputs produce byte-identical traces: ties are
   broken by insertion sequence, never by hash or wall-clock state
+* effects are shared values: the engine only reads a yielded
+  ``Charge``, ``Sleep`` or ``WaitFor`` and keeps each yield's state
+  (its process, begin and end) in heap entries and records, never on
+  the effect, so one effect object may be yielded any number of times
+  by any process, on a domain or with none
 * integers only inside the engine, no floats or ``Fraction``s: thread
   duty is tracked in milli-duty integers and a charge's stretch is the
   integer ratio ``stretch_num / stretch_den``, fixed when it begins
@@ -73,7 +78,10 @@ class Charge:
 
     On a domain the charge waits for the core's earlier charges, then
     takes ``ceil(cost_ns * stretch)``; with no domain, or at zero cost,
-    it takes exactly ``cost_ns`` from now.
+    it takes exactly ``cost_ns`` from now.  One charge may be yielded
+    any number of times, by any process: the engine never mutates it
+    and stores no per-yield state on it, so a charge that repeats can
+    be built once and yielded by reference.
 
     Attributes:
         cost_ns: pure work in nanoseconds, before any slowdown

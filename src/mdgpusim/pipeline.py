@@ -35,7 +35,7 @@ from .config import is_int
 from .costs import KernelKind, default_api_model, default_cost_table
 from .engine import Charge, Engine, Event, WaitFor
 from .presets import SystemPreset
-from .runtime import DevTask, Device, RankRuntime, RunSettings, RuntimeProfile, Slot
+from .runtime import DevTask, Device, RankRuntime, RunSettings, RuntimeProfile, Slot, Work
 from .topology import LinkClass, NodeTopology, lumi_node
 
 
@@ -131,11 +131,15 @@ _PME_CHAIN = (("pme_spread", KernelKind.PME_SPREAD),
 class _PmeLink(NamedTuple):
     """A short-range rank's side of the long-range exchange."""
 
-    link: LinkClass
     x_wire: Slot
-    x_bytes: int
+    x_transfer: Work
     x_ready: List[Event]
     f_ready: List[Event]
+
+
+def _transfer(comm, link: LinkClass, nbytes: int, name: str) -> Work:
+    """The ``Work`` of one link direction: every transfer on it is alike."""
+    return Work(Charge(comm.transfer_ns(link, nbytes), name))
 
 
 def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
@@ -200,11 +204,14 @@ def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
         if d > 1:
             neighbor_strides.append(stride)
         stride *= d
-    halo_wires = []
+    halo_x, halo_f = [], []  # (wire, transfer) per split dimension
     for i, peer in enumerate(neighbor_strides):
         link = node.link_class(0, peer % node.n_gcds,
                                same_node=(peer // node.n_gcds) == 0)
-        halo_wires.append((Slot(engine, f"halo{i}.wire"), link))
+        wire = Slot(engine, f"halo{i}.wire")
+        halo_x.append((wire, _transfer(comm, link, slab * XYZ_BYTES_PER_ATOM, "halo_transfer")))
+        halo_f.append((wire, _transfer(comm, link, slab * FORCE_BYTES_PER_ATOM,
+                                       "halo_transfer")))
 
     ranks = [pp]
     pme_link = None
@@ -224,36 +231,40 @@ def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
         # with comm overlap the chain hides all but one peer's transfer;
         # without it the long-range rank stages every peer serially
         comm_factor = 1 if plan.profile.pme_comm_overlap else pp_ranks
-        x_bytes = atoms_pp * XYZ_BYTES_PER_ATOM * comm_factor
-        f_bytes = atoms_pp * FORCE_BYTES_PER_ATOM * comm_factor
-        pme_link = _PmeLink(link, x_wire, x_bytes, x_ready, f_ready)
+        x_transfer = _transfer(comm, link, atoms_pp * XYZ_BYTES_PER_ATOM * comm_factor,
+                               "x_transfer")
+        f_transfer = _transfer(comm, link, atoms_pp * FORCE_BYTES_PER_ATOM * comm_factor,
+                               "f_transfer")
+        pme_link = _PmeLink(x_wire, x_transfer, x_ready, f_ready)
 
         engine.spawn(pme.app_actor,
-                     _pme_rank_app(engine, plan, pme, q_pme, kcost, comm,
-                                   link, f_wire, x_ready, f_ready,
-                                   f_bytes, total_steps, pp_ranks),
+                     _pme_rank_app(engine, plan, pme, q_pme, kcost, f_wire, f_transfer,
+                                   x_ready, f_ready, total_steps, pp_ranks),
                      domain=pme.app_domain)
 
     engine.spawn(pp.app_actor,
-                 _pp_rank_app(engine, plan, pp, q_loc, q_nl, kcost, comm,
-                              atoms_pp, slab, nonlocal_atoms, halo_wires,
+                 _pp_rank_app(engine, plan, pp, q_loc, q_nl, kcost,
+                              atoms_pp, slab, nonlocal_atoms, halo_x, halo_f,
                               pme_link, total_steps, era_marks),
                  domain=pp.app_domain)
     trace = engine.run_until_idle()
     return trace, [d for rt in ranks for d in rt.launch_delays]
 
 
-def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, comm, atoms, slab,
-                 nonlocal_atoms, halo_wires, pme_link, total_steps, era_marks):
+def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
+                 nonlocal_atoms, halo_x, halo_f, pme_link, total_steps, era_marks):
     """Step program of one short-range rank, the one every layout runs.
 
-    ``atoms`` is the home domain; ``halo_wires`` holds one (wire, link)
-    pair per split dimension, and ``pme_link`` the long-range peer.  A
-    mesh system without such a peer runs the long-range chain inline on
-    ``q_loc``.
+    ``atoms`` is the home domain; ``halo_x`` and ``halo_f`` hold one
+    (wire, transfer) pair per split dimension, and ``pme_link`` the
+    long-range peer.  A mesh system without such a peer runs the
+    long-range chain inline on ``q_loc``.
     """
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns
+    send_x, recv_f = Charge(mpi_cpu, "mpi_send_x"), Charge(mpi_cpu, "mpi_recv_f")
+    mpi_halo_x = Charge(2 * mpi_cpu, "mpi_halo_x")
+    mpi_halo_f = Charge(2 * mpi_cpu, "mpi_halo_f")
     inline_pme = sys_.pme and pme_link is None
     pending: List[Event] = []
     prev_constraints: Optional[Event] = None
@@ -272,10 +283,8 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, comm, atoms, slab,
             # coordinates must be on the host before the MPI send, so
             # this is a runtime sync point (it flushes a deferred graph)
             yield from rt.sync([prev_constraints] if prev_constraints else [])
-            yield Charge(mpi_cpu, "mpi_send_x")
-            pme_link.x_wire.enqueue(DevTask(
-                "x_transfer", comm.transfer_ns(pme_link.link, pme_link.x_bytes), (),
-                pme_link.x_ready[step], 0), None)
+            yield send_x
+            pme_link.x_wire.enqueue(DevTask(pme_link.x_transfer, (), pme_link.x_ready[step]))
 
         # local-only force work goes out first; it needs no remote
         # coordinates and its stream crunches while the halo is on
@@ -301,10 +310,10 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, comm, atoms, slab,
         pending.append(ev)
 
         unpacks = yield from _halo_exchange(
-            engine, rt, q_nl, kcost, comm, halo_wires, slab, step, "x",
-            XYZ_BYTES_PER_ATOM, [prev_constraints] if prev_constraints else ())
+            engine, rt, q_nl, kcost, halo_x, mpi_halo_x, slab, step, "x",
+            [prev_constraints] if prev_constraints else ())
         reduce_deps = []
-        if halo_wires:
+        if halo_x:
             ev = yield from rt.submit(
                 q_nl, "nbnxm_nonlocal",
                 kcost(KernelKind.NBNXM_NONLOCAL, nonlocal_atoms), deps=unpacks)
@@ -313,7 +322,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, comm, atoms, slab,
         if pme_link is not None:
             # MPI receive of the long-range forces blocks the host; a
             # deferred runtime sits on its unflushed graph meanwhile
-            yield Charge(mpi_cpu, "mpi_recv_f")
+            yield recv_f
             yield WaitFor(pme_link.f_ready[step])
         ev_red = yield from rt.submit(q_loc, "reduce_forces",
                                       kcost(KernelKind.REDUCE_FORCES, atoms),
@@ -322,8 +331,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, comm, atoms, slab,
 
         # force halo back out, then integrate
         leap_deps = yield from _halo_exchange(
-            engine, rt, q_nl, kcost, comm, halo_wires, slab, step, "f",
-            FORCE_BYTES_PER_ATOM, [ev_red])
+            engine, rt, q_nl, kcost, halo_f, mpi_halo_f, slab, step, "f", [ev_red])
         ev = yield from rt.submit(q_loc, "leap_frog",
                                   kcost(KernelKind.LEAP_FROG, atoms),
                                   deps=leap_deps)
@@ -343,21 +351,19 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, comm, atoms, slab,
             era_marks.append(engine.now)
 
 
-def _halo_exchange(engine, rt, q_nl, kcost, comm, halo_wires, slab, step,
-                   letter, bytes_per_atom, pack_deps):
+def _halo_exchange(engine, rt, q_nl, kcost, halo, mpi, slab, step, letter, pack_deps):
     """One coordinate (``x``) or force (``f``) halo pulse per split
-    dimension; returns the unpack events."""
-    mpi_cpu = rt.profile.mpi_msg_cpu_ns
+    dimension over the (wire, transfer) pairs of ``halo``, each sent
+    after the MPI charge ``mpi``; returns the unpack events."""
     unpacks = []
-    for i, (wire, link) in enumerate(halo_wires):
+    for i, (wire, transfer) in enumerate(halo):
         pack = yield from rt.submit(
             q_nl, f"halo_pack_{letter}{i}",
             kcost(KernelKind.HALO_PACK_UNPACK, slab), deps=pack_deps)
         yield from rt.sync([pack])
-        yield Charge(2 * mpi_cpu, f"mpi_halo_{letter}")
+        yield mpi
         t = engine.event(f"halo_{letter}.{step}.{i}")
-        wire.enqueue(DevTask("halo_transfer", comm.transfer_ns(link, slab * bytes_per_atom),
-                             (), t, 0), None)
+        wire.enqueue(DevTask(transfer, (), t))
         # the matching receive blocks on the host; by symmetry the
         # peer's slab lands when ours finishes crossing the link
         yield WaitFor(t)
@@ -368,24 +374,25 @@ def _halo_exchange(engine, rt, q_nl, kcost, comm, halo_wires, slab, step,
     return unpacks
 
 
-def _pme_rank_app(engine, plan, rt, q_pme, kcost, comm, link, f_wire,
-                  x_ready, f_ready, f_bytes, total_steps, pp_ranks):
+def _pme_rank_app(engine, plan, rt, q_pme, kcost, f_wire, f_transfer,
+                  x_ready, f_ready, total_steps, pp_ranks):
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns
     msgs = {"msgs": pp_ranks}
+    # one receive per short-range peer; links run in parallel but the
+    # progress engine works through them one message at a time
+    recv_x = Charge(pp_ranks * mpi_cpu, "mpi_recv_x", msgs)
+    send_f = Charge(pp_ranks * mpi_cpu, "mpi_send_f", msgs)
     for step in range(total_steps):
         yield WaitFor(x_ready[step])
-        # one receive per short-range peer; links run in parallel but the
-        # progress engine works through them one message at a time
-        yield Charge(pp_ranks * mpi_cpu, "mpi_recv_x", msgs)
+        yield recv_x
         evs = []
         for name, kind in _PME_CHAIN:
             ev = yield from rt.submit(q_pme, name, kcost(kind, sys_.atoms))
             evs.append(ev)
         yield from rt.sync(evs)
-        yield Charge(pp_ranks * mpi_cpu, "mpi_send_f", msgs)
-        f_wire.enqueue(DevTask("f_transfer", comm.transfer_ns(link, f_bytes), (),
-                               f_ready[step], 0), None)
+        yield send_f
+        f_wire.enqueue(DevTask(f_transfer, (), f_ready[step]))
         # grid clearing is next-step preparation; it rides the in-order
         # queue behind this step's chain and off the force-return path
         yield from rt.submit(q_pme, "grid_memset",

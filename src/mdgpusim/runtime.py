@@ -29,6 +29,15 @@ rather than waiting on an event of its own; whoever hands it work
 calls ``Engine.wake``, which resumes it exactly where posting such an
 event would have.
 
+Every charge that repeats is built once per run and yielded by
+reference (the engine never mutates a charge).  A rank keeps one
+``Work`` per ``(stream, name, duration_ns)`` node, holding its trace
+payloads and its kernel, device packet, submit, flush-processing,
+launch and dispatch charges, plus one table of API-call charges per
+kind and drawn latency; a link keeps one ``Work`` per direction.  Only
+the flush trigger and graph retirement, whose costs vary, are built on
+each yield.
+
 Event-recording modes: ``COARSE`` records only the sync marker, while
 ``FULL`` records one event per node, paying host-side create/record
 API costs on the launching thread plus a device-side packet after
@@ -43,7 +52,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import is_int, is_number
 from .costs import ApiKind, ApiLatencyModel, ApiSampler, round_half_up
@@ -172,27 +181,62 @@ class RunSettings:
 # -- device side -------------------------------------------------------------
 
 
-class DevTask:
-    """A kernel or a link transfer: waits for ``deps``, runs, posts ``done``.
+class Work:
+    """The charges and payloads every task of one node or transfer shares.
 
-    ``node_args`` and ``for_args`` are the trace payloads ``{"node": name}``
-    and ``{"for": name}`` of a kernel, shared by every task its rank
-    submits under that name; a link transfer has neither.
+    A rank builds one per ``(stream, name, duration_ns)`` and a link one
+    per direction; each is built once per run and yielded by reference
+    on every submit, flush and dispatch.  ``kernel`` carries the
+    stream's payload, or None on a link.  ``packet`` is the full-events
+    device packet and ``process`` the flush worker's per-node charge,
+    each None where the run pays none.  ``launches`` maps a drawn
+    latency to its ``kernel_launch`` charge, and ``dispatch`` is the
+    charge at the gap its slot last dispatched with.
     """
 
-    __slots__ = ("name", "duration_ns", "deps", "done", "event_packet_ns",
-                 "node_args", "for_args", "submit_time")
+    __slots__ = ("kernel", "for_args", "packet", "node_args", "submit", "process",
+                 "done_name", "launches", "dispatch")
 
-    def __init__(self, name, duration_ns, deps, done, event_packet_ns,
-                 node_args=None, for_args=None):
-        self.name = name
-        self.duration_ns = duration_ns
+    def __init__(self, kernel: Charge, for_args: Optional[dict] = None,
+                 packet: Optional[Charge] = None, node_args: Optional[dict] = None,
+                 submit: Optional[Charge] = None, process: Optional[Charge] = None,
+                 launches: Optional[Dict[int, Charge]] = None):
+        self.kernel = kernel
+        self.for_args = for_args
+        self.packet = packet
+        self.node_args = node_args
+        self.submit = submit
+        self.process = process
+        self.done_name = f"{kernel.name}.done"
+        self.launches = {} if launches is None else launches
+        self.dispatch: Optional[Charge] = None
+
+    def with_kernel(self, kernel: Charge) -> "Work":
+        """The same node on another stream or with another duration: a
+        ``Work`` that shares every payload and charge of this one but
+        its kernel and dispatch charges."""
+        return Work(kernel, self.for_args, self.packet, self.node_args, self.submit,
+                    self.process, self.launches)
+
+    def launch(self, ns: int) -> Charge:
+        """The ``kernel_launch`` charge of a drawn latency of ``ns``."""
+        charge = self.launches.get(ns)
+        if charge is None:
+            charge = self.launches[ns] = Charge(ns, "kernel_launch", self.node_args)
+        return charge
+
+
+class DevTask:
+    """One submission of a ``Work``: waits for ``deps``, runs, posts ``done``."""
+
+    __slots__ = ("work", "deps", "done", "submit_time")
+
+    def __init__(self, work: Work, deps: Sequence[Event], done: Event,
+                 submit_time: Optional[int] = None):
+        self.work = work
         self.deps = tuple(deps)
         self.done = done
-        self.event_packet_ns = event_packet_ns
-        self.node_args = node_args
-        self.for_args = for_args
-        self.submit_time = None
+        self.submit_time = submit_time
 
 
 class Stream:
@@ -207,13 +251,14 @@ class Stream:
         self.args = {"stream": name}
 
     def enqueue(self, task: DevTask) -> None:
-        self.slot.enqueue(task, self.args)
+        self.slot.enqueue(task)
 
 
 class Slot:
-    """One hardware queue or link: strict FIFO over everything mapped to
-    it.  Each task's charge carries ``args``, its stream's trace payload,
-    or None on a link."""
+    """One hardware queue or link: strict FIFO over the tasks of everything
+    mapped to it.  Each task yields its ``Work``'s charges, so a kernel
+    carries its stream's payload; the dispatch charge is rebuilt only
+    when ``dispatch_gap_ns`` has changed since that ``Work`` last ran."""
 
     def __init__(self, engine: Engine, name: str):
         self.engine = engine
@@ -222,24 +267,30 @@ class Slot:
         self.dispatch_gap_ns = 0
         self._proc = engine.spawn(name, self._run(), daemon=True)
 
-    def enqueue(self, task: DevTask, args: Optional[dict]) -> None:
-        self.fifo.append((task, args))
+    def enqueue(self, task: DevTask) -> None:
+        self.fifo.append(task)
         self.engine.wake(self._proc)
 
     def _run(self):
+        fifo = self.fifo
         while True:
-            if not self.fifo:
+            if not fifo:
                 yield PARK
                 continue
-            task, args = self.fifo.popleft()
+            task = fifo.popleft()
             for dep in task.deps:
                 if not dep.fired:
                     yield WaitFor(dep)
-            if self.dispatch_gap_ns:
-                yield Charge(self.dispatch_gap_ns, "dispatch", task.for_args)
-            yield Charge(task.duration_ns, task.name, args)
-            if task.event_packet_ns:
-                yield Charge(task.event_packet_ns, "event_packet", task.for_args)
+            work = task.work
+            gap = self.dispatch_gap_ns
+            if gap:
+                dispatch = work.dispatch
+                if dispatch is None or dispatch.cost_ns != gap:
+                    dispatch = work.dispatch = Charge(gap, "dispatch", work.for_args)
+                yield dispatch
+            yield work.kernel
+            if work.packet is not None:
+                yield work.packet
             self.engine.post(task.done, 0)
 
 
@@ -317,7 +368,11 @@ class RankRuntime:
         self._batches: deque = deque()
         self._flushes_since_sync: List[int] = []  # trigger timestamps
         self._notify_requests: deque = deque()
-        self._payloads: dict = {}  # node name -> its DevTask trace payloads
+        self.full = settings.event_mode is EventMode.FULL
+        self._works: Dict[Tuple[Stream, str, int], Work] = {}
+        self._named: Dict[str, Work] = {}  # node name -> its first Work
+        # API calls without a payload: kind -> drawn ns -> its charge
+        self._api_charges: Dict[ApiKind, Dict[int, Charge]] = {kind: {} for kind in ApiKind}
 
         self.app_domain = engine.domain(f"{name}.core0", 1)
         if not settings.hsa_affinity_override:
@@ -336,33 +391,58 @@ class RankRuntime:
 
     # -- submission (runs on the application process) ----------------------
 
+    def _work(self, stream: Stream, name: str, duration_ns: int) -> Work:
+        """The ``Work`` of a node, built the first time it is submitted on
+        ``stream`` with ``duration_ns``.  Every ``Work`` of one name shares
+        its payloads, so trace records keep sharing them by identity."""
+        kernel = Charge(duration_ns, name, stream.args)
+        first = self._named.get(name)
+        if first is not None:
+            work = first.with_kernel(kernel)
+        else:
+            prof = self.profile
+            node_args, for_args = {"node": name}, {"for": name}
+            packet = (Charge(prof.event_device_cost_ns, "event_packet", for_args)
+                      if self.full and prof.event_device_cost_ns else None)
+            process = (Charge(prof.per_node_flush_cost_ns, "graph_process", node_args)
+                       if prof.per_node_flush_cost_ns else None)
+            work = self._named[name] = Work(
+                kernel, for_args, packet, node_args,
+                Charge(prof.submit_cost_ns, "submit_node", node_args), process)
+        self._works[stream, name, duration_ns] = work
+        return work
+
+    def _api_call(self, actor: str, kind: ApiKind) -> Charge:
+        """The charge of one API call that carries no payload: one draw,
+        and the charge built the first time that latency comes up."""
+        ns = self.api.draw(actor, kind)
+        charges = self._api_charges[kind]
+        charge = charges.get(ns)
+        if charge is None:
+            charge = charges[ns] = Charge(ns, kind.value)
+        return charge
+
     def submit(self, stream: Stream, name: str, duration_ns: int,
                deps: Sequence[Event] = ()):
         """Generator; ``yield from`` it on the app process.  Returns the
         completion event of the device task."""
-        done = self.engine.event(f"{name}.done")
-        full = self.settings.event_mode is EventMode.FULL
-        payloads = self._payloads.get(name)
-        if payloads is None:
-            payloads = self._payloads[name] = ({"node": name}, {"for": name})
-        task = DevTask(name, duration_ns, deps, done,
-                       self.profile.event_device_cost_ns if full else 0, *payloads)
-        task.submit_time = self.engine.now
+        work = self._works.get((stream, name, duration_ns))
+        if work is None:
+            work = self._work(stream, name, duration_ns)
+        done = Event(work.done_name)
+        task = DevTask(work, deps, done, self.engine.now)
         if self.instant:
+            app = self.app_actor
             for _ in task.deps:
-                yield Charge(self.api.draw(self.app_actor, ApiKind.STREAM_WAIT_EVENT),
-                             "stream_wait_event")
-            if full:
-                yield Charge(self.api.draw(self.app_actor, ApiKind.EVENT_CREATE_DESTROY),
-                             "event_create_destroy")
-                yield Charge(self.api.draw(self.app_actor, ApiKind.EVENT_RECORD),
-                             "event_record")
-            yield Charge(self.api.draw(self.app_actor, ApiKind.KERNEL_LAUNCH),
-                         "kernel_launch", task.node_args)
+                yield self._api_call(app, ApiKind.STREAM_WAIT_EVENT)
+            if self.full:
+                yield self._api_call(app, ApiKind.EVENT_CREATE_DESTROY)
+                yield self._api_call(app, ApiKind.EVENT_RECORD)
+            yield work.launch(self.api.draw(app, ApiKind.KERNEL_LAUNCH))
             self.launch_delays.append(self.engine.now - task.submit_time)
             stream.enqueue(task)
         else:
-            yield Charge(self.profile.submit_cost_ns, "submit_node", task.node_args)
+            yield work.submit
             self._buffer.append((task, stream))
             if len(self._buffer) > self.settings.max_cached_nodes:
                 yield from self._trigger_flush(threshold=True)
@@ -380,7 +460,7 @@ class RankRuntime:
                                + self.profile.flush_contention_scan_ns * pairs)
             cutoff = self.profile.flush_contention_cutoff_ns
             if cutoff > 0:
-                work = sum(t.duration_ns for t, _ in self._buffer)
+                work = sum(t.work.kernel.cost_ns for t, _ in self._buffer)
                 if work >= cutoff:
                     nominal = 0
             cost += nominal
@@ -400,8 +480,7 @@ class RankRuntime:
             if not ev.fired:
                 yield WaitFor(ev)
         if self.instant:
-            yield Charge(self.api.draw(self.app_actor, ApiKind.HOST_SYNC_POLL),
-                         "host_sync_poll")
+            yield self._api_call(self.app_actor, ApiKind.HOST_SYNC_POLL)
         else:
             req = self.engine.event("sync_notify")
             self._notify_requests.append((req, list(self._flushes_since_sync)))
@@ -409,47 +488,47 @@ class RankRuntime:
             self.engine.wake(self._monitor)
             yield WaitFor(req)
         # sync marker bookkeeping, identical in every mode
-        yield Charge(self.api.draw(self.app_actor, ApiKind.EVENT_CREATE_DESTROY),
-                     "event_create_destroy")
-        yield Charge(self.api.draw(self.app_actor, ApiKind.EVENT_RECORD),
-                     "event_record")
+        yield self._api_call(self.app_actor, ApiKind.EVENT_CREATE_DESTROY)
+        yield self._api_call(self.app_actor, ApiKind.EVENT_RECORD)
 
     # -- worker threads -----------------------------------------------------
 
     def _flush_loop(self):
-        full = self.settings.event_mode is EventMode.FULL
+        flush = self.flush_actor
+        bookkeeping: Dict[int, Charge] = {}  # batch size -> its charge
         while True:
             if not self._batches:
                 yield PARK
                 continue
             batch = self._batches.popleft()
-            yield Charge(self.profile.flush_bookkeeping_cost_ns, "flush_bookkeeping",
-                         {"nodes": len(batch)})
+            charge = bookkeeping.get(len(batch))
+            if charge is None:
+                charge = bookkeeping[len(batch)] = Charge(
+                    self.profile.flush_bookkeeping_cost_ns, "flush_bookkeeping",
+                    {"nodes": len(batch)})
+            yield charge
             for task, stream in batch:
+                work = task.work
                 for _ in task.deps:
-                    yield Charge(self.api.draw(self.flush_actor, ApiKind.STREAM_WAIT_EVENT),
-                                 "stream_wait_event")
-                if full:
-                    yield Charge(self.api.draw(self.flush_actor, ApiKind.EVENT_CREATE_DESTROY),
-                                 "event_create_destroy")
-                    yield Charge(self.api.draw(self.flush_actor, ApiKind.EVENT_RECORD),
-                                 "event_record")
-                if self.profile.per_node_flush_cost_ns:
-                    yield Charge(self.profile.per_node_flush_cost_ns, "graph_process",
-                                 task.node_args)
-                yield Charge(self.api.draw(self.flush_actor, ApiKind.KERNEL_LAUNCH),
-                             "kernel_launch", task.node_args)
+                    yield self._api_call(flush, ApiKind.STREAM_WAIT_EVENT)
+                if self.full:
+                    yield self._api_call(flush, ApiKind.EVENT_CREATE_DESTROY)
+                    yield self._api_call(flush, ApiKind.EVENT_RECORD)
+                if work.process is not None:
+                    yield work.process
+                yield work.launch(self.api.draw(flush, ApiKind.KERNEL_LAUNCH))
                 self.launch_delays.append(self.engine.now - task.submit_time)
                 stream.enqueue(task)
 
     def _monitor_loop(self):
         prof = self.profile
+        notify = Charge(prof.notify_cost_ns, "sync_notify")
         while True:
             if not self._notify_requests:
                 yield PARK
                 continue
             req, triggers = self._notify_requests.popleft()
-            yield Charge(prof.notify_cost_ns, "sync_notify")
+            yield notify
             tax = 0
             for t in triggers:
                 age = self.engine.now - t

@@ -706,11 +706,23 @@ def test_calibrate_rejects_a_bad_sample(tmp_path, capsys, sample, message):
     assert out.out == ""
 
 
+def test_calibrate_rejects_durations_that_fall_with_atom_count(tmp_path, capsys):
+    samples = tmp_path / "samples.cfg"
+    samples.write_text("nbnxm_local.a = 1000 5000\nnbnxm_local.b = 2000 1000\n",
+                       encoding="utf-8")
+    assert main(["calibrate", "--samples", str(samples)]) == 2
+    out = capsys.readouterr()
+    assert out.err == ("error: nbnxm_local: duration falls with atom count "
+                       "(slope -4 ns/atom)\n")
+    assert out.out == ""
+
+
 _RUN_FLAGS = ["--system", "grappa_pme_1500", "--profile", "acpp-23.10", "--eras", "2"]
 
 
 # each file a verb reads or writes: {missing} does not exist, {unwritable}
-# lies in a missing directory, {latin1} holds bytes that are not UTF-8
+# lies in a missing directory, {latin1} holds bytes that are not UTF-8;
+# {csv} and {scenarios} are usable
 @pytest.mark.parametrize("argv", [
     ["check", "--report", "{missing}"],
     ["check", "--report", "{latin1}"],
@@ -723,18 +735,33 @@ _RUN_FLAGS = ["--system", "grappa_pme_1500", "--profile", "acpp-23.10", "--eras"
     ["simulate", *_RUN_FLAGS, "--output", "{unwritable}"],
     ["simulate", *_RUN_FLAGS, "--trace", "{unwritable}"],
     ["export-trace", *_RUN_FLAGS, "--output", "{unwritable}"],
+    ["simulate", *_RUN_FLAGS, "--output", "{csv}", "--trace", "{unwritable}"],
+    ["sweep", "--scenarios", "{scenarios}", "--output", "{unwritable}"],
 ], ids=lambda argv: " ".join(a for a in argv if a not in _RUN_FLAGS))
-def test_unusable_file_is_one_error_line_naming_it(tmp_path, capsys, argv):
+def test_unusable_file_is_one_error_line_naming_it(tmp_path, capsys, monkeypatch, argv):
+    """Every path is checked before anything is simulated or written:
+    no run starts, and a good ``--output`` next to a bad ``--trace``
+    gets no CSV."""
     paths = {"missing": tmp_path / "nope.cfg",
              "unwritable": tmp_path / "no-such-dir" / "out.txt",
              "latin1": tmp_path / "latin1.cfg",
-             "report": tmp_path / "report.csv"}
+             "report": tmp_path / "report.csv",
+             "csv": tmp_path / "out.csv",
+             "scenarios": tmp_path / "scenarios.cfg"}
     paths["latin1"].write_bytes("fig.system = caf\u00e9\n".encode("latin-1"))
     paths["report"].write_text(f"# {CSV_SCHEMA}\r\nscenario\r\n", encoding="utf-8")
+    paths["scenarios"].write_text("fig.system = grappa_pme_1500\nfig.profile = acpp-23.10\n"
+                                  "fig.eras = 2\n", encoding="utf-8")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before every path was checked")
+
+    monkeypatch.setattr(cli, "run_plan", no_run)
     (bad,) = (paths[a[1:-1]] for a in argv if a in ("{missing}", "{unwritable}", "{latin1}"))
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+    assert not paths["csv"].exists() or paths["csv"].read_text(encoding="utf-8") == ""
 
 
 def test_plan_affinity_prints_published_association(capsys):

@@ -237,9 +237,16 @@ def _own_domain(eng, name, shape):
     return dom
 
 
-def _random_workload(seed, n_procs=20, n_charges=50, keep_trace=True):
+# charges built once and yielded by every process that draws them, in
+# every run that draws them: zero, short and long, with and without a payload
+_POOLED = tuple(Charge(cost, f"pooled{i}", {"pool": i} if i % 2 else None)
+                for i, cost in enumerate((0, 3, 40, 900, 4000)))
+
+
+def _random_workload(seed, n_procs=20, n_charges=50, keep_trace=True, pooled=False):
     """A tangle of charges, sleeps and cross-process event waits, each
-    process on a domain of its own or on none."""
+    process on a domain of its own or on none.  With ``pooled`` a fifth
+    of the steps yield a charge of ``_POOLED`` instead of a new one."""
     rng = random.Random(seed)
     eng = Engine(keep_trace=keep_trace)
     events = [eng.event(f"e{i}") for i in range(n_procs)]
@@ -247,7 +254,9 @@ def _random_workload(seed, n_procs=20, n_charges=50, keep_trace=True):
     def body(idx):
         for j in range(n_charges):
             pick = rng.random()
-            if pick < 0.5:
+            if pooled and pick < 0.2:
+                yield rng.choice(_POOLED)
+            elif pick < 0.5:
                 yield Charge(rng.randrange(1, 5000), f"c{idx}.{j}")
             elif pick < 0.8:
                 yield Sleep(rng.randrange(0, 2000))

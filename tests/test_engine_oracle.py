@@ -8,6 +8,7 @@ of ``test_engine`` and on whole simulations, with ``ReferenceEngine``
 (no handoff at all) put in place of ``Engine``.
 """
 
+import heapq
 import random
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import test_engine
 from mdgpusim import pipeline
 from mdgpusim.cli import Scenario, render_csv, run_scenario
-from mdgpusim.engine import PARK, Charge, Engine, Sleep, WaitFor
+from mdgpusim.engine import _FINISH, PARK, Charge, Engine, Sleep, WaitFor
 from reference_engine import ReferenceEngine
 
 ENGINES = pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine],
@@ -48,9 +49,33 @@ def test_mixed_workload_matches_the_reference(monkeypatch, seed):
 def test_random_workload_matches_the_reference(monkeypatch, seed, keep_trace):
     def run():
         return _outcome(test_engine._random_workload(
-            seed, n_procs=12, n_charges=60, keep_trace=keep_trace))
+            seed, n_procs=12, n_charges=60, keep_trace=keep_trace, pooled=True))
 
     assert run() == _on_reference(monkeypatch, run)
+
+
+def test_pooled_charges_take_every_path(monkeypatch):
+    """The charges ``_random_workload`` shares are yielded by several
+    processes, on domains and without one, and they end both inline and
+    through a pushed finish entry, so the oracle sees every path a
+    shared charge can take."""
+    pushed = heapq.heappush
+    finish_entries = []
+
+    def spy(heap, entry):
+        if entry[2] is _FINISH:
+            finish_entries.append(entry[4])
+        pushed(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", spy)
+    trace = test_engine._random_workload(1234, n_procs=12, n_charges=60, pooled=True)
+    pooled = {c.name for c in test_engine._POOLED}
+    actors = {actor for actor, name, *_ in trace.records if name in pooled}
+    # p0, p5 and p10 run with no domain (test_engine._SHAPES)
+    assert {"p0", "p5", "p10"} & actors and actors - {"p0", "p5", "p10"}
+    ends = [begin < end for _, name, begin, end, _ in trace.records if name in pooled]
+    via_heap = sum(any(c is p for p in test_engine._POOLED) for c in finish_entries)
+    assert 0 < via_heap < sum(ends)
 
 
 def _wake_workload(engine_cls, seed, n_daemons=6, n_wakers=3, n_steps=40):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mdgpusim import pipeline
 from mdgpusim.cli import Scenario, render_csv, run_scenario
 from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency
-from mdgpusim.engine import Engine
+from mdgpusim.engine import Charge, Engine
 from mdgpusim.pipeline import RunPlan, RunReport, balanced_dims, simulate
 from mdgpusim.presets import get_profile, get_system
 from mdgpusim.runtime import (
@@ -368,6 +368,26 @@ def test_trace_payloads_are_built_once_per_node(full12k_trace):
     fewer than 400 args objects, where one per record gave 17,020."""
     payloads = {id(args) for *_, args in full12k_trace.records if args is not None}
     assert len(payloads) <= 400
+
+
+def test_repeated_charges_are_built_once_per_run(monkeypatch):
+    """The same full-event 12k run yields its 27,021 charges from fewer
+    than 1,000 ``Charge`` objects, where one per record gave 27,021: the
+    runtime and the links build each repeated charge once."""
+    built = []
+    init = Charge.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Charge, "__init__", counting_init)
+    _, trace = run_scenario(Scenario(scenario_id="full12k", system="grappa_pme_12k",
+                                     profile="acpp-23.10", max_cached_nodes=100,
+                                     event_mode="full"),
+                            keep_trace=True)
+    assert len(trace.records) == 27_021
+    assert len(built) < 1000
 
 
 # -- reference throughput -----------------------------------------------------

@@ -152,6 +152,62 @@ def test_single_visible_device_creates_no_idle_streams():
     assert dev.slots[0].dispatch_gap_ns == get_profile("acpp-23.10").dispatch_gap_ns
 
 
+def test_a_stream_created_mid_run_retunes_later_dispatches():
+    """A second stream on the only queue slot, created between two bursts
+    of the same node, oversubscribes it: the dispatches after it pay the
+    raised gap, though the node's charges were built at the old one."""
+    prof = get_profile("acpp-23.10")
+    eng, dev, rt = build_rank(RunSettings(instant_submission=True, max_hw_queues=1),
+                              profile=prof)
+    q = dev.new_stream("q0")
+
+    def burst():
+        evts = []
+        for _ in range(3):
+            ev = yield from rt.submit(q, "k", 1000)
+            evts.append(ev)
+        yield from rt.sync(evts)
+
+    def app():
+        yield from burst()
+        dev.new_stream("late")
+        yield from burst()
+
+    eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
+    dispatches = named(eng.run_until_idle(), "dispatch")
+    # two streams on one slot: the ratio is 2, so the extra is paid once
+    raised = prof.dispatch_gap_ns + prof.oversub_extra_ns
+    assert [end - begin for _, _, begin, end, _ in dispatches] == \
+        [prof.dispatch_gap_ns] * 3 + [raised] * 3
+    assert dev.slots[0].dispatch_gap_ns == raised
+    assert all(args == {"for": "k"} for *_, args in dispatches)
+
+
+def test_one_node_name_shares_its_payloads_across_streams_and_durations():
+    """Trace JSON builds one template per payload object, so every record
+    of a node name carries the same ``{"node"}`` or ``{"for"}`` dict,
+    whatever stream or duration the submission had."""
+    eng, dev, rt = build_rank(RunSettings(max_cached_nodes=0, event_mode=EventMode.FULL))
+    qa, qb = dev.new_stream("qa"), dev.new_stream("qb")
+
+    def app():
+        evts = []
+        for q, dur in ((qa, 1000), (qa, 2000), (qb, 1000), (qb, 3000)):
+            ev = yield from rt.submit(q, "k", dur)
+            evts.append(ev)
+        yield from rt.sync(evts)
+
+    eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
+    trace = eng.run_until_idle()
+    payloads = {}
+    for name in ("submit_node", "graph_process", "kernel_launch", "dispatch", "event_packet"):
+        records = named(trace, name)
+        assert len(records) == 4
+        payloads[name] = {id(args) for *_, args in records}
+    assert all(len(ids) == 1 for ids in payloads.values())
+    assert len(set().union(*payloads.values())) == 2
+
+
 def test_same_slot_serializes_distinct_slots_overlap():
     eng = Engine()
     settings = RunSettings(max_hw_queues=2)
