@@ -465,3 +465,11 @@ class Engine:
         if blocked:
             raise DeadlockError(blocked)
         return Trace(records=self._records, makespan_ns=self.now, busy_ns=self._busy)
+
+    def close(self) -> None:
+        """Close every unfinished process's generator.  A parked daemon's
+        frame holds its owner, which holds this engine, so until then a
+        finished or deadlocked run is a reference cycle."""
+        for proc in self._procs:
+            if not proc.done:
+                proc.gen.close()

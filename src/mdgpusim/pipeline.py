@@ -18,6 +18,10 @@ rank count, so 4096-rank sweeps stay desk-sized.  Each link, halo or
 long-range, is a FIFO ``Slot`` of its own, the class that serves the
 device queues: transfers queued on it serialize.
 
+``simulate`` wires a run in one pass, spawning slots, workers and step
+programs in a fixed order (heap ties break by it, so it shows in the
+output), and closes the engine however the run ends.
+
 One rank is the same program with nothing to exchange: its
 decomposition splits no dimension, so there is no halo, and a mesh
 system runs the long-range chain inline on the local queue, between
@@ -28,7 +32,7 @@ constraints.  That is eleven kernels per step on one stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .comm import FORCE_BYTES_PER_ATOM, XYZ_BYTES_PER_ATOM, default_comm_model, slab_atoms
 from .config import is_int
@@ -36,7 +40,7 @@ from .costs import KernelKind, default_api_model, default_cost_table
 from .engine import Charge, Engine, Event, WaitFor
 from .presets import SystemPreset
 from .runtime import DevTask, Device, RankRuntime, RunSettings, RuntimeProfile, Slot, Work
-from .topology import LinkClass, NodeTopology, lumi_node
+from .topology import NodeTopology, lumi_node
 
 
 def balanced_dims(n: int) -> Tuple[int, int, int]:
@@ -128,29 +132,29 @@ _PME_CHAIN = (("pme_spread", KernelKind.PME_SPREAD),
               ("pme_gather", KernelKind.PME_GATHER))
 
 
-class _PmeLink(NamedTuple):
-    """A short-range rank's side of the long-range exchange."""
-
-    x_wire: Slot
-    x_transfer: Work
-    x_ready: List[Event]
-    f_ready: List[Event]
+def _build_rank(engine, plan, api, name):
+    """A rank's device and runtime, the device built first."""
+    return (Device(engine, f"{name}.gcd", plan.profile, plan.settings),
+            RankRuntime(engine, name, plan.profile, plan.settings, api))
 
 
-def _transfer(comm, link: LinkClass, nbytes: int, name: str) -> Work:
-    """The ``Work`` of one link direction: every transfer on it is alike."""
-    return Work(Charge(comm.transfer_ns(link, nbytes), name))
+def _link(plan, comm, peer, atoms, x_name, f_name):
+    """Rank 0's link to rank ``peer`` as one ``Work`` per direction, each
+    transfer carrying ``atoms`` atoms' coordinates or forces."""
+    node = plan.node
+    link = node.link_class(0, peer % node.n_gcds, same_node=peer < node.n_gcds)
+    return (Work(Charge(comm.transfer_ns(link, atoms * XYZ_BYTES_PER_ATOM), x_name)),
+            Work(Charge(comm.transfer_ns(link, atoms * FORCE_BYTES_PER_ATOM), f_name)))
 
 
 def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
-    """Run ``plan`` and report steady-state per-step timing."""
+    """Wire ``plan``'s ranks in one pass, run them, close the engine
+    however the run ends, and report steady-state per-step timing."""
     plan.validate()
+    sys_ = plan.system.validate()
     costs = default_cost_table()
     comm = default_comm_model()
     api = default_api_model(seed=plan.settings.seed)
-    engine = Engine(keep_trace=keep_trace)
-
-    sys_ = plan.system.validate()
     total_steps = plan.n_eras * sys_.nstlist
     era_marks: List[int] = []
 
@@ -164,91 +168,68 @@ def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
                 kind, atoms, plan.backend, sys_.scale_for(kind))
         return ns
 
-    trace, delays = _run_ranks(engine, plan, comm, api, kcost, total_steps,
-                               era_marks)
+    pp_ranks = plan.pp_ranks
+    atoms_pp = max(1, sys_.atoms // pp_ranks)
+    slab = slab_atoms(atoms_pp, sys_.cutoff_nm, sys_.density_per_nm3)
+    # rank 0's neighbour along a split dimension is that dimension's stride
+    strides, stride = [], 1
+    for d in balanced_dims(pp_ranks):
+        if d > 1:
+            strides.append(stride)
+        stride *= d
+    # one halo pulse per split dimension, so the nonlocal pair work sees
+    # the received one-sided shell, never more than the home domain
+    nonlocal_atoms = min(atoms_pp, slab * len(strides))
+
+    engine = Engine(keep_trace=keep_trace)
+    try:
+        # a lone rank is rank0 with queue q0 in traces, as saved ones expect
+        single = plan.ranks == 1
+        pp_device, pp = _build_rank(engine, plan, api, "rank0" if single else "pp0")
+        q_loc = pp_device.new_stream("q0" if single else "q_loc")
+        q_nl = pp_device.new_stream("q_nl") if strides else None
+        halo_x, halo_f = [], []  # (wire, transfer) per split dimension
+        for i, peer in enumerate(strides):
+            wire = Slot(engine, f"halo{i}.wire")
+            x, f = _link(plan, comm, peer, slab, "halo_transfer", "halo_transfer")
+            halo_x.append((wire, x))
+            halo_f.append((wire, f))
+
+        ranks = [pp]
+        pme_link = None
+        if plan.pme_ranks:
+            pme_device, pme = _build_rank(engine, plan, api, "pme0")
+            ranks.append(pme)
+            q_pme = pme_device.new_stream("q_pme")
+            x_wire, f_wire = Slot(engine, "pme-x.wire"), Slot(engine, "pme-f.wire")
+            x_ready = [Event(f"x_ready.{s}") for s in range(total_steps)]
+            f_ready = [Event(f"f_ready.{s}") for s in range(total_steps)]
+            # with comm overlap the chain hides all but one peer's transfer;
+            # without it the long-range rank stages every peer serially
+            comm_factor = 1 if plan.profile.pme_comm_overlap else pp_ranks
+            x_transfer, f_transfer = _link(plan, comm, plan.ranks - 1, atoms_pp * comm_factor,
+                                           "x_transfer", "f_transfer")
+            pme_link = (x_wire, x_transfer, x_ready, f_ready)
+            engine.spawn(pme.app_actor,
+                         _pme_rank_app(plan, pme, q_pme, kcost, f_wire, f_transfer,
+                                       x_ready, f_ready, total_steps, pp_ranks),
+                         domain=pme.app_domain)
+
+        engine.spawn(pp.app_actor,
+                     _pp_rank_app(engine, plan, pp, q_loc, q_nl, kcost,
+                                  atoms_pp, slab, nonlocal_atoms, halo_x, halo_f,
+                                  pme_link, total_steps, era_marks),
+                     domain=pp.app_domain)
+        trace = engine.run_until_idle()
+    finally:
+        engine.close()
 
     window_ns = era_marks[-1] - era_marks[0]
     steps = (len(era_marks) - 1) * sys_.nstlist
-    ms_per_step = window_ns / steps / 1e6
-    return RunReport(plan=plan, steps_measured=steps, ms_per_step=ms_per_step,
+    return RunReport(plan=plan, steps_measured=steps, ms_per_step=window_ns / steps / 1e6,
                      makespan_ns=trace.makespan_ns, era_marks=era_marks,
-                     launch_delays=delays, busy_ns=trace.busy_ns,
-                     trace=trace if keep_trace else None)
-
-
-def _run_ranks(engine, plan, comm, api, kcost, total_steps, era_marks):
-    """Wire the simulated ranks, run them, return the trace and delays."""
-    sys_ = plan.system
-    node = plan.node
-    pp_ranks = plan.pp_ranks
-    atoms_pp = max(1, sys_.atoms // pp_ranks)
-    dims = balanced_dims(pp_ranks)
-    halo_dims = [d for d in dims if d > 1]
-    slab = slab_atoms(atoms_pp, sys_.cutoff_nm, sys_.density_per_nm3)
-    # one halo pulse per split dimension, so the nonlocal pair work sees
-    # the received one-sided shell, never more than the home domain
-    nonlocal_atoms = min(atoms_pp, slab * len(halo_dims))
-
-    # a lone rank is rank0 with queue q0 in traces, as saved ones expect
-    single = plan.ranks == 1
-    pp_name = "rank0" if single else "pp0"
-    pp_device = Device(engine, f"{pp_name}.gcd", plan.profile, plan.settings)
-    pp = RankRuntime(engine, pp_name, plan.profile, plan.settings, api)
-    q_loc = pp_device.new_stream("q0" if single else "q_loc")
-    q_nl = pp_device.new_stream("q_nl") if halo_dims else None
-
-    # neighbour rank index along each split dimension decides the link class
-    neighbor_strides = []
-    stride = 1
-    for d in dims:
-        if d > 1:
-            neighbor_strides.append(stride)
-        stride *= d
-    halo_x, halo_f = [], []  # (wire, transfer) per split dimension
-    for i, peer in enumerate(neighbor_strides):
-        link = node.link_class(0, peer % node.n_gcds,
-                               same_node=(peer // node.n_gcds) == 0)
-        wire = Slot(engine, f"halo{i}.wire")
-        halo_x.append((wire, _transfer(comm, link, slab * XYZ_BYTES_PER_ATOM, "halo_transfer")))
-        halo_f.append((wire, _transfer(comm, link, slab * FORCE_BYTES_PER_ATOM,
-                                       "halo_transfer")))
-
-    ranks = [pp]
-    pme_link = None
-    if plan.pme_ranks:
-        pme_rank_index = plan.ranks - 1
-        pme_device = Device(engine, "pme0.gcd", plan.profile, plan.settings)
-        pme = RankRuntime(engine, "pme0", plan.profile, plan.settings, api)
-        ranks.append(pme)
-        q_pme = pme_device.new_stream("q_pme")
-        link = node.link_class(
-            0, pme_rank_index % node.n_gcds,
-            same_node=(pme_rank_index // node.n_gcds) == 0)
-        x_wire = Slot(engine, "pme-x.wire")
-        f_wire = Slot(engine, "pme-f.wire")
-        x_ready = [engine.event(f"x_ready.{s}") for s in range(total_steps)]
-        f_ready = [engine.event(f"f_ready.{s}") for s in range(total_steps)]
-        # with comm overlap the chain hides all but one peer's transfer;
-        # without it the long-range rank stages every peer serially
-        comm_factor = 1 if plan.profile.pme_comm_overlap else pp_ranks
-        x_transfer = _transfer(comm, link, atoms_pp * XYZ_BYTES_PER_ATOM * comm_factor,
-                               "x_transfer")
-        f_transfer = _transfer(comm, link, atoms_pp * FORCE_BYTES_PER_ATOM * comm_factor,
-                               "f_transfer")
-        pme_link = _PmeLink(x_wire, x_transfer, x_ready, f_ready)
-
-        engine.spawn(pme.app_actor,
-                     _pme_rank_app(engine, plan, pme, q_pme, kcost, f_wire, f_transfer,
-                                   x_ready, f_ready, total_steps, pp_ranks),
-                     domain=pme.app_domain)
-
-    engine.spawn(pp.app_actor,
-                 _pp_rank_app(engine, plan, pp, q_loc, q_nl, kcost,
-                              atoms_pp, slab, nonlocal_atoms, halo_x, halo_f,
-                              pme_link, total_steps, era_marks),
-                 domain=pp.app_domain)
-    trace = engine.run_until_idle()
-    return trace, [d for rt in ranks for d in rt.launch_delays]
+                     launch_delays=[d for rt in ranks for d in rt.launch_delays],
+                     busy_ns=trace.busy_ns, trace=trace if keep_trace else None)
 
 
 def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
@@ -257,8 +238,9 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
 
     ``atoms`` is the home domain; ``halo_x`` and ``halo_f`` hold one
     (wire, transfer) pair per split dimension, and ``pme_link`` the
-    long-range peer.  A mesh system without such a peer runs the
-    long-range chain inline on ``q_loc``.
+    long-range peer's ``(x_wire, x_transfer, x_ready, f_ready)``.  A mesh
+    system without such a peer runs the long-range chain inline on
+    ``q_loc``.
     """
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns
@@ -266,6 +248,8 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     mpi_halo_x = Charge(2 * mpi_cpu, "mpi_halo_x")
     mpi_halo_f = Charge(2 * mpi_cpu, "mpi_halo_f")
     inline_pme = sys_.pme and pme_link is None
+    if pme_link is not None:
+        x_wire, x_transfer, x_ready, f_ready = pme_link
     pending: List[Event] = []
     prev_constraints: Optional[Event] = None
     for step in range(total_steps):
@@ -284,7 +268,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
             # this is a runtime sync point (it flushes a deferred graph)
             yield from rt.sync([prev_constraints] if prev_constraints else [])
             yield send_x
-            pme_link.x_wire.enqueue(DevTask(pme_link.x_transfer, (), pme_link.x_ready[step]))
+            x_wire.enqueue(DevTask(x_transfer, (), x_ready[step]))
 
         # local-only force work goes out first; it needs no remote
         # coordinates and its stream crunches while the halo is on
@@ -310,7 +294,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
         pending.append(ev)
 
         unpacks = yield from _halo_exchange(
-            engine, rt, q_nl, kcost, halo_x, mpi_halo_x, slab, step, "x",
+            rt, q_nl, kcost, halo_x, mpi_halo_x, slab, step, "x",
             [prev_constraints] if prev_constraints else ())
         reduce_deps = []
         if halo_x:
@@ -323,7 +307,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
             # MPI receive of the long-range forces blocks the host; a
             # deferred runtime sits on its unflushed graph meanwhile
             yield recv_f
-            yield WaitFor(pme_link.f_ready[step])
+            yield WaitFor(f_ready[step])
         ev_red = yield from rt.submit(q_loc, "reduce_forces",
                                       kcost(KernelKind.REDUCE_FORCES, atoms),
                                       deps=reduce_deps)
@@ -331,7 +315,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
 
         # force halo back out, then integrate
         leap_deps = yield from _halo_exchange(
-            engine, rt, q_nl, kcost, halo_f, mpi_halo_f, slab, step, "f", [ev_red])
+            rt, q_nl, kcost, halo_f, mpi_halo_f, slab, step, "f", [ev_red])
         ev = yield from rt.submit(q_loc, "leap_frog",
                                   kcost(KernelKind.LEAP_FROG, atoms),
                                   deps=leap_deps)
@@ -351,7 +335,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
             era_marks.append(engine.now)
 
 
-def _halo_exchange(engine, rt, q_nl, kcost, halo, mpi, slab, step, letter, pack_deps):
+def _halo_exchange(rt, q_nl, kcost, halo, mpi, slab, step, letter, pack_deps):
     """One coordinate (``x``) or force (``f``) halo pulse per split
     dimension over the (wire, transfer) pairs of ``halo``, each sent
     after the MPI charge ``mpi``; returns the unpack events."""
@@ -362,7 +346,7 @@ def _halo_exchange(engine, rt, q_nl, kcost, halo, mpi, slab, step, letter, pack_
             kcost(KernelKind.HALO_PACK_UNPACK, slab), deps=pack_deps)
         yield from rt.sync([pack])
         yield mpi
-        t = engine.event(f"halo_{letter}.{step}.{i}")
+        t = Event(f"halo_{letter}.{step}.{i}")
         wire.enqueue(DevTask(transfer, (), t))
         # the matching receive blocks on the host; by symmetry the
         # peer's slab lands when ours finishes crossing the link
@@ -374,7 +358,7 @@ def _halo_exchange(engine, rt, q_nl, kcost, halo, mpi, slab, step, letter, pack_
     return unpacks
 
 
-def _pme_rank_app(engine, plan, rt, q_pme, kcost, f_wire, f_transfer,
+def _pme_rank_app(plan, rt, q_pme, kcost, f_wire, f_transfer,
                   x_ready, f_ready, total_steps, pp_ranks):
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns

@@ -482,7 +482,7 @@ class RankRuntime:
         if self.instant:
             yield self._api_call(self.app_actor, ApiKind.HOST_SYNC_POLL)
         else:
-            req = self.engine.event("sync_notify")
+            req = Event("sync_notify")
             self._notify_requests.append((req, list(self._flushes_since_sync)))
             self._flushes_since_sync.clear()
             self.engine.wake(self._monitor)

@@ -23,8 +23,6 @@ from typing import Dict, List, Optional
 
 
 class LinkClass(Enum):
-    __hash__ = object.__hash__  # identity hash, as for costs.KernelKind
-
     INTRA_GCD_PAIR = auto()   # two dies in one GPU package
     INTRA_NODE = auto()       # different packages, same node
     INTER_NODE = auto()       # over the interconnect
@@ -39,7 +37,6 @@ class NodeTopology:
         n_ccx:                CPU core complexes per node
         cores_per_ccx:        physical cores per CCX
         n_gcds:               logical GPU devices per node
-        n_nics:               network cards per node
         reserve_first_core:   whether core 0 of each CCX belongs to the OS
         smt:                  hardware threads per core (1 = SMT off)
         placement:            "bind-ranks-to-ccx" moves the rank onto the
@@ -52,7 +49,6 @@ class NodeTopology:
     n_ccx: int = 8
     cores_per_ccx: int = 8
     n_gcds: int = 8
-    n_nics: int = 4
     reserve_first_core: bool = False
     smt: int = 1
     placement: str = "bind-ranks-to-ccx"

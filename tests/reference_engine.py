@@ -65,6 +65,11 @@ class ReferenceEngine:
     def event(self, name=""):
         return Event(name)
 
+    def close(self):
+        for proc in self._procs:
+            if not proc.done:
+                proc.gen.close()
+
     def post(self, event, delay_ns=0, payload=None):
         if delay_ns < 0:
             raise CausalityError(f"event {event.name!r} posted {-delay_ns} ns in the past")

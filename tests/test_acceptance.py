@@ -491,7 +491,7 @@ def test_affinity_planner_bindings():
         n = rng.choice((2, 4, 6, 8, 12, 16))
         node = NodeTopology(
             name=f"rand{i}", n_ccx=n, cores_per_ccx=rng.randint(2, 16),
-            n_gcds=n, n_nics=(n + 1) // 2,
+            n_gcds=n,
             reserve_first_core=rng.random() < 0.5,
             smt=rng.choice((1, 2)),
             placement=rng.choice(("bind-ranks-to-ccx", "reorder-devices")))

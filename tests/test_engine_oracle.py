@@ -8,15 +8,17 @@ of ``test_engine`` and on whole simulations, with ``ReferenceEngine``
 (no handoff at all) put in place of ``Engine``.
 """
 
+import gc
 import heapq
 import random
+import weakref
 
 import pytest
 
 import test_engine
 from mdgpusim import pipeline
 from mdgpusim.cli import Scenario, render_csv, run_scenario
-from mdgpusim.engine import _FINISH, PARK, Charge, Engine, Sleep, WaitFor
+from mdgpusim.engine import _FINISH, PARK, Charge, DeadlockError, Engine, Event, Sleep, WaitFor
 from reference_engine import ReferenceEngine
 
 ENGINES = pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine],
@@ -168,6 +170,32 @@ def test_actor_with_no_finished_charge_has_no_busy_key(engine_cls):
     eng.spawn("parked", _gen([Sleep(5), PARK]), daemon=True)
     eng.spawn("worker", _gen([Charge(3, "w"), Charge(4, "w")]))
     assert eng.run_until_idle().busy_ns == {"worker": 7}
+
+
+@ENGINES
+def test_close_frees_a_deadlocked_run(engine_cls):
+    """A parked daemon whose frame holds the engine is a reference cycle;
+    once ``close`` ends it, the engine of a deadlocked run dies with its
+    last reference, the cyclic collector off."""
+    def daemon(eng):
+        while True:
+            yield PARK
+
+    eng = engine_cls()
+    eng.spawn("daemon", daemon(eng), daemon=True)
+    eng.spawn("app", _gen([WaitFor(Event("never"))]))
+    with pytest.raises(DeadlockError, match="blocked actors: app$"):
+        eng.run_until_idle()
+    ref = weakref.ref(eng)
+    gc.collect()
+    gc.disable()
+    try:
+        eng.close()
+        del eng
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert not alive
 
 
 @ENGINES

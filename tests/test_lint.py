@@ -46,10 +46,11 @@ def test_no_unused_imports():
 
 
 def references(source: str) -> set:
-    """Every name the module reads as a bare name or as an attribute."""
+    """Every name the module reads (loads) as a bare name or as an
+    attribute; a store, such as a field's own declaration, is no read."""
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
 def unreferenced_defs(source: str, refs: set):
@@ -95,4 +96,34 @@ def test_every_package_def_has_a_caller():
                  for path in PACKAGE
                  for line, qual in unreferenced_defs(path.read_text(encoding="utf-8"), refs)
                  if qual not in UNCALLED_ON_PURPOSE]
+    assert offenders == []
+
+
+def unread_fields(source: str, refs: set):
+    """(line, Class.field) of every annotated field declared in a class
+    body whose name is not in ``refs``."""
+    return sorted((stmt.lineno, f"{node.name}.{stmt.target.id}")
+                  for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in refs)
+
+
+def test_gate_sees_unread_fields():
+    source = ("class A:\n"
+              "    read: int = 0\n"
+              "    stored: int\n"
+              "    def __init__(self):\n"
+              "        self.stored = self.read\n"
+              "        self.local: int = 1\n"
+              "class B(A):\n"
+              "    spare: str = 'read'\n")
+    assert unread_fields(source, references(source)) == [(3, "A.stored"), (8, "B.spare")]
+
+
+def test_every_package_field_is_read():
+    refs = set().union(*(references(path.read_text(encoding="utf-8")) for path in CALLERS))
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {qual}"
+                 for path in PACKAGE
+                 for line, qual in unread_fields(path.read_text(encoding="utf-8"), refs)]
     assert offenders == []

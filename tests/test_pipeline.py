@@ -9,6 +9,7 @@ arithmetic, and an exact critical-path oracle for small random DAGs.
 import gc
 import hashlib
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -52,10 +53,10 @@ def run_plan(system_id, profile_id="acpp-23.10", *, ranks=1, mcn=100,
     ("ranks", 0), ("ranks", -3), ("ranks", 2.0), ("n_eras", 1), ("n_eras", "3"),
     ("backend", "cuda"), ("backend", "SYCL")])
 def test_bad_plan_shape_raises_before_anything_runs(monkeypatch, field, value):
-    def run_ranks(*args):
+    def engine(*args, **kwargs):
         raise AssertionError("the run started")
 
-    monkeypatch.setattr(pipeline, "_run_ranks", run_ranks)
+    monkeypatch.setattr(pipeline, "Engine", engine)
     plan = RunPlan(system=get_system("grappa_pme_1500"),
                    profile=get_profile("acpp-23.10"), settings=RunSettings())
     setattr(plan, field, value)
@@ -388,6 +389,32 @@ def test_repeated_charges_are_built_once_per_run(monkeypatch):
                             keep_trace=True)
     assert len(trace.records) == 27_021
     assert len(built) < 1000
+
+
+@pytest.mark.parametrize("system_id, ranks, instant", [
+    ("grappa_pme_12k", 1, False),  # flush and monitor workers, one queue slot
+    ("grappa_pme_96k", 3, True),   # a long-range rank, its links and a halo link
+])
+def test_finished_run_frees_its_engine(monkeypatch, system_id, ranks, instant):
+    """With the cyclic collector off, the engine a run built is gone once
+    ``simulate`` returns: closing it ends the parked daemons whose frames
+    hold their owners, and so the engine."""
+    built = []
+
+    def engine(*args, **kwargs):
+        eng = Engine(*args, **kwargs)
+        built.append(weakref.ref(eng))
+        return eng
+
+    monkeypatch.setattr(pipeline, "Engine", engine)
+    gc.collect()
+    gc.disable()
+    try:
+        run_plan(system_id, ranks=ranks, instant=instant, keep_trace=False)
+        alive = [ref() is not None for ref in built]
+    finally:
+        gc.enable()
+    assert alive == [False]
 
 
 # -- reference throughput -----------------------------------------------------
