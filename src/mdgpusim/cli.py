@@ -46,7 +46,7 @@ COLUMNS = ["scenario", "system", "atoms", "ranks", "nodes", "backend",
 # values to sweep over, scalar keys hold one
 AXIS_KEYS = ("system", "profile", "ranks", "max_cached_nodes", "instant",
              "event_mode", "backend")
-SCALAR_KEYS = ("eras", "repetitions", "seed", "node")
+SCALAR_KEYS = ("eras", "seed", "node")
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -70,14 +70,10 @@ class Scenario:
     event_mode: str = "coarse"
     node: str = "lumi"
     eras: int = 3
-    repetitions: int = 1
     seed: int = 0
     overrides: Dict[str, Any] = field(default_factory=dict)
 
     def build_plan(self) -> RunPlan:
-        if not (is_int(self.repetitions) and self.repetitions >= 1):
-            raise ConfigError("repetitions must be an integer >= 1, "
-                              f"got {self.repetitions!r}")
         system = get_system(self.system)
         profile = get_profile(self.profile)
         node = _node_profile(self.node)
@@ -205,23 +201,21 @@ def _format_row(scenario: Scenario, report: RunReport) -> Dict[str, str]:
 
 def run_scenario(scenario: Scenario,
                  keep_trace: bool = False) -> Tuple[List[Dict[str, str]], Any]:
-    """One row per repetition of one scenario, plus the trace if kept."""
-    return run_plan(scenario, scenario.build_plan(), keep_trace)
+    """The rows of one scenario (its one row), plus the trace if kept."""
+    row, trace = run_plan(scenario, scenario.build_plan(), keep_trace)
+    return [row], trace
 
 
 def run_plan(scenario: Scenario, plan: RunPlan,
-             keep_trace: bool) -> Tuple[List[Dict[str, str]], Any]:
-    """``run_scenario`` on the plan ``scenario`` already built.
-
-    Every repetition runs the scenario's pinned seed on a deterministic
-    engine, so the scenario is simulated once and its row repeated; the
-    medians across repetitions are that run's own figures.
-    """
+             keep_trace: bool) -> Tuple[Dict[str, str], Any]:
+    """The one row of ``scenario`` run on the plan it already built, plus
+    the trace if kept.  The engine is deterministic in the scenario's
+    seed, so the median columns are that one run's own figures."""
     try:
         report = simulate(plan, keep_trace=keep_trace)
     except RuntimeError as exc:
         raise RuntimeError(f"scenario {scenario.scenario_id}: {exc}") from exc
-    return [_format_row(scenario, report)] * scenario.repetitions, report.trace
+    return _format_row(scenario, report), report.trace
 
 
 def render_csv(rows: List[Dict[str, str]]) -> str:
@@ -429,8 +423,8 @@ def cmd_simulate(args) -> int:
     with ExitStack() as files:
         out = _output(files, args.output)
         trace_out = None if args.trace is None else _output(files, args.trace)
-        rows, trace = run_plan(scenario, plan, keep_trace=trace_out is not None)
-        _emit(render_csv(rows), out)
+        row, trace = run_plan(scenario, plan, keep_trace=trace_out is not None)
+        _emit(render_csv([row]), out)
         if trace_out is not None:
             _emit(trace.to_json(indent=2), trace_out, end="\n")
     return 0
@@ -446,12 +440,10 @@ def cmd_sweep(args) -> int:
             plans.append(scenario.build_plan())
         except (KeyError, ValueError) as exc:  # ConfigError is a ValueError
             raise ConfigError(f"{scenario.scenario_id}: {_message(exc)}") from None
-    rows: List[Dict[str, str]] = []
     with ExitStack() as files:
         out = _output(files, args.output)
-        for scenario, plan in zip(scenarios, plans):
-            new_rows, _ = run_plan(scenario, plan, keep_trace=False)
-            rows.extend(new_rows)
+        rows = [run_plan(scenario, plan, keep_trace=False)[0]
+                for scenario, plan in zip(scenarios, plans)]
         _emit(render_csv(rows), out)
     return 0
 
@@ -534,7 +526,7 @@ def cmd_export_trace(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_scenario_flags(sub, with_repetitions: bool) -> None:
+def _add_scenario_flags(sub) -> None:
     """Flags for the run fields of ``Scenario``.  An absent flag leaves no
     attribute, so the field takes the default ``Scenario`` gives it."""
     absent = argparse.SUPPRESS
@@ -557,8 +549,6 @@ def _add_scenario_flags(sub, with_repetitions: bool) -> None:
     sub.add_argument("--seed", type=int, default=absent)
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a system., profile. or settings. field")
-    if with_repetitions:
-        sub.add_argument("--repetitions", type=int, default=absent)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     verbs = parser.add_subparsers(dest="verb", required=True)
 
     sim = verbs.add_parser("simulate", help="run one scenario")
-    _add_scenario_flags(sim, with_repetitions=True)
+    _add_scenario_flags(sim)
     sim.add_argument("--output", default=None, help="CSV path (default stdout)")
     sim.add_argument("--trace", default=None,
                      help="also save the event trace JSON here")
@@ -607,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = verbs.add_parser("export-trace",
                            help="run one scenario and save its trace")
-    _add_scenario_flags(exp, with_repetitions=False)
+    _add_scenario_flags(exp)
     exp.add_argument("--output", required=True, help="trace JSON path")
     exp.set_defaults(func=cmd_export_trace)
 

@@ -77,10 +77,14 @@ class RunPlan:
     node: NodeTopology = field(default_factory=lumi_node)
 
     def validate(self) -> "RunPlan":
-        """Reject a rank count, era count or backend no run can use,
-        naming the field."""
+        """Reject a rank count, era count, device count or backend no run
+        can use, naming the field."""
         if not (is_int(self.ranks) and self.ranks >= 1):
             raise ValueError(f"ranks must be an integer >= 1, got {self.ranks!r}")
+        visible, node = self.settings.visible_devices, self.node
+        if visible > node.n_gcds:
+            raise ValueError(f"visible_devices must be at most the {node.n_gcds} devices "
+                             f"of a {node.name} node, got {visible}")
         if not (is_int(self.n_eras) and self.n_eras >= 2):
             raise ValueError("n_eras must be an integer >= 2 (the first era is "
                              f"warm-up), got {self.n_eras!r}")

@@ -16,14 +16,20 @@ from .config import ConfigError, is_int, is_number, parse_config, subsection
 from .costs import KernelKind
 from .runtime import RuntimeProfile
 
-_NBNXM_GROUP = {KernelKind.NBNXM_LOCAL, KernelKind.NBNXM_NONLOCAL,
-                KernelKind.PRUNE_ONLY, KernelKind.PAIR_SEARCH,
-                KernelKind.HALO_PACK_UNPACK}
-_PME_GROUP = {KernelKind.PME_SPREAD, KernelKind.PME_GATHER, KernelKind.PME_SOLVE,
-              KernelKind.FFT_3D_FORWARD, KernelKind.FFT_3D_INVERSE,
-              KernelKind.GRID_MEMSET}
-_UPDATE_GROUP = {KernelKind.LEAP_FROG, KernelKind.CONSTRAINTS,
-                 KernelKind.REDUCE_FORCES}
+# the kernel families a SystemPreset scale field stretches; every kind is
+# in exactly one
+_FAMILIES = {
+    "nbnxm": {KernelKind.NBNXM_LOCAL, KernelKind.NBNXM_NONLOCAL,
+              KernelKind.PRUNE_ONLY, KernelKind.PAIR_SEARCH,
+              KernelKind.HALO_PACK_UNPACK},
+    "pme": {KernelKind.PME_SPREAD, KernelKind.PME_GATHER, KernelKind.PME_SOLVE,
+            KernelKind.FFT_3D_FORWARD, KernelKind.FFT_3D_INVERSE,
+            KernelKind.GRID_MEMSET},
+    "listed": {KernelKind.LISTED_FORCES},
+    "update": {KernelKind.LEAP_FROG, KernelKind.CONSTRAINTS,
+               KernelKind.REDUCE_FORCES},
+}
+_FAMILY = {kind: family for family, kinds in _FAMILIES.items() for kind in kinds}
 
 
 @dataclass(frozen=True)
@@ -76,15 +82,8 @@ class SystemPreset:
         return self
 
     def scale_for(self, kind: KernelKind) -> float:
-        if kind in _NBNXM_GROUP:
-            return self.nbnxm_scale
-        if kind in _PME_GROUP:
-            return self.pme_scale
-        if kind is KernelKind.LISTED_FORCES:
-            return self.listed_scale
-        if kind in _UPDATE_GROUP:
-            return self.update_scale
-        return 1.0
+        return {"nbnxm": self.nbnxm_scale, "pme": self.pme_scale,
+                "listed": self.listed_scale, "update": self.update_scale}[_FAMILY[kind]]
 
 
 def _data_text(filename: str) -> str:

@@ -199,8 +199,7 @@ class Work:
 
     def __init__(self, kernel: Charge, for_args: Optional[dict] = None,
                  packet: Optional[Charge] = None, node_args: Optional[dict] = None,
-                 submit: Optional[Charge] = None, process: Optional[Charge] = None,
-                 launches: Optional[Dict[int, Charge]] = None):
+                 submit: Optional[Charge] = None, process: Optional[Charge] = None):
         self.kernel = kernel
         self.for_args = for_args
         self.packet = packet
@@ -208,15 +207,8 @@ class Work:
         self.submit = submit
         self.process = process
         self.done_name = f"{kernel.name}.done"
-        self.launches = {} if launches is None else launches
+        self.launches: Dict[int, Charge] = {}
         self.dispatch: Optional[Charge] = None
-
-    def with_kernel(self, kernel: Charge) -> "Work":
-        """The same node on another stream or with another duration: a
-        ``Work`` that shares every payload and charge of this one but
-        its kernel and dispatch charges."""
-        return Work(kernel, self.for_args, self.packet, self.node_args, self.submit,
-                    self.process, self.launches)
 
     def launch(self, ns: int) -> Charge:
         """The ``kernel_launch`` charge of a drawn latency of ``ns``."""
@@ -370,7 +362,6 @@ class RankRuntime:
         self._notify_requests: deque = deque()
         self.full = settings.event_mode is EventMode.FULL
         self._works: Dict[Tuple[Stream, str, int], Work] = {}
-        self._named: Dict[str, Work] = {}  # node name -> its first Work
         # API calls without a payload: kind -> drawn ns -> its charge
         self._api_charges: Dict[ApiKind, Dict[int, Charge]] = {kind: {} for kind in ApiKind}
 
@@ -392,24 +383,20 @@ class RankRuntime:
     # -- submission (runs on the application process) ----------------------
 
     def _work(self, stream: Stream, name: str, duration_ns: int) -> Work:
-        """The ``Work`` of a node, built the first time it is submitted on
-        ``stream`` with ``duration_ns``.  Every ``Work`` of one name shares
-        its payloads, so trace records keep sharing them by identity."""
-        kernel = Charge(duration_ns, name, stream.args)
-        first = self._named.get(name)
-        if first is not None:
-            work = first.with_kernel(kernel)
-        else:
-            prof = self.profile
-            node_args, for_args = {"node": name}, {"for": name}
-            packet = (Charge(prof.event_device_cost_ns, "event_packet", for_args)
-                      if self.full and prof.event_device_cost_ns else None)
-            process = (Charge(prof.per_node_flush_cost_ns, "graph_process", node_args)
-                       if prof.per_node_flush_cost_ns else None)
-            work = self._named[name] = Work(
-                kernel, for_args, packet, node_args,
-                Charge(prof.submit_cost_ns, "submit_node", node_args), process)
-        self._works[stream, name, duration_ns] = work
+        """The ``Work`` of a node, built whole the first time it is
+        submitted on ``stream`` with ``duration_ns``.  A pipeline submits
+        each node name on one stream with one duration per run, so each
+        name's payloads are built once and trace records share them by
+        identity."""
+        prof = self.profile
+        node_args, for_args = {"node": name}, {"for": name}
+        packet = (Charge(prof.event_device_cost_ns, "event_packet", for_args)
+                  if self.full and prof.event_device_cost_ns else None)
+        process = (Charge(prof.per_node_flush_cost_ns, "graph_process", node_args)
+                   if prof.per_node_flush_cost_ns else None)
+        work = self._works[stream, name, duration_ns] = Work(
+            Charge(duration_ns, name, stream.args), for_args, packet, node_args,
+            Charge(prof.submit_cost_ns, "submit_node", node_args), process)
         return work
 
     def _api_call(self, actor: str, kind: ApiKind) -> Charge:

@@ -1,18 +1,19 @@
 """Command-line front end behavior.
 
 Runs ``main`` in-process with temp files, covering the CSV schema,
-repetition determinism, sweep expansion, reference checking with its
+one row per scenario, sweep expansion, reference checking with its
 exit-code contract, the kernel-cost fitter, affinity printing, and
 trace export.
 """
 
 import argparse
 import dataclasses
-import hashlib
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -71,30 +72,6 @@ def test_simulate_writes_versioned_csv(tmp_path):
     assert row["median_ms_per_step"] == row["ms_per_step"]
 
 
-def test_five_repetitions_give_identical_rows(monkeypatch, tmp_path):
-    calls = []
-    real = cli.simulate
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "simulate", counting)
-    out = tmp_path / "reps.csv"
-    code = main(["simulate", "--system", "grappa_pme_1500",
-                 "--profile", "acpp-23.10", "--eras", "2",
-                 "--repetitions", "5", "--output", str(out)])
-    assert code == 0
-    assert len(calls) == 1
-    data_lines = [ln for ln in out.read_text(encoding="utf-8").splitlines()
-                  if ln and not ln.startswith("#")][1:]
-    assert len(data_lines) == 5
-    assert len(set(data_lines)) == 1
-    # the bytes five separate simulations used to write
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "fbbae539dde4bda4782937789b3de143f0e9ddde9abfeac98a135f79ec015876")
-
-
 def test_scenario_alone_defines_the_run_fields():
     run_fields = [f for f in Scenario.__dataclass_fields__
                   if f not in ("scenario_id", "overrides")]
@@ -108,6 +85,53 @@ def test_scenario_alone_defines_the_run_fields():
     given_fields = vars(parser.parse_args(
         ["simulate", "--system", "s", "--profile", "p"]))
     assert set(given_fields) & set(run_fields) == {"system", "profile"}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def verb_options():
+    """Every verb's long options, ``--help`` aside."""
+    verbs = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return {verb: {o for a in sub._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+            for verb, sub in verbs.choices.items()}
+
+
+def shown_flags(text):
+    """(verb, flag) for each long flag a text shows: on an ``mdgpusim
+    <verb>`` command line, backslash continuations joined, with its verb;
+    in an inline code span, with None for any verb."""
+    for line in text.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if words[:1] == ["mdgpusim"]:
+            verb = words[1] if len(words) > 1 else ""
+            yield from ((verb, w.split("=")[0]) for w in words[2:] if w.startswith("--"))
+    for span in re.findall(r"`([^`\n]+)`", text):
+        yield from ((None, flag) for flag in re.findall(r"--[\w-]+", span))
+
+
+def test_gate_sees_flags_in_commands_and_code_spans():
+    text = ("```sh\n"
+            "mdgpusim simulate --system s \\\n"
+            "    --eras=2\n"
+            "pip install --user x\n"
+            "```\n"
+            "Use `--repetitions 5` or --seed.\n")
+    assert list(shown_flags(text)) == [
+        ("simulate", "--system"), ("simulate", "--eras"), (None, "--repetitions")]
+
+
+def test_readme_documents_every_flag_and_no_other():
+    text = README.read_text(encoding="utf-8")
+    options = verb_options()
+    anywhere = set().union(*options.values())
+    undocumented = sorted(f"{verb} {opt}" for verb, opts in options.items() for opt in opts
+                          if not re.search(re.escape(opt) + r"(?![\w-])", text))
+    unknown = sorted(f"{verb or 'any verb'} {flag}" for verb, flag in shown_flags(text)
+                     if flag not in (anywhere if verb is None else options.get(verb, ())))
+    assert (undocumented, unknown) == ([], [])
 
 
 def test_csv_output_is_byte_stable(tmp_path):
@@ -166,7 +190,8 @@ def test_atomless_system_is_rejected(capsys, ranks, atoms):
     (["--eras", "1"], "n_eras must be an integer >= 2 (the first era is warm-up), got 1"),
     (["--backend", "cuda"], "backend must be one of sycl, hip, got 'cuda'"),
     (["--node", "mars"], "unknown node profile 'mars'; available: dardel, lumi"),
-    (["--repetitions", "0"], "repetitions must be an integer >= 1, got 0"),
+    (["--ranks", "2", "--set", "settings.visible_devices=9"],
+     "visible_devices must be at most the 8 devices of a lumi node, got 9"),
 ])
 def test_bad_run_shape_is_one_error_line(capsys, flags, message):
     code = main(["simulate", "--system", "grappa_pme_1500",
@@ -349,7 +374,7 @@ BAD_SWEEP_LINES = [
     ("fig.eras = 2.9",
      "fig: n_eras must be an integer >= 2 (the first era is warm-up), got 2.9"),
     ("fig.seed = 1.5", "fig: seed must be an integer, got 1.5"),
-    ("fig.repetitions = abc", "fig: repetitions must be an integer >= 1, got 'abc'"),
+    ("fig.repetitions = 5", "fig: unknown scenario key(s) ['repetitions']"),
     ("fig.backend = \"\"", "fig: no values for ['backend']"),
     ("fig.set.system.atoms = 0", "fig: grappa_pme_1500: need at least one atom, got 0"),
     ("fig.node = mars", "fig: unknown node profile 'mars'; available: dardel, lumi"),

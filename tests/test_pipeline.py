@@ -391,6 +391,28 @@ def test_repeated_charges_are_built_once_per_run(monkeypatch):
     assert len(built) < 1000
 
 
+@pytest.mark.parametrize("fields", [
+    dict(system="grappa_pme_12k", event_mode="full"),  # deferred, one rank
+    dict(system="grappa_pme_96k", ranks=3),  # a long-range rank
+    dict(system="grappa_rf_46m", ranks=64, eras=2,  # a halo in three dimensions
+         overrides={"system.nstlist": 10}),
+], ids=["12k-full", "96k-3r", "46m-64r"])
+def test_each_kernel_name_runs_on_one_stream_with_one_duration(fields):
+    """The runtime builds a whole ``Work`` for each (stream, name,
+    duration) a rank submits, so each name's payloads are built once only
+    while a rank runs every device kernel of one name on one stream with
+    one duration."""
+    _, trace = run_scenario(Scenario(scenario_id="shape", profile="acpp-23.10", **fields),
+                            keep_trace=True)
+    shapes = {}
+    for actor, name, begin, end, args in trace.records:
+        if args is not None and "stream" in args:
+            rank = actor.split(".")[0]
+            shapes.setdefault((rank, name), set()).add((args["stream"], end - begin))
+    assert shapes
+    assert {key: s for key, s in shapes.items() if len(s) > 1} == {}
+
+
 @pytest.mark.parametrize("system_id, ranks, instant", [
     ("grappa_pme_12k", 1, False),  # flush and monitor workers, one queue slot
     ("grappa_pme_96k", 3, True),   # a long-range rank, its links and a halo link

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency, default_api_model
+from mdgpusim.costs import (ApiKind, ApiLatencyModel, KernelKind, TwoPointLatency,
+                            default_api_model)
 from mdgpusim.engine import Engine
 from mdgpusim import presets
 from mdgpusim.config import ConfigError
-from mdgpusim.presets import get_profile, load_profiles
+from mdgpusim.presets import SystemPreset, get_profile, load_profiles
 from mdgpusim.runtime import (
     Device,
     EventMode,
@@ -86,6 +87,18 @@ def test_misspelt_bundled_key_names_the_file_and_the_key(
     with pytest.raises(ConfigError) as excinfo:
         loader()
     assert str(excinfo.value) == message
+
+
+def test_every_kernel_kind_is_scaled_by_exactly_one_family():
+    """``SystemPreset.scale_for`` has no fallback, so a new kind must join
+    a family before any system can price it."""
+    assert {kind: sum(kind in kinds for kinds in presets._FAMILIES.values())
+            for kind in KernelKind} == {kind: 1 for kind in KernelKind}
+    system = SystemPreset("s", atoms=1, pme=True, nbnxm_scale=2.0, pme_scale=3.0,
+                          listed_scale=5.0, update_scale=7.0)
+    assert {family: {system.scale_for(kind) for kind in kinds}
+            for family, kinds in presets._FAMILIES.items()} == {
+        "nbnxm": {2.0}, "pme": {3.0}, "listed": {5.0}, "update": {7.0}}
 
 
 def test_monotonicity_guard_rejects_heavy_bookkeeping():
@@ -181,31 +194,6 @@ def test_a_stream_created_mid_run_retunes_later_dispatches():
         [prof.dispatch_gap_ns] * 3 + [raised] * 3
     assert dev.slots[0].dispatch_gap_ns == raised
     assert all(args == {"for": "k"} for *_, args in dispatches)
-
-
-def test_one_node_name_shares_its_payloads_across_streams_and_durations():
-    """Trace JSON builds one template per payload object, so every record
-    of a node name carries the same ``{"node"}`` or ``{"for"}`` dict,
-    whatever stream or duration the submission had."""
-    eng, dev, rt = build_rank(RunSettings(max_cached_nodes=0, event_mode=EventMode.FULL))
-    qa, qb = dev.new_stream("qa"), dev.new_stream("qb")
-
-    def app():
-        evts = []
-        for q, dur in ((qa, 1000), (qa, 2000), (qb, 1000), (qb, 3000)):
-            ev = yield from rt.submit(q, "k", dur)
-            evts.append(ev)
-        yield from rt.sync(evts)
-
-    eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
-    trace = eng.run_until_idle()
-    payloads = {}
-    for name in ("submit_node", "graph_process", "kernel_launch", "dispatch", "event_packet"):
-        records = named(trace, name)
-        assert len(records) == 4
-        payloads[name] = {id(args) for *_, args in records}
-    assert all(len(ids) == 1 for ids in payloads.values())
-    assert len(set().union(*payloads.values())) == 2
 
 
 def test_same_slot_serializes_distinct_slots_overlap():
