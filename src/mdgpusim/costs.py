@@ -15,6 +15,10 @@ expected cost is what the profile states.  Draws come from a counter
 hash keyed on (seed, actor, kind, index), never from a sequential RNG:
 two runs that issue the same Nth launch from the same actor see the
 same latency even when one of them records extra events in between.
+Being pure, each (actor, kind) stream is hashed once per process: a
+model keeps the latencies drawn so far (up to a fixed count), and
+``default_api_model`` shares one model per seed, so a run reads the
+draws an earlier run with its seed already hashed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
 class KernelKind(Enum):
@@ -270,19 +276,33 @@ def _tail_cut(tail_prob: float) -> int:
     return lo
 
 
+# the most latencies one model keeps over all its streams; a draw past
+# them is hashed each time, so a long run cannot grow a shared model
+_KEPT_DRAWS = 1 << 15
+
+
 class ApiLatencyModel:
-    """Deterministic counter-hashed sampler over per-kind two-point laws."""
+    """Deterministic counter-hashed sampler over per-kind two-point laws.
+
+    The model keeps, per (actor, kind), the latencies drawn at indices
+    0, 1, 2, ..., up to ``_KEPT_DRAWS`` in all, and every ``ApiSampler``
+    on it reads them by its own index.  The table is read-only, since
+    those draws depend on it.
+    """
 
     def __init__(self, table: Dict[ApiKind, TwoPointLatency], seed: int = 0):
         missing = [k for k in ApiKind if k not in table]
         if missing:
             raise ValueError(f"latency table missing kinds: {[k.value for k in missing]}")
-        self.table = dict(table)
+        self.table: Mapping[ApiKind, TwoPointLatency] = MappingProxyType(dict(table))
         self.seed = seed & _MASK64
         # the FNV hashes of actor and kind names, computed once per name
         self._actor_hash: Dict[str, int] = {}
         self._kind_hash = {k: _fnv1a64(k.value.encode()) for k in ApiKind}
         self._tail_cuts = {k: _tail_cut(law.tail_prob) for k, law in self.table.items()}
+        # (actor, kind) -> the latencies drawn so far, by index
+        self._drawn: Dict[Tuple[str, ApiKind], List[int]] = {}
+        self._room = _KEPT_DRAWS  # how many more latencies it may keep
 
     def _stream_key(self, actor: str, kind: ApiKind) -> int:
         """The hash of (seed, actor, kind) that every index is mixed into."""
@@ -310,36 +330,58 @@ class ApiLatencyModel:
 class ApiSampler:
     """Auto-indexing wrapper: one monotone counter per (actor, kind).
 
-    Each (actor, kind) stream caches its key, the integer tail cut and
-    the two rounded values, so a draw is one splitmix and one compare;
-    it returns exactly what ``ApiLatencyModel.sample`` does.
+    A draw reads the model's kept list at the stream's own index, so a
+    latency is hashed once per process, whichever sampler or run reaches
+    it first.  Past the list's end the sampler hashes it with the
+    stream's cached key, integer tail cut and two rounded values (one
+    splitmix and one compare) and appends it while the model has room.
+    Either way it returns exactly what ``ApiLatencyModel.sample`` does.
     """
 
     def __init__(self, model: ApiLatencyModel):
         self.model = model
-        # (actor, kind) -> [key, next index, tail cut, tail ns, common ns]
-        self._streams: Dict[Tuple[str, ApiKind], List[int]] = {}
+        # (actor, kind) -> [key, next index, tail cut, tail ns, common ns,
+        #                   the model's kept latencies]
+        self._streams: Dict[Tuple[str, ApiKind], list] = {}
 
     def draw(self, actor: str, kind: ApiKind) -> int:
         stream = self._streams.get((actor, kind))
         if stream is None:
             stream = self._streams[(actor, kind)] = self._open(actor, kind)
-        key, idx, cut, tail, common = stream
+        key, idx, cut, tail, common, kept = stream
         stream[1] = idx + 1
+        if idx < len(kept):
+            return kept[idx]
         # _splitmix64(key ^ (idx * _INDEX_MIX & _MASK64)), inlined; both
         # operands are below 2**64, so its first mask is a no-op
         x = key ^ (idx * _INDEX_MIX & _MASK64)
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return tail if x ^ (x >> 31) < cut else common
+        value = tail if x ^ (x >> 31) < cut else common
+        # idx is the list's length here: a list stops short of an index
+        # only once the model's room is spent, and room never comes back
+        model = self.model
+        if model._room:
+            model._room -= 1
+            kept.append(value)
+        return value
 
-    def _open(self, actor: str, kind: ApiKind) -> List[int]:
-        law = self.model.table[kind]
-        return [self.model._stream_key(actor, kind), 0, self.model._tail_cuts[kind],
-                round_half_up(law.tail_ns), round_half_up(law.common_ns)]
+    def _open(self, actor: str, kind: ApiKind) -> list:
+        model = self.model
+        law = model.table[kind]
+        return [model._stream_key(actor, kind), 0, model._tail_cuts[kind],
+                round_half_up(law.tail_ns), round_half_up(law.common_ns),
+                model._drawn.setdefault((actor, kind), [])]
 
 
 def default_api_model(seed: int = 0) -> ApiLatencyModel:
+    """The default latency laws under ``seed``: one model per seed value,
+    shared by every run in the process, so their draws are hashed once."""
+    return _shared_api_model(seed)
+
+
+@lru_cache(maxsize=8)
+def _shared_api_model(seed: int) -> ApiLatencyModel:
     return ApiLatencyModel({
         ApiKind.KERNEL_LAUNCH: TwoPointLatency(2000.0, 25000.0),
         ApiKind.EVENT_RECORD: TwoPointLatency(2000.0, 30000.0),

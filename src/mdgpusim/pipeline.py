@@ -254,6 +254,28 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     inline_pme = sys_.pme and pme_link is None
     if pme_link is not None:
         x_wire, x_transfer, x_ready, f_ready = pme_link
+    # every duration the steps submit, each priced only if some step uses it
+    search_ns = kcost(KernelKind.PAIR_SEARCH, atoms)
+    local_ns = kcost(KernelKind.NBNXM_LOCAL, atoms)
+    # some step prunes iff prune_every itself does: a step below
+    # total_steps that nstlist does not divide (if nstlist divides
+    # prune_every, it divides every multiple of it)
+    if (sys_.prune_every and sys_.prune_every % sys_.nstlist
+            and sys_.prune_every < total_steps):
+        prune_ns = kcost(KernelKind.PRUNE_ONLY, atoms)
+        sort_ns = round(0.3 * prune_ns)
+    chain = [(name, kcost(kind, atoms)) for name, kind in _PME_CHAIN] if inline_pme else []
+    listed_ns = kcost(KernelKind.LISTED_FORCES, atoms)
+    if halo_x:
+        halo_ns = kcost(KernelKind.HALO_PACK_UNPACK, slab)
+        nonlocal_ns = kcost(KernelKind.NBNXM_NONLOCAL, nonlocal_atoms)
+    else:
+        halo_ns = None
+    reduce_ns = kcost(KernelKind.REDUCE_FORCES, atoms)
+    leap_ns = kcost(KernelKind.LEAP_FROG, atoms)
+    constraints_ns = kcost(KernelKind.CONSTRAINTS, atoms)
+    if inline_pme:
+        memset_ns = kcost(KernelKind.GRID_MEMSET, atoms)
     pending: List[Event] = []
     prev_constraints: Optional[Event] = None
     for step in range(total_steps):
@@ -263,8 +285,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
         if search:
             yield Charge(round(sys_.search_cpu_ns_per_atom * atoms),
                          "pair_search_cpu")
-            ev = yield from rt.submit(q_loc, "pair_search",
-                                      kcost(KernelKind.PAIR_SEARCH, atoms))
+            ev = yield from rt.submit(q_loc, "pair_search", search_ns)
             pending.append(ev)
 
         if pme_link is not None:
@@ -277,34 +298,26 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
         # local-only force work goes out first; it needs no remote
         # coordinates and its stream crunches while the halo is on
         # the wire
-        ev = yield from rt.submit(q_loc, "nbnxm_local",
-                                  kcost(KernelKind.NBNXM_LOCAL, atoms))
+        ev = yield from rt.submit(q_loc, "nbnxm_local", local_ns)
         pending.append(ev)
         if prune:
-            ev = yield from rt.submit(q_loc, "prune_only",
-                                      kcost(KernelKind.PRUNE_ONLY, atoms))
+            ev = yield from rt.submit(q_loc, "prune_only", prune_ns)
             pending.append(ev)
             if plan.backend == "hip":
-                ev = yield from rt.submit(
-                    q_loc, "prune_sort",
-                    round(0.3 * kcost(KernelKind.PRUNE_ONLY, atoms)))
+                ev = yield from rt.submit(q_loc, "prune_sort", sort_ns)
                 pending.append(ev)
-        if inline_pme:
-            for name, kind in _PME_CHAIN:
-                ev = yield from rt.submit(q_loc, name, kcost(kind, atoms))
-                pending.append(ev)
-        ev = yield from rt.submit(q_loc, "listed_forces",
-                                  kcost(KernelKind.LISTED_FORCES, atoms))
+        for name, ns in chain:
+            ev = yield from rt.submit(q_loc, name, ns)
+            pending.append(ev)
+        ev = yield from rt.submit(q_loc, "listed_forces", listed_ns)
         pending.append(ev)
 
         unpacks = yield from _halo_exchange(
-            rt, q_nl, kcost, halo_x, mpi_halo_x, slab, step, "x",
+            rt, q_nl, halo_ns, halo_x, mpi_halo_x, step, "x",
             [prev_constraints] if prev_constraints else ())
         reduce_deps = []
         if halo_x:
-            ev = yield from rt.submit(
-                q_nl, "nbnxm_nonlocal",
-                kcost(KernelKind.NBNXM_NONLOCAL, nonlocal_atoms), deps=unpacks)
+            ev = yield from rt.submit(q_nl, "nbnxm_nonlocal", nonlocal_ns, deps=unpacks)
             pending.append(ev)
             reduce_deps.append(ev)
         if pme_link is not None:
@@ -312,25 +325,19 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
             # deferred runtime sits on its unflushed graph meanwhile
             yield recv_f
             yield WaitFor(f_ready[step])
-        ev_red = yield from rt.submit(q_loc, "reduce_forces",
-                                      kcost(KernelKind.REDUCE_FORCES, atoms),
-                                      deps=reduce_deps)
+        ev_red = yield from rt.submit(q_loc, "reduce_forces", reduce_ns, deps=reduce_deps)
         pending.append(ev_red)
 
         # force halo back out, then integrate
         leap_deps = yield from _halo_exchange(
-            rt, q_nl, kcost, halo_f, mpi_halo_f, slab, step, "f", [ev_red])
-        ev = yield from rt.submit(q_loc, "leap_frog",
-                                  kcost(KernelKind.LEAP_FROG, atoms),
-                                  deps=leap_deps)
+            rt, q_nl, halo_ns, halo_f, mpi_halo_f, step, "f", [ev_red])
+        ev = yield from rt.submit(q_loc, "leap_frog", leap_ns, deps=leap_deps)
         pending.append(ev)
-        ev = yield from rt.submit(q_loc, "constraints",
-                                  kcost(KernelKind.CONSTRAINTS, atoms))
+        ev = yield from rt.submit(q_loc, "constraints", constraints_ns)
         pending.append(ev)
         prev_constraints = ev
         if inline_pme:
-            ev = yield from rt.submit(q_loc, "grid_memset",
-                                      kcost(KernelKind.GRID_MEMSET, atoms))
+            ev = yield from rt.submit(q_loc, "grid_memset", memset_ns)
             pending.append(ev)
 
         if step % sys_.nstlist == sys_.nstlist - 1:
@@ -339,15 +346,14 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
             era_marks.append(engine.now)
 
 
-def _halo_exchange(rt, q_nl, kcost, halo, mpi, slab, step, letter, pack_deps):
+def _halo_exchange(rt, q_nl, halo_ns, halo, mpi, step, letter, pack_deps):
     """One coordinate (``x``) or force (``f``) halo pulse per split
-    dimension over the (wire, transfer) pairs of ``halo``, each sent
-    after the MPI charge ``mpi``; returns the unpack events."""
+    dimension over the (wire, transfer) pairs of ``halo``, each packed
+    and unpacked in ``halo_ns`` and sent after the MPI charge ``mpi``;
+    returns the unpack events."""
     unpacks = []
     for i, (wire, transfer) in enumerate(halo):
-        pack = yield from rt.submit(
-            q_nl, f"halo_pack_{letter}{i}",
-            kcost(KernelKind.HALO_PACK_UNPACK, slab), deps=pack_deps)
+        pack = yield from rt.submit(q_nl, f"halo_pack_{letter}{i}", halo_ns, deps=pack_deps)
         yield from rt.sync([pack])
         yield mpi
         t = Event(f"halo_{letter}.{step}.{i}")
@@ -355,9 +361,7 @@ def _halo_exchange(rt, q_nl, kcost, halo, mpi, slab, step, letter, pack_deps):
         # the matching receive blocks on the host; by symmetry the
         # peer's slab lands when ours finishes crossing the link
         yield WaitFor(t)
-        unpack = yield from rt.submit(
-            q_nl, f"halo_unpack_{letter}{i}",
-            kcost(KernelKind.HALO_PACK_UNPACK, slab))
+        unpack = yield from rt.submit(q_nl, f"halo_unpack_{letter}{i}", halo_ns)
         unpacks.append(unpack)
     return unpacks
 
@@ -371,17 +375,18 @@ def _pme_rank_app(plan, rt, q_pme, kcost, f_wire, f_transfer,
     # progress engine works through them one message at a time
     recv_x = Charge(pp_ranks * mpi_cpu, "mpi_recv_x", msgs)
     send_f = Charge(pp_ranks * mpi_cpu, "mpi_send_f", msgs)
+    chain = [(name, kcost(kind, sys_.atoms)) for name, kind in _PME_CHAIN]
+    memset_ns = kcost(KernelKind.GRID_MEMSET, sys_.atoms)
     for step in range(total_steps):
         yield WaitFor(x_ready[step])
         yield recv_x
         evs = []
-        for name, kind in _PME_CHAIN:
-            ev = yield from rt.submit(q_pme, name, kcost(kind, sys_.atoms))
+        for name, ns in chain:
+            ev = yield from rt.submit(q_pme, name, ns)
             evs.append(ev)
         yield from rt.sync(evs)
         yield send_f
         f_wire.enqueue(DevTask(f_transfer, (), f_ready[step]))
         # grid clearing is next-step preparation; it rides the in-order
         # queue behind this step's chain and off the force-return path
-        yield from rt.submit(q_pme, "grid_memset",
-                             kcost(KernelKind.GRID_MEMSET, sys_.atoms))
+        yield from rt.submit(q_pme, "grid_memset", memset_ns)

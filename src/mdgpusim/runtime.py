@@ -357,6 +357,7 @@ class RankRuntime:
         self.app_actor = f"{name}.app"
         self.launch_delays: List[int] = []
         self._buffer: List[Tuple[DevTask, Stream]] = []
+        self._buffer_ns = 0  # the kernel ns of the buffered tasks
         self._batches: deque = deque()
         self._flushes_since_sync: List[int] = []  # trigger timestamps
         self._notify_requests: deque = deque()
@@ -431,13 +432,13 @@ class RankRuntime:
         else:
             yield work.submit
             self._buffer.append((task, stream))
+            self._buffer_ns += work.kernel.cost_ns
             if len(self._buffer) > self.settings.max_cached_nodes:
                 yield from self._trigger_flush(threshold=True)
         return done
 
     def _trigger_flush(self, threshold: bool = False):
-        if not self._buffer:
-            return
+        """Generator; hand the non-empty buffer to the flush worker."""
         cost = self.profile.flush_trigger_cost_ns
         if threshold:
             peers = self.settings.visible_devices - 1
@@ -446,22 +447,21 @@ class RankRuntime:
             nominal = peers * (self.profile.flush_contention_ns_per_peer
                                + self.profile.flush_contention_scan_ns * pairs)
             cutoff = self.profile.flush_contention_cutoff_ns
-            if cutoff > 0:
-                work = sum(t.work.kernel.cost_ns for t, _ in self._buffer)
-                if work >= cutoff:
-                    nominal = 0
+            if cutoff > 0 and self._buffer_ns >= cutoff:
+                nominal = 0
             cost += nominal
         yield Charge(cost, "flush_trigger",
                      {"nodes": len(self._buffer)})
         batch = self._buffer
         self._buffer = []
+        self._buffer_ns = 0
         self._batches.append(batch)
         self._flushes_since_sync.append(self.engine.now)
         self.engine.wake(self._flusher)
 
     def sync(self, events: Sequence[Event]):
         """Generator; host-side synchronization against ``events``."""
-        if not self.instant:
+        if self._buffer:
             yield from self._trigger_flush()
         for ev in events:
             if not ev.fired:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdgpusim import costs
 from mdgpusim.costs import (
     NBNXM_ANCHORS,
     ApiKind,
@@ -228,6 +229,67 @@ def test_sampler_draws_equal_the_pure_sample():
     for actor, kind in calls:
         assert sampler.draw(actor, kind) == model.sample(actor, kind, index[actor, kind])
         index[actor, kind] += 1
+
+
+def test_draws_are_shared_across_samplers():
+    """A second sampler on the same model reads the draws the first one
+    kept and hashes the rest; either way each draw is ``sample`` at its
+    own index, also around indices 511, 512 and 1024."""
+    model = ApiLatencyModel(dict(default_api_model().table), seed=11)
+    first = ApiSampler(model)
+    for _ in range(600):
+        first.draw("pp0.app", ApiKind.KERNEL_LAUNCH)
+    kinds = (ApiKind.KERNEL_LAUNCH, ApiKind.EVENT_RECORD, ApiKind.STREAM_WAIT_EVENT)
+    calls = [kind for kind in kinds for _ in range(1100)]
+    random.Random(4).shuffle(calls)
+    second = ApiSampler(model)
+    index = dict.fromkeys(kinds, 0)
+    for kind in calls:
+        assert second.draw("pp0.app", kind) == model.sample("pp0.app", kind, index[kind])
+        index[kind] += 1
+    assert all(n == 1100 for n in index.values())
+    assert [len(model._drawn["pp0.app", kind]) for kind in kinds] == [1100] * 3
+
+
+def test_a_full_model_keeps_no_more_draws():
+    """Once a model has kept its share of latencies, later draws are
+    hashed without being kept, and still equal ``sample``."""
+    model = ApiLatencyModel(dict(default_api_model().table), seed=12)
+    model._room = 100
+    kinds = (ApiKind.KERNEL_LAUNCH, ApiKind.EVENT_RECORD)
+    for _ in range(2):  # the second sampler reads what the first kept
+        sampler = ApiSampler(model)
+        for i in range(80):
+            for actor in ("pp0.app", "pme0.app"):
+                for kind in kinds:
+                    assert sampler.draw(actor, kind) == model.sample(actor, kind, i)
+    assert sum(map(len, model._drawn.values())) == 100 and model._room == 0
+
+
+def test_default_model_is_shared_per_seed_value():
+    assert default_api_model(0) is default_api_model(seed=0) is default_api_model()
+    assert default_api_model(1) is not default_api_model(2)
+    assert default_api_model(1).seed == 1 and default_api_model(2).seed == 2
+
+
+def test_default_model_cache_stays_bounded():
+    held = costs._shared_api_model.cache_info().maxsize
+    first = default_api_model(seed=10_000)
+    for seed in range(10_001, 10_001 + held + 3):
+        default_api_model(seed=seed)
+    assert costs._shared_api_model.cache_info().currsize == held
+    assert default_api_model(seed=10_000) is not first
+
+
+def test_model_table_is_read_only():
+    """Models are shared across runs, so an edit after draws were kept
+    would silently change later runs; a copy stays editable."""
+    model = default_api_model()
+    with pytest.raises(TypeError):
+        model.table[ApiKind.KERNEL_LAUNCH] = TwoPointLatency(1.0, 1.0, 0.0)
+    table = dict(model.table)
+    table[ApiKind.KERNEL_LAUNCH] = TwoPointLatency(1.0, 1.0, 0.0)
+    assert model.table[ApiKind.KERNEL_LAUNCH].mean_ns == 2000.0
 
 
 def test_tail_cuts_are_the_edge_of_the_float_test():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from mdgpusim import pipeline
+from mdgpusim import costs, pipeline
 from mdgpusim.cli import Scenario, render_csv, run_scenario
 from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency
 from mdgpusim.engine import Charge, Engine
@@ -334,6 +334,35 @@ def test_step_program_output_is_pinned(fields, digest):
                                keep_trace=True)
     text = render_csv(rows) + trace.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_a_warm_draw_cache_leaves_the_bytes_unchanged():
+    """Runs with one seed share its drawn API latencies.  The CSV and trace
+    JSON of a run on a cleared cache equal those of the same run after
+    other scenarios with its seed drew first, in either order."""
+    runs = [Scenario(scenario_id="warm", system="grappa_pme_96k", profile="acpp-23.10",
+                     ranks=3, instant=True),
+            Scenario(scenario_id="warm", system="grappa_pme_12k", profile="acpp-23.10",
+                     event_mode="full")]
+    others = [Scenario(scenario_id="other", system="grappa_pme_96k", profile="acpp-0.9.4",
+                       ranks=3, eras=4),
+              Scenario(scenario_id="other", system="grappa_pme_12k", profile="hip-native",
+                       instant=True, event_mode="full", eras=4)]
+
+    def output(scenario):
+        rows, trace = run_scenario(scenario, keep_trace=True)
+        return render_csv(rows) + trace.to_json()
+
+    cold = []
+    for scenario in runs:
+        costs._shared_api_model.cache_clear()
+        cold.append(output(scenario))
+    costs._shared_api_model.cache_clear()
+    for scenario in others:
+        run_scenario(scenario)
+    assert max(map(len, costs.default_api_model(seed=0)._drawn.values())) > 1000
+    warm = [output(scenario) for scenario in reversed(runs)][::-1]
+    assert warm == cold
 
 
 @pytest.fixture(scope="module")
