@@ -140,21 +140,29 @@ def scenarios_from_config(mapping: Dict[str, Any]) -> List[Scenario]:
             raise ConfigError(f"{prefix}: scenario needs system and profile")
         scalars = {k: sub[k] for k in SCALAR_KEYS if k in sub}
         # a value parse_config already typed (one token) is a single point;
-        # a list is split into raw tokens, which the scenario id keeps
-        axes = {k: sub[k].split() if isinstance(sub[k], str) else [sub[k]]
+        # a list is split into raw tokens, which the scenario id keeps,
+        # each paired with its typed value
+        axes = {k: [(v, parse_value(v)) for v in sub[k].split()]
+                if isinstance(sub[k], str) else [(sub[k], sub[k])]
                 for k in AXIS_KEYS if k in sub}
         empty = [k for k, values in axes.items() if not values]
         if empty:
             raise ConfigError(f"{prefix}: no values for {empty}")
+        for key, values in axes.items():
+            # a deterministic run repeated would only repeat its row
+            first: Dict[Tuple[type, Any], Any] = {}  # typed value -> its first token
+            for raw, typed in values:
+                if (type(typed), typed) in first:
+                    raise ConfigError(f"{prefix}: {key} lists {first[type(typed), typed]} twice")
+                first[type(typed), typed] = raw
         varying = [k for k, values in axes.items() if len(values) > 1]
 
         combos: List[Dict[str, Any]] = [{}]
         for key, values in axes.items():
             combos = [dict(combo, **{key: v}) for combo in combos for v in values]
         for combo in combos:
-            suffix = "/".join(f"{k}={combo[k]}" for k in varying)
-            typed = {k: parse_value(v) if isinstance(v, str) else v
-                     for k, v in combo.items()}
+            suffix = "/".join(f"{k}={combo[k][0]}" for k in varying)
+            typed = {k: value for k, (_, value) in combo.items()}
             scenarios.append(Scenario(f"{prefix}/{suffix}" if suffix else prefix,
                                       overrides=dict(overrides), **typed, **scalars))
     return scenarios
@@ -243,9 +251,11 @@ def _emit(text: str, out: TextIO, end: str = "") -> None:
 
 
 def read_report(path: str) -> List[Dict[str, str]]:
-    lines = [ln for ln in read_text(path).splitlines()
-             if ln and not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+    """The rows of a report, which must open with the schema line."""
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != f"# {CSV_SCHEMA}":
+        raise ConfigError(f"{path}: not a report: the first line must be '# {CSV_SCHEMA}'")
+    return list(csv.DictReader(ln for ln in lines[1:] if ln and not ln.startswith("#")))
 
 
 # -- reference comparison -----------------------------------------------------

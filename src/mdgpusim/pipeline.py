@@ -6,16 +6,19 @@ whenever halo or long-range exchanges force one mid-step), and the
 first era is warm-up that measurement discards.
 
 Every rank layout runs one step program, that of a short-range rank.
-One representative short-range rank is simulated and its halo peers
-are mirrored (a peer's inbound halo becomes available exactly when the
-representative's symmetric outbound transfer completes, which is what
-symmetry gives on a homogeneous decomposition).  Mesh systems on two or
-more ranks add one real long-range rank that receives coordinates from
-every short-range peer over parallel links, runs the
-spread/FFT/solve/FFT/gather chain at full system size, and returns
-forces.  This keeps event counts per step independent of the total
-rank count, so 4096-rank sweeps stay desk-sized.  Each link, halo or
-long-range, is a FIFO ``Slot`` of its own, the class that serves the
+The step programs only send and receive, on per-step events handed to
+them; ``simulate`` alone chooses the layout, the mirror.  One
+representative short-range rank is simulated and each halo direction
+receives on the events it sends on (by the symmetry of a homogeneous
+decomposition, a peer's slab lands when ours does).  Mesh systems on
+two or more ranks add one real long-range rank that listens to the
+representative's sends as if every peer's came over parallel links,
+runs the spread/FFT/solve/FFT/gather chain at full system size, and
+returns forces.  This keeps event counts per step independent of the
+total rank count, so 4096-rank sweeps stay desk-sized.
+``test_mirror_equals_ranks_wired_for_real`` (``tests/test_pipeline.py``)
+checks the mirror against every rank wired for real.  Each link, halo
+or long-range, is a FIFO ``Slot`` of its own, the class that serves the
 device queues: transfers queued on it serialize.
 
 ``simulate`` wires a run in one pass, spawning slots, workers and step
@@ -192,12 +195,16 @@ def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
         pp_device, pp = _build_rank(engine, plan, api, "rank0" if single else "pp0")
         q_loc = pp_device.new_stream("q0" if single else "q_loc")
         q_nl = pp_device.new_stream("q_nl") if strides else None
-        halo_x, halo_f = [], []  # (wire, transfer) per split dimension
+        # (wire, transfer, sent, received) per split dimension; the mirror
+        # receives each halo on the very events it sends on
+        halo_x, halo_f = [], []
         for i, peer in enumerate(strides):
             wire = Slot(engine, f"halo{i}.wire")
             x, f = _link(plan, comm, peer, slab, "halo_transfer", "halo_transfer")
-            halo_x.append((wire, x))
-            halo_f.append((wire, f))
+            sent_x = [Event(f"halo_x.{s}.{i}") for s in range(total_steps)]
+            sent_f = [Event(f"halo_f.{s}.{i}") for s in range(total_steps)]
+            halo_x.append((wire, x, sent_x, sent_x))
+            halo_f.append((wire, f, sent_f, sent_f))
 
         ranks = [pp]
         pme_link = None
@@ -214,9 +221,10 @@ def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
             x_transfer, f_transfer = _link(plan, comm, plan.ranks - 1, atoms_pp * comm_factor,
                                            "x_transfer", "f_transfer")
             pme_link = (x_wire, x_transfer, x_ready, f_ready)
+            # the mirror: the long-range rank listens to pp0's sends alone
             engine.spawn(pme.app_actor,
                          _pme_rank_app(plan, pme, q_pme, kcost, f_wire, f_transfer,
-                                       x_ready, f_ready, total_steps, pp_ranks),
+                                       [x_ready], f_ready, total_steps, pp_ranks),
                          domain=pme.app_domain)
 
         engine.spawn(pp.app_actor,
@@ -241,10 +249,11 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     """Step program of one short-range rank, the one every layout runs.
 
     ``atoms`` is the home domain; ``halo_x`` and ``halo_f`` hold one
-    (wire, transfer) pair per split dimension, and ``pme_link`` the
-    long-range peer's ``(x_wire, x_transfer, x_ready, f_ready)``.  A mesh
-    system without such a peer runs the long-range chain inline on
-    ``q_loc``.
+    ``(wire, transfer, sent, received)`` per split dimension, and
+    ``pme_link`` the long-range peer's ``(x_wire, x_transfer, x_sent,
+    f_ready)``; ``sent``, ``received``, ``x_sent`` and ``f_ready`` hold
+    one event per step.  A mesh system without such a peer runs the
+    long-range chain inline on ``q_loc``.
     """
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns
@@ -253,7 +262,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     mpi_halo_f = Charge(2 * mpi_cpu, "mpi_halo_f")
     inline_pme = sys_.pme and pme_link is None
     if pme_link is not None:
-        x_wire, x_transfer, x_ready, f_ready = pme_link
+        x_wire, x_transfer, x_sent, f_ready = pme_link
     # every duration the steps submit, each priced only if some step uses it
     search_ns = kcost(KernelKind.PAIR_SEARCH, atoms)
     local_ns = kcost(KernelKind.NBNXM_LOCAL, atoms)
@@ -293,7 +302,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
             # this is a runtime sync point (it flushes a deferred graph)
             yield from rt.sync([prev_constraints] if prev_constraints else [])
             yield send_x
-            x_wire.enqueue(DevTask(x_transfer, (), x_ready[step]))
+            x_wire.enqueue(DevTask(x_transfer, (), x_sent[step]))
 
         # local-only force work goes out first; it needs no remote
         # coordinates and its stream crunches while the halo is on
@@ -348,26 +357,27 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
 
 def _halo_exchange(rt, q_nl, halo_ns, halo, mpi, step, letter, pack_deps):
     """One coordinate (``x``) or force (``f``) halo pulse per split
-    dimension over the (wire, transfer) pairs of ``halo``, each packed
-    and unpacked in ``halo_ns`` and sent after the MPI charge ``mpi``;
+    dimension over the ``(wire, transfer, sent, received)`` of ``halo``,
+    each packed and unpacked in ``halo_ns``, sent on ``sent[step]`` after
+    the MPI charge ``mpi`` and unpacked once ``received[step]`` fires;
     returns the unpack events."""
     unpacks = []
-    for i, (wire, transfer) in enumerate(halo):
+    for i, (wire, transfer, sent, received) in enumerate(halo):
         pack = yield from rt.submit(q_nl, f"halo_pack_{letter}{i}", halo_ns, deps=pack_deps)
         yield from rt.sync([pack])
         yield mpi
-        t = Event(f"halo_{letter}.{step}.{i}")
-        wire.enqueue(DevTask(transfer, (), t))
-        # the matching receive blocks on the host; by symmetry the
-        # peer's slab lands when ours finishes crossing the link
-        yield WaitFor(t)
+        wire.enqueue(DevTask(transfer, (), sent[step]))
+        # the matching receive blocks on the host
+        yield WaitFor(received[step])
         unpack = yield from rt.submit(q_nl, f"halo_unpack_{letter}{i}", halo_ns)
         unpacks.append(unpack)
     return unpacks
 
 
 def _pme_rank_app(plan, rt, q_pme, kcost, f_wire, f_transfer,
-                  x_ready, f_ready, total_steps, pp_ranks):
+                  senders, f_ready, total_steps, pp_ranks):
+    """Step program of the long-range rank: each step waits on every
+    per-step event list of ``senders`` and returns forces on ``f_ready``."""
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns
     msgs = {"msgs": pp_ranks}
@@ -378,7 +388,8 @@ def _pme_rank_app(plan, rt, q_pme, kcost, f_wire, f_transfer,
     chain = [(name, kcost(kind, sys_.atoms)) for name, kind in _PME_CHAIN]
     memset_ns = kcost(KernelKind.GRID_MEMSET, sys_.atoms)
     for step in range(total_steps):
-        yield WaitFor(x_ready[step])
+        for sent in senders:
+            yield WaitFor(sent[step])
         yield recv_x
         evs = []
         for name, ns in chain:

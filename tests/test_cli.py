@@ -378,6 +378,7 @@ BAD_SWEEP_LINES = [
     ("fig.backend = \"\"", "fig: no values for ['backend']"),
     ("fig.set.system.atoms = 0", "fig: grappa_pme_1500: need at least one atom, got 0"),
     ("fig.node = mars", "fig: unknown node profile 'mars'; available: dardel, lumi"),
+    ("fig.ranks = 1 2 01", "fig: ranks lists 1 twice"),
 ]
 
 
@@ -677,6 +678,17 @@ def test_check_with_empty_reference_set_passes(tmp_path, capsys):
                  "--references", str(refs)])
     assert code == 0
     assert "nothing to check" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["", "a,b\n1,2\n"], ids=["empty", "plain-csv"])
+def test_check_refuses_a_file_that_is_not_a_report(tmp_path, capsys, text):
+    report = tmp_path / "report.csv"
+    report.write_text(text, encoding="utf-8")
+    assert main(["check", "--report", str(report)]) == 2
+    out = capsys.readouterr()
+    assert out.err == (f"error: {report}: not a report: the first line must be "
+                       f"'# {CSV_SCHEMA}'\n")
+    assert out.out == ""
 
 
 def test_bundled_reference_points_are_well_formed():
