@@ -52,65 +52,67 @@ SCALAR_KEYS = ("eras", "seed", "node")
 # -- scenarios ----------------------------------------------------------------
 
 
+# override keys that would shadow the scenario field a row's id and
+# columns come from; each is set only through that field
+_SHADOWED = {"system.name": "system", "profile.name": "profile",
+             "settings.max_cached_nodes": "max_cached_nodes",
+             "settings.instant_submission": "instant",
+             "settings.event_mode": "event_mode", "settings.seed": "seed"}
+
+
 @dataclass
 class Scenario:
     """One resolvable benchmark run request.
 
-    The only place a run field's default is written: the command-line
-    flags and the sweep reader pass on just the fields the user gave.
+    The command-line flags and the sweep reader pass on just the fields
+    the user gave.  Each default is read from the ``RunSettings`` or
+    ``RunPlan`` field it becomes, save ``node``: ``RunPlan`` builds its
+    node from a factory, so the node's name is written here alone.
     """
 
     scenario_id: str
     system: str
     profile: str
-    ranks: int = 1
-    backend: str = "sycl"
-    max_cached_nodes: int = 100
-    instant: bool = False
-    event_mode: str = "coarse"
+    ranks: int = RunPlan.ranks
+    backend: str = RunPlan.backend
+    max_cached_nodes: int = RunSettings.max_cached_nodes
+    instant: bool = RunSettings.instant_submission
+    event_mode: str = RunSettings.event_mode.value
     node: str = "lumi"
-    eras: int = 3
-    seed: int = 0
+    eras: int = RunPlan.n_eras
+    seed: int = RunSettings.seed
     overrides: Dict[str, Any] = field(default_factory=dict)
 
     def build_plan(self) -> RunPlan:
-        system = get_system(self.system)
-        profile = get_profile(self.profile)
         node = _node_profile(self.node)
-        settings_kwargs: Dict[str, Any] = dict(
-            max_cached_nodes=self.max_cached_nodes,
-            instant_submission=self.instant,
-            event_mode=self.event_mode,
-            # a ranks that is not an integer >= 1 is left to
-            # RunPlan.validate, which names it
-            visible_devices=(max(1, min(self.ranks, node.n_gcds))
-                             if is_int(self.ranks) else 1),
-            seed=self.seed)
+        parts = dict(
+            system=get_system(self.system), profile=get_profile(self.profile),
+            settings=RunSettings(
+                max_cached_nodes=self.max_cached_nodes,
+                instant_submission=self.instant,
+                event_mode=EventMode(self.event_mode),
+                # a ranks that is not an integer >= 1 is left to
+                # RunPlan.validate, which names it
+                visible_devices=(max(1, min(self.ranks, node.n_gcds))
+                                 if is_int(self.ranks) else 1),
+                seed=self.seed))
         for key in sorted(self.overrides):
-            value = self.overrides[key]
             scope, _, name = key.partition(".")
+            if key in _SHADOWED:
+                owner = _SHADOWED[key]
+                raise ConfigError(f"override {key!r} shadows the scenario's {owner}; "
+                                  f"give it as --{owner.replace('_', '-')} "
+                                  f"or the sweep key {owner}")
+            if scope not in parts or not name:
+                raise ConfigError(f"override {key!r} must start with "
+                                  "system., profile. or settings.")
             try:
-                if scope == "system" and name:
-                    system = replace(system, **{name: value})
-                elif scope == "profile" and name:
-                    profile = replace(profile, **{name: value})
-                elif scope == "settings" and name:
-                    settings_kwargs[name] = value
-                else:
-                    raise ConfigError(f"override {key!r} must start with "
-                                      "system., profile. or settings.")
+                parts[scope] = replace(parts[scope], **{name: self.overrides[key]})
             except TypeError:
                 raise ConfigError(f"unknown {scope} field {name!r}") from None
-        system.validate()
-        profile.validate()
-        settings_kwargs["event_mode"] = EventMode(settings_kwargs["event_mode"])
-        try:
-            run_settings = RunSettings(**settings_kwargs)
-        except TypeError:
-            bad = sorted(set(settings_kwargs) - set(RunSettings.__dataclass_fields__))
-            raise ConfigError(f"unknown settings field(s) {bad}") from None
-        return RunPlan(system=system, profile=profile, settings=run_settings,
-                       backend=self.backend, ranks=self.ranks, node=node,
+        parts["system"].validate()
+        parts["profile"].validate()
+        return RunPlan(**parts, backend=self.backend, ranks=self.ranks, node=node,
                        n_eras=self.eras).validate()
 
 
@@ -287,6 +289,9 @@ def _check_point_keys(pid: str, sub: Dict[str, Any]) -> None:
         if scope in ("match", "baseline") and column:
             if column not in COLUMNS:
                 raise ConfigError(f"{pid}: unknown column {column!r} in {key}")
+            if isinstance(sub[key], bool):  # a report writes 1 or 0
+                raise ConfigError(f"{pid}: {key} = {str(sub[key]).lower()} matches "
+                                  "no row; the report writes 1 or 0")
         elif key not in _POINT_KEYS:
             raise ConfigError(f"{pid}: unknown key {key!r}")
 

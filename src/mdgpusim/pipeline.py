@@ -165,15 +165,8 @@ def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
     total_steps = plan.n_eras * sys_.nstlist
     era_marks: List[int] = []
 
-    # a run prices a handful of (kind, atoms) pairs, each thousands of times
-    kernel_ns: Dict[Tuple[KernelKind, int], int] = {}
-
     def kcost(kind: KernelKind, atoms: int) -> int:
-        ns = kernel_ns.get((kind, atoms))
-        if ns is None:
-            ns = kernel_ns[kind, atoms] = costs.duration_ns(
-                kind, atoms, plan.backend, sys_.scale_for(kind))
-        return ns
+        return costs.duration_ns(kind, atoms, plan.backend, sys_.scale_for(kind))
 
     pp_ranks = plan.pp_ranks
     atoms_pp = max(1, sys_.atoms // pp_ranks)

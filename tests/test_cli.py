@@ -217,15 +217,8 @@ def test_bad_system_field_is_one_error_line(capsys, override, message):
 
 
 @pytest.mark.parametrize("override, message", [
-    ("settings.event_mode=bogus", "'bogus' is not a valid EventMode"),
-    ("settings.seed=abc", "seed must be an integer, got 'abc'"),
-    ("settings.seed=1.5", "seed must be an integer, got 1.5"),
     ("settings.max_hw_queues=abc",
      "GPU_MAX_HW_QUEUES must be an integer >= 1, got 'abc'"),
-    ("settings.max_cached_nodes=2.5",
-     "HIPSYCL_RT_MAX_CACHED_NODES must be an integer >= 0, got 2.5"),
-    ("settings.instant_submission=yes",
-     "instant_submission must be true or false, got 'yes'"),
     ("profile.retire_rate=abc",
      "acpp-23.10: retire_rate must be a number >= 0, got 'abc'"),
     ("profile.submit_cost_ns=abc",
@@ -282,17 +275,6 @@ def test_set_value_runs_or_is_one_error_line(key, value, ranks):
         assert code == 2
         text = err.getvalue()
         assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n")
-
-
-def test_event_mode_override_runs_like_the_flag(capsys):
-    runs = []
-    for extra in (["--set", "settings.event_mode=full"], ["--event-mode", "full"]):
-        code = main(["simulate", "--system", "grappa_pme_1500",
-                     "--profile", "acpp-23.10", "--eras", "2"] + extra)
-        assert code == 0
-        runs.append(capsys.readouterr().out)
-    assert runs[0] == runs[1]
-    assert ",full," in runs[0]
 
 
 def test_unknown_system_is_rejected(capsys):
@@ -374,6 +356,10 @@ BAD_SWEEP_LINES = [
     ("fig.eras = 2.9",
      "fig: n_eras must be an integer >= 2 (the first era is warm-up), got 2.9"),
     ("fig.seed = 1.5", "fig: seed must be an integer, got 1.5"),
+    ("fig.seed = abc", "fig: seed must be an integer, got 'abc'"),
+    ("fig.event_mode = bogus", "fig: 'bogus' is not a valid EventMode"),
+    ("fig.max_cached_nodes = 2.5",
+     "fig: HIPSYCL_RT_MAX_CACHED_NODES must be an integer >= 0, got 2.5"),
     ("fig.repetitions = 5", "fig: unknown scenario key(s) ['repetitions']"),
     ("fig.backend = \"\"", "fig: no values for ['backend']"),
     ("fig.set.system.atoms = 0", "fig: grappa_pme_1500: need at least one atom, got 0"),
@@ -388,6 +374,39 @@ def test_bad_sweep_value_is_one_error_line_naming_its_scenario(
         monkeypatch, tmp_path, capsys, line, message):
     err = sweep_fails_before_any_scenario_runs(monkeypatch, tmp_path, capsys, line)
     assert err == f"error: {message}\n"
+
+
+# each override key a scenario field already sets, a valid value for it,
+# and that field with its flag
+SHADOWING_OVERRIDES = [
+    ("system.name", "grappa_pme_12k", "system", "--system"),
+    ("profile.name", "acpp-0.9.4", "profile", "--profile"),
+    ("settings.max_cached_nodes", "0", "max_cached_nodes", "--max-cached-nodes"),
+    ("settings.instant_submission", "true", "instant", "--instant"),
+    ("settings.event_mode", "full", "event_mode", "--event-mode"),
+    ("settings.seed", "3", "seed", "--seed"),
+]
+
+
+@pytest.mark.parametrize("route", ["simulate", "sweep"])
+@pytest.mark.parametrize("key, value, owner, flag", SHADOWING_OVERRIDES,
+                         ids=[key for key, *_ in SHADOWING_OVERRIDES])
+def test_override_shadowing_a_scenario_field_is_one_error_line(
+        monkeypatch, tmp_path, capsys, route, key, value, owner, flag):
+    # a row's id and columns come from the scenario's fields, so an
+    # override of one would label a run other than the one simulated
+    message = (f"override {key!r} shadows the scenario's {owner}; "
+               f"give it as {flag} or the sweep key {owner}")
+    if route == "sweep":
+        err = sweep_fails_before_any_scenario_runs(
+            monkeypatch, tmp_path, capsys, f"fig.set.{key} = {value}")
+        assert err == f"error: fig: {message}\n"
+        return
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("a scenario ran"))
+    code = main(["simulate", "--system", "grappa_pme_1500", "--profile", "acpp-23.10",
+                 "--set", f"{key}={value}"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
 
 
 def test_sweep_builds_each_plan_once(monkeypatch, tmp_path):
@@ -594,6 +613,17 @@ def test_misspelt_reference_key_is_one_error_line(tmp_path, capsys, key, value,
     assert code == 2
     assert out.err == f"error: {message}\n"
     assert out.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("match.instant", "true"),
+                                        ("baseline.instant", "false")])
+def test_boolean_selector_is_one_error_line(tmp_path, capsys, key, value):
+    # a report writes a boolean column as 1 or 0, so true would select no row
+    code, out = check_one_point(tmp_path, capsys,
+                                [{"system": "box", "instant": "1", "ns_per_day": "100.0"}],
+                                **{key: value})
+    assert (code, out.out, out.err) == (
+        2, "", f"error: p: {key} = {value} matches no row; the report writes 1 or 0\n")
 
 
 @pytest.mark.parametrize("key", ["source", "metric", "value", "quote"])
