@@ -274,8 +274,8 @@ class ReferencePoint:
     quote: str
     rel_tol: Optional[float] = None
     abs_tol: Optional[float] = None
-    match: Dict[str, str] = field(default_factory=dict)
-    baseline: Dict[str, str] = field(default_factory=dict)
+    match: Dict[str, Any] = field(default_factory=dict)
+    baseline: Dict[str, Any] = field(default_factory=dict)
 
 
 _POINT_KEYS = ("source", "metric", "value", "quote", "rel_tol", "abs_tol")
@@ -324,8 +324,8 @@ def parse_reference_points(mapping: Dict[str, Any]) -> List[ReferencePoint]:
             quote=str(quote),
             rel_tol=tols.get("rel_tol"),
             abs_tol=tols.get("abs_tol"),
-            match={k: str(v) for k, v in subsection(sub, "match").items()},
-            baseline={k: str(v) for k, v in subsection(sub, "baseline").items()})
+            match=subsection(sub, "match"),
+            baseline=subsection(sub, "baseline"))
         if point.metric not in COLUMNS:
             raise ConfigError(f"{pid}: unknown column {point.metric!r} in metric")
         if (point.rel_tol is None) == (point.abs_tol is None):
@@ -344,9 +344,12 @@ def load_bundled_references() -> List[ReferencePoint]:
     return parse_reference_points(parse_config(text))
 
 
-def _select(rows: List[Dict[str, str]], selector: Dict[str, str]):
+def _select(rows: List[Dict[str, str]], selector: Dict[str, Any]):
+    """The rows that hold each selector's value in its column, as the same
+    text or as the same typed value, so ``0.871`` selects ``0.8710``."""
     return [r for r in rows
-            if all(r.get(col) == want for col, want in selector.items())]
+            if all(r.get(col) is not None and want in (r[col], parse_value(r[col]))
+                   for col, want in selector.items())]
 
 
 def _metric_values(point: ReferencePoint, rows: List[Dict[str, str]]) -> List[float]:

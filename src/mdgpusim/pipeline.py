@@ -7,23 +7,30 @@ first era is warm-up that measurement discards.
 
 Every rank layout runs one step program, that of a short-range rank.
 The step programs only send and receive, on per-step events handed to
-them; ``simulate`` alone chooses the layout, the mirror.  One
-representative short-range rank is simulated and each halo direction
-receives on the events it sends on (by the symmetry of a homogeneous
-decomposition, a peer's slab lands when ours does).  Mesh systems on
-two or more ranks add one real long-range rank that listens to the
-representative's sends as if every peer's came over parallel links,
-runs the spread/FFT/solve/FFT/gather chain at full system size, and
-returns forces.  This keeps event counts per step independent of the
-total rank count, so 4096-rank sweeps stay desk-sized.
+them; ``simulate`` alone chooses the layout: a periodic block of
+short-range ranks, simulated for real, stands for the whole grid.
+Each block rank sits where a grid rank does, prices each halo link by
+that rank's link to its +1 neighbour, and receives what its -1
+neighbour in the block sends.  Every scenario runs the block of one
+rank, the mirror, which receives each halo on the events it sends on
+(by the symmetry of a homogeneous decomposition, a peer's slab lands
+when ours does), so a 4096-rank step costs about as many events as a
+2-rank one.
+Mesh systems on two or more ranks add one real long-range rank that
+waits on every block rank's sends as if the other peers' came over
+parallel links, runs the spread/FFT/solve/FFT/gather chain at full
+system size, and returns forces on one wire.
 ``test_mirror_equals_ranks_wired_for_real`` (``tests/test_pipeline.py``)
-checks the mirror against every rank wired for real.  Each link, halo
-or long-range, is a FIFO ``Slot`` of its own, the class that serves the
-device queues: transfers queued on it serialize.
+checks every block that tiles the grid against the mirror.  Each link,
+halo or long-range, is a FIFO ``Slot`` of its own, the class that
+serves the device queues: transfers queued on it serialize.
 
 ``simulate`` wires a run in one pass, spawning slots, workers and step
 programs in a fixed order (heap ties break by it, so it shows in the
-output), and closes the engine however the run ends.
+output): each block rank's device, streams and halo wires, in rank
+order; then the long-range rank, its wires and step program; then the
+short-range step programs, in rank order.  It closes the engine however
+the run ends.
 
 One rank is the same program with nothing to exchange: its
 decomposition splits no dimension, so there is no halo, and a mesh
@@ -114,12 +121,18 @@ class RunPlan:
 class RunReport:
     plan: RunPlan
     steps_measured: int
-    ms_per_step: float
+    # one entry per short-range rank simulated for real
+    rank_ms_per_step: List[float]
     makespan_ns: int
     era_marks: List[int]
     launch_delays: List[int]
     busy_ns: Dict[str, int]
     trace: object = None
+
+    @property
+    def ms_per_step(self) -> float:
+        """The slowest rank's."""
+        return max(self.rank_ms_per_step)
 
     @property
     def ns_per_day(self) -> float:
@@ -145,94 +158,136 @@ def _build_rank(engine, plan, api, name):
             RankRuntime(engine, name, plan.profile, plan.settings, api))
 
 
-def _link(plan, comm, peer, atoms, x_name, f_name):
-    """Rank 0's link to rank ``peer`` as one ``Work`` per direction, each
-    transfer carrying ``atoms`` atoms' coordinates or forces."""
-    node = plan.node
-    link = node.link_class(0, peer % node.n_gcds, same_node=peer < node.n_gcds)
+def _link(plan, comm, a, b, atoms, x_name, f_name):
+    """The link between ranks ``a`` and ``b`` as one ``Work`` per direction,
+    each transfer carrying ``atoms`` atoms' coordinates or forces."""
+    n = plan.node.n_gcds
+    link = plan.node.link_class(a % n, b % n, same_node=a // n == b // n)
     return (Work(Charge(comm.transfer_ns(link, atoms * XYZ_BYTES_PER_ATOM), x_name)),
             Work(Charge(comm.transfer_ns(link, atoms * FORCE_BYTES_PER_ATOM), f_name)))
 
 
-def simulate(plan: RunPlan, keep_trace: bool = False) -> RunReport:
+def shifted(rank, stride, size, by):
+    """The rank ``by`` places along the dimension of ``stride`` and
+    ``size``, periodic."""
+    coord = (rank // stride) % size
+    return rank + ((coord + by) % size - coord) * stride
+
+
+def simulate(plan: RunPlan, keep_trace: bool = False, *,
+             block: Tuple[int, int, int] = (1, 1, 1)) -> RunReport:
     """Wire ``plan``'s ranks in one pass, run them, close the engine
-    however the run ends, and report steady-state per-step timing."""
+    however the run ends, and report steady-state per-step timing.
+
+    ``block`` gives the extent of the periodic block of short-range
+    ranks simulated for real along each dimension of
+    ``balanced_dims(plan.pp_ranks)``; each extent divides its dimension.
+    The default block of one rank is the mirror.  The engine keeps no
+    trace unless ``keep_trace`` asks for one."""
     plan.validate()
     sys_ = plan.system.validate()
+    pp_ranks = plan.pp_ranks
+    dims = balanced_dims(pp_ranks)
+    if len(block) != 3 or not all(is_int(b) and b >= 1 and d % b == 0
+                                  for b, d in zip(block, dims)):
+        raise ValueError(f"block must give one extent dividing each of {dims}, "
+                         f"got {block!r}")
     costs = default_cost_table()
     comm = default_comm_model()
     api = default_api_model(seed=plan.settings.seed)
     total_steps = plan.n_eras * sys_.nstlist
-    era_marks: List[int] = []
 
     def kcost(kind: KernelKind, atoms: int) -> int:
         return costs.duration_ns(kind, atoms, plan.backend, sys_.scale_for(kind))
 
-    pp_ranks = plan.pp_ranks
     atoms_pp = max(1, sys_.atoms // pp_ranks)
     slab = slab_atoms(atoms_pp, sys_.cutoff_nm, sys_.density_per_nm3)
-    # rank 0's neighbour along a split dimension is that dimension's stride
-    strides, stride = [], 1
-    for d in balanced_dims(pp_ranks):
+    # (stride, extent) in the grid and in the block, per split dimension
+    split, stride, bstride = [], 1, 1
+    for d, b in zip(dims, block):
         if d > 1:
-            strides.append(stride)
-        stride *= d
+            split.append((stride, d, bstride, b))
+        stride, bstride = stride * d, bstride * b
     # one halo pulse per split dimension, so the nonlocal pair work sees
     # the received one-sided shell, never more than the home domain
-    nonlocal_atoms = min(atoms_pp, slab * len(strides))
+    nonlocal_atoms = min(atoms_pp, slab * len(split))
+    # block rank k sits at the grid coordinates of global rank home[k];
+    # bstride is now the block's rank count
+    home = [sum((k // bs) % b * s for s, _, bs, b in split)
+            for k in range(bstride)]
+    prefixes = [""] + [f"pp{k}." for k in range(1, len(home))]
+    # per block rank and split dimension, the events each halo direction
+    # is sent on, one per step
+    sent_x = [[[Event(f"{pre}halo_x.{s}.{i}") for s in range(total_steps)]
+               for i in range(len(split))] for pre in prefixes]
+    sent_f = [[[Event(f"{pre}halo_f.{s}.{i}") for s in range(total_steps)]
+               for i in range(len(split))] for pre in prefixes]
+    era_marks: List[List[int]] = [[] for _ in home]
 
     engine = Engine(keep_trace=keep_trace)
     try:
         # a lone rank is rank0 with queue q0 in traces, as saved ones expect
         single = plan.ranks == 1
-        pp_device, pp = _build_rank(engine, plan, api, "rank0" if single else "pp0")
-        q_loc = pp_device.new_stream("q0" if single else "q_loc")
-        q_nl = pp_device.new_stream("q_nl") if strides else None
-        # (wire, transfer, sent, received) per split dimension; the mirror
-        # receives each halo on the very events it sends on
-        halo_x, halo_f = [], []
-        for i, peer in enumerate(strides):
-            wire = Slot(engine, f"halo{i}.wire")
-            x, f = _link(plan, comm, peer, slab, "halo_transfer", "halo_transfer")
-            sent_x = [Event(f"halo_x.{s}.{i}") for s in range(total_steps)]
-            sent_f = [Event(f"halo_f.{s}.{i}") for s in range(total_steps)]
-            halo_x.append((wire, x, sent_x, sent_x))
-            halo_f.append((wire, f, sent_f, sent_f))
+        pps, queues, halo_x, halo_f = [], [], [], []
+        for k, (rank, pre) in enumerate(zip(home, prefixes)):
+            device, rt = _build_rank(engine, plan, api, "rank0" if single else f"pp{k}")
+            pps.append(rt)
+            queues.append((device.new_stream("q0" if single else "q_loc"),
+                           device.new_stream("q_nl") if split else None))
+            # (wire, transfer, sent, received) per split dimension: the rank
+            # sends to its +1 neighbour in the grid, priced by that link, and
+            # receives what its -1 neighbour in the block sends (with one
+            # rank, what it sends itself)
+            halo_x.append([])
+            halo_f.append([])
+            for i, (s, d, bs, b) in enumerate(split):
+                wire = Slot(engine, f"{pre}halo{i}.wire")
+                x, f = _link(plan, comm, rank, shifted(rank, s, d, 1), slab,
+                             "halo_transfer", "halo_transfer")
+                down = shifted(k, bs, b, -1)
+                halo_x[k].append((wire, x, sent_x[k][i], sent_x[down][i]))
+                halo_f[k].append((wire, f, sent_f[k][i], sent_f[down][i]))
 
-        ranks = [pp]
-        pme_link = None
+        pme_links = [None] * len(home)
+        ranks = list(pps)
         if plan.pme_ranks:
             pme_device, pme = _build_rank(engine, plan, api, "pme0")
             ranks.append(pme)
             q_pme = pme_device.new_stream("q_pme")
-            x_wire, f_wire = Slot(engine, "pme-x.wire"), Slot(engine, "pme-f.wire")
-            x_ready = [Event(f"x_ready.{s}") for s in range(total_steps)]
+            x_wires = [Slot(engine, f"{pre}pme-x.wire") for pre in prefixes]
+            f_wire = Slot(engine, "pme-f.wire")
+            x_ready = [[Event(f"{pre}x_ready.{s}") for s in range(total_steps)]
+                       for pre in prefixes]
             f_ready = [Event(f"f_ready.{s}") for s in range(total_steps)]
             # with comm overlap the chain hides all but one peer's transfer;
-            # without it the long-range rank stages every peer serially
-            comm_factor = 1 if plan.profile.pme_comm_overlap else pp_ranks
-            x_transfer, f_transfer = _link(plan, comm, plan.ranks - 1, atoms_pp * comm_factor,
-                                           "x_transfer", "f_transfer")
-            pme_link = (x_wire, x_transfer, x_ready, f_ready)
-            # the mirror: the long-range rank listens to pp0's sends alone
+            # without it the long-range rank stages serially the transfers
+            # of every peer a block rank stands for
+            share = 1 if plan.profile.pme_comm_overlap else pp_ranks // len(home)
+            links = [_link(plan, comm, rank, plan.ranks - 1, atoms_pp * share,
+                           "x_transfer", "f_transfer") for rank in home]
+            pme_links = [(x_wires[k], links[k][0], x_ready[k], f_ready)
+                         for k in range(len(home))]
+            # the forces go back on one wire, priced by rank 0's link
             engine.spawn(pme.app_actor,
-                         _pme_rank_app(plan, pme, q_pme, kcost, f_wire, f_transfer,
-                                       [x_ready], f_ready, total_steps, pp_ranks),
+                         _pme_rank_app(plan, pme, q_pme, kcost, f_wire, links[0][1],
+                                       x_ready, f_ready, total_steps, pp_ranks),
                          domain=pme.app_domain)
 
-        engine.spawn(pp.app_actor,
-                     _pp_rank_app(engine, plan, pp, q_loc, q_nl, kcost,
-                                  atoms_pp, slab, nonlocal_atoms, halo_x, halo_f,
-                                  pme_link, total_steps, era_marks),
-                     domain=pp.app_domain)
+        for k, rt in enumerate(pps):
+            engine.spawn(rt.app_actor,
+                         _pp_rank_app(engine, plan, rt, *queues[k], kcost,
+                                      atoms_pp, slab, nonlocal_atoms, halo_x[k], halo_f[k],
+                                      pme_links[k], total_steps, era_marks[k]),
+                         domain=rt.app_domain)
         trace = engine.run_until_idle()
     finally:
         engine.close()
 
-    window_ns = era_marks[-1] - era_marks[0]
-    steps = (len(era_marks) - 1) * sys_.nstlist
-    return RunReport(plan=plan, steps_measured=steps, ms_per_step=window_ns / steps / 1e6,
-                     makespan_ns=trace.makespan_ns, era_marks=era_marks,
+    steps = (len(era_marks[0]) - 1) * sys_.nstlist
+    rank_ms = [(marks[-1] - marks[0]) / steps / 1e6 for marks in era_marks]
+    slowest = rank_ms.index(max(rank_ms))
+    return RunReport(plan=plan, steps_measured=steps, rank_ms_per_step=rank_ms,
+                     makespan_ns=trace.makespan_ns, era_marks=era_marks[slowest],
                      launch_delays=[d for rt in ranks for d in rt.launch_delays],
                      busy_ns=trace.busy_ns, trace=trace if keep_trace else None)
 

@@ -626,6 +626,18 @@ def test_boolean_selector_is_one_error_line(tmp_path, capsys, key, value):
         2, "", f"error: p: {key} = {value} matches no row; the report writes 1 or 0\n")
 
 
+@pytest.mark.parametrize("value", ["0.8710", "0.871", "8.71e-1", '"0.8710"'])
+def test_selector_matches_the_value_a_row_holds(tmp_path, capsys, value):
+    # the report writes 0.8710; a selector may write the same value otherwise
+    code, out = check_one_point(
+        tmp_path, capsys,
+        [{"system": "box", "gpu_utilization": "0.8710", "ns_per_day": "100.0"},
+         {"system": "box", "gpu_utilization": "0.8720", "ns_per_day": "50.0"}],
+        **{"match.gpu_utilization": value})
+    assert code == 0
+    assert out.out.startswith("PASS p [II-A] ns_per_day: simulated 100.000 vs")
+
+
 @pytest.mark.parametrize("key", ["source", "metric", "value", "quote"])
 def test_reference_point_without_a_required_key_is_one_error_line(tmp_path, capsys,
                                                                    key):

@@ -4,12 +4,14 @@ Covers the kernel census per step flavour, submission order on the
 device, sync cadence for both submission modes, halo exchange counts
 under 1D and 3D decompositions, the long-range rank split, throughput
 arithmetic, an exact critical-path oracle for small random DAGs, and
-the mirrored rank layout against every rank wired for real.
+the mirrored rank layout against periodic blocks of real ranks.
 """
 
 import dataclasses
 import gc
 import hashlib
+import itertools
+import math
 import tracemalloc
 import weakref
 
@@ -19,10 +21,8 @@ from hypothesis import strategies as st
 
 from mdgpusim import costs, pipeline
 from mdgpusim.cli import Scenario, render_csv, run_scenario
-from mdgpusim.comm import (FORCE_BYTES_PER_ATOM, XYZ_BYTES_PER_ATOM, default_comm_model,
-                           slab_atoms)
 from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency
-from mdgpusim.engine import Charge, Engine, Event
+from mdgpusim.engine import Charge, Engine
 from mdgpusim.pipeline import RunPlan, RunReport, balanced_dims, simulate
 from mdgpusim.presets import get_profile, get_system
 from mdgpusim.runtime import (
@@ -31,8 +31,6 @@ from mdgpusim.runtime import (
     RankRuntime,
     RunSettings,
     RuntimeProfile,
-    Slot,
-    Work,
 )
 
 PME_STEP = ("nbnxm_local", "pme_spread", "fft_3d_forward", "pme_solve",
@@ -70,6 +68,15 @@ def test_bad_plan_shape_raises_before_anything_runs(monkeypatch, field, value):
                else "must be an integer")
     with pytest.raises(ValueError, match=f"^{field} {message}"):
         simulate(plan)
+
+
+@pytest.mark.parametrize("ranks, block", [(1, (2, 1, 1)), (4, (2, 2)), (4, (2, 0, 1)),
+                                          (8, (2.0, 2, 2)), (12, (2, 2, 2))])
+def test_block_that_does_not_tile_the_grid_raises(ranks, block):
+    plan = RunPlan(system=get_system("grappa_rf_24k"), profile=get_profile("acpp-23.10"),
+                   settings=RunSettings(), ranks=ranks)
+    with pytest.raises(ValueError, match=r"^block must give one extent dividing each of"):
+        simulate(plan, block=block)
 
 
 def device_kernels(trace, prefix):
@@ -207,7 +214,7 @@ def test_throughput_identity():
     plan = RunPlan(system=get_system("grappa_pme_12k"),
                    profile=get_profile("acpp-23.10"),
                    settings=RunSettings())
-    report = RunReport(plan=plan, steps_measured=200, ms_per_step=1.728,
+    report = RunReport(plan=plan, steps_measured=200, rank_ms_per_step=[1.728],
                        makespan_ns=1, era_marks=[0, 1], launch_delays=[],
                        busy_ns={})
     assert report.ns_per_day == pytest.approx(100.0, rel=1e-12)
@@ -561,112 +568,25 @@ def tail_free_api():
                             for kind, law in laws.items()}, seed=0)
 
 
-def shifted(rank, stride, size, by):
-    """The rank ``by`` places along the dimension of ``stride`` and
-    ``size``, periodic."""
-    coord = (rank // stride) % size
-    return rank + ((coord + by) % size - coord) * stride
+def link_classes(plan):
+    """Per link role, the set of link classes the links of every real
+    rank use: one halo role per split dimension, to the +1 neighbour,
+    and the long-range role."""
+    node, pp_ranks = plan.node, plan.pp_ranks
 
+    def link(a, b):
+        return node.link_class(a % node.n_gcds, b % node.n_gcds,
+                               same_node=a // node.n_gcds == b // node.n_gcds)
 
-def run_ranks_wired_for_real(plan, api):
-    """Every rank of ``plan`` simulated on the step programs ``simulate``
-    runs; returns each short-range rank's ms/step and, per link role,
-    the set of link classes its links use.
-
-    Rank r is actor ``pp{r}`` with its own device, runtime, wires and
-    per-step sent events, all latencies drawn from ``api``.  Along each
-    split dimension it sends its halo to the +1 neighbour over its own
-    wire, priced by its own link class, and receives on the -1
-    neighbour's sent events.  Each short-range rank sends its own home
-    domain's coordinates to the long-range rank over its own link, and
-    that rank waits for all of them.  The forces go back on one wire of
-    the long-range rank: one home domain's forces, priced by its link to
-    pp0, on per-step events every short-range rank waits on.  That stands
-    for parallel per-peer returns, which land together when every link
-    has one class.  (The mirror prices the same transfer, but scaled by
-    the peer count where the profile has no long-range comm overlap.)
-    """
-    sys_, node = plan.system, plan.node
-    comm, table = default_comm_model(), costs.default_cost_table()
-    total_steps = plan.n_eras * sys_.nstlist
-    pp_ranks = plan.pp_ranks
-    atoms = max(1, sys_.atoms // pp_ranks)
-    slab = slab_atoms(atoms, sys_.cutoff_nm, sys_.density_per_nm3)
-    split, stride = [], 1  # (stride, size) per split dimension
+    roles, stride = [], 1
     for size in balanced_dims(pp_ranks):
         if size > 1:
-            split.append((stride, size))
+            roles.append({link(r, pipeline.shifted(r, stride, size, 1))
+                          for r in range(pp_ranks)})
         stride *= size
-    nonlocal_atoms = min(atoms, slab * len(split))
-    classes = {}
-
-    def kcost(kind, n):
-        return table.duration_ns(kind, n, plan.backend, sys_.scale_for(kind))
-
-    def link(role, a, b, nbytes, name):
-        cls = node.link_class(a % node.n_gcds, b % node.n_gcds,
-                              same_node=a // node.n_gcds == b // node.n_gcds)
-        classes.setdefault(role, set()).add(cls)
-        return Work(Charge(comm.transfer_ns(cls, nbytes), name))
-
-    def events(name):
-        return [Event(f"{name}.{s}") for s in range(total_steps)]
-
-    era_marks = [[] for _ in range(pp_ranks)]
-    engine = Engine()
-    try:
-        built = [pipeline._build_rank(engine, plan, api, f"pp{r}") for r in range(pp_ranks)]
-        # rank r's halo wire and per-step sent events, per split dimension
-        wires = [[Slot(engine, f"pp{r}.halo{i}.wire") for i in range(len(split))]
-                 for r in range(pp_ranks)]
-        sent_x = [[events(f"pp{r}.halo_x.{i}") for i in range(len(split))]
-                  for r in range(pp_ranks)]
-        sent_f = [[events(f"pp{r}.halo_f.{i}") for i in range(len(split))]
-                  for r in range(pp_ranks)]
-        pme_links = [None] * pp_ranks
-        if plan.pme_ranks:
-            pme_rank = plan.ranks - 1
-            pme_device, pme = pipeline._build_rank(engine, plan, api, "pme0")
-            x_sent = [events(f"pp{r}.x_sent") for r in range(pp_ranks)]
-            f_ready = events("f_ready")
-            pme_links = [(Slot(engine, f"pp{r}.pme-x.wire"),
-                          link("pme", r, pme_rank, atoms * XYZ_BYTES_PER_ATOM, "x_transfer"),
-                          x_sent[r], f_ready)
-                         for r in range(pp_ranks)]
-            engine.spawn(pme.app_actor,
-                         pipeline._pme_rank_app(
-                             plan, pme, pme_device.new_stream("q_pme"), kcost,
-                             Slot(engine, "pme-f.wire"),
-                             link("pme", pme_rank, 0, atoms * FORCE_BYTES_PER_ATOM,
-                                  "f_transfer"),
-                             x_sent, f_ready, total_steps, pp_ranks),
-                         domain=pme.app_domain)
-        for r, (device, rt) in enumerate(built):
-            halo_x, halo_f = [], []
-            for i, (stride, size) in enumerate(split):
-                # send to the +1 neighbour, receive what the -1 one sends
-                up, down = shifted(r, stride, size, 1), shifted(r, stride, size, -1)
-                halo_x.append((wires[r][i],
-                               link(f"halo{i}", r, up, slab * XYZ_BYTES_PER_ATOM,
-                                    "halo_transfer"),
-                               sent_x[r][i], sent_x[down][i]))
-                halo_f.append((wires[r][i],
-                               link(f"halo{i}", r, up, slab * FORCE_BYTES_PER_ATOM,
-                                    "halo_transfer"),
-                               sent_f[r][i], sent_f[down][i]))
-            engine.spawn(rt.app_actor,
-                         pipeline._pp_rank_app(
-                             engine, plan, rt, device.new_stream("q_loc"),
-                             device.new_stream("q_nl") if split else None, kcost,
-                             atoms, slab, nonlocal_atoms, halo_x, halo_f, pme_links[r],
-                             total_steps, era_marks[r]),
-                         domain=rt.app_domain)
-        engine.run_until_idle()
-    finally:
-        engine.close()
-    ms = [(marks[-1] - marks[0]) / ((len(marks) - 1) * sys_.nstlist) / 1e6
-          for marks in era_marks]
-    return ms, classes
+    if plan.pme_ranks:
+        roles.append({link(r, plan.ranks - 1) for r in range(pp_ranks)})
+    return roles
 
 
 MIRROR_LAYOUTS = ([("grappa_rf_24k", n) for n in (2, 4, 8)]
@@ -677,8 +597,9 @@ MIRROR_LAYOUTS = ([("grappa_rf_24k", n) for n in (2, 4, 8)]
                          ids=[f"{s}-{n}r" for s, n in MIRROR_LAYOUTS])
 def test_mirror_equals_ranks_wired_for_real(monkeypatch, system_id, ranks):
     """With every API call at its mean, on a layout where each real link
-    has rank 0's link class, every real rank's ms/step equals the
-    mirrored run's exactly, in instant mode and deferred at MCN 0 and 100.
+    has rank 0's link class, every rank of every periodic block that
+    tiles the grid, up to the whole grid, runs the mirrored run's
+    ms/step exactly, in instant mode and deferred at MCN 0 and 100.
     Eras of 20 steps keep the search, prune and plain steps of each era
     in a fifth of the time of the bundled 100.
 
@@ -695,7 +616,25 @@ def test_mirror_equals_ranks_wired_for_real(monkeypatch, system_id, ranks):
             settings=RunSettings(max_cached_nodes=mcn, instant_submission=instant,
                                  visible_devices=ranks),
             ranks=ranks, n_eras=2)
+        assert all(len(used) == 1 for used in link_classes(plan)), link_classes(plan)
         mirror = simulate(plan).ms_per_step
-        real, classes = run_ranks_wired_for_real(plan, api)
-        assert all(len(used) == 1 for used in classes.values()), classes
-        assert real == [mirror] * plan.pp_ranks, (instant, mcn)
+        # every block that tiles the grid; the last is the whole grid
+        for block in itertools.product(*[[b for b in range(1, d + 1) if d % b == 0]
+                                         for d in balanced_dims(plan.pp_ranks)]):
+            if block == (1, 1, 1):
+                continue
+            real = simulate(plan, block=block).rank_ms_per_step
+            assert real == [mirror] * math.prod(block), (instant, mcn, block)
+
+
+def test_whole_grid_block_is_pinned():
+    """Each rank's ms/step of hip-native STMV on 8 ranks, every rank wired
+    and tails drawn at seed 0, as a separate wiring of every rank gave
+    them.  Its ring mixes link classes, and hip-native stages the
+    long-range transfers serially."""
+    plan = RunPlan(system=dataclasses.replace(get_system("stmv"), nstlist=20),
+                   profile=get_profile("hip-native"), backend="hip", ranks=8, n_eras=2,
+                   settings=RunSettings(instant_submission=True, visible_devices=8))
+    ms = simulate(plan, block=(7, 1, 1)).rank_ms_per_step
+    assert hashlib.sha256(repr(ms).encode()).hexdigest() == (
+        "c9e2edd9a452847f1a202acfe00a2eebcf712be367e3f8db36df153acc9a8eaf")
