@@ -6,7 +6,7 @@ Building blocks:
 * ``Process``    -- generator coroutine spawned onto the engine
 * ``Charge``     -- CPU work, stretched by its domain's background threads
 * ``Sleep``      -- plain timer, occupies no CPU
-* ``WaitFor``    -- block until an Event fires, returns its payload
+* ``WaitFor``    -- block until an Event fires; resumes with None
 * ``PARK``       -- sleep with no heap entry until ``Engine.wake``; for
   idle workers that only one waker ever resumes
 * ``Domain``     -- one core that runs its occupants' charges one at a
@@ -14,6 +14,10 @@ Building blocks:
 * ``Trace``      -- completed charge records plus per-actor busy time;
   writes its own JSON from one template per payload object, joined
   once
+
+An event carries no payload: it only fires.  Busy time is kept on each
+``Process`` as its charges finish and gathered into ``Trace.busy_ns``,
+one key per actor name, when the heap drains.
 
 Invariants the rest of the package leans on:
 
@@ -55,7 +59,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 MILLI_DUTY = 1000  # duty units contributed by one fully-busy thread
 
@@ -108,7 +112,7 @@ class Sleep:
 
 @dataclass(slots=True)
 class WaitFor:
-    """Yield to block until ``event`` fires; the yield evaluates to its payload."""
+    """Yield to block until ``event`` fires; the yield evaluates to None."""
 
     event: "Event"
 
@@ -125,15 +129,18 @@ PARK = _Park()
 
 
 class Event:
-    """One-shot occurrence processes can wait on."""
+    """One-shot occurrence processes can wait on.
 
-    __slots__ = ("name", "fired", "payload", "_waiters")
+    ``_waiters`` lists the processes blocked on it until it fires, and
+    is None from then on, so a fired event holds no process.
+    """
+
+    __slots__ = ("name", "fired", "_waiters")
 
     def __init__(self, name: str = ""):
         self.name = name
         self.fired = False
-        self.payload: Any = None
-        self._waiters: list["Process"] = []
+        self._waiters: Optional[list["Process"]] = []
 
     def __repr__(self):
         return f"Event({self.name!r}, {'fired' if self.fired else 'pending'})"
@@ -143,10 +150,10 @@ class Process:
     """A named generator coroutine owned by the engine.
 
     ``parked`` is true while it sits on a ``PARK`` that no ``wake`` has
-    answered yet.
+    answered yet.  ``busy`` sums the ns of its finished charges.
     """
 
-    __slots__ = ("name", "gen", "domain", "daemon", "done", "parked")
+    __slots__ = ("name", "gen", "domain", "daemon", "done", "parked", "busy")
 
     def __init__(self, name: str, gen: Generator, domain: Optional["Domain"], daemon: bool):
         self.name = name
@@ -155,6 +162,7 @@ class Process:
         self.daemon = daemon
         self.done = False
         self.parked = False
+        self.busy = 0
 
     def __repr__(self):
         return f"Process({self.name!r}{', done' if self.done else ''})"
@@ -264,10 +272,11 @@ class Trace:
         return "".join(parts)
 
 
-# kinds of heap entry, each the tuple (when, seq, kind, obj, value, begin)
-_RESUME = "resume"  # obj: a Process, value: what its yield evaluates to
-_FINISH = "finish"  # obj: a Process, value: its Charge, begin: begin_ns
-_FIRE = "fire"      # obj: an Event, value: its payload
+# kinds of heap entry, each the tuple (when, seq, kind, obj, charge, begin);
+# only a _FINISH entry has a charge and a begin, the others None
+_RESUME = "resume"  # obj: a Process, resumed with None
+_FINISH = "finish"  # obj: a Process, charge: its Charge, begin: begin_ns
+_FIRE = "fire"      # obj: an Event
 _UNPARK = "unpark"  # obj: a Process that Engine.wake roused
 
 
@@ -294,7 +303,9 @@ class Engine:
         self._procs: list[Process] = []
         self._domains: dict[str, Domain] = {}
         self._records: list[tuple] = []
-        self._busy: dict[str, int] = {}
+        # processes that finished a zero-cost charge: each has a busy key
+        # even if its busy time is 0
+        self._zero_charged: set[Process] = set()
 
     # -- construction -----------------------------------------------------
 
@@ -322,7 +333,8 @@ class Engine:
               daemon: bool = False) -> Process:
         proc = Process(name, gen, domain, daemon)
         self._procs.append(proc)
-        self._push(self.now, _RESUME, proc)
+        heapq.heappush(self._heap, (self.now, self._seq, _RESUME, proc, None, None))
+        self._seq += 1
         return proc
 
     def event(self, name: str = "") -> Event:
@@ -330,13 +342,14 @@ class Engine:
 
     # -- scheduling -------------------------------------------------------
 
-    def post(self, event: Event, delay_ns: int = 0, payload: Any = None) -> None:
+    def post(self, event: Event, delay_ns: int = 0) -> None:
         """Fire ``event`` after ``delay_ns``."""
         if delay_ns < 0:
             raise CausalityError(f"event {event.name!r} posted {-delay_ns} ns in the past")
         if event.fired:
             raise ValueError(f"event {event.name!r} already fired")
-        self._push(self.now + delay_ns, _FIRE, event, payload)
+        heapq.heappush(self._heap, (self.now + delay_ns, self._seq, _FIRE, event, None, None))
+        self._seq += 1
 
     def wake(self, proc: Process) -> None:
         """Resume ``proc`` from ``PARK`` at the current time, queued behind
@@ -344,13 +357,8 @@ class Engine:
         it alone waits on.  A no-op unless ``proc`` is parked."""
         if proc.parked:
             proc.parked = False
-            self._push(self.now, _UNPARK, proc)
-
-    def _push(self, when: int, kind: str, obj, value: Any = None) -> None:
-        if when < self.now:
-            raise CausalityError(f"schedule at {when} ns but clock is at {self.now} ns")
-        heapq.heappush(self._heap, (when, self._seq, kind, obj, value, None))
-        self._seq += 1
+            heapq.heappush(self._heap, (self.now, self._seq, _UNPARK, proc, None, None))
+            self._seq += 1
 
     # -- the loop ---------------------------------------------------------
 
@@ -365,32 +373,30 @@ class Engine:
         heap = self._heap
         pop, push = heapq.heappop, heapq.heappush
         records = self._records if self.keep_trace else None
-        busy = self._busy
+        zero_charged = self._zero_charged
         resume, finish, fire, unpark = _RESUME, _FINISH, _FIRE, _UNPARK
         while heap:
-            # begin is a _FINISH entry's begin_ns and None on the others
-            when, _, kind, proc, value, begin = pop(heap)
+            # charge and begin are a _FINISH entry's, None on the others
+            when, _, kind, proc, charge, begin = pop(heap)
             if when < self.now:
                 raise CausalityError(f"event at {when} ns behind clock {self.now} ns")
             self.now = now = when
-            if kind is finish:  # value is the Charge that ends now
-                name = proc.name
+            if kind is finish:  # charge ends now
                 if records is not None:
-                    records.append((name, value.name, begin, now, value.args))
-                busy[name] = busy.get(name, 0) + (now - begin)
-                value = None
-            elif kind is fire:  # proc is the Event, value its payload
+                    records.append((proc.name, charge.name, begin, now, charge.args))
+                proc.busy += now - begin
+            elif kind is fire:  # proc is the Event
                 event = proc
                 if event.fired:
                     raise ValueError(f"event {event.name!r} fired twice")
                 event.fired = True
-                event.payload = value
-                waiters, event._waiters = event._waiters, []
+                waiters = event._waiters
+                event._waiters = None
                 # with nothing else due now the first waiter's entry would
                 # be popped next, so it resumes here after the others queue
                 direct = bool(waiters) and (not heap or heap[0][0] > now)
                 for proc in waiters[1:] if direct else waiters:
-                    push(heap, (now, self._seq, resume, proc, value, None))
+                    push(heap, (now, self._seq, resume, proc, None, None))
                     self._seq += 1
                 if not direct:
                     continue
@@ -402,7 +408,7 @@ class Engine:
             send = proc.gen.send
             while True:
                 try:
-                    effect = send(value)
+                    effect = send(None)
                 except StopIteration:
                     proc.done = True
                     break
@@ -410,39 +416,41 @@ class Engine:
                 if cls is Charge:
                     cost = effect.cost_ns
                     dom = proc.domain
-                    if cost < 0:
-                        raise ValueError(f"{proc.name} charged {cost} ns")
-                    if cost == 0 or dom is None:
-                        begin = now
-                        when = now + cost  # no core to wait for: exactly cost_ns
-                    else:
+                    if cost > 0 and dom is not None:
                         # behind the core's earlier charges, ceil(cost * stretch)
                         begin = dom.free_at if dom.free_at > now else now
                         when = dom.free_at = begin - (-cost * dom.stretch_num // dom.stretch_den)
-                    if cost and heap and heap[0][0] <= when:
-                        push(heap, (when, self._seq, finish, proc, effect, begin))
-                        self._seq += 1
-                        break
-                    # it ends here: handed off, or at zero cost with its
-                    # resume queued behind the entries due now
-                    name = proc.name
-                    if records is not None:
-                        records.append((name, effect.name, begin, when, effect.args))
-                    busy[name] = busy.get(name, 0) + (when - begin)
-                    value = None
+                    else:
+                        if cost <= 0:
+                            if cost:
+                                raise ValueError(f"{proc.name} charged {cost} ns")
+                            zero_charged.add(proc)
+                        begin = now
+                        when = now + cost  # no core to wait for: exactly cost_ns
                     if heap and heap[0][0] <= when:
+                        if cost:
+                            push(heap, (when, self._seq, finish, proc, effect, begin))
+                            self._seq += 1
+                            break
+                        # zero cost: it ends now, its resume queued behind
+                        # the entries due now
+                        if records is not None:
+                            records.append((proc.name, effect.name, now, now, effect.args))
                         push(heap, (now, self._seq, resume, proc, None, None))
                         self._seq += 1
                         break
+                    # handed off: it ends here
+                    if records is not None:
+                        records.append((proc.name, effect.name, begin, when, effect.args))
+                    proc.busy += when - begin
                     self.now = now = when
                 elif cls is WaitFor:
                     event = effect.event
                     if not event.fired:
                         event._waiters.append(proc)
                         break
-                    value = event.payload
                     if heap and heap[0][0] <= now:
-                        push(heap, (now, self._seq, resume, proc, value, None))
+                        push(heap, (now, self._seq, resume, proc, None, None))
                         self._seq += 1
                         break
                 elif effect is PARK:
@@ -452,7 +460,6 @@ class Engine:
                     if effect.delay_ns < 0:
                         raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
                     when = now + effect.delay_ns
-                    value = None
                     if heap and heap[0][0] <= when:
                         push(heap, (when, self._seq, resume, proc, None, None))
                         self._seq += 1
@@ -464,7 +471,13 @@ class Engine:
         blocked = [p.name for p in self._procs if not (p.done or p.daemon)]
         if blocked:
             raise DeadlockError(blocked)
-        return Trace(records=self._records, makespan_ns=self.now, busy_ns=self._busy)
+        # one key per actor name with a finished charge, summed over the
+        # processes that share the name
+        busy: dict[str, int] = {}
+        for p in self._procs:
+            if p.busy or p in zero_charged:
+                busy[p.name] = busy.get(p.name, 0) + p.busy
+        return Trace(records=self._records, makespan_ns=self.now, busy_ns=busy)
 
     def close(self) -> None:
         """Close every unfinished process's generator.  A parked daemon's

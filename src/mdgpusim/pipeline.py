@@ -6,8 +6,10 @@ whenever halo or long-range exchanges force one mid-step), and the
 first era is warm-up that measurement discards.
 
 Every rank layout runs one step program, that of a short-range rank.
-The step programs only send and receive, on per-step events handed to
-them; ``simulate`` alone chooses the layout: a periodic block of
+The step programs only send and receive, on per-step transfer tasks
+handed to them: each wire carries one ``DevTask`` per step and
+direction, which is also the event its receiver waits on.  ``simulate``
+alone builds those tasks and chooses the layout: a periodic block of
 short-range ranks, simulated for real, stands for the whole grid.
 Each block rank sits where a grid rank does, prices each halo link by
 that rank's link to its +1 neighbour, and receives what its -1
@@ -216,12 +218,18 @@ def simulate(plan: RunPlan, keep_trace: bool = False, *,
     home = [sum((k // bs) % b * s for s, _, bs, b in split)
             for k in range(bstride)]
     prefixes = [""] + [f"pp{k}." for k in range(1, len(home))]
-    # per block rank and split dimension, the events each halo direction
-    # is sent on, one per step
-    sent_x = [[[Event(f"{pre}halo_x.{s}.{i}") for s in range(total_steps)]
-               for i in range(len(split))] for pre in prefixes]
-    sent_f = [[[Event(f"{pre}halo_f.{s}.{i}") for s in range(total_steps)]
-               for i in range(len(split))] for pre in prefixes]
+    # per block rank and split dimension, the rank's (x, f) link to its
+    # +1 neighbour in the grid, and the transfer tasks each halo direction
+    # sends on it, one per step
+    links = [[_link(plan, comm, rank, shifted(rank, s, d, 1), slab,
+                    "halo_transfer", "halo_transfer") for s, d, _, _ in split]
+             for rank in home]
+    sent_x = [[[DevTask(x, name=f"{pre}halo_x.{s}.{i}") for s in range(total_steps)]
+               for i, (x, _) in enumerate(rank_links)]
+              for pre, rank_links in zip(prefixes, links)]
+    sent_f = [[[DevTask(f, name=f"{pre}halo_f.{s}.{i}") for s in range(total_steps)]
+               for i, (_, f) in enumerate(rank_links)]
+              for pre, rank_links in zip(prefixes, links)]
     era_marks: List[List[int]] = [[] for _ in home]
 
     engine = Engine(keep_trace=keep_trace)
@@ -229,24 +237,22 @@ def simulate(plan: RunPlan, keep_trace: bool = False, *,
         # a lone rank is rank0 with queue q0 in traces, as saved ones expect
         single = plan.ranks == 1
         pps, queues, halo_x, halo_f = [], [], [], []
-        for k, (rank, pre) in enumerate(zip(home, prefixes)):
+        for k, pre in enumerate(prefixes):
             device, rt = _build_rank(engine, plan, api, "rank0" if single else f"pp{k}")
             pps.append(rt)
             queues.append((device.new_stream("q0" if single else "q_loc"),
                            device.new_stream("q_nl") if split else None))
-            # (wire, transfer, sent, received) per split dimension: the rank
-            # sends to its +1 neighbour in the grid, priced by that link, and
-            # receives what its -1 neighbour in the block sends (with one
-            # rank, what it sends itself)
+            # (wire, sent, received) per split dimension: the rank sends to
+            # its +1 neighbour in the grid, and receives what its -1
+            # neighbour in the block sends (with one rank, what it sends
+            # itself)
             halo_x.append([])
             halo_f.append([])
-            for i, (s, d, bs, b) in enumerate(split):
+            for i, (_, _, bs, b) in enumerate(split):
                 wire = Slot(engine, f"{pre}halo{i}.wire")
-                x, f = _link(plan, comm, rank, shifted(rank, s, d, 1), slab,
-                             "halo_transfer", "halo_transfer")
                 down = shifted(k, bs, b, -1)
-                halo_x[k].append((wire, x, sent_x[k][i], sent_x[down][i]))
-                halo_f[k].append((wire, f, sent_f[k][i], sent_f[down][i]))
+                halo_x[k].append((wire, sent_x[k][i], sent_x[down][i]))
+                halo_f[k].append((wire, sent_f[k][i], sent_f[down][i]))
 
         pme_links = [None] * len(home)
         ranks = list(pps)
@@ -256,21 +262,21 @@ def simulate(plan: RunPlan, keep_trace: bool = False, *,
             q_pme = pme_device.new_stream("q_pme")
             x_wires = [Slot(engine, f"{pre}pme-x.wire") for pre in prefixes]
             f_wire = Slot(engine, "pme-f.wire")
-            x_ready = [[Event(f"{pre}x_ready.{s}") for s in range(total_steps)]
-                       for pre in prefixes]
-            f_ready = [Event(f"f_ready.{s}") for s in range(total_steps)]
             # with comm overlap the chain hides all but one peer's transfer;
             # without it the long-range rank stages serially the transfers
             # of every peer a block rank stands for
             share = 1 if plan.profile.pme_comm_overlap else pp_ranks // len(home)
-            links = [_link(plan, comm, rank, plan.ranks - 1, atoms_pp * share,
-                           "x_transfer", "f_transfer") for rank in home]
-            pme_links = [(x_wires[k], links[k][0], x_ready[k], f_ready)
-                         for k in range(len(home))]
+            pme_work = [_link(plan, comm, rank, plan.ranks - 1, atoms_pp * share,
+                              "x_transfer", "f_transfer") for rank in home]
+            x_ready = [[DevTask(x, name=f"{pre}x_ready.{s}") for s in range(total_steps)]
+                       for pre, (x, _) in zip(prefixes, pme_work)]
             # the forces go back on one wire, priced by rank 0's link
+            f_ready = [DevTask(pme_work[0][1], name=f"f_ready.{s}")
+                       for s in range(total_steps)]
+            pme_links = [(x_wires[k], x_ready[k], f_ready) for k in range(len(home))]
             engine.spawn(pme.app_actor,
-                         _pme_rank_app(plan, pme, q_pme, kcost, f_wire, links[0][1],
-                                       x_ready, f_ready, total_steps, pp_ranks),
+                         _pme_rank_app(plan, pme, q_pme, kcost, f_wire, x_ready,
+                                       f_ready, total_steps, pp_ranks),
                          domain=pme.app_domain)
 
         for k, rt in enumerate(pps):
@@ -297,11 +303,11 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     """Step program of one short-range rank, the one every layout runs.
 
     ``atoms`` is the home domain; ``halo_x`` and ``halo_f`` hold one
-    ``(wire, transfer, sent, received)`` per split dimension, and
-    ``pme_link`` the long-range peer's ``(x_wire, x_transfer, x_sent,
-    f_ready)``; ``sent``, ``received``, ``x_sent`` and ``f_ready`` hold
-    one event per step.  A mesh system without such a peer runs the
-    long-range chain inline on ``q_loc``.
+    ``(wire, sent, received)`` per split dimension, and ``pme_link`` the
+    long-range peer's ``(x_wire, x_sent, f_ready)``; ``sent``,
+    ``received``, ``x_sent`` and ``f_ready`` hold one transfer task per
+    step, which fires when it lands.  A mesh system without such a peer
+    runs the long-range chain inline on ``q_loc``.
     """
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns
@@ -310,7 +316,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     mpi_halo_f = Charge(2 * mpi_cpu, "mpi_halo_f")
     inline_pme = sys_.pme and pme_link is None
     if pme_link is not None:
-        x_wire, x_transfer, x_sent, f_ready = pme_link
+        x_wire, x_sent, f_ready = pme_link
     # every duration the steps submit, each priced only if some step uses it
     search_ns = kcost(KernelKind.PAIR_SEARCH, atoms)
     local_ns = kcost(KernelKind.NBNXM_LOCAL, atoms)
@@ -350,7 +356,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
             # this is a runtime sync point (it flushes a deferred graph)
             yield from rt.sync([prev_constraints] if prev_constraints else [])
             yield send_x
-            x_wire.enqueue(DevTask(x_transfer, (), x_sent[step]))
+            x_wire.enqueue(x_sent[step])
 
         # local-only force work goes out first; it needs no remote
         # coordinates and its stream crunches while the halo is on
@@ -405,16 +411,16 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
 
 def _halo_exchange(rt, q_nl, halo_ns, halo, mpi, step, letter, pack_deps):
     """One coordinate (``x``) or force (``f``) halo pulse per split
-    dimension over the ``(wire, transfer, sent, received)`` of ``halo``,
-    each packed and unpacked in ``halo_ns``, sent on ``sent[step]`` after
-    the MPI charge ``mpi`` and unpacked once ``received[step]`` fires;
-    returns the unpack events."""
+    dimension over the ``(wire, sent, received)`` of ``halo``, each
+    packed and unpacked in ``halo_ns``, the transfer ``sent[step]``
+    queued on ``wire`` after the MPI charge ``mpi`` and unpacked once
+    ``received[step]`` fires; returns the unpack tasks."""
     unpacks = []
-    for i, (wire, transfer, sent, received) in enumerate(halo):
+    for i, (wire, sent, received) in enumerate(halo):
         pack = yield from rt.submit(q_nl, f"halo_pack_{letter}{i}", halo_ns, deps=pack_deps)
         yield from rt.sync([pack])
         yield mpi
-        wire.enqueue(DevTask(transfer, (), sent[step]))
+        wire.enqueue(sent[step])
         # the matching receive blocks on the host
         yield WaitFor(received[step])
         unpack = yield from rt.submit(q_nl, f"halo_unpack_{letter}{i}", halo_ns)
@@ -422,10 +428,11 @@ def _halo_exchange(rt, q_nl, halo_ns, halo, mpi, step, letter, pack_deps):
     return unpacks
 
 
-def _pme_rank_app(plan, rt, q_pme, kcost, f_wire, f_transfer,
-                  senders, f_ready, total_steps, pp_ranks):
+def _pme_rank_app(plan, rt, q_pme, kcost, f_wire, senders, f_ready,
+                  total_steps, pp_ranks):
     """Step program of the long-range rank: each step waits on every
-    per-step event list of ``senders`` and returns forces on ``f_ready``."""
+    per-step task list of ``senders`` and returns forces by queueing
+    ``f_ready``'s task on ``f_wire``."""
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns
     msgs = {"msgs": pp_ranks}
@@ -445,7 +452,7 @@ def _pme_rank_app(plan, rt, q_pme, kcost, f_wire, f_transfer,
             evs.append(ev)
         yield from rt.sync(evs)
         yield send_f
-        f_wire.enqueue(DevTask(f_transfer, (), f_ready[step]))
+        f_wire.enqueue(f_ready[step])
         # grid clearing is next-step preparation; it rides the in-order
         # queue behind this step's chain and off the force-return path
         yield from rt.submit(q_pme, "grid_memset", memset_ns)

@@ -8,7 +8,7 @@ scale factors can stretch whole kernel families at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from importlib import resources
 from typing import Any, Dict
 
@@ -91,11 +91,17 @@ def _data_text(filename: str) -> str:
 
 
 def _checked(cls, filename: str, prefix: str, fields: Dict[str, Any]) -> Dict[str, Any]:
-    """``fields``, once each key is known to name a field of ``cls``: a
-    misspelt key must not quietly leave its field at the default."""
+    """``fields``, once each key is known to name a field of ``cls`` and
+    every field of ``cls`` without a default has a key: a misspelt key
+    must not quietly leave its field at the default, nor a missing one
+    fail as a ``TypeError``."""
     for key in fields:
         if key not in cls.__dataclass_fields__:
             raise ConfigError(f"{filename}: unknown key {prefix + key!r}")
+    for key, spec in cls.__dataclass_fields__.items():
+        if (key not in fields and spec.default is MISSING
+                and spec.default_factory is MISSING):
+            raise ConfigError(f"{filename}: missing key {prefix + key!r}")
     return fields
 
 
@@ -124,8 +130,9 @@ def load_systems() -> Dict[str, SystemPreset]:
     names = sorted({k.split(".", 1)[0] for k in mapping})
     systems = {}
     for name in names:
-        fields = _checked(SystemPreset, "systems.cfg", f"{name}.", subsection(mapping, name))
-        systems[name] = SystemPreset(name=name, **fields)
+        fields = _checked(SystemPreset, "systems.cfg", f"{name}.",
+                          {**subsection(mapping, name), "name": name})
+        systems[name] = SystemPreset(**fields)
     return systems
 
 

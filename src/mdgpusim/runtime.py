@@ -38,6 +38,11 @@ kind and drawn latency; a link keeps one ``Work`` per direction.  Only
 the flush trigger and graph retirement, whose costs vary, are built on
 each yield.
 
+A submission is one object: the ``DevTask`` is itself the ``Event`` that
+its completion fires, and its slot posts it.  ``submit`` and ``sync``
+yield the flush trigger charge themselves and then hand the batch over
+with a plain method call, so a flush adds no generator of its own.
+
 Event-recording modes: ``COARSE`` records only the sync marker, while
 ``FULL`` records one event per node, paying host-side create/record
 API costs on the launching thread plus a device-side packet after
@@ -68,7 +73,10 @@ class EventMode(Enum):
 class RuntimeProfile:
     """Mechanics constants of one runtime version.
 
-    All times in nanoseconds.  ``validate`` enforces the relation that
+    All times in nanoseconds.  Every bundled profile sets each field
+    without a default; only the contention terms (which ``hip-native``
+    omits) and the HSA worker duty (which the acpp files omit) fall back
+    to one.  ``validate`` enforces the relation that
     keeps launch delay non-decreasing in the node-cache size: the
     per-batch worker bookkeeping must not exceed what the application
     pays per submission, otherwise batching could beat eager flushing
@@ -86,6 +94,12 @@ class RuntimeProfile:
     retire_rate: float                   # extra retire ns per ns of batch age
     retire_flush_cap_ns: int
     retire_sync_cap_ns: int
+    app_step_cpu_ns: int
+    dispatch_gap_ns: int
+    oversub_extra_ns: int
+    event_device_cost_ns: int
+    mpi_msg_cpu_ns: int
+    pme_comm_overlap: bool               # overlap PME-rank MPI with its chain
     # app: extra cost per threshold-triggered flush for every other rank
     # sharing the node.  Mid-step flushes race the peers' runtime and HSA
     # threads for the shared queue doorbells; sync-point flushes happen
@@ -101,12 +115,6 @@ class RuntimeProfile:
     # kernels flush while the peers still crunch.  Zero charges every
     # threshold flush regardless of batch size.
     flush_contention_cutoff_ns: int = 0
-    app_step_cpu_ns: int = 35000
-    dispatch_gap_ns: int = 3800
-    oversub_extra_ns: int = 450
-    event_device_cost_ns: int = 7000
-    mpi_msg_cpu_ns: int = 4000
-    pme_comm_overlap: bool = True        # overlap PME-rank MPI with its chain
     hsa_worker_duty_milli: int = 750
 
     def validate(self) -> "RuntimeProfile":
@@ -218,16 +226,22 @@ class Work:
         return charge
 
 
-class DevTask:
-    """One submission of a ``Work``: waits for ``deps``, runs, posts ``done``."""
+class DevTask(Event):
+    """One submission of a ``Work``, and the event its completion fires:
+    it waits for ``deps``, runs, and its slot posts it.  Named after the
+    work's kernel unless ``name`` is given."""
 
-    __slots__ = ("work", "deps", "done", "submit_time")
+    __slots__ = ("work", "deps", "submit_time")
 
-    def __init__(self, work: Work, deps: Sequence[Event], done: Event,
-                 submit_time: Optional[int] = None):
+    def __init__(self, work: Work, deps: Sequence[Event] = (),
+                 submit_time: Optional[int] = None, name: Optional[str] = None):
+        # Event's fields are set here: one task is made per submission,
+        # and a super().__init__ call per task is a measured cost
+        self.name = work.done_name if name is None else name
+        self.fired = False
+        self._waiters = []
         self.work = work
         self.deps = tuple(deps)
-        self.done = done
         self.submit_time = submit_time
 
 
@@ -283,7 +297,7 @@ class Slot:
             yield work.kernel
             if work.packet is not None:
                 yield work.packet
-            self.engine.post(task.done, 0)
+            self.engine.post(task, 0)
 
 
 class Device:
@@ -413,12 +427,11 @@ class RankRuntime:
     def submit(self, stream: Stream, name: str, duration_ns: int,
                deps: Sequence[Event] = ()):
         """Generator; ``yield from`` it on the app process.  Returns the
-        completion event of the device task."""
+        device task, which fires when it completes."""
         work = self._works.get((stream, name, duration_ns))
         if work is None:
             work = self._work(stream, name, duration_ns)
-        done = Event(work.done_name)
-        task = DevTask(work, deps, done, self.engine.now)
+        task = DevTask(work, deps, self.engine.now)
         if self.instant:
             app = self.app_actor
             for _ in task.deps:
@@ -434,11 +447,13 @@ class RankRuntime:
             self._buffer.append((task, stream))
             self._buffer_ns += work.kernel.cost_ns
             if len(self._buffer) > self.settings.max_cached_nodes:
-                yield from self._trigger_flush(threshold=True)
-        return done
+                yield self._flush_trigger(threshold=True)
+                self._hand_over()
+        return task
 
-    def _trigger_flush(self, threshold: bool = False):
-        """Generator; hand the non-empty buffer to the flush worker."""
+    def _flush_trigger(self, threshold: bool = False) -> Charge:
+        """The app's charge for handing the non-empty buffer over: yield
+        it, then call ``_hand_over``."""
         cost = self.profile.flush_trigger_cost_ns
         if threshold:
             peers = self.settings.visible_devices - 1
@@ -450,8 +465,10 @@ class RankRuntime:
             if cutoff > 0 and self._buffer_ns >= cutoff:
                 nominal = 0
             cost += nominal
-        yield Charge(cost, "flush_trigger",
-                     {"nodes": len(self._buffer)})
+        return Charge(cost, "flush_trigger", {"nodes": len(self._buffer)})
+
+    def _hand_over(self) -> None:
+        """Give the buffered batch to the flush worker and wake it."""
         batch = self._buffer
         self._buffer = []
         self._buffer_ns = 0
@@ -462,7 +479,8 @@ class RankRuntime:
     def sync(self, events: Sequence[Event]):
         """Generator; host-side synchronization against ``events``."""
         if self._buffer:
-            yield from self._trigger_flush()
+            yield self._flush_trigger()
+            self._hand_over()
         for ev in events:
             if not ev.fired:
                 yield WaitFor(ev)

@@ -59,7 +59,7 @@ class ReferenceEngine:
     def spawn(self, name, gen, domain=None, daemon=False):
         proc = Process(name, gen, domain, daemon)
         self._procs.append(proc)
-        self._push(self.now, self._resume, proc, None)
+        self._push(self.now, self._resume, proc)
         return proc
 
     def event(self, name=""):
@@ -70,12 +70,12 @@ class ReferenceEngine:
             if not proc.done:
                 proc.gen.close()
 
-    def post(self, event, delay_ns=0, payload=None):
+    def post(self, event, delay_ns=0):
         if delay_ns < 0:
             raise CausalityError(f"event {event.name!r} posted {-delay_ns} ns in the past")
         if event.fired:
             raise ValueError(f"event {event.name!r} already fired")
-        self._push(self.now + delay_ns, self._fire, event, payload)
+        self._push(self.now + delay_ns, self._fire, event)
 
     def wake(self, proc):
         if proc.parked:
@@ -97,17 +97,17 @@ class ReferenceEngine:
             raise DeadlockError(blocked)
         return Trace(records=self._records, makespan_ns=self.now, busy_ns=self._busy)
 
-    def _fire(self, event, payload):
+    def _fire(self, event):
         if event.fired:
             raise ValueError(f"event {event.name!r} fired twice")
-        event.fired, event.payload = True, payload
-        waiters, event._waiters = event._waiters, []
+        event.fired = True
+        waiters, event._waiters = event._waiters, None
         for proc in waiters:
-            self._push(self.now, self._resume, proc, payload)
+            self._push(self.now, self._resume, proc)
 
     def _unpark(self, proc):
         # as a fired event with ``proc`` its lone waiter
-        self._push(self.now, self._resume, proc, None)
+        self._push(self.now, self._resume, proc)
 
     def _record(self, proc, charge, begin):
         if self.keep_trace:
@@ -116,11 +116,11 @@ class ReferenceEngine:
 
     def _finish(self, proc, charge, begin):
         self._record(proc, charge, begin)
-        self._resume(proc, None)
+        self._resume(proc)
 
-    def _resume(self, proc, value):
+    def _resume(self, proc):
         try:
-            effect = proc.gen.send(value)
+            effect = proc.gen.send(None)
         except StopIteration:
             proc.done = True
             return
@@ -131,7 +131,7 @@ class ReferenceEngine:
                 raise ValueError(f"{proc.name} charged {cost} ns")
             if cost == 0:
                 self._record(proc, effect, now)
-                self._push(now, self._resume, proc, None)
+                self._push(now, self._resume, proc)
             elif dom is None:
                 self._push(now + cost, self._finish, proc, effect, now)
             else:
@@ -140,7 +140,7 @@ class ReferenceEngine:
                 self._push(dom.free_at, self._finish, proc, effect, begin)
         elif isinstance(effect, WaitFor):
             if effect.event.fired:
-                self._push(now, self._resume, proc, effect.event.payload)
+                self._push(now, self._resume, proc)
             else:
                 effect.event._waiters.append(proc)
         elif effect is PARK:
@@ -148,7 +148,7 @@ class ReferenceEngine:
         elif isinstance(effect, Sleep):
             if effect.delay_ns < 0:
                 raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
-            self._push(now + effect.delay_ns, self._resume, proc, None)
+            self._push(now + effect.delay_ns, self._resume, proc)
         else:
             raise TypeError(f"{proc.name} yielded {effect!r}, "
                             "expected Charge/Sleep/WaitFor/PARK")

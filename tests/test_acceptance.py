@@ -280,7 +280,8 @@ ZERO_PROFILE = RuntimeProfile(
     per_node_flush_cost_ns=0, notify_cost_ns=0, retire_fixed_ns=0,
     retire_rate=0.0, retire_flush_cap_ns=0, retire_sync_cap_ns=0,
     app_step_cpu_ns=0, dispatch_gap_ns=0, oversub_extra_ns=0,
-    event_device_cost_ns=0, mpi_msg_cpu_ns=0, hsa_worker_duty_milli=0)
+    event_device_cost_ns=0, mpi_msg_cpu_ns=0, pme_comm_overlap=True,
+    hsa_worker_duty_milli=0)
 
 
 def _random_burst_spec(rng, force_deferred=False):
@@ -343,6 +344,36 @@ def _check_queues_in_order(failures, trace, where):
                 return
 
 
+def _queue_kernels(trace):
+    """Each device queue's kernel names, in record order."""
+    queues = {}
+    for actor, name, *_ in trace.records:
+        if ".gcd.q" in actor and name not in ("dispatch", "event_packet"):
+            queues.setdefault(actor, []).append(name)
+    return queues
+
+
+# (system, ranks): one rank with the mesh inline, short-range ranks on
+# one node, STMV with a long-range rank on 2 and 5 ranks, a mesh system
+# on 4 ranks, and 46M atoms across 512 nodes
+KERNEL_ORDER_PLANS = [("grappa_pme_12k", 1), ("grappa_rf_24k", 8), ("stmv", 2),
+                      ("stmv", 5), ("grappa_pme_96k", 4), ("grappa_rf_46m", 4096)]
+
+
+@pytest.mark.parametrize("system, ranks", KERNEL_ORDER_PLANS,
+                         ids=[f"{s}-{r}r" for s, r in KERNEL_ORDER_PLANS])
+def test_instant_and_uncached_deferred_runs_order_kernels_alike(system, ranks):
+    """Instant submission reorders nothing relative to deferred submission
+    that flushes on every submit: each device queue runs the same kernels
+    in the same order.  A larger node cache may reorder them across
+    queues, so it is not part of the property."""
+    runs = [run_one(system, "acpp-23.10", eras=2, ranks=ranks, keep_trace=True,
+                    overrides={"system.nstlist": 20}, **mode)
+            for mode in (dict(instant=True), dict(mcn=0))]
+    instant, deferred = (_queue_kernels(run.trace) for run in runs)
+    assert instant and instant == deferred
+
+
 def test_execution_properties(event_mode_pair, multinode):
     failures = []
 
@@ -386,23 +417,6 @@ def test_execution_properties(event_mode_pair, multinode):
     full_12k, coarse_12k = event_mode_pair
     expect(failures, coarse_12k.makespan_ns <= full_12k.makespan_ns,
            "coarse event mode ran longer than full event mode")
-
-    # instant submission reorders nothing relative to uncached deferred
-    instant_run = run_one("grappa_pme_12k", "acpp-23.10", eras=2,
-                          instant=True, keep_trace=True)
-    deferred_run = run_one("grappa_pme_12k", "acpp-23.10", eras=2, mcn=0,
-                           keep_trace=True)
-
-    def kernel_names(trace):
-        recs = [(begin, end, name) for actor, name, begin, end, _ in trace.records
-                if actor.startswith("rank0.gcd.q")
-                and name not in ("dispatch", "event_packet")]
-        recs.sort(key=lambda r: r[:2])  # stable on (begin_ns, end_ns) only
-        return [name for _, _, name in recs]
-
-    expect(failures,
-           kernel_names(instant_run.trace) == kernel_names(deferred_run.trace),
-           "instant and uncached deferred runs ordered kernels differently")
 
     # makespan equals an independent longest-path computation
     quiet = TwoPointLatency(0.0, 0.0, 0.0)

@@ -114,35 +114,20 @@ def test_dedicated_actor_ignores_domain_sharing():
     assert _spans(tr) == {"cpu0": (0, 1000), "cpu1": (1000, 2000), "gpu": (0, 1000)}
 
 
-def test_wait_for_returns_payload():
-    eng = Engine()
-    ev = eng.event("ready")
-    got = []
-
-    def waiter():
-        value = yield WaitFor(ev)
-        got.append((eng.now, value))
-
-    eng.spawn("w", waiter())
-    eng.post(ev, delay_ns=50, payload={"k": 1})
-    eng.run_until_idle()
-    assert got == [(50, {"k": 1})]
-
-
 def test_wait_on_already_fired_event_resumes_immediately():
     eng = Engine()
     ev = eng.event()
-    eng.post(ev, 10, payload="x")
+    eng.post(ev, 10)
     got = []
 
     def late():
         yield Sleep(100)
-        value = yield WaitFor(ev)
-        got.append((eng.now, value))
+        yield WaitFor(ev)
+        got.append(eng.now)
 
     eng.spawn("late", late())
     eng.run_until_idle()
-    assert got == [(100, "x")]
+    assert got == [100]
 
 
 def test_negative_delay_raises_causality_error():
@@ -692,11 +677,11 @@ def _handoff_engine(seed, n_workers=10, n_steps=40):
     def poster():
         for ev in events:
             yield Sleep(rng.randrange(0, 400))
-            eng.post(ev, rng.choice((0, 0, 50)), payload=ev.name)
+            eng.post(ev, rng.choice((0, 0, 50)))
 
     def worker(idx):
-        got = yield WaitFor(events[0])
-        yield Charge(0, "woke", {"got": got})
+        yield WaitFor(events[0])
+        yield Charge(0, "woke", {"got": events[0].name})
         for j in range(n_steps):
             pick = rng.random()
             if pick < 0.3:
@@ -708,8 +693,9 @@ def _handoff_engine(seed, n_workers=10, n_steps=40):
             elif pick < 0.7:
                 yield Sleep(rng.randrange(1, 300))
             else:
-                got = yield WaitFor(rng.choice(events))
-                yield Charge(rng.randrange(0, 3), f"got{idx}.{j}", {"got": got})
+                ev = rng.choice(events)
+                yield WaitFor(ev)
+                yield Charge(rng.randrange(0, 3), f"got{idx}.{j}", {"got": ev.name})
 
     eng.spawn("poster", poster())
     for i in range(n_workers):

@@ -130,30 +130,37 @@ def test_every_package_field_is_read():
 
 
 def event_calls_outside(source: str, owner: str):
-    """Line of every ``Event(...)`` or ``<module>.Event(...)`` call that
-    does not lie inside the top-level function ``owner``."""
+    """Line of every ``Event(...)`` or ``DevTask(...)`` call, bare or
+    through a module, that does not lie inside the top-level function
+    ``owner``; a ``DevTask`` is the event its completion fires."""
     tree = ast.parse(source)
     inside = {id(node) for top in tree.body
               if isinstance(top, ast.FunctionDef) and top.name == owner
               for node in ast.walk(top)}
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and id(node) not in inside
-                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Event")
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in ("Event", "DevTask"))
 
 
 def test_gate_sees_events_made_outside_their_owner():
     source = ("def simulate():\n"
               "    ready = [Event(f'x.{s}') for s in range(3)]\n"
+              "    sent = [DevTask(work, name=f'h.{s}') for s in range(3)]\n"
               "    def inner():\n"
-              "        return Event('inner')\n"
+              "        return Event('inner'), DevTask(work)\n"
               "def step_program():\n"
               "    return Event('t'), engine.Event('u'), Eventful()\n"
+              "def send(wire, work):\n"
+              "    wire.enqueue(DevTask(work, ()))\n"
+              "    return runtime.DevTask(work), DevTasks()\n"
               "halo = Event('module')\n")
-    assert event_calls_outside(source, "simulate") == [6, 6, 7]
+    assert event_calls_outside(source, "simulate") == [7, 7, 9, 10, 11]
 
 
 def test_only_simulate_makes_events_in_the_pipeline():
-    """The rank layout is chosen where the events are made: a step
-    program that made its own would state a layout of its own."""
+    """The rank layout is chosen where the events and the wires' transfer
+    tasks are made: a step program that made its own would state a
+    layout of its own."""
     source = (ROOT / "src" / "mdgpusim" / "pipeline.py").read_text(encoding="utf-8")
     assert event_calls_outside(source, "simulate") == []

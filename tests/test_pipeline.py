@@ -502,7 +502,8 @@ ZERO_PROFILE = RuntimeProfile(
     per_node_flush_cost_ns=0, notify_cost_ns=0, retire_fixed_ns=0,
     retire_rate=0.0, retire_flush_cap_ns=0, retire_sync_cap_ns=0,
     app_step_cpu_ns=0, dispatch_gap_ns=0, oversub_extra_ns=0,
-    event_device_cost_ns=0, mpi_msg_cpu_ns=0, hsa_worker_duty_milli=0)
+    event_device_cost_ns=0, mpi_msg_cpu_ns=0, pme_comm_overlap=True,
+    hsa_worker_duty_milli=0)
 
 
 def zero_api():

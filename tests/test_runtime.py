@@ -6,6 +6,7 @@ from mdgpusim.costs import (ApiKind, ApiLatencyModel, KernelKind, TwoPointLatenc
                             default_api_model)
 from mdgpusim.engine import Engine
 from mdgpusim import presets
+from mdgpusim.cli import main
 from mdgpusim.config import ConfigError
 from mdgpusim.presets import SystemPreset, get_profile, load_profiles
 from mdgpusim.runtime import (
@@ -89,6 +90,46 @@ def test_misspelt_bundled_key_names_the_file_and_the_key(
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("filename, line", [
+    ("runtime-acpp-23.10.cfg", "dispatch_gap_ns = 3500"),
+    ("runtime-acpp-23.10.cfg", "submit_cost_ns = 1700"),
+    ("runtime-hip-native.cfg", "mpi_msg_cpu_ns = 30000"),
+    ("runtime-acpp-0.9.4.cfg", "pme_comm_overlap = true"),
+], ids=["dispatch-gap", "submit-cost", "mpi-cpu", "pme-overlap"])
+def test_bundled_profile_missing_a_key_is_one_error_line(monkeypatch, capsys, filename, line):
+    """A field every bundled profile sets has no default to fall back on:
+    a file that omits one names itself and the key, never running at a
+    value no profile states nor failing with a traceback."""
+    data_text = presets._data_text
+
+    def without(name):
+        text = data_text(name)
+        if name != filename:
+            return text
+        assert line + "\n" in text
+        return text.replace(line + "\n", "")
+
+    monkeypatch.setattr(presets, "_data_text", without)
+    key = line.split(" = ")[0]
+    code = main(["simulate", "--system", "grappa_pme_1500", "--profile", "acpp-23.10",
+                 "--eras", "2"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", f"error: {filename}: missing key {key!r}\n")
+
+
+def test_bundled_system_missing_a_key_names_the_file_and_the_key(monkeypatch):
+    data_text = presets._data_text
+
+    def without(name):
+        text = data_text(name)
+        return text.replace("stmv.atoms = ", "# ") if name == "systems.cfg" else text
+
+    monkeypatch.setattr(presets, "_data_text", without)
+    with pytest.raises(ConfigError) as excinfo:
+        presets.load_systems()
+    assert str(excinfo.value) == "systems.cfg: missing key 'stmv.atoms'"
+
+
 def test_every_kernel_kind_is_scaled_by_exactly_one_family():
     """``SystemPreset.scale_for`` has no fallback, so a new kind must join
     a family before any system can price it."""
@@ -108,6 +149,8 @@ def test_monotonicity_guard_rejects_heavy_bookkeeping():
             flush_trigger_cost_ns=0, flush_bookkeeping_cost_ns=2000,
             per_node_flush_cost_ns=5000, notify_cost_ns=0, retire_fixed_ns=0,
             retire_rate=0.0, retire_flush_cap_ns=0, retire_sync_cap_ns=0,
+            app_step_cpu_ns=0, dispatch_gap_ns=0, oversub_extra_ns=0,
+            event_device_cost_ns=0, mpi_msg_cpu_ns=0, pme_comm_overlap=True,
         ).validate()
 
 
