@@ -1,8 +1,8 @@
 """Shipped runtime profiles, benchmark systems and default models.
 
-Everything numeric lives in ``data/*.cfg``; this module only parses
-those files into typed objects and groups kernel kinds so per-system
-scale factors can stretch whole kernel families at once.
+Systems and runtime profiles ship as ``data/*.cfg``; this module only
+parses those files into typed objects and groups kernel kinds so
+per-system scale factors can stretch whole kernel families at once.
 """
 
 from __future__ import annotations

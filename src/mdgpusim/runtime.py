@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,10 +73,11 @@ class EventMode(Enum):
 class RuntimeProfile:
     """Mechanics constants of one runtime version.
 
-    All times in nanoseconds.  Every bundled profile sets each field
-    without a default; only the contention terms (which ``hip-native``
-    omits) and the HSA worker duty (which the acpp files omit) fall back
-    to one.  ``validate`` enforces the relation that
+    All times in nanoseconds.  The costs all versions share are module
+    constants where the model reads them.  Every bundled profile sets
+    each field without a default; only the contention terms (which
+    ``hip-native`` omits) and the HSA worker duty (which the acpp files
+    omit) fall back to one.  ``validate`` enforces the relation that
     keeps launch delay non-decreasing in the node-cache size: the
     per-batch worker bookkeeping must not exceed what the application
     pays per submission, otherwise batching could beat eager flushing
@@ -94,10 +95,6 @@ class RuntimeProfile:
     retire_rate: float                   # extra retire ns per ns of batch age
     retire_flush_cap_ns: int
     retire_sync_cap_ns: int
-    app_step_cpu_ns: int
-    dispatch_gap_ns: int
-    oversub_extra_ns: int
-    event_device_cost_ns: int
     mpi_msg_cpu_ns: int
     pme_comm_overlap: bool               # overlap PME-rank MPI with its chain
     # app: extra cost per threshold-triggered flush for every other rank
@@ -118,16 +115,11 @@ class RuntimeProfile:
     hsa_worker_duty_milli: int = 750
 
     def validate(self) -> "RuntimeProfile":
-        for f in ("submit_cost_ns", "flush_trigger_cost_ns", "flush_bookkeeping_cost_ns",
-                  "per_node_flush_cost_ns", "notify_cost_ns", "retire_fixed_ns",
-                  "retire_flush_cap_ns", "retire_sync_cap_ns", "app_step_cpu_ns",
-                  "dispatch_gap_ns", "oversub_extra_ns", "event_device_cost_ns",
-                  "mpi_msg_cpu_ns", "flush_contention_ns_per_peer",
-                  "flush_contention_scan_ns", "flush_contention_cutoff_ns",
-                  "hsa_worker_duty_milli"):
-            value = getattr(self, f)
-            if not (is_int(value) and value >= 0):
-                raise ValueError(f"{self.name}: {f} must be an integer >= 0, got {value!r}")
+        for f in fields(self):  # each f.type is a string, as annotations are here
+            value = getattr(self, f.name)
+            if f.type == "int" and not (is_int(value) and value >= 0):
+                raise ValueError(f"{self.name}: {f.name} must be an integer >= 0, "
+                                 f"got {value!r}")
         if self.submission not in ("deferred", "instant", "both"):
             raise ValueError(f"{self.name}: bad submission mode {self.submission!r}")
         if not (is_number(self.retire_rate) and 0 <= self.retire_rate < math.inf):
@@ -300,20 +292,28 @@ class Slot:
             self.engine.post(task, 0)
 
 
+# device-side costs, the same under every runtime version: the gap a slot
+# waits before each dispatch, its rise per unit of streams-per-slot above
+# one, and the packet a FULL-events run adds after every task
+DISPATCH_GAP_NS = 3500
+OVERSUB_EXTRA_NS = 450
+EVENT_PACKET_NS = 7000
+
+
 class Device:
     """A GPU die: hardware queue slots plus round-robin stream creation.
 
     The runtime opens ``idle_streams`` of its own before the application
     creates any (it does so for every visible device), so restricting
     device visibility changes which slots application streams land on.
-    ``slots`` holds only the slots some stream maps onto.
+    ``slots`` holds only the slots some stream maps onto.  No device cost
+    depends on the runtime version, so ``profile`` is not read.
     """
 
     def __init__(self, engine: Engine, name: str, profile: RuntimeProfile,
                  settings: RunSettings):
         self.engine = engine
         self.name = name
-        self.profile = profile
         self.max_hw_queues = settings.max_hw_queues
         self.slots: List[Slot] = []
         self.streams: List[Stream] = []
@@ -332,9 +332,9 @@ class Device:
 
     def _retune_dispatch(self) -> None:
         ratio = len(self.streams) / self.max_hw_queues
-        gap = self.profile.dispatch_gap_ns
+        gap = DISPATCH_GAP_NS
         if ratio > 1.0:
-            gap += round_half_up(self.profile.oversub_extra_ns * (ratio - 1.0))
+            gap += round_half_up(OVERSUB_EXTRA_NS * (ratio - 1.0))
         for slot in self.slots:
             slot.dispatch_gap_ns = gap
 
@@ -405,8 +405,7 @@ class RankRuntime:
         identity."""
         prof = self.profile
         node_args, for_args = {"node": name}, {"for": name}
-        packet = (Charge(prof.event_device_cost_ns, "event_packet", for_args)
-                  if self.full and prof.event_device_cost_ns else None)
+        packet = Charge(EVENT_PACKET_NS, "event_packet", for_args) if self.full else None
         process = (Charge(prof.per_node_flush_cost_ns, "graph_process", node_args)
                    if prof.per_node_flush_cost_ns else None)
         work = self._works[stream, name, duration_ns] = Work(

@@ -28,6 +28,7 @@ from mdgpusim.engine import Engine
 from mdgpusim.pipeline import simulate
 from mdgpusim.presets import get_profile
 from mdgpusim.runtime import (
+    DISPATCH_GAP_NS,
     Device,
     EventMode,
     RankRuntime,
@@ -279,8 +280,7 @@ ZERO_PROFILE = RuntimeProfile(
     flush_trigger_cost_ns=0, flush_bookkeeping_cost_ns=0,
     per_node_flush_cost_ns=0, notify_cost_ns=0, retire_fixed_ns=0,
     retire_rate=0.0, retire_flush_cap_ns=0, retire_sync_cap_ns=0,
-    app_step_cpu_ns=0, dispatch_gap_ns=0, oversub_extra_ns=0,
-    event_device_cost_ns=0, mpi_msg_cpu_ns=0, pme_comm_overlap=True,
+    mpi_msg_cpu_ns=0, pme_comm_overlap=True,
     hsa_worker_duty_milli=0)
 
 
@@ -437,7 +437,7 @@ def test_execution_properties(event_mode_pair, multinode):
         stream_last = [0, 0, 0]
         for j, (dur, q, deps, _) in enumerate(tasks):
             start = max([stream_last[q]] + [end[d] for d in deps])
-            end[j] = start + dur
+            end[j] = start + DISPATCH_GAP_NS + dur
             stream_last[q] = end[j]
         if trace.makespan_ns != max(end):
             failures.append(f"makespan {trace.makespan_ns} != longest path "

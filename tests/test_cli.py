@@ -225,6 +225,11 @@ def test_bad_system_field_is_one_error_line(capsys, override, message):
      "acpp-23.10: submit_cost_ns must be an integer >= 0, got 'abc'"),
     ("profile.pme_comm_overlap=abc",
      "acpp-23.10: pme_comm_overlap must be true or false, got 'abc'"),
+    # the costs every runtime version shares are model constants, not
+    # profile fields
+    *[(f"profile.{key}=0", f"unknown profile field {key!r}")
+      for key in ("app_step_cpu_ns", "dispatch_gap_ns", "oversub_extra_ns",
+                  "event_device_cost_ns")],
     ("system.nbnxm_scale=1.7e308",
      "a setting is too large to simulate: cannot convert float infinity to integer"),
     ("profile.retire_rate=1.7e308",

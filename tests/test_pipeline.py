@@ -24,8 +24,9 @@ from mdgpusim.cli import Scenario, render_csv, run_scenario
 from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency
 from mdgpusim.engine import Charge, Engine
 from mdgpusim.pipeline import RunPlan, RunReport, balanced_dims, simulate
-from mdgpusim.presets import get_profile, get_system
+from mdgpusim.presets import get_profile, get_system, load_profiles, load_systems
 from mdgpusim.runtime import (
+    DISPATCH_GAP_NS,
     Device,
     EventMode,
     RankRuntime,
@@ -501,8 +502,7 @@ ZERO_PROFILE = RuntimeProfile(
     flush_trigger_cost_ns=0, flush_bookkeeping_cost_ns=0,
     per_node_flush_cost_ns=0, notify_cost_ns=0, retire_fixed_ns=0,
     retire_rate=0.0, retire_flush_cap_ns=0, retire_sync_cap_ns=0,
-    app_step_cpu_ns=0, dispatch_gap_ns=0, oversub_extra_ns=0,
-    event_device_cost_ns=0, mpi_msg_cpu_ns=0, pme_comm_overlap=True,
+    mpi_msg_cpu_ns=0, pme_comm_overlap=True,
     hsa_worker_duty_milli=0)
 
 
@@ -525,9 +525,9 @@ def test_makespan_equals_longest_path(tasks):
     """The simulated makespan must equal the DAG's longest path exactly.
 
     With every host-side cost zeroed, the only time left in the model is
-    kernel duration serialized per stream and joined at dependencies.
-    That is computable in closed form, so the engine has no slack to
-    hide scheduling mistakes behind.
+    kernel duration plus the dispatch gap before it, serialized per
+    stream and joined at dependencies.  That is computable in closed
+    form, so the engine has no slack to hide scheduling mistakes behind.
     """
     deps_of = []
     for i, (_, _, raw) in enumerate(tasks):
@@ -554,7 +554,7 @@ def test_makespan_equals_longest_path(tasks):
     stream_last = [0, 0, 0]
     for i, (dur, s, _) in enumerate(tasks):
         start = max([stream_last[s]] + [end[j] for j in deps_of[i]])
-        end[i] = start + dur
+        end[i] = start + DISPATCH_GAP_NS + dur
         stream_last[s] = end[i]
     assert trace.makespan_ns == max(end)
 
@@ -639,3 +639,31 @@ def test_whole_grid_block_is_pinned():
     ms = simulate(plan, block=(7, 1, 1)).rank_ms_per_step
     assert hashlib.sha256(repr(ms).encode()).hexdigest() == (
         "c9e2edd9a452847f1a202acfe00a2eebcf712be367e3f8db36df153acc9a8eaf")
+
+
+# -- metamorphic properties over random plans ---------------------------------
+
+
+# every (profile, instant) pair a bundled profile can run
+SUBMISSION_MODES = [(name, instant) for name, prof in sorted(load_profiles().items())
+                    for instant in (False, True)
+                    if (prof.supports_instant() if instant else prof.supports_deferred())]
+
+
+@hyp_settings(deadline=None, max_examples=40)
+@given(system=st.sampled_from(sorted(load_systems())), mode=st.sampled_from(SUBMISSION_MODES),
+       backend=st.sampled_from(["sycl", "hip"]), ranks=st.integers(1, 64),
+       mcn=st.integers(0, 200), seed=st.integers(0, 2**32 - 1), nstlist=st.integers(10, 40))
+def test_full_events_never_shorten_a_step(system, mode, backend, ranks, mcn, seed, nstlist):
+    """FULL event recording adds API calls on the launching threads and a
+    packet after every device task, and draws the same launch latencies
+    as COARSE, so it never gives a shorter step, all else equal."""
+    profile, instant = mode
+
+    def ms_per_step(event_mode):
+        scenario = Scenario("p", system, profile, ranks=ranks, backend=backend,
+                            max_cached_nodes=mcn, instant=instant, event_mode=event_mode,
+                            seed=seed, eras=2, overrides={"system.nstlist": nstlist})
+        return simulate(scenario.build_plan()).ms_per_step
+
+    assert ms_per_step("full") >= ms_per_step("coarse")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from mdgpusim.cli import main
 from mdgpusim.config import ConfigError
 from mdgpusim.presets import SystemPreset, get_profile, load_profiles
 from mdgpusim.runtime import (
+    DISPATCH_GAP_NS,
+    OVERSUB_EXTRA_NS,
     Device,
     EventMode,
     RankRuntime,
@@ -70,6 +74,15 @@ def test_profiles_load_and_validate():
         p.validate()
 
 
+def test_every_profile_field_differs_between_bundled_profiles():
+    """A field all runtime versions set alike is no property of a version:
+    it belongs where the model reads it, as one constant."""
+    profiles = load_profiles().values()
+    alike = [f.name for f in dataclasses.fields(RuntimeProfile)
+             if len({getattr(p, f.name) for p in profiles}) < 2]
+    assert alike == []
+
+
 @pytest.mark.parametrize("filename, line, loader, message", [
     ("runtime-acpp-23.10.cfg", "submit_cost = 1700", load_profiles,
      "runtime-acpp-23.10.cfg: unknown key 'submit_cost'"),
@@ -91,11 +104,11 @@ def test_misspelt_bundled_key_names_the_file_and_the_key(
 
 
 @pytest.mark.parametrize("filename, line", [
-    ("runtime-acpp-23.10.cfg", "dispatch_gap_ns = 3500"),
+    ("runtime-acpp-23.10.cfg", "per_node_flush_cost_ns = 14000"),
     ("runtime-acpp-23.10.cfg", "submit_cost_ns = 1700"),
     ("runtime-hip-native.cfg", "mpi_msg_cpu_ns = 30000"),
     ("runtime-acpp-0.9.4.cfg", "pme_comm_overlap = true"),
-], ids=["dispatch-gap", "submit-cost", "mpi-cpu", "pme-overlap"])
+], ids=["per-node-flush", "submit-cost", "mpi-cpu", "pme-overlap"])
 def test_bundled_profile_missing_a_key_is_one_error_line(monkeypatch, capsys, filename, line):
     """A field every bundled profile sets has no default to fall back on:
     a file that omits one names itself and the key, never running at a
@@ -149,8 +162,7 @@ def test_monotonicity_guard_rejects_heavy_bookkeeping():
             flush_trigger_cost_ns=0, flush_bookkeeping_cost_ns=2000,
             per_node_flush_cost_ns=5000, notify_cost_ns=0, retire_fixed_ns=0,
             retire_rate=0.0, retire_flush_cap_ns=0, retire_sync_cap_ns=0,
-            app_step_cpu_ns=0, dispatch_gap_ns=0, oversub_extra_ns=0,
-            event_device_cost_ns=0, mpi_msg_cpu_ns=0, pme_comm_overlap=True,
+            mpi_msg_cpu_ns=0, pme_comm_overlap=True,
         ).validate()
 
 
@@ -184,7 +196,7 @@ def test_slots_are_built_only_for_streams_that_claim_them():
     assert [s.slot for s in streams] == dev.slots
     assert len(dev.slots) == 2
     # two streams on a million queues: no oversubscription extra
-    assert [s.dispatch_gap_ns for s in dev.slots] == [prof.dispatch_gap_ns] * 2
+    assert [s.dispatch_gap_ns for s in dev.slots] == [DISPATCH_GAP_NS] * 2
 
 
 def test_idle_streams_occupy_slots_first_when_many_devices_visible():
@@ -197,7 +209,7 @@ def test_idle_streams_occupy_slots_first_when_many_devices_visible():
     assert app_stream.slot.name == "gcd0.q0"
     # five streams on four slots: every dispatch now pays the oversub extra
     gap = dev.slots[0].dispatch_gap_ns
-    assert gap > get_profile("acpp-23.10").dispatch_gap_ns
+    assert gap > DISPATCH_GAP_NS
 
 
 def test_single_visible_device_creates_no_idle_streams():
@@ -205,7 +217,7 @@ def test_single_visible_device_creates_no_idle_streams():
     dev = Device(eng, "gcd0", get_profile("acpp-23.10"), RunSettings())
     assert dev.streams == []
     dev.new_stream("q_loc")
-    assert dev.slots[0].dispatch_gap_ns == get_profile("acpp-23.10").dispatch_gap_ns
+    assert dev.slots[0].dispatch_gap_ns == DISPATCH_GAP_NS
 
 
 def test_a_stream_created_mid_run_retunes_later_dispatches():
@@ -232,9 +244,9 @@ def test_a_stream_created_mid_run_retunes_later_dispatches():
     eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
     dispatches = named(eng.run_until_idle(), "dispatch")
     # two streams on one slot: the ratio is 2, so the extra is paid once
-    raised = prof.dispatch_gap_ns + prof.oversub_extra_ns
+    raised = DISPATCH_GAP_NS + OVERSUB_EXTRA_NS
     assert [end - begin for _, _, begin, end, _ in dispatches] == \
-        [prof.dispatch_gap_ns] * 3 + [raised] * 3
+        [DISPATCH_GAP_NS] * 3 + [raised] * 3
     assert dev.slots[0].dispatch_gap_ns == raised
     assert all(args == {"for": "k"} for *_, args in dispatches)
 
