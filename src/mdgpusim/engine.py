@@ -150,14 +150,16 @@ class Process:
     """A named generator coroutine owned by the engine.
 
     ``parked`` is true while it sits on a ``PARK`` that no ``wake`` has
-    answered yet.  ``busy`` sums the ns of its finished charges.
+    answered yet.  ``busy`` sums the ns of its finished charges.  ``send``
+    is the generator's bound ``send``, taken once.
     """
 
-    __slots__ = ("name", "gen", "domain", "daemon", "done", "parked", "busy")
+    __slots__ = ("name", "gen", "send", "domain", "daemon", "done", "parked", "busy")
 
     def __init__(self, name: str, gen: Generator, domain: Optional["Domain"], daemon: bool):
         self.name = name
         self.gen = gen
+        self.send = gen.send
         self.domain = domain
         self.daemon = daemon
         self.done = False
@@ -405,7 +407,7 @@ class Engine:
                 push(heap, (now, self._seq, resume, proc, None, None))
                 self._seq += 1
                 continue
-            send = proc.gen.send
+            send = proc.send
             while True:
                 try:
                     effect = send(None)

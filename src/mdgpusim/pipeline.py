@@ -242,17 +242,19 @@ def simulate(plan: RunPlan, keep_trace: bool = False, *,
             pps.append(rt)
             queues.append((device.new_stream("q0" if single else "q_loc"),
                            device.new_stream("q_nl") if split else None))
-            # (wire, sent, received) per split dimension: the rank sends to
-            # its +1 neighbour in the grid, and receives what its -1
-            # neighbour in the block sends (with one rank, what it sends
-            # itself)
+            # (wire, sent, received, pack, unpack) per split dimension:
+            # the rank sends to its +1 neighbour in the grid, and receives
+            # what its -1 neighbour in the block sends (with one rank, what
+            # it sends itself); pack and unpack name the kernels around it
             halo_x.append([])
             halo_f.append([])
             for i, (_, _, bs, b) in enumerate(split):
                 wire = Slot(engine, f"{pre}halo{i}.wire")
                 down = shifted(k, bs, b, -1)
-                halo_x[k].append((wire, sent_x[k][i], sent_x[down][i]))
-                halo_f[k].append((wire, sent_f[k][i], sent_f[down][i]))
+                halo_x[k].append((wire, sent_x[k][i], sent_x[down][i],
+                                  f"halo_pack_x{i}", f"halo_unpack_x{i}"))
+                halo_f[k].append((wire, sent_f[k][i], sent_f[down][i],
+                                  f"halo_pack_f{i}", f"halo_unpack_f{i}"))
 
         pme_links = [None] * len(home)
         ranks = list(pps)
@@ -307,11 +309,11 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     """Step program of one short-range rank, the one every layout runs.
 
     ``atoms`` is the home domain; ``halo_x`` and ``halo_f`` hold one
-    ``(wire, sent, received)`` per split dimension, and ``pme_link`` the
-    long-range peer's ``(x_wire, x_sent, f_ready)``; ``sent``,
-    ``received``, ``x_sent`` and ``f_ready`` hold one transfer task per
-    step, which fires when it lands.  A mesh system without such a peer
-    runs the long-range chain inline on ``q_loc``.
+    ``(wire, sent, received, pack, unpack)`` per split dimension, and
+    ``pme_link`` the long-range peer's ``(x_wire, x_sent, f_ready)``;
+    ``sent``, ``received``, ``x_sent`` and ``f_ready`` hold one transfer
+    task per step, which fires when it lands.  A mesh system without such
+    a peer runs the long-range chain inline on ``q_loc``.
     """
     sys_ = plan.system
     mpi_cpu = plan.profile.mpi_msg_cpu_ns
@@ -380,8 +382,8 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
         pending.append(ev)
 
         unpacks = yield from _halo_exchange(
-            rt, q_nl, halo_ns, halo_x, mpi_halo_x, step, "x",
-            [prev_constraints] if prev_constraints else ())
+            rt, q_nl, halo_ns, halo_x, mpi_halo_x, step,
+            (prev_constraints,) if prev_constraints else ())
         reduce_deps = []
         if halo_x:
             ev = yield from rt.submit(q_nl, "nbnxm_nonlocal", nonlocal_ns, deps=unpacks)
@@ -397,7 +399,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
 
         # force halo back out, then integrate
         leap_deps = yield from _halo_exchange(
-            rt, q_nl, halo_ns, halo_f, mpi_halo_f, step, "f", [ev_red])
+            rt, q_nl, halo_ns, halo_f, mpi_halo_f, step, (ev_red,))
         ev = yield from rt.submit(q_loc, "leap_frog", leap_ns, deps=leap_deps)
         pending.append(ev)
         ev = yield from rt.submit(q_loc, "constraints", constraints_ns)
@@ -413,21 +415,22 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
             era_marks.append(engine.now)
 
 
-def _halo_exchange(rt, q_nl, halo_ns, halo, mpi, step, letter, pack_deps):
-    """One coordinate (``x``) or force (``f``) halo pulse per split
-    dimension over the ``(wire, sent, received)`` of ``halo``, each
-    packed and unpacked in ``halo_ns``, the transfer ``sent[step]``
-    queued on ``wire`` after the MPI charge ``mpi`` and unpacked once
-    ``received[step]`` fires; returns the unpack tasks."""
+def _halo_exchange(rt, q_nl, halo_ns, halo, mpi, step, pack_deps):
+    """One coordinate or force halo pulse per split dimension over the
+    ``(wire, sent, received, pack, unpack)`` of ``halo``, packed by the
+    kernel ``pack`` and unpacked by ``unpack``, each in ``halo_ns``, the
+    transfer ``sent[step]`` queued on ``wire`` after the MPI charge
+    ``mpi`` and unpacked once ``received[step]`` fires; returns the
+    unpack tasks."""
     unpacks = []
-    for i, (wire, sent, received) in enumerate(halo):
-        pack = yield from rt.submit(q_nl, f"halo_pack_{letter}{i}", halo_ns, deps=pack_deps)
-        yield from rt.sync([pack])
+    for wire, sent, received, pack_name, unpack_name in halo:
+        pack = yield from rt.submit(q_nl, pack_name, halo_ns, deps=pack_deps)
+        yield from rt.sync((pack,))
         yield mpi
         wire.enqueue(sent[step])
         # the matching receive blocks on the host
         yield WaitFor(received[step])
-        unpack = yield from rt.submit(q_nl, f"halo_unpack_{letter}{i}", halo_ns)
+        unpack = yield from rt.submit(q_nl, unpack_name, halo_ns)
         unpacks.append(unpack)
     return unpacks
 

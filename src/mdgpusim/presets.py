@@ -3,12 +3,20 @@
 Systems and runtime profiles ship as ``data/*.cfg``; this module only
 parses those files into typed objects and groups kernel kinds so
 per-system scale factors can stretch whole kernel families at once.
+
+Each file is parsed once per process: the loaders read its text on
+every call, but build its objects only the first time that text comes
+up, and then hand out the same frozen ``SystemPreset`` and
+``RuntimeProfile`` objects.  Keyed by the text, the memo never answers
+for a file whose text has changed, and a file that fails to parse is
+not memoized, so it fails again on every load.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Any, Dict
 
@@ -105,14 +113,20 @@ def _checked(cls, filename: str, prefix: str, fields: Dict[str, Any]) -> Dict[st
     return fields
 
 
+@lru_cache(maxsize=None)
+def _profile(filename: str, text: str) -> RuntimeProfile:
+    """The profile ``filename`` holds when its text is ``text``."""
+    mapping = parse_config(text)
+    return RuntimeProfile(**_checked(RuntimeProfile, filename, "", mapping)).validate()
+
+
 def load_profiles() -> Dict[str, RuntimeProfile]:
     profiles = {}
     data_dir = resources.files("mdgpusim").joinpath("data")
     for name in sorted(entry.name for entry in data_dir.iterdir()):
         if name.startswith("runtime-") and name.endswith(".cfg"):
-            mapping = parse_config(_data_text(name))
-            profile = RuntimeProfile(**_checked(RuntimeProfile, name, "", mapping))
-            profiles[profile.name] = profile.validate()
+            profile = _profile(name, _data_text(name))
+            profiles[profile.name] = profile
     return profiles
 
 
@@ -125,8 +139,11 @@ def get_profile(name: str) -> RuntimeProfile:
                        f"have {sorted(profiles)}") from None
 
 
-def load_systems() -> Dict[str, SystemPreset]:
-    mapping = parse_config(_data_text("systems.cfg"))
+@lru_cache(maxsize=None)
+def _systems(text: str) -> Dict[str, SystemPreset]:
+    """The systems ``systems.cfg`` holds when its text is ``text``; the
+    caller copies the dict before handing it out."""
+    mapping = parse_config(text)
     names = sorted({k.split(".", 1)[0] for k in mapping})
     systems = {}
     for name in names:
@@ -134,6 +151,10 @@ def load_systems() -> Dict[str, SystemPreset]:
                           {**subsection(mapping, name), "name": name})
         systems[name] = SystemPreset(**fields)
     return systems
+
+
+def load_systems() -> Dict[str, SystemPreset]:
+    return dict(_systems(_data_text("systems.cfg")))
 
 
 def get_system(name: str) -> SystemPreset:

@@ -34,9 +34,10 @@ reference (the engine never mutates a charge).  A rank keeps one
 ``Work`` per ``(stream, name, duration_ns)`` node, holding its trace
 payloads and its kernel, device packet, submit, flush-processing,
 launch and dispatch charges, plus one table of API-call charges per
-kind and drawn latency; a link keeps one ``Work`` per direction.  Only
-the flush trigger and graph retirement, whose costs vary, are built on
-each yield.
+kind and drawn latency; a link keeps one ``Work`` per direction.  The
+flush trigger and graph retirement, whose costs vary, are built once
+per rank and per distinct value: a trigger per ``(cost, nodes)``, a
+retirement per ``(tax, flushes)``.
 
 A submission is one object: the ``DevTask`` is itself the ``Event`` that
 its completion fires, and its slot posts it.  ``submit`` and ``sync``
@@ -69,7 +70,7 @@ class EventMode(Enum):
     FULL = "full"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuntimeProfile:
     """Mechanics constants of one runtime version.
 
@@ -81,7 +82,8 @@ class RuntimeProfile:
     keeps launch delay non-decreasing in the node-cache size: the
     per-batch worker bookkeeping must not exceed what the application
     pays per submission, otherwise batching could beat eager flushing
-    even for the head-of-batch node.
+    even for the head-of-batch node.  Frozen, like ``SystemPreset``: the
+    loader hands every caller the same object.
     """
 
     name: str
@@ -218,10 +220,21 @@ class Work:
         return charge
 
 
+def _counted(table: Dict[Tuple[int, int], Charge], cost_ns: int, name: str,
+             field: str, count: int) -> Charge:
+    """``Charge(cost_ns, name, {field: count})``, built the first time
+    ``table`` meets that ``(cost_ns, count)``."""
+    charge = table.get((cost_ns, count))
+    if charge is None:
+        charge = table[cost_ns, count] = Charge(cost_ns, name, {field: count})
+    return charge
+
+
 class DevTask(Event):
     """One submission of a ``Work``, and the event its completion fires:
     it waits for ``deps``, runs, and its slot posts it.  Named after the
-    work's kernel unless ``name`` is given."""
+    work's kernel unless ``name`` is given.  A tuple of ``deps`` is kept
+    as it is, any other sequence copied into one."""
 
     __slots__ = ("work", "deps", "submit_time")
 
@@ -233,7 +246,7 @@ class DevTask(Event):
         self.fired = False
         self._waiters = []
         self.work = work
-        self.deps = tuple(deps)
+        self.deps = deps if type(deps) is tuple else tuple(deps)
         self.submit_time = submit_time
 
 
@@ -267,7 +280,8 @@ class Slot:
 
     def enqueue(self, task: DevTask) -> None:
         self.fifo.append(task)
-        self.engine.wake(self._proc)
+        if self._proc.parked:  # a busy slot reaches the task itself
+            self.engine.wake(self._proc)
 
     def _run(self):
         fifo = self.fifo
@@ -363,6 +377,7 @@ class RankRuntime:
         self.settings = settings
         self.api = ApiSampler(api_model)
         self.instant = settings.instant_submission
+        self.max_cached_nodes = settings.max_cached_nodes
         if self.instant and not profile.supports_instant():
             raise ValueError(f"runtime {profile.name!r} has no instant submission")
         if not self.instant and not profile.supports_deferred():
@@ -374,6 +389,7 @@ class RankRuntime:
         self._buffer_ns = 0  # the kernel ns of the buffered tasks
         self._batches: deque = deque()
         self._flushes_since_sync: List[int] = []  # trigger timestamps
+        self._triggers: Dict[Tuple[int, int], Charge] = {}
         self._notify_requests: deque = deque()
         self.full = settings.event_mode is EventMode.FULL
         self._works: Dict[Tuple[Stream, str, int], Work] = {}
@@ -445,7 +461,7 @@ class RankRuntime:
             yield work.submit
             self._buffer.append((task, stream))
             self._buffer_ns += work.kernel.cost_ns
-            if len(self._buffer) > self.settings.max_cached_nodes:
+            if len(self._buffer) > self.max_cached_nodes:
                 yield self._flush_trigger(threshold=True)
                 self._hand_over()
         return task
@@ -464,7 +480,7 @@ class RankRuntime:
             if cutoff > 0 and self._buffer_ns >= cutoff:
                 nominal = 0
             cost += nominal
-        return Charge(cost, "flush_trigger", {"nodes": len(self._buffer)})
+        return _counted(self._triggers, cost, "flush_trigger", "nodes", len(self._buffer))
 
     def _hand_over(self) -> None:
         """Give the buffered batch to the flush worker and wake it."""
@@ -487,8 +503,8 @@ class RankRuntime:
             yield self._api_call(self.app_actor, ApiKind.HOST_SYNC_POLL)
         else:
             req = Event("sync_notify")
-            self._notify_requests.append((req, list(self._flushes_since_sync)))
-            self._flushes_since_sync.clear()
+            self._notify_requests.append((req, self._flushes_since_sync))
+            self._flushes_since_sync = []
             self.engine.wake(self._monitor)
             yield WaitFor(req)
         # sync marker bookkeeping, identical in every mode
@@ -499,18 +515,14 @@ class RankRuntime:
 
     def _flush_loop(self):
         flush = self.flush_actor
-        bookkeeping: Dict[int, Charge] = {}  # batch size -> its charge
+        bookkeeping: Dict[Tuple[int, int], Charge] = {}
         while True:
             if not self._batches:
                 yield PARK
                 continue
             batch = self._batches.popleft()
-            charge = bookkeeping.get(len(batch))
-            if charge is None:
-                charge = bookkeeping[len(batch)] = Charge(
-                    self.profile.flush_bookkeeping_cost_ns, "flush_bookkeeping",
-                    {"nodes": len(batch)})
-            yield charge
+            yield _counted(bookkeeping, self.profile.flush_bookkeeping_cost_ns,
+                           "flush_bookkeeping", "nodes", len(batch))
             for task, stream in batch:
                 work = task.work
                 for _ in task.deps:
@@ -527,6 +539,7 @@ class RankRuntime:
     def _monitor_loop(self):
         prof = self.profile
         notify = Charge(prof.notify_cost_ns, "sync_notify")
+        retires: Dict[Tuple[int, int], Charge] = {}
         while True:
             if not self._notify_requests:
                 yield PARK
@@ -540,5 +553,5 @@ class RankRuntime:
                 tax += min(per_flush, prof.retire_flush_cap_ns)
             tax = min(tax, prof.retire_sync_cap_ns)
             if tax:
-                yield Charge(tax, "graph_retire", {"flushes": len(triggers)})
+                yield _counted(retires, tax, "graph_retire", "flushes", len(triggers))
             self.engine.post(req, 0)

@@ -154,13 +154,13 @@ def plan_affinity(node: NodeTopology, n_ranks: int,
                   threads_per_rank: Optional[int] = None) -> AffinityPlan:
     """Assign ``n_ranks`` single-GPU ranks to devices, CCXs and cores."""
     if not 1 <= n_ranks <= node.n_gcds:
-        raise ValueError(f"{n_ranks} ranks but node {node.name!r} has "
-                         f"{node.n_gcds} devices")
+        raise ValueError(f"ranks must be 1 to {node.n_gcds} on node {node.name!r}, "
+                         f"got {n_ranks}")
     limit = node.usable_cores_per_ccx()
     threads = limit if threads_per_rank is None else threads_per_rank
     if not 1 <= threads <= limit:
-        raise ValueError(f"{threads} threads per rank but only {limit} usable "
-                         f"cores per CCX on {node.name!r}")
+        raise ValueError(f"threads per rank must be 1 to {limit} on node "
+                         f"{node.name!r}, got {threads}")
 
     ranks = []
     for i in range(n_ranks):

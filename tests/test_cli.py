@@ -415,6 +415,9 @@ def test_override_shadowing_a_scenario_field_is_one_error_line(
 
 
 def test_sweep_builds_each_plan_once(monkeypatch, tmp_path):
+    """A sweep builds each scenario's plan once, and with the preset memo
+    cleared first its plans parse ``systems.cfg`` and each runtime file
+    at most once between them."""
     builds, parses = [], []
     build_plan, parse_config_ = Scenario.build_plan, presets.parse_config
 
@@ -428,10 +431,8 @@ def test_sweep_builds_each_plan_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Scenario, "build_plan", counting_build)
     monkeypatch.setattr(presets, "parse_config", counting_parse)
-    Scenario("one", "grappa_pme_1500", "acpp-23.10").build_plan()
-    parses_per_build = len(parses)
-    builds.clear()
-    parses.clear()
+    presets._profile.cache_clear()
+    presets._systems.cache_clear()
     cfg = tmp_path / "matrix.cfg"
     cfg.write_text(
         "fig.system = grappa_pme_1500\n"
@@ -442,7 +443,22 @@ def test_sweep_builds_each_plan_once(monkeypatch, tmp_path):
                  "--output", str(tmp_path / "matrix.csv")]) == 0
     assert builds == ["fig/max_cached_nodes=0", "fig/max_cached_nodes=5",
                       "fig/max_cached_nodes=100"]
-    assert len(parses) == 3 * parses_per_build
+    files = ["systems.cfg", "runtime-acpp-0.9.4.cfg", "runtime-acpp-23.10.cfg",
+             "runtime-hip-native.cfg"]
+    assert sorted(parses) == sorted(presets._data_text(name) for name in files)
+
+
+def test_bundled_presets_are_frozen_and_shared():
+    """The loaders hand every plan the same preset objects, so none may
+    change under another."""
+    first, second = (Scenario("one", "grappa_pme_1500", "acpp-23.10").build_plan()
+                     for _ in range(2))
+    assert first.system is second.system
+    assert first.profile is second.profile
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.profile.submit_cost_ns = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.system.atoms = 1
 
 
 class _Reached(Exception):
@@ -859,6 +875,22 @@ def test_plan_affinity_rejects_an_unknown_node(capsys):
     assert main(["plan-affinity", "--node", "mars", "--ranks", "8"]) == 2
     assert capsys.readouterr().err == (
         "error: unknown node profile 'mars'; available: dardel, lumi\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--ranks", "0"], "ranks must be 1 to 8 on node 'lumi', got 0"),
+    (["--ranks", "9"], "ranks must be 1 to 8 on node 'lumi', got 9"),
+    (["--ranks", "2", "--threads-per-rank", "0"],
+     "threads per rank must be 1 to 7 on node 'lumi', got 0"),
+    (["--ranks", "2", "--threads-per-rank", "-1"],
+     "threads per rank must be 1 to 7 on node 'lumi', got -1"),
+    (["--ranks", "2", "--threads-per-rank", "8"],
+     "threads per rank must be 1 to 7 on node 'lumi', got 8"),
+], ids=["ranks-0", "ranks-9", "threads-0", "threads-neg", "threads-8"])
+def test_plan_affinity_out_of_range_states_the_range(capsys, flags, message):
+    assert main(["plan-affinity", "--node", "lumi", *flags]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
 
 
 def test_export_trace_round_trips(tmp_path):

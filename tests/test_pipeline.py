@@ -417,7 +417,10 @@ def test_trace_payloads_are_built_once_per_node(full12k_trace):
 def test_repeated_charges_are_built_once_per_run(monkeypatch):
     """The same full-event 12k run yields its 27,021 charges from fewer
     than 1,000 ``Charge`` objects, where one per record gave 27,021: the
-    runtime and the links build each repeated charge once."""
+    runtime and the links build each repeated charge once.  A 46M-atom
+    block at MCN 0, whose halo syncs flush after every node, yields its
+    3,541 charges from fewer than 200, where one flush trigger per flush
+    and one retirement per sync gave 625."""
     built = []
     init = Charge.__init__
 
@@ -432,6 +435,13 @@ def test_repeated_charges_are_built_once_per_run(monkeypatch):
                             keep_trace=True)
     assert len(trace.records) == 27_021
     assert len(built) < 1000
+    built.clear()
+    _, trace = run_scenario(Scenario(scenario_id="flushy46m", system="grappa_rf_46m",
+                                     profile="acpp-23.10", ranks=64, max_cached_nodes=0,
+                                     eras=2, overrides={"system.nstlist": 10}),
+                            keep_trace=True)
+    assert len(trace.records) == 3_541
+    assert len(built) < 200
 
 
 @pytest.mark.parametrize("fields", [
