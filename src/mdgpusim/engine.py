@@ -16,8 +16,15 @@ Building blocks:
   once
 
 An event carries no payload: it only fires.  Busy time is kept on each
-``Process`` as its charges finish and gathered into ``Trace.busy_ns``,
-one key per actor name, when the heap drains.
+``Process``, counted when a charge begins (its end is fixed then), and
+gathered into ``Trace.busy_ns``, one key per actor name, when the heap
+drains; every charge that begins has ended by then.
+
+Heap entries come in four kinds: resume a process, finish a charge
+(write its record, then resume its process), fire an event, and unpark
+a process that ``Engine.wake`` roused.  A charge that must wait on the
+heap is queued as a finish entry only when the run keeps a trace;
+untraced, nothing is left to do when it ends, so it is a plain resume.
 
 Invariants the rest of the package leans on:
 
@@ -150,8 +157,10 @@ class Process:
     """A named generator coroutine owned by the engine.
 
     ``parked`` is true while it sits on a ``PARK`` that no ``wake`` has
-    answered yet.  ``busy`` sums the ns of its finished charges.  ``send``
-    is the generator's bound ``send``, taken once.
+    answered yet.  ``busy`` sums the ns of the charges it has begun, each
+    counted whole when it begins, as its end is fixed then; once the run
+    drains, that is the ns of its finished charges.  ``send`` is the
+    generator's bound ``send``, taken once.
     """
 
     __slots__ = ("name", "gen", "send", "domain", "daemon", "done", "parked", "busy")
@@ -275,7 +284,8 @@ class Trace:
 
 
 # kinds of heap entry, each the tuple (when, seq, kind, obj, charge, begin);
-# only a _FINISH entry has a charge and a begin, the others None
+# only a _FINISH entry has a charge and a begin, the others None.  An
+# untraced run queues no _FINISH: its waiting charges end with a _RESUME
 _RESUME = "resume"  # obj: a Process, resumed with None
 _FINISH = "finish"  # obj: a Process, charge: its Charge, begin: begin_ns
 _FIRE = "fire"      # obj: an Event
@@ -375,101 +385,105 @@ class Engine:
         heap = self._heap
         pop, push = heapq.heappop, heapq.heappush
         records = self._records if self.keep_trace else None
+        ends = _RESUME if records is None else _FINISH  # a queued charge's end entry
         zero_charged = self._zero_charged
-        resume, finish, fire, unpark = _RESUME, _FINISH, _FIRE, _UNPARK
+        resume, finish, fire = _RESUME, _FINISH, _FIRE
+        now = self.now
         while heap:
             # charge and begin are a _FINISH entry's, None on the others
             when, _, kind, proc, charge, begin = pop(heap)
-            if when < self.now:
-                raise CausalityError(f"event at {when} ns behind clock {self.now} ns")
+            if when < now:
+                raise CausalityError(f"event at {when} ns behind clock {now} ns")
             self.now = now = when
-            if kind is finish:  # charge ends now
-                if records is not None:
+            if kind is not resume:  # a resume, the commonest, needs nothing first
+                if kind is finish:  # charge ends now
                     records.append((proc.name, charge.name, begin, now, charge.args))
-                proc.busy += now - begin
-            elif kind is fire:  # proc is the Event
-                event = proc
-                if event.fired:
-                    raise ValueError(f"event {event.name!r} fired twice")
-                event.fired = True
-                waiters = event._waiters
-                event._waiters = None
-                # with nothing else due now the first waiter's entry would
-                # be popped next, so it resumes here after the others queue
-                direct = bool(waiters) and (not heap or heap[0][0] > now)
-                for proc in waiters[1:] if direct else waiters:
+                elif kind is fire:  # proc is the Event
+                    event = proc
+                    if event.fired:
+                        raise ValueError(f"event {event.name!r} fired twice")
+                    event.fired = True
+                    waiters = event._waiters
+                    event._waiters = None
+                    # with nothing else due now the first waiter's entry would
+                    # be popped next, so it resumes here after the others queue
+                    direct = bool(waiters) and (not heap or heap[0][0] > now)
+                    for proc in waiters[1:] if direct else waiters:
+                        push(heap, (now, self._seq, resume, proc, None, None))
+                        self._seq += 1
+                    if not direct:
+                        continue
+                    proc = waiters[0]
+                elif heap and heap[0][0] <= now:  # _UNPARK, behind entries due now
                     push(heap, (now, self._seq, resume, proc, None, None))
                     self._seq += 1
-                if not direct:
                     continue
-                proc = waiters[0]
-            elif kind is unpark and heap and heap[0][0] <= now:  # behind entries due now
-                push(heap, (now, self._seq, resume, proc, None, None))
-                self._seq += 1
-                continue
             send = proc.send
-            while True:
-                try:
+            try:  # outside the loop: the loop then runs no try per effect
+                while True:
                     effect = send(None)
-                except StopIteration:
-                    proc.done = True
-                    break
-                cls = type(effect)
-                if cls is Charge:
-                    cost = effect.cost_ns
-                    dom = proc.domain
-                    if cost > 0 and dom is not None:
-                        # behind the core's earlier charges, ceil(cost * stretch)
-                        begin = dom.free_at if dom.free_at > now else now
-                        when = dom.free_at = begin - (-cost * dom.stretch_num // dom.stretch_den)
-                    else:
-                        if cost <= 0:
-                            if cost:
+                    cls = type(effect)
+                    if cls is Charge:
+                        cost = effect.cost_ns
+                        dom = proc.domain
+                        # its end is fixed once it begins, so its busy time counts then
+                        if cost > 0 and dom is not None:
+                            # behind the core's earlier charges, ceil(cost * stretch)
+                            begin = dom.free_at if dom.free_at > now else now
+                            when = begin - (-cost * dom.stretch_num // dom.stretch_den)
+                            dom.free_at = when
+                            proc.busy += when - begin
+                        else:
+                            if cost > 0:
+                                proc.busy += cost
+                            elif cost:
                                 raise ValueError(f"{proc.name} charged {cost} ns")
-                            zero_charged.add(proc)
-                        begin = now
-                        when = now + cost  # no core to wait for: exactly cost_ns
-                    if heap and heap[0][0] <= when:
-                        if cost:
-                            push(heap, (when, self._seq, finish, proc, effect, begin))
+                            else:
+                                zero_charged.add(proc)
+                            begin = now
+                            when = now + cost  # no core to wait for: exactly cost_ns
+                        if heap and heap[0][0] <= when:
+                            if cost:
+                                push(heap, (when, self._seq, ends, proc, effect, begin))
+                                self._seq += 1
+                                break
+                            # zero cost: it ends now, its resume queued behind
+                            # the entries due now
+                            if records is not None:
+                                records.append((proc.name, effect.name, now, now, effect.args))
+                            push(heap, (now, self._seq, resume, proc, None, None))
                             self._seq += 1
                             break
-                        # zero cost: it ends now, its resume queued behind
-                        # the entries due now
+                        # handed off: it ends here
                         if records is not None:
-                            records.append((proc.name, effect.name, now, now, effect.args))
-                        push(heap, (now, self._seq, resume, proc, None, None))
-                        self._seq += 1
+                            records.append((proc.name, effect.name, begin, when, effect.args))
+                        self.now = now = when
+                    elif cls is WaitFor:
+                        event = effect.event
+                        if not event.fired:
+                            event._waiters.append(proc)
+                            break
+                        if heap and heap[0][0] <= now:
+                            push(heap, (now, self._seq, resume, proc, None, None))
+                            self._seq += 1
+                            break
+                    elif effect is PARK:
+                        proc.parked = True
                         break
-                    # handed off: it ends here
-                    if records is not None:
-                        records.append((proc.name, effect.name, begin, when, effect.args))
-                    proc.busy += when - begin
-                    self.now = now = when
-                elif cls is WaitFor:
-                    event = effect.event
-                    if not event.fired:
-                        event._waiters.append(proc)
-                        break
-                    if heap and heap[0][0] <= now:
-                        push(heap, (now, self._seq, resume, proc, None, None))
-                        self._seq += 1
-                        break
-                elif effect is PARK:
-                    proc.parked = True
-                    break
-                elif cls is Sleep:
-                    if effect.delay_ns < 0:
-                        raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
-                    when = now + effect.delay_ns
-                    if heap and heap[0][0] <= when:
-                        push(heap, (when, self._seq, resume, proc, None, None))
-                        self._seq += 1
-                        break
-                    self.now = now = when
-                else:
-                    raise TypeError(f"{proc.name} yielded {effect!r}, "
-                                    "expected Charge/Sleep/WaitFor/PARK")
+                    elif cls is Sleep:
+                        if effect.delay_ns < 0:
+                            raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
+                        when = now + effect.delay_ns
+                        if heap and heap[0][0] <= when:
+                            push(heap, (when, self._seq, resume, proc, None, None))
+                            self._seq += 1
+                            break
+                        self.now = now = when
+                    else:
+                        raise TypeError(f"{proc.name} yielded {effect!r}, "
+                                        "expected Charge/Sleep/WaitFor/PARK")
+            except StopIteration:
+                proc.done = True
         blocked = [p.name for p in self._procs if not (p.done or p.daemon)]
         if blocked:
             raise DeadlockError(blocked)

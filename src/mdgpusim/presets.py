@@ -4,12 +4,14 @@ Systems and runtime profiles ship as ``data/*.cfg``; this module only
 parses those files into typed objects and groups kernel kinds so
 per-system scale factors can stretch whole kernel families at once.
 
-Each file is parsed once per process: the loaders read its text on
-every call, but build its objects only the first time that text comes
-up, and then hand out the same frozen ``SystemPreset`` and
-``RuntimeProfile`` objects.  Keyed by the text, the memo never answers
-for a file whose text has changed, and a file that fails to parse is
-not memoized, so it fails again on every load.
+Each file is read and parsed once per process.  ``_data_text`` reads a
+file's text the first time it is asked for it, and the listing of the
+runtime files is taken once.  The loaders build a file's objects only
+the first time its text comes up, and then hand out the same frozen
+``SystemPreset`` and ``RuntimeProfile`` objects.  Keyed by the text,
+that memo never answers for other text: a test that puts its own
+function in place of ``_data_text`` gets its own text parsed.  A file
+that fails to parse is not memoized, so it fails again on every load.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import MISSING, dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from .config import ConfigError, is_int, is_number, parse_config, subsection
 from .costs import KernelKind
@@ -94,8 +96,18 @@ class SystemPreset:
                 "listed": self.listed_scale, "update": self.update_scale}[_FAMILY[kind]]
 
 
+@lru_cache(maxsize=None)
 def _data_text(filename: str) -> str:
+    """The text of the bundled data file ``filename``, read once."""
     return resources.files("mdgpusim").joinpath("data", filename).read_text(encoding="utf-8")
+
+
+@lru_cache(maxsize=None)
+def _profile_files() -> Tuple[str, ...]:
+    """The bundled runtime profile files, sorted, listed once."""
+    data_dir = resources.files("mdgpusim").joinpath("data")
+    return tuple(sorted(entry.name for entry in data_dir.iterdir()
+                        if entry.name.startswith("runtime-") and entry.name.endswith(".cfg")))
 
 
 def _checked(cls, filename: str, prefix: str, fields: Dict[str, Any]) -> Dict[str, Any]:
@@ -122,11 +134,9 @@ def _profile(filename: str, text: str) -> RuntimeProfile:
 
 def load_profiles() -> Dict[str, RuntimeProfile]:
     profiles = {}
-    data_dir = resources.files("mdgpusim").joinpath("data")
-    for name in sorted(entry.name for entry in data_dir.iterdir()):
-        if name.startswith("runtime-") and name.endswith(".cfg"):
-            profile = _profile(name, _data_text(name))
-            profiles[profile.name] = profile
+    for name in _profile_files():
+        profile = _profile(name, _data_text(name))
+        profiles[profile.name] = profile
     return profiles
 
 

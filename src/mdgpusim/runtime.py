@@ -9,7 +9,10 @@ Two submission disciplines are modelled:
   cost plus a per-node processing cost and launch API call, then the
   node reaches its device queue.  A second worker wakes the host on
   sync and pays graph retirement costs that grow with how long each
-  flushed batch has been in flight.
+  flushed batch has been in flight, capped per batch and per sync.
+  Every batch's term is >= 0, so the sum stops once it reaches the
+  sync cap: at a cache of 0 that is after a few of a sync's hundreds
+  of flushes.
 
 * instant: ``submit`` pays the launch API cost directly on the
   application thread and the node reaches its queue immediately; sync
@@ -26,8 +29,9 @@ links between ranks.
 
 An idle queue slot or link, flush worker or monitor parks (``PARK``)
 rather than waiting on an event of its own; whoever hands it work
-calls ``Engine.wake``, which resumes it exactly where posting such an
-event would have.
+calls ``Engine.wake`` if it is parked, which resumes it exactly where
+posting such an event would have.  A busy one reaches the work itself,
+so it is not woken.
 
 Every charge that repeats is built once per run and yielded by
 reference (the engine never mutates a charge).  A rank keeps one
@@ -35,9 +39,12 @@ reference (the engine never mutates a charge).  A rank keeps one
 payloads and its kernel, device packet, submit, flush-processing,
 launch and dispatch charges, plus one table of API-call charges per
 kind and drawn latency; a link keeps one ``Work`` per direction.  The
-flush trigger and graph retirement, whose costs vary, are built once
-per rank and per distinct value: a trigger per ``(cost, nodes)``, a
-retirement per ``(tax, flushes)``.
+charges whose costs vary are built once per rank and per distinct
+input: a flush trigger per ``(nodes, contention applies)``, a flush
+worker's bookkeeping per batch size and a retirement per ``(tax,
+flushes)``.  Contention applies only to a threshold flush on a rank
+with peers on its node, so a rank alone on its node does no contention
+arithmetic and keeps no count of its buffered kernel time.
 
 A submission is one object: the ``DevTask`` is itself the ``Event`` that
 its completion fires, and its slot posts it.  ``submit`` and ``sync``
@@ -220,16 +227,6 @@ class Work:
         return charge
 
 
-def _counted(table: Dict[Tuple[int, int], Charge], cost_ns: int, name: str,
-             field: str, count: int) -> Charge:
-    """``Charge(cost_ns, name, {field: count})``, built the first time
-    ``table`` meets that ``(cost_ns, count)``."""
-    charge = table.get((cost_ns, count))
-    if charge is None:
-        charge = table[cost_ns, count] = Charge(cost_ns, name, {field: count})
-    return charge
-
-
 class DevTask(Event):
     """One submission of a ``Work``, and the event its completion fires:
     it waits for ``deps``, runs, and its slot posts it.  Named after the
@@ -386,10 +383,12 @@ class RankRuntime:
         self.app_actor = f"{name}.app"
         self.launch_delays: List[int] = []
         self._buffer: List[Tuple[DevTask, Stream]] = []
-        self._buffer_ns = 0  # the kernel ns of the buffered tasks
+        self._peers = settings.visible_devices - 1  # ranks sharing the node
+        self._buffer_ns = 0  # the kernel ns of the buffered tasks, kept with peers
         self._batches: deque = deque()
         self._flushes_since_sync: List[int] = []  # trigger timestamps
-        self._triggers: Dict[Tuple[int, int], Charge] = {}
+        # (nodes, contention applies) -> the flush trigger charge
+        self._triggers: Dict[Tuple[int, bool], Charge] = {}
         self._notify_requests: deque = deque()
         self.full = settings.event_mode is EventMode.FULL
         self._works: Dict[Tuple[Stream, str, int], Work] = {}
@@ -460,7 +459,8 @@ class RankRuntime:
         else:
             yield work.submit
             self._buffer.append((task, stream))
-            self._buffer_ns += work.kernel.cost_ns
+            if self._peers:  # only contention reads the buffered kernel ns
+                self._buffer_ns += work.kernel.cost_ns
             if len(self._buffer) > self.max_cached_nodes:
                 yield self._flush_trigger(threshold=True)
                 self._hand_over()
@@ -468,28 +468,33 @@ class RankRuntime:
 
     def _flush_trigger(self, threshold: bool = False) -> Charge:
         """The app's charge for handing the non-empty buffer over: yield
-        it, then call ``_hand_over``."""
-        cost = self.profile.flush_trigger_cost_ns
-        if threshold:
-            peers = self.settings.visible_devices - 1
-            batch = len(self._buffer)
-            pairs = batch * (batch - 1) // 2
-            nominal = peers * (self.profile.flush_contention_ns_per_peer
-                               + self.profile.flush_contention_scan_ns * pairs)
-            cutoff = self.profile.flush_contention_cutoff_ns
-            if cutoff > 0 and self._buffer_ns >= cutoff:
-                nominal = 0
-            cost += nominal
-        return _counted(self._triggers, cost, "flush_trigger", "nodes", len(self._buffer))
+        it, then call ``_hand_over``.  The contention terms apply to a
+        threshold flush on a rank with peers, below the cutoff if one is
+        set; the charge is built once per ``(nodes, applies)``."""
+        nodes = len(self._buffer)
+        prof = self.profile
+        applies = (threshold and self._peers > 0
+                   and not 0 < prof.flush_contention_cutoff_ns <= self._buffer_ns)
+        charge = self._triggers.get((nodes, applies))
+        if charge is None:
+            cost = prof.flush_trigger_cost_ns
+            if applies:
+                pairs = nodes * (nodes - 1) // 2
+                cost += self._peers * (prof.flush_contention_ns_per_peer
+                                       + prof.flush_contention_scan_ns * pairs)
+            charge = self._triggers[nodes, applies] = Charge(cost, "flush_trigger",
+                                                             {"nodes": nodes})
+        return charge
 
     def _hand_over(self) -> None:
-        """Give the buffered batch to the flush worker and wake it."""
-        batch = self._buffer
+        """Give the buffered batch to the flush worker, and wake it if it
+        is parked: a busy worker reaches the batch itself."""
+        self._batches.append(self._buffer)
         self._buffer = []
         self._buffer_ns = 0
-        self._batches.append(batch)
         self._flushes_since_sync.append(self.engine.now)
-        self.engine.wake(self._flusher)
+        if self._flusher.parked:
+            self.engine.wake(self._flusher)
 
     def sync(self, events: Sequence[Event]):
         """Generator; host-side synchronization against ``events``."""
@@ -505,7 +510,8 @@ class RankRuntime:
             req = Event("sync_notify")
             self._notify_requests.append((req, self._flushes_since_sync))
             self._flushes_since_sync = []
-            self.engine.wake(self._monitor)
+            if self._monitor.parked:
+                self.engine.wake(self._monitor)
             yield WaitFor(req)
         # sync marker bookkeeping, identical in every mode
         yield self._api_call(self.app_actor, ApiKind.EVENT_CREATE_DESTROY)
@@ -514,26 +520,35 @@ class RankRuntime:
     # -- worker threads -----------------------------------------------------
 
     def _flush_loop(self):
+        engine, batches, api_call = self.engine, self._batches, self._api_call
+        draw, delays, full = self.api.draw, self.launch_delays, self.full
         flush = self.flush_actor
-        bookkeeping: Dict[Tuple[int, int], Charge] = {}
+        bookkeeping_ns = self.profile.flush_bookkeeping_cost_ns
+        bookkeeping: Dict[int, Charge] = {}  # nodes -> the batch's charge
+        wait_event, launch = ApiKind.STREAM_WAIT_EVENT, ApiKind.KERNEL_LAUNCH
+        create, record = ApiKind.EVENT_CREATE_DESTROY, ApiKind.EVENT_RECORD
         while True:
-            if not self._batches:
+            if not batches:
                 yield PARK
                 continue
-            batch = self._batches.popleft()
-            yield _counted(bookkeeping, self.profile.flush_bookkeeping_cost_ns,
-                           "flush_bookkeeping", "nodes", len(batch))
+            batch = batches.popleft()
+            nodes = len(batch)
+            charge = bookkeeping.get(nodes)
+            if charge is None:
+                charge = bookkeeping[nodes] = Charge(bookkeeping_ns, "flush_bookkeeping",
+                                                     {"nodes": nodes})
+            yield charge
             for task, stream in batch:
                 work = task.work
                 for _ in task.deps:
-                    yield self._api_call(flush, ApiKind.STREAM_WAIT_EVENT)
-                if self.full:
-                    yield self._api_call(flush, ApiKind.EVENT_CREATE_DESTROY)
-                    yield self._api_call(flush, ApiKind.EVENT_RECORD)
+                    yield api_call(flush, wait_event)
+                if full:
+                    yield api_call(flush, create)
+                    yield api_call(flush, record)
                 if work.process is not None:
                     yield work.process
-                yield work.launch(self.api.draw(flush, ApiKind.KERNEL_LAUNCH))
-                self.launch_delays.append(self.engine.now - task.submit_time)
+                yield work.launch(draw(flush, launch))
+                delays.append(engine.now - task.submit_time)
                 stream.enqueue(task)
 
     def _monitor_loop(self):
@@ -546,12 +561,29 @@ class RankRuntime:
                 continue
             req, triggers = self._notify_requests.popleft()
             yield notify
-            tax = 0
-            for t in triggers:
-                age = self.engine.now - t
-                per_flush = prof.retire_fixed_ns + round_half_up(prof.retire_rate * age)
-                tax += min(per_flush, prof.retire_flush_cap_ns)
-            tax = min(tax, prof.retire_sync_cap_ns)
+            tax = _retire_tax(prof, triggers, self.engine.now)
             if tax:
-                yield _counted(retires, tax, "graph_retire", "flushes", len(triggers))
+                flushes = len(triggers)
+                retire = retires.get((tax, flushes))
+                if retire is None:
+                    retire = retires[tax, flushes] = Charge(tax, "graph_retire",
+                                                            {"flushes": flushes})
+                yield retire
             self.engine.post(req, 0)
+
+
+def _retire_tax(prof: RuntimeProfile, triggers: Sequence[int], now: int) -> int:
+    """The monitor's retirement tax at ``now`` for batches flushed at
+    ``triggers``: ``min(sum(min(fixed + round_half_up(rate * age),
+    flush_cap)), sync_cap)``.  Every term is >= 0, so the sum stops once
+    it reaches the sync cap: at MCN 0 that is after a few of a sync's
+    hundreds of flushes."""
+    fixed, rate = prof.retire_fixed_ns, prof.retire_rate
+    flush_cap, sync_cap = prof.retire_flush_cap_ns, prof.retire_sync_cap_ns
+    tax = 0
+    for t in triggers:
+        per_flush = fixed + round_half_up(rate * (now - t))
+        tax += per_flush if per_flush < flush_cap else flush_cap
+        if tax >= sync_cap:
+            return sync_cap
+    return tax

@@ -80,6 +80,32 @@ def test_pooled_charges_take_every_path(monkeypatch):
     assert 0 < via_heap < sum(ends)
 
 
+@pytest.mark.parametrize("seed", [1234, 5, 31, 77])
+def test_untraced_charges_resume_straight_from_the_heap(monkeypatch, seed):
+    """With no record to write, a charge that waits on the heap is queued
+    as a plain resume; its busy time, counted when it began, and the
+    makespan equal the traced twin's, which queues finish entries."""
+    pushed = heapq.heappush
+    kinds = []
+
+    def spy(heap, entry):
+        kinds.append(entry[2])
+        pushed(heap, entry)
+
+    def run(keep_trace):
+        kinds.clear()
+        trace = test_engine._random_workload(seed, n_procs=12, n_charges=60,
+                                             keep_trace=keep_trace, pooled=True)
+        return trace, kinds.count(_FINISH), len(kinds)
+
+    monkeypatch.setattr(heapq, "heappush", spy)
+    traced, traced_finishes, traced_pushes = run(True)
+    bare, bare_finishes, bare_pushes = run(False)
+    assert traced_finishes > 0 and bare_finishes == 0
+    assert bare_pushes == traced_pushes  # each finish became one resume
+    assert (bare.busy_ns, bare.makespan_ns) == (traced.busy_ns, traced.makespan_ns)
+
+
 def _wake_workload(engine_cls, seed, n_daemons=6, n_wakers=3, n_steps=40):
     """Daemons that ``PARK`` after each charge, roused with ``wake`` by
     wakers whose zero-cost charges and short sleeps often leave other

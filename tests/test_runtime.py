@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdgpusim.costs import (ApiKind, ApiLatencyModel, KernelKind, TwoPointLatency,
-                            default_api_model)
+                            default_api_model, round_half_up)
 from mdgpusim.engine import Engine
-from mdgpusim import presets
+from mdgpusim import presets, runtime
 from mdgpusim.cli import main
 from mdgpusim.config import ConfigError
 from mdgpusim.presets import SystemPreset, get_profile, load_profiles
@@ -322,10 +322,68 @@ def test_deferred_sync_pays_notify_and_retire():
     _, _, begin, end, args = retires[0]
     assert args["flushes"] == 6
     prof = get_profile("acpp-23.10")
-    tax = end - begin
-    assert 0 < tax * 1.0  # charged
-    # capped per sync even with many aged flushes
-    assert tax <= prof.retire_sync_cap_ns * 2  # wall time under sharing
+    # the monitor has no domain, so the record spans the tax exactly: the
+    # sum over the flushes, each aged from the end of its trigger to the
+    # retirement's begin, capped per flush and per sync
+    ages = [begin - end for *_, end, _ in named(trace, "flush_trigger")]
+    assert len(ages) == 6
+    tax = min(sum(min(prof.retire_fixed_ns + round_half_up(prof.retire_rate * age),
+                      prof.retire_flush_cap_ns) for age in ages),
+              prof.retire_sync_cap_ns)
+    assert end - begin == tax > 0
+    assert notifies[0][3] == begin
+
+
+@settings(max_examples=200, deadline=None)
+@given(fixed=st.integers(0, 40_000), rate=st.floats(0, 2),
+       flush_cap=st.integers(0, 60_000), sync_cap=st.integers(0, 200_000),
+       ages=st.lists(st.integers(0, 5_000_000), max_size=300))
+def test_retire_tax_is_the_capped_sum(fixed, rate, flush_cap, sync_cap, ages):
+    """Stopping the sum once it reaches the sync cap gives the whole
+    formula's value: every term is >= 0."""
+    prof = dataclasses.replace(get_profile("acpp-23.10"), retire_fixed_ns=fixed,
+                               retire_rate=rate, retire_flush_cap_ns=flush_cap,
+                               retire_sync_cap_ns=sync_cap)
+    now = 10_000_000
+    triggers = [now - age for age in ages]
+    full = min(sum(min(fixed + round_half_up(rate * (now - t)), flush_cap)
+                   for t in triggers), sync_cap)
+    assert runtime._retire_tax(prof, triggers, now) == full
+
+
+@pytest.mark.parametrize("visible", [1, 8], ids=["alone", "with-peers"])
+def test_flush_trigger_is_one_charge_per_nodes_and_contention(visible):
+    """Batches of two small kernels flush below the contention cutoff,
+    batches of two big ones above it, and the sync flushes the last node
+    alone.  Each trigger costs what the contention formula says, and one
+    charge serves every flush with the same nodes and verdict."""
+    prof = get_profile("acpp-23.10")
+    settings = RunSettings(max_cached_nodes=1, visible_devices=visible,
+                           hsa_affinity_override=True)  # no stretch on the app
+    eng, dev, rt = build_rank(settings, profile=prof)
+    q = dev.new_stream("q0")
+    small, big = 1000, prof.flush_contention_cutoff_ns // 2
+    assert 2 * small < prof.flush_contention_cutoff_ns <= 2 * big
+
+    def app():
+        evts = []
+        for i, dur in enumerate([small] * 4 + [big] * 4 + [small]):
+            ev = yield from rt.submit(q, f"k{i}", dur)
+            evts.append(ev)
+        yield from rt.sync(evts)
+
+    eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
+    triggers = named(eng.run_until_idle(), "flush_trigger")
+    peers = visible - 1
+    contended = prof.flush_trigger_cost_ns + peers * (
+        prof.flush_contention_ns_per_peer + prof.flush_contention_scan_ns * 1)
+    base = prof.flush_trigger_cost_ns
+    assert [(args["nodes"], end - begin) for _, _, begin, end, args in triggers] == \
+        [(2, contended)] * 2 + [(2, base)] * 2 + [(1, base)]
+    applies = peers > 0
+    assert sorted(rt._triggers) == sorted({(2, applies), (2, False), (1, False)})
+    # records of one (nodes, verdict) share their charge's payload
+    assert len({id(args) for *_, args in triggers}) == len(rt._triggers)
 
 
 def test_instant_sync_is_a_poll():

@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Executed bytecodes and calls per function over one pass of a workload.
+
+Host timings on a shared machine move with the other tenants; the count
+of bytecodes the interpreter executes does not.  This tool runs each
+scenario of one ``bench/workloads.py`` workload once, the way
+``bench/measure.py`` ``execute`` does, under ``sys.settrace`` with
+opcode events on, and prints the totals and the functions that execute
+the most bytecodes:
+
+    python3 tools/count_bytecodes.py submit-12k --seed 0 --top 20
+    python3 tools/count_bytecodes.py strong-46m --root ../other-checkout
+
+Only Python frames are counted: a builtin such as ``heapq.heappush``
+counts as no call and no bytecode.  A generator's every resume counts as
+a call of its function.  ``--root`` names the checkout whose ``src`` and
+``bench`` are used (by default the one holding this file); ``bench`` is
+only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import sys
+from collections import Counter
+from pathlib import Path
+from typing import Iterable, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _import_checkout(root: Path) -> None:
+    """Put ``root``'s ``src`` and ``bench`` first on the path."""
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+
+
+def count(scenarios: Iterable, keep_trace: bool) -> Tuple[Counter, Counter]:
+    """(bytecodes, calls) per ``(file, line, function)`` over one execution
+    of each scenario, after an untraced one."""
+    from measure import execute  # bench/measure.py, on the path by now
+
+    ops: Counter = Counter()
+    calls: Counter = Counter()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        calls[code] += 1
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return on_event
+
+    def on_event(frame, event, arg):
+        if event == "opcode":
+            ops[frame.f_code] += 1
+        return on_event
+
+    # one untraced execution first warms every lazy import and memo, so
+    # that two counts of the same scenarios agree
+    scenarios = list(scenarios)
+    for scenario in scenarios:
+        execute(scenario, keep_trace)
+    # with the cyclic collector off, no finalizer runs at a moment that
+    # depends on what the tracer itself allocated
+    collecting, tracer = gc.isenabled(), sys.gettrace()
+    gc.disable()
+    sys.settrace(on_call)
+    try:
+        for scenario in scenarios:
+            execute(scenario, keep_trace)
+    finally:
+        sys.settrace(tracer)
+        if collecting:
+            gc.enable()
+
+    def key(code):
+        return (code.co_filename, code.co_firstlineno, code.co_qualname)
+    return (Counter({key(c): n for c, n in ops.items()}),
+            Counter({key(c): n for c, n in calls.items()}))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--top", type=int, default=15,
+                        help="functions to list, by bytecodes (default 15)")
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="checkout to count (default: this one)")
+    args = parser.parse_args(argv)
+    _import_checkout(args.root.resolve())
+    from workloads import WORKLOADS
+
+    if args.workload not in WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; have {sorted(WORKLOADS)}")
+    workload = WORKLOADS[args.workload]
+    ops, calls = count(workload.scenarios(args.seed), workload.keep_trace)
+    print(f"{args.workload} seed {args.seed}: {sum(ops.values()):,} bytecodes, "
+          f"{sum(calls.values()):,} calls")
+    print(f"{'bytecodes':>12}{'calls':>10}  function")
+    for where, n in ops.most_common(args.top):
+        filename, line, name = where
+        print(f"{n:>12,}{calls[where]:>10,}  {name} ({Path(filename).name}:{line})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
