@@ -18,7 +18,10 @@ same latency even when one of them records extra events in between.
 Being pure, each (actor, kind) stream is hashed once per process: a
 model keeps the latencies drawn so far (up to a fixed count), and
 ``default_api_model`` shares one model per seed, so a run reads the
-draws an earlier run with its seed already hashed.
+draws an earlier run with its seed already hashed.  A sampler reads
+each stream through one iterator: the kept draws through a C list
+iterator, chained to a generator that hashes the rest, so a draw that
+was kept runs no bytecode of its own.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
 class KernelKind(Enum):
@@ -327,31 +331,37 @@ class ApiLatencyModel:
         return round_half_up(value)
 
 
-class ApiSampler:
-    """Auto-indexing wrapper: one monotone counter per (actor, kind).
+class _Streams(dict):
+    """(actor, kind) -> the iterator of that stream's latencies, opened on
+    a miss: the model's kept draws first, through a C list iterator,
+    then ``_hashed`` from where they end."""
 
-    A draw reads the model's kept list at the stream's own index, so a
-    latency is hashed once per process, whichever sampler or run reaches
-    it first.  Past the list's end the sampler hashes it with the
-    stream's cached key, integer tail cut and two rounded values (one
-    splitmix and one compare) and appends it while the model has room.
-    Either way it returns exactly what ``ApiLatencyModel.sample`` does.
-    """
+    __slots__ = ("model",)
 
     def __init__(self, model: ApiLatencyModel):
+        super().__init__()
         self.model = model
-        # (actor, kind) -> [key, next index, tail cut, tail ns, common ns,
-        #                   the model's kept latencies]
-        self._streams: Dict[Tuple[str, ApiKind], list] = {}
 
-    def draw(self, actor: str, kind: ApiKind) -> int:
-        stream = self._streams.get((actor, kind))
-        if stream is None:
-            stream = self._streams[(actor, kind)] = self._open(actor, kind)
-        key, idx, cut, tail, common, kept = stream
-        stream[1] = idx + 1
+    def __missing__(self, key: Tuple[str, ApiKind]) -> Iterator[int]:
+        kept = self.model._drawn.setdefault(key, [])
+        stream = self[key] = chain(iter(kept), _hashed(self.model, *key, kept))
+        return stream
+
+
+def _hashed(model: ApiLatencyModel, actor: str, kind: ApiKind,
+            kept: List[int]) -> Iterator[int]:
+    """The latencies of one stream from index ``len(kept)`` on, taken when
+    the first is asked for.  Each is ``kept[idx]`` if another sampler has
+    kept it meanwhile; otherwise it is hashed with the stream's key,
+    integer tail cut and two rounded values (one splitmix and one
+    compare) and kept while the model has room."""
+    key, cut = model._stream_key(actor, kind), model._tail_cuts[kind]
+    law = model.table[kind]
+    tail, common = round_half_up(law.tail_ns), round_half_up(law.common_ns)
+    for idx in count(len(kept)):
         if idx < len(kept):
-            return kept[idx]
+            yield kept[idx]
+            continue
         # _splitmix64(key ^ (idx * _INDEX_MIX & _MASK64)), inlined; both
         # operands are below 2**64, so its first mask is a no-op
         x = key ^ (idx * _INDEX_MIX & _MASK64)
@@ -360,18 +370,27 @@ class ApiSampler:
         value = tail if x ^ (x >> 31) < cut else common
         # idx is the list's length here: a list stops short of an index
         # only once the model's room is spent, and room never comes back
-        model = self.model
         if model._room:
             model._room -= 1
             kept.append(value)
-        return value
+        yield value
 
-    def _open(self, actor: str, kind: ApiKind) -> list:
-        model = self.model
-        law = model.table[kind]
-        return [model._stream_key(actor, kind), 0, model._tail_cuts[kind],
-                round_half_up(law.tail_ns), round_half_up(law.common_ns),
-                model._drawn.setdefault((actor, kind), [])]
+
+class ApiSampler:
+    """Auto-indexing wrapper: one iterator per (actor, kind) stream.
+
+    A stream yields the model's kept latencies first, so a latency is
+    hashed once per process, whichever sampler or run reaches it first,
+    and hashes the rest (``_hashed``).  Either way ``draw`` returns
+    exactly what ``ApiLatencyModel.sample`` does at the stream's own
+    index.
+    """
+
+    def __init__(self, model: ApiLatencyModel):
+        self._streams = _Streams(model)
+
+    def draw(self, actor: str, kind: ApiKind) -> int:
+        return next(self._streams[actor, kind])
 
 
 def default_api_model(seed: int = 0) -> ApiLatencyModel:

@@ -52,12 +52,15 @@ Invariants the rest of the package leans on:
   moves the clock, writes the record and resumes the process, with no
   heap round trip.  Of the pop branches, fire resumes its first waiter
   at once after queueing the others, and unpark its process unless
-  another entry is due now.  The order and the records match a run that pushes
-  every entry (``tests/reference_engine.py``): sequence numbers only
-  break ties between entries due at the same time, so an entry never
-  pushed shifts no relative order.  A branch may hand off only as its
-  last action: the clock must not move while it has work left at the
-  current time, such as fire's other waiters
+  another entry is due now.  ``Engine.fire`` sets an event fired with
+  no entry when that entry would be popped next and resume no one; its
+  docstring states what its caller must keep to until it yields.  The
+  order and the records match a run that pushes every entry
+  (``tests/reference_engine.py``): sequence numbers only break ties
+  between entries due at the same time, so an entry never pushed
+  shifts no relative order.  A branch may hand off only as its last
+  action: the clock must not move while it has work left at the current
+  time, such as fire's other waiters
 """
 
 from __future__ import annotations
@@ -362,6 +365,25 @@ class Engine:
             raise ValueError(f"event {event.name!r} already fired")
         heapq.heappush(self._heap, (self.now + delay_ns, self._seq, _FIRE, event, None, None))
         self._seq += 1
+
+    def fire(self, event: Event) -> None:
+        """Fire ``event`` now, from the running process, as ``post(event,
+        0)`` would.  With no waiter and no entry due at or before now,
+        that entry would be the next one popped once the caller yields,
+        and would resume no one; so the event fires in place instead, with
+        no heap entry.
+
+        Contract: until its next yield the caller queues nothing due now,
+        does not post ``event`` again, and reads ``event.fired`` only to
+        skip yielding ``WaitFor(event)``.  A caller that cannot promise
+        this calls ``post``.
+        """
+        heap = self._heap
+        if event._waiters or event.fired or heap and heap[0][0] <= self.now:
+            self.post(event, 0)
+        else:
+            event.fired = True
+            event._waiters = None
 
     def wake(self, proc: Process) -> None:
         """Resume ``proc`` from ``PARK`` at the current time, queued behind

@@ -127,7 +127,8 @@ class RunReport:
     rank_ms_per_step: List[float]
     makespan_ns: int
     era_marks: List[int]
-    launch_delays: List[int]
+    # each simulated rank's own list of launch delays, held by reference
+    launch_delays: List[List[int]]
     busy_ns: Dict[str, int]
     trace: object = None
 
@@ -144,7 +145,7 @@ class RunReport:
 
     @property
     def max_launch_delay_ns(self) -> int:
-        return max(self.launch_delays) if self.launch_delays else 0
+        return max((max(delays) for delays in self.launch_delays if delays), default=0)
 
 # the long-range chain, in queue order, at full system size
 _PME_CHAIN = (("pme_spread", KernelKind.PME_SPREAD),
@@ -296,7 +297,7 @@ def simulate(plan: RunPlan, keep_trace: bool = False, *,
     slowest = rank_ms.index(max(rank_ms))
     return RunReport(plan=plan, steps_measured=steps, rank_ms_per_step=rank_ms,
                      makespan_ns=trace.makespan_ns, era_marks=era_marks[slowest],
-                     launch_delays=[d for rt in ranks for d in rt.launch_delays],
+                     launch_delays=[rt.launch_delays for rt in ranks],
                      busy_ns=trace.busy_ns, trace=trace if keep_trace else None)
 
 

@@ -36,10 +36,13 @@ so it is not woken.
 Every charge that repeats is built once per run and yielded by
 reference (the engine never mutates a charge).  A rank keeps one
 ``Work`` per ``(stream, name, duration_ns)`` node, holding its trace
-payloads and its kernel, device packet, submit, flush-processing,
-launch and dispatch charges, plus one table of API-call charges per
-kind and drawn latency; a link keeps one ``Work`` per direction.  The
-charges whose costs vary are built once per rank and per distinct
+payloads and its kernel, device packet, submit, flush-processing and
+dispatch charges and a ``ChargeTable`` of its launch charges, plus one
+``ChargeTable`` of API-call charges per kind; a link keeps one ``Work``
+per direction.  A ``ChargeTable`` maps a drawn latency to its charge
+and builds the charge on a miss, so a site yields
+``table[draw(actor, kind)]`` and calls nothing but the draw.  The
+other charges whose costs vary are built once per rank and per distinct
 input: a flush trigger per ``(nodes, contention applies)``, a flush
 worker's bookkeeping per batch size and a retirement per ``(tax,
 flushes)``.  Contention applies only to a threshold flush on a rank
@@ -47,9 +50,12 @@ with peers on its node, so a rank alone on its node does no contention
 arithmetic and keeps no count of its buffered kernel time.
 
 A submission is one object: the ``DevTask`` is itself the ``Event`` that
-its completion fires, and its slot posts it.  ``submit`` and ``sync``
-yield the flush trigger charge themselves and then hand the batch over
-with a plain method call, so a flush adds no generator of its own.
+its completion fires.  Its slot fires it with ``Engine.fire``, so a
+task that nobody waits on, ending while nothing else is due, queues no
+heap entry.  A ``Stream`` puts a task on its slot's FIFO and wakes the
+slot itself.  ``submit`` and ``sync`` yield the flush trigger charge
+themselves and then hand the batch over with a plain method call, so a
+flush adds no generator of its own.
 
 Event-recording modes: ``COARSE`` records only the sync marker, while
 ``FULL`` records one event per node, paying host-side create/record
@@ -190,6 +196,23 @@ class RunSettings:
 # -- device side -------------------------------------------------------------
 
 
+class ChargeTable(dict):
+    """A table of charges by cost, each built the first time its cost
+    comes up: ``charges[ns]`` is ``Charge(ns, name, args)``, one object
+    per ``ns``."""
+
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: Optional[dict] = None):
+        super().__init__()
+        self.name = name
+        self.args = args
+
+    def __missing__(self, ns: int) -> Charge:
+        charge = self[ns] = Charge(ns, self.name, self.args)
+        return charge
+
+
 class Work:
     """The charges and payloads every task of one node or transfer shares.
 
@@ -198,12 +221,12 @@ class Work:
     on every submit, flush and dispatch.  ``kernel`` carries the
     stream's payload, or None on a link.  ``packet`` is the full-events
     device packet and ``process`` the flush worker's per-node charge,
-    each None where the run pays none.  ``launches`` maps a drawn
-    latency to its ``kernel_launch`` charge, and ``dispatch`` is the
+    each None where the run pays none.  ``launches`` is the table of
+    ``kernel_launch`` charges by drawn latency, and ``dispatch`` is the
     charge at the gap its slot last dispatched with.
     """
 
-    __slots__ = ("kernel", "for_args", "packet", "node_args", "submit", "process",
+    __slots__ = ("kernel", "for_args", "packet", "submit", "process",
                  "done_name", "launches", "dispatch")
 
     def __init__(self, kernel: Charge, for_args: Optional[dict] = None,
@@ -212,24 +235,16 @@ class Work:
         self.kernel = kernel
         self.for_args = for_args
         self.packet = packet
-        self.node_args = node_args
         self.submit = submit
         self.process = process
         self.done_name = f"{kernel.name}.done"
-        self.launches: Dict[int, Charge] = {}
+        self.launches = ChargeTable("kernel_launch", node_args)
         self.dispatch: Optional[Charge] = None
-
-    def launch(self, ns: int) -> Charge:
-        """The ``kernel_launch`` charge of a drawn latency of ``ns``."""
-        charge = self.launches.get(ns)
-        if charge is None:
-            charge = self.launches[ns] = Charge(ns, "kernel_launch", self.node_args)
-        return charge
 
 
 class DevTask(Event):
     """One submission of a ``Work``, and the event its completion fires:
-    it waits for ``deps``, runs, and its slot posts it.  Named after the
+    it waits for ``deps``, runs, and its slot fires it.  Named after the
     work's kernel unless ``name`` is given.  A tuple of ``deps`` is kept
     as it is, any other sequence copied into one."""
 
@@ -257,9 +272,14 @@ class Stream:
         self.name = name
         self.slot = slot
         self.args = {"stream": name}
+        self._fifo, self._proc, self._engine = slot.fifo, slot._proc, slot.engine
 
     def enqueue(self, task: DevTask) -> None:
-        self.slot.enqueue(task)
+        """``Slot.enqueue`` on its slot, written out here: a call fewer
+        per task."""
+        self._fifo.append(task)
+        if self._proc.parked:
+            self._engine.wake(self._proc)
 
 
 class Slot:
@@ -281,7 +301,9 @@ class Slot:
             self.engine.wake(self._proc)
 
     def _run(self):
-        fifo = self.fifo
+        # after each fire it only pops its FIFO and reads the next task's
+        # deps before it yields, as Engine.fire asks
+        fifo, fire = self.fifo, self.engine.fire
         while True:
             if not fifo:
                 yield PARK
@@ -300,7 +322,7 @@ class Slot:
             yield work.kernel
             if work.packet is not None:
                 yield work.packet
-            self.engine.post(task, 0)
+            fire(task)
 
 
 # device-side costs, the same under every runtime version: the gap a slot
@@ -353,6 +375,10 @@ class Device:
 # -- host side ---------------------------------------------------------------
 
 
+_WAIT, _LAUNCH, _POLL = ApiKind.STREAM_WAIT_EVENT, ApiKind.KERNEL_LAUNCH, ApiKind.HOST_SYNC_POLL
+_CREATE, _RECORD = ApiKind.EVENT_CREATE_DESTROY, ApiKind.EVENT_RECORD
+
+
 class RankRuntime:
     """Submission front-end for one rank: buffer, workers, sync taxes.
 
@@ -393,7 +419,7 @@ class RankRuntime:
         self.full = settings.event_mode is EventMode.FULL
         self._works: Dict[Tuple[Stream, str, int], Work] = {}
         # API calls without a payload: kind -> drawn ns -> its charge
-        self._api_charges: Dict[ApiKind, Dict[int, Charge]] = {kind: {} for kind in ApiKind}
+        self._api_charges = {kind: ChargeTable(kind.value) for kind in ApiKind}
 
         self.app_domain = engine.domain(f"{name}.core0", 1)
         if not settings.hsa_affinity_override:
@@ -428,16 +454,6 @@ class RankRuntime:
             Charge(prof.submit_cost_ns, "submit_node", node_args), process)
         return work
 
-    def _api_call(self, actor: str, kind: ApiKind) -> Charge:
-        """The charge of one API call that carries no payload: one draw,
-        and the charge built the first time that latency comes up."""
-        ns = self.api.draw(actor, kind)
-        charges = self._api_charges[kind]
-        charge = charges.get(ns)
-        if charge is None:
-            charge = charges[ns] = Charge(ns, kind.value)
-        return charge
-
     def submit(self, stream: Stream, name: str, duration_ns: int,
                deps: Sequence[Event] = ()):
         """Generator; ``yield from`` it on the app process.  Returns the
@@ -447,13 +463,13 @@ class RankRuntime:
             work = self._work(stream, name, duration_ns)
         task = DevTask(work, deps, self.engine.now)
         if self.instant:
-            app = self.app_actor
+            app, draw, charges = self.app_actor, self.api.draw, self._api_charges
             for _ in task.deps:
-                yield self._api_call(app, ApiKind.STREAM_WAIT_EVENT)
+                yield charges[_WAIT][draw(app, _WAIT)]
             if self.full:
-                yield self._api_call(app, ApiKind.EVENT_CREATE_DESTROY)
-                yield self._api_call(app, ApiKind.EVENT_RECORD)
-            yield work.launch(self.api.draw(app, ApiKind.KERNEL_LAUNCH))
+                yield charges[_CREATE][draw(app, _CREATE)]
+                yield charges[_RECORD][draw(app, _RECORD)]
+            yield work.launches[draw(app, _LAUNCH)]
             self.launch_delays.append(self.engine.now - task.submit_time)
             stream.enqueue(task)
         else:
@@ -504,8 +520,9 @@ class RankRuntime:
         for ev in events:
             if not ev.fired:
                 yield WaitFor(ev)
+        app, draw, charges = self.app_actor, self.api.draw, self._api_charges
         if self.instant:
-            yield self._api_call(self.app_actor, ApiKind.HOST_SYNC_POLL)
+            yield charges[_POLL][draw(app, _POLL)]
         else:
             req = Event("sync_notify")
             self._notify_requests.append((req, self._flushes_since_sync))
@@ -514,19 +531,18 @@ class RankRuntime:
                 self.engine.wake(self._monitor)
             yield WaitFor(req)
         # sync marker bookkeeping, identical in every mode
-        yield self._api_call(self.app_actor, ApiKind.EVENT_CREATE_DESTROY)
-        yield self._api_call(self.app_actor, ApiKind.EVENT_RECORD)
+        yield charges[_CREATE][draw(app, _CREATE)]
+        yield charges[_RECORD][draw(app, _RECORD)]
 
     # -- worker threads -----------------------------------------------------
 
     def _flush_loop(self):
-        engine, batches, api_call = self.engine, self._batches, self._api_call
-        draw, delays, full = self.api.draw, self.launch_delays, self.full
-        flush = self.flush_actor
+        engine, batches, draw = self.engine, self._batches, self.api.draw
+        delays, full, flush = self.launch_delays, self.full, self.flush_actor
+        waits, creates, records = (self._api_charges[kind]
+                                   for kind in (_WAIT, _CREATE, _RECORD))
         bookkeeping_ns = self.profile.flush_bookkeeping_cost_ns
         bookkeeping: Dict[int, Charge] = {}  # nodes -> the batch's charge
-        wait_event, launch = ApiKind.STREAM_WAIT_EVENT, ApiKind.KERNEL_LAUNCH
-        create, record = ApiKind.EVENT_CREATE_DESTROY, ApiKind.EVENT_RECORD
         while True:
             if not batches:
                 yield PARK
@@ -541,13 +557,13 @@ class RankRuntime:
             for task, stream in batch:
                 work = task.work
                 for _ in task.deps:
-                    yield api_call(flush, wait_event)
+                    yield waits[draw(flush, _WAIT)]
                 if full:
-                    yield api_call(flush, create)
-                    yield api_call(flush, record)
+                    yield creates[draw(flush, _CREATE)]
+                    yield records[draw(flush, _RECORD)]
                 if work.process is not None:
                     yield work.process
-                yield work.launch(draw(flush, launch))
+                yield work.launches[draw(flush, _LAUNCH)]
                 delays.append(engine.now - task.submit_time)
                 stream.enqueue(task)
 

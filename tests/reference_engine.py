@@ -77,6 +77,9 @@ class ReferenceEngine:
             raise ValueError(f"event {event.name!r} already fired")
         self._push(self.now + delay_ns, self._fire, event)
 
+    def fire(self, event):
+        self.post(event, 0)
+
     def wake(self, proc):
         if proc.parked:
             proc.parked = False

@@ -266,6 +266,55 @@ def test_a_full_model_keeps_no_more_draws():
     assert sum(map(len, model._drawn.values())) == 100 and model._room == 0
 
 
+def test_two_live_samplers_share_one_stream_in_turns():
+    """Two samplers drawing one (actor, kind) in uneven turns each read
+    what the other kept, past the point where their own kept draws ran
+    out, and each draw is ``sample`` at its own index."""
+    model = ApiLatencyModel(dict(default_api_model().table), seed=13)
+    samplers = [ApiSampler(model), ApiSampler(model)]
+    index = [0, 0]
+    rng = random.Random(6)
+    for _ in range(3000):
+        who = rng.random() < 0.7
+        got = samplers[who].draw("pp0.app", ApiKind.KERNEL_LAUNCH)
+        assert got == model.sample("pp0.app", ApiKind.KERNEL_LAUNCH, index[who])
+        index[who] += 1
+    assert len(model._drawn["pp0.app", ApiKind.KERNEL_LAUNCH]) == max(index)
+
+
+def test_a_stream_goes_on_once_the_room_runs_out_within_it():
+    model = ApiLatencyModel(dict(default_api_model().table), seed=14)
+    model._room = 50
+    kind = ApiKind.STREAM_WAIT_EVENT
+    first, second = ApiSampler(model), ApiSampler(model)
+    assert [first.draw("a", kind) for _ in range(120)] == [
+        model.sample("a", kind, i) for i in range(120)]
+    assert len(model._drawn["a", kind]) == 50 and model._room == 0
+    # the second reads the 50 kept, then hashes the rest
+    assert [second.draw("a", kind) for _ in range(130)] == [
+        model.sample("a", kind, i) for i in range(130)]
+
+
+def test_draws_stay_exact_after_a_stream_moves_from_kept_to_hashed():
+    """``late`` opens its stream on 10 kept draws and hashes from index
+    10 on; ``early`` opened on none, so from then on it reads the draws
+    ``late`` kept, and ``late`` reads the ones ``early`` keeps."""
+    model = ApiLatencyModel(dict(default_api_model().table), seed=15)
+    kind = ApiKind.EVENT_RECORD
+
+    def expect(n, start=0):
+        return [model.sample("a", kind, i) for i in range(start, start + n)]
+
+    early = ApiSampler(model)
+    assert [early.draw("a", kind) for _ in range(10)] == expect(10)
+    late = ApiSampler(model)
+    assert [late.draw("a", kind) for _ in range(15)] == expect(15)
+    assert [early.draw("a", kind) for _ in range(10)] == expect(10, 10)
+    assert [early.draw("a", kind) for _ in range(10)] == expect(10, 20)
+    assert [late.draw("a", kind) for _ in range(20)] == expect(20, 15)
+    assert len(model._drawn["a", kind]) == 35
+
+
 def test_default_model_is_shared_per_seed_value():
     assert default_api_model(0) is default_api_model(seed=0) is default_api_model()
     assert default_api_model(1) is not default_api_model(2)

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdgpusim.engine import (
+    _FIRE,
     PARK,
     CausalityError,
     Charge,
@@ -663,6 +665,127 @@ def test_deadlock_names_parked_processes_but_not_parked_daemons():
         eng.run_until_idle()
     assert exc.value.actors == ("stuck",)
     assert eng.now == 25
+
+
+# -- Engine.fire ----------------------------------------------------------------
+
+
+def test_fire_with_no_waiter_and_nothing_due_pushes_nothing(monkeypatch):
+    pushes = []
+    pushed = heapq.heappush
+
+    def spy(heap, entry):
+        pushes.append(entry[2])
+        pushed(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", spy)
+    eng = Engine()
+    ev = eng.event("done")
+    seen = []
+
+    def firer():
+        yield Sleep(50)
+        before = len(pushes)
+        eng.fire(ev)
+        seen.append((ev.fired, len(pushes) - before))
+        yield Charge(5, "f1")
+
+    def late():
+        yield Sleep(80)
+        yield WaitFor(ev)
+        yield Charge(0, "l1")
+
+    eng.spawn("f", firer())
+    eng.spawn("l", late())
+    tr = eng.run_until_idle()
+    assert seen == [(True, 0)] and _FIRE not in pushes
+    assert [(name, begin, end) for _, name, begin, end, _ in tr.records] == [
+        ("f1", 50, 55), ("l1", 80, 80)]
+
+
+def _fire_or_post_run(use_fire, case):
+    """A firer fires "done" at 50, then charges "f1" (zero cost) and "f2".
+    With ``case`` "waiter" a process waits on "done" and charges "w1"; with
+    "due" another process wakes at 50 behind the firer and charges "o1".
+    Returns the records and the number of entries pushed."""
+    eng = Engine()
+    ev = eng.event("done")
+
+    def firer():
+        yield Sleep(50)
+        if use_fire:
+            eng.fire(ev)
+        else:
+            eng.post(ev, 0)
+        yield Charge(0, "f1")
+        yield Charge(3, "f2")
+
+    def waiter():
+        yield WaitFor(ev)
+        yield Charge(0, "w1")
+
+    def other():
+        yield Sleep(50)
+        yield Charge(0, "o1")
+
+    eng.spawn("f", firer())
+    eng.spawn(case, waiter() if case == "waiter" else other())
+    tr = eng.run_until_idle()
+    return [(name, begin, end) for _, name, begin, end, _ in tr.records], eng._seq
+
+
+@pytest.mark.parametrize("case", ["waiter", "due"])
+def test_fire_with_a_waiter_or_an_entry_due_is_a_post(case):
+    fired = _fire_or_post_run(True, case)
+    assert fired == _fire_or_post_run(False, case)
+    # "f1" is written as it is yielded; the waiter, or the entry already
+    # due, runs before the firer goes on
+    other = "w1" if case == "waiter" else "o1"
+    assert fired[0] == [("f1", 50, 50), (other, 50, 50), ("f2", 50, 53)]
+
+
+def test_fire_of_a_fired_event_raises():
+    eng = Engine()
+    ev = eng.event("once")
+
+    def body():
+        eng.fire(ev)  # nothing waits and nothing is due: fired in place
+        yield Sleep(1)
+        eng.fire(ev)
+        yield Sleep(1)
+
+    eng.spawn("p", body())
+    with pytest.raises(ValueError, match="'once' already fired"):
+        eng.run_until_idle()
+
+
+def _fire_workload(seed, n_procs=8, n_steps=40, keep_trace=True):
+    """Processes that each fire one event of their own with ``fire`` just
+    before every yield, as ``Engine.fire`` allows.  Each waits only on the
+    events of lower-numbered processes, so nothing deadlocks; many of
+    those have fired already, some have a waiter when they fire, and
+    short costs from a small set leave entries due at many fires."""
+    rng = random.Random(seed)
+    eng = Engine(keep_trace=keep_trace)
+    events = [[eng.event(f"e{i}.{j}") for j in range(n_steps)] for i in range(n_procs)]
+
+    def body(idx):
+        for j in range(n_steps):
+            pick = rng.random()
+            if pick < 0.35 or idx == 0:
+                effect = Charge(rng.choice((0, 0, 5, 10, 40)), f"c{idx}.{j}")
+            elif pick < 0.6:
+                effect = Sleep(rng.choice((0, 5, 10, 30)))
+            else:  # near this step, so it often fires at the same time
+                step = min(n_steps - 1, max(0, j + rng.randrange(-2, 3)))
+                effect = WaitFor(events[rng.randrange(idx)][step])
+            eng.fire(events[idx][j])
+            yield effect
+
+    for i in range(n_procs):
+        dom = _own_domain(eng, f"cpu{i}", _SHAPES[i % len(_SHAPES)])
+        eng.spawn(f"p{i}", body(i), domain=dom)
+    return eng.run_until_idle()
 
 
 def _handoff_engine(seed, n_workers=10, n_steps=40):

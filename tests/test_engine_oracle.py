@@ -80,6 +80,31 @@ def test_pooled_charges_take_every_path(monkeypatch):
     assert 0 < via_heap < sum(ends)
 
 
+@pytest.mark.parametrize("seed, keep_trace", [
+    (0, True), (1, True), (2, True), (3, False), (4, False), (21, True)])
+def test_fire_workload_matches_the_reference(monkeypatch, seed, keep_trace):
+    def run():
+        return _outcome(test_engine._fire_workload(seed, keep_trace=keep_trace))
+
+    assert run() == _on_reference(monkeypatch, run)
+
+
+def test_fire_workload_takes_both_paths(monkeypatch):
+    """Of ``_fire_workload``'s fires, some set the event fired in place and
+    others, with a waiter or an entry due, queue it as ``post`` does."""
+    posted = Engine.post
+    posts = []
+
+    def spy(self, event, delay_ns=0):
+        posts.append(event)
+        posted(self, event, delay_ns)
+
+    monkeypatch.setattr(Engine, "post", spy)
+    test_engine._fire_workload(0)
+    fires = 8 * 40  # one per step of every process
+    assert 0 < len(posts) < fires
+
+
 @pytest.mark.parametrize("seed", [1234, 5, 31, 77])
 def test_untraced_charges_resume_straight_from_the_heap(monkeypatch, seed):
     """With no record to write, a charge that waits on the heap is queued
@@ -169,6 +194,40 @@ def test_simulation_matches_the_reference(monkeypatch, fields):
     def run():
         rows, trace = run_scenario(scenario, keep_trace=True)
         return render_csv(rows), trace.to_json(), trace.busy_ns
+
+    assert run() == _on_reference(monkeypatch, run)
+
+
+# (scenario fields, block, hardware queues): 24k reaction-field on 8
+# ranks all wired, at MCN 0 and instant, and with both streams of a rank
+# on one queue, so a nonlocal task's dependency on its rank's local work
+# sits on its own slot; 96k with a long-range rank and its 4 short-range
+# ranks wired.  Eras of 10 steps keep each run short
+BLOCKS = [
+    (dict(system="grappa_rf_24k", ranks=8, max_cached_nodes=0), (2, 2, 2), 4),
+    (dict(system="grappa_rf_24k", ranks=8, instant=True), (2, 2, 2), 4),
+    (dict(system="grappa_rf_24k", ranks=8, max_cached_nodes=0), (2, 2, 2), 1),
+    (dict(system="grappa_pme_96k", ranks=5, max_cached_nodes=10), (2, 2, 1), 4),
+]
+
+
+@pytest.mark.parametrize("keep_trace", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize(
+    "fields, block, queues", BLOCKS,
+    ids=[f"{f['system']}-{f['ranks']}r-"
+         f"{'instant' if f.get('instant') else 'mcn%d' % f['max_cached_nodes']}-{q}q"
+         for f, _, q in BLOCKS])
+def test_block_simulation_matches_the_reference(monkeypatch, fields, block, queues,
+                                                keep_trace):
+    plan = Scenario(scenario_id="oracle", profile="acpp-23.10", eras=2,
+                    overrides={"system.nstlist": 10, "settings.max_hw_queues": queues},
+                    **fields).build_plan()
+
+    def run():
+        report = pipeline.simulate(plan, keep_trace, block=block)
+        trace = report.trace.to_json() if keep_trace else None
+        return (report.rank_ms_per_step, report.makespan_ns, report.era_marks,
+                report.launch_delays, report.busy_ns, trace)
 
     assert run() == _on_reference(monkeypatch, run)
 

@@ -8,19 +8,39 @@ from mdgpusim.cli import Scenario
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bytecode_counts_repeat_exactly(monkeypatch):
-    """A count is a figure to compare across trees only if it does not
-    move between two counts of one tree."""
+# a 2-era, nstlist 5 scenario: a count of it takes well under a second
+SCENARIO = Scenario("count", "grappa_pme_1500", "acpp-23.10", max_cached_nodes=5,
+                    eras=2, overrides={"system.nstlist": 5})
+
+
+def _count_bytecodes(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     spec = importlib.util.spec_from_file_location(
         "count_bytecodes", ROOT / "tools" / "count_bytecodes.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    scenario = Scenario("count", "grappa_pme_1500", "acpp-23.10", max_cached_nodes=5,
-                        eras=2, overrides={"system.nstlist": 5})
-    first, second = (tool.count([scenario], keep_trace=False) for _ in range(2))
-    ops, calls = first
+    return tool
+
+
+def test_bytecode_counts_repeat_exactly(monkeypatch):
+    """A count is a figure to compare across trees only if it does not
+    move between two counts of one tree."""
+    tool = _count_bytecodes(monkeypatch)
+    first, second = (tool.count([SCENARIO], keep_trace=False) for _ in range(2))
+    ops, calls, lines = first
     assert first == second
     assert sum(ops.values()) > 0 and sum(calls.values()) > 0
     # the engine's loop is among the counted functions
     assert any(name == "Engine.run_until_idle" for _, _, name in ops)
+    assert not lines  # no function was named for per-line counts
+
+
+def test_per_line_counts_sum_to_the_function_total(monkeypatch):
+    tool = _count_bytecodes(monkeypatch)
+    ops, calls, lines = tool.count([SCENARIO], keep_trace=False, lines_of="Slot._run")
+    (where, total), = [(w, n) for w, n in ops.items() if w[2] == "Slot._run"]
+    filename, first_line, _ = where
+    assert total > 0 and sum(lines.values()) == total
+    # every counted line lies in that function's file, past its def line
+    assert {f for f, _ in lines} == {filename}
+    assert min(line for _, line in lines) > first_line and len(lines) > 5

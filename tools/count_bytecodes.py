@@ -10,6 +10,11 @@ the most bytecodes:
 
     python3 tools/count_bytecodes.py submit-12k --seed 0 --top 20
     python3 tools/count_bytecodes.py strong-46m --root ../other-checkout
+    python3 tools/count_bytecodes.py submit-12k --lines Slot._run
+
+With ``--lines QUALNAME`` it prints, in place of the function table,
+the bytecodes each source line of the functions with that qualified
+name executed.
 
 Only Python frames are counted: a builtin such as ``heapq.heappush``
 counts as no call and no bytecode.  A generator's every resume counts as
@@ -22,10 +27,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import linecache
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,25 +41,35 @@ def _import_checkout(root: Path) -> None:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
 
 
-def count(scenarios: Iterable, keep_trace: bool) -> Tuple[Counter, Counter]:
+def count(scenarios: Iterable, keep_trace: bool,
+          lines_of: Optional[str] = None) -> Tuple[Counter, Counter, Counter]:
     """(bytecodes, calls) per ``(file, line, function)`` over one execution
-    of each scenario, after an untraced one."""
+    of each scenario, after an untraced one, and the bytecodes per
+    ``(file, line)`` executed in the functions whose qualified name is
+    ``lines_of`` (none unless it is given)."""
     from measure import execute  # bench/measure.py, on the path by now
 
     ops: Counter = Counter()
     calls: Counter = Counter()
+    lines: Counter = Counter()
 
     def on_call(frame, event, arg):
         code = frame.f_code
         calls[code] += 1
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
-        return on_event
+        return on_line_event if code.co_qualname == lines_of else on_event
 
     def on_event(frame, event, arg):
         if event == "opcode":
             ops[frame.f_code] += 1
         return on_event
+
+    def on_line_event(frame, event, arg):
+        if event == "opcode":
+            ops[frame.f_code] += 1
+            lines[frame.f_code.co_filename, frame.f_lineno] += 1
+        return on_line_event
 
     # one untraced execution first warms every lazy import and memo, so
     # that two counts of the same scenarios agree
@@ -76,7 +92,7 @@ def count(scenarios: Iterable, keep_trace: bool) -> Tuple[Counter, Counter]:
     def key(code):
         return (code.co_filename, code.co_firstlineno, code.co_qualname)
     return (Counter({key(c): n for c, n in ops.items()}),
-            Counter({key(c): n for c, n in calls.items()}))
+            Counter({key(c): n for c, n in calls.items()}), lines)
 
 
 def main(argv=None) -> int:
@@ -87,6 +103,8 @@ def main(argv=None) -> int:
                         help="functions to list, by bytecodes (default 15)")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout to count (default: this one)")
+    parser.add_argument("--lines", metavar="QUALNAME",
+                        help="print per-line bytecodes of the functions so named")
     args = parser.parse_args(argv)
     _import_checkout(args.root.resolve())
     from workloads import WORKLOADS
@@ -94,13 +112,32 @@ def main(argv=None) -> int:
     if args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; have {sorted(WORKLOADS)}")
     workload = WORKLOADS[args.workload]
-    ops, calls = count(workload.scenarios(args.seed), workload.keep_trace)
+    ops, calls, lines = count(workload.scenarios(args.seed), workload.keep_trace,
+                              args.lines)
     print(f"{args.workload} seed {args.seed}: {sum(ops.values()):,} bytecodes, "
           f"{sum(calls.values()):,} calls")
+    if args.lines is not None:
+        return _print_lines(args.lines, ops, calls, lines)
     print(f"{'bytecodes':>12}{'calls':>10}  function")
     for where, n in ops.most_common(args.top):
         filename, line, name = where
         print(f"{n:>12,}{calls[where]:>10,}  {name} ({Path(filename).name}:{line})")
+    return 0
+
+
+def _print_lines(qualname: str, ops: Counter, calls: Counter, lines: Counter) -> int:
+    """Each function named ``qualname`` with its bytecodes per line."""
+    named = sorted(where for where in ops if where[2] == qualname)
+    if not named:
+        print(f"error: no function named {qualname!r} ran", file=sys.stderr)
+        return 2
+    for where in named:
+        filename, first, name = where
+        print(f"{ops[where]:>12,}{calls[where]:>10,}  {name} ({Path(filename).name}:{first})")
+    print(f"{'bytecodes':>12}{'line':>10}  source")
+    for (filename, line), n in sorted(lines.items()):
+        source = linecache.getline(filename, line).rstrip()
+        print(f"{n:>12,}{line:>10}  {source}")
     return 0
 
 
