@@ -4,7 +4,6 @@ Verbs:
     simulate      run one scenario, print or save a CSV report
     sweep         run every scenario in a config file, cross products
                   expanded over space-separated axis values
-    calibrate     fit affine kernel costs from a measured samples file
     check         compare a CSV report against published reference
                   points, exit nonzero if any point lands out of band
     plan-affinity print rank-to-device bindings for a node profile
@@ -28,9 +27,8 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
-from .config import (ConfigError, dump_config, is_int, is_number, load_config,
-                     parse_config, parse_value, read_text, require, subsection)
-from .costs import KernelKind, fit_affine
+from .config import (ConfigError, is_int, is_number, load_config, parse_config,
+                     parse_value, read_text, require, subsection)
 from .pipeline import RunPlan, RunReport, simulate
 from .presets import get_profile, get_system
 from .runtime import EventMode, RunSettings
@@ -466,42 +464,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    mapping = load_config(args.samples)
-    known = {k.value for k in KernelKind}
-    by_kind: Dict[str, List[Tuple[int, float]]] = {}
-    for key, value in mapping.items():
-        kind = key.split(".", 1)[0]
-        if kind not in known:
-            raise ConfigError(f"{key}: unknown kernel kind {kind!r}")
-        parts = str(value).split()
-        if len(parts) != 2:
-            raise ConfigError(f"{key}: expected 'atoms duration_ns', "
-                              f"got {value!r}")
-        atoms, duration = map(parse_value, parts)
-        if not (is_int(atoms) and atoms >= 0):
-            raise ConfigError(f"{key}: atoms must be an integer >= 0, "
-                              f"got {parts[0]!r}")
-        if not (is_number(duration) and 0 <= duration < math.inf):
-            raise ConfigError(f"{key}: duration_ns must be a finite number >= 0, "
-                              f"got {parts[1]!r}")
-        by_kind.setdefault(kind, []).append((atoms, float(duration)))
-    if not by_kind:
-        raise ConfigError(f"{args.samples}: no samples found")
-    fitted: Dict[str, Any] = {}
-    for kind in sorted(by_kind):
-        try:
-            fit = fit_affine(sorted(by_kind[kind]))
-        except ValueError as exc:
-            raise ConfigError(f"{kind}: {exc}") from None
-        fitted[f"{kind}.floor_ns"] = round(fit.floor_ns, 3)
-        fitted[f"{kind}.slope_ns_per_atom"] = round(fit.slope_ns_per_atom, 6)
-    with ExitStack() as files:
-        _emit(dump_config(fitted, header=f"affine kernel costs fitted from "
-                                         f"{args.samples}"), _output(files, args.output))
-    return 0
-
-
 def cmd_check(args) -> int:
     rows = read_report(args.report)
     if args.references is not None:
@@ -589,14 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--output", default=None,
                        help="CSV path (default stdout)")
     sweep.set_defaults(func=cmd_sweep)
-
-    cal = verbs.add_parser("calibrate",
-                           help="fit affine kernel costs from samples")
-    cal.add_argument("--samples", required=True,
-                     help="config with '<kernel>.<n> = atoms duration_ns' lines")
-    cal.add_argument("--output", default=None,
-                     help="fitted config path (default stdout)")
-    cal.set_defaults(func=cmd_calibrate)
 
     chk = verbs.add_parser("check",
                            help="compare a report against reference points")

@@ -9,7 +9,7 @@ format, and the command line accepts the same files as overrides.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 
 class ConfigError(ValueError):
@@ -70,25 +70,6 @@ def read_text(path) -> str:
 
 def load_config(path) -> Dict[str, Any]:
     return parse_config(read_text(path))
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    value = str(value)
-    if value != value.strip() or "=" in value or value.startswith("#"):
-        return f'"{value}"'
-    return value
-
-
-def dump_config(mapping: Dict[str, Any], header: Optional[str] = None) -> str:
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
-    lines.extend(f"{k} = {_format_value(v)}" for k, v in sorted(mapping.items()))
-    return "\n".join(lines) + "\n"
 
 
 def subsection(mapping: Dict[str, Any], prefix: str) -> Dict[str, Any]:

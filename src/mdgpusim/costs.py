@@ -29,11 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 
 class KernelKind(Enum):
@@ -90,43 +89,10 @@ class KernelCost:
 
 
 def fit_affine(points: Sequence[Tuple[int, float]]) -> KernelCost:
-    """Least-squares affine fit of (atoms, duration_ns) samples.
-
-    Two points give the exact interpolant.  A negative intercept is
-    clipped to zero and the slope refitted through the origin, since a
-    negative fixed cost is meaningless.  Durations that fall with atom
-    count raise ``ValueError``: their slope would price every large
-    enough system below zero.  That is decided on the exact sign of
-    the slope's numerator, so rounding cannot reject a flat fit; it
-    only clips such a fit's slope to zero.
-    """
-    if len(points) < 2:
-        raise ValueError("need at least two samples to fit")
-    n = len(points)
-    exact_sx = sum(Fraction(x) for x, _ in points)
-    falls = sum((n * Fraction(x) - exact_sx) * Fraction(y) for x, y in points) < 0
-    sxx = sum(p[0] * p[0] for p in points)
-    sxy = sum(p[0] * p[1] for p in points)
-    if n == 2:
-        (x1, y1), (x2, y2) = points
-        if x1 == x2:
-            raise ValueError("all samples at the same atom count")
-        slope = (y2 - y1) / (x2 - x1)
-        floor = y1 - slope * x1
-    else:
-        sx = sum(p[0] for p in points)
-        sy = sum(p[1] for p in points)
-        denom = n * sxx - sx * sx
-        if denom == 0:
-            raise ValueError("all samples at the same atom count")
-        slope = (n * sxy - sx * sy) / denom
-        floor = (sy - slope * sx) / n
-    if floor < 0:
-        floor = 0.0
-        slope = sxy / sxx
-    if falls:
-        raise ValueError(f"duration falls with atom count (slope {slope:g} ns/atom)")
-    return KernelCost(floor_ns=floor, slope_ns_per_atom=max(slope, 0.0))
+    """The affine law through two (atoms, duration_ns) samples."""
+    (x1, y1), (x2, y2) = points
+    slope = (y2 - y1) / (x2 - x1)
+    return KernelCost(floor_ns=y1 - slope * x1, slope_ns_per_atom=slope)
 
 
 class CostTable:
@@ -137,12 +103,12 @@ class CostTable:
     """
 
     def __init__(self, base: Dict[KernelKind, KernelCost],
-                 multipliers: Optional[Dict[str, Dict[KernelKind, float]]] = None):
+                 multipliers: Dict[str, Dict[KernelKind, float]]):
         missing = [k for k in KernelKind if k not in base]
         if missing:
             raise ValueError(f"base table missing kinds: {[k.value for k in missing]}")
         self.base = dict(base)
-        self.multipliers = {name: dict(table) for name, table in (multipliers or {}).items()}
+        self.multipliers = {name: dict(table) for name, table in multipliers.items()}
 
     @property
     def backends(self) -> Tuple[str, ...]:

@@ -37,7 +37,7 @@ Invariants the rest of the package leans on:
   (its process, begin and end) in heap entries and records, never on
   the effect, so one effect object may be yielded any number of times
   by any process, on a domain or with none
-* integers only inside the engine, no floats or ``Fraction``s: thread
+* integers only inside the engine, no floats or rationals: thread
   duty is tracked in milli-duty integers and a charge's stretch is the
   integer ratio ``stretch_num / stretch_den``, fixed when it begins
 * a drained event queue with a non-daemon process unfinished raises

@@ -2,8 +2,8 @@
 
 Runs ``main`` in-process with temp files, covering the CSV schema,
 one row per scenario, sweep expansion, reference checking with its
-exit-code contract, the kernel-cost fitter, affinity printing, and
-trace export.
+exit-code contract, affinity printing, trace export, and the docs
+of each verb.
 """
 
 import argparse
@@ -132,6 +132,20 @@ def test_readme_documents_every_flag_and_no_other():
     unknown = sorted(f"{verb or 'any verb'} {flag}" for verb, flag in shown_flags(text)
                      if flag not in (anywhere if verb is None else options.get(verb, ())))
     assert (undocumented, unknown) == ([], [])
+
+
+def test_every_verb_is_documented():
+    """The parser's verbs, the module docstring's ``Verbs:`` list and the
+    README's ``### <verb>`` headings under ``## Command line`` name the
+    same verbs, so adding or deleting one leaves no stale docs."""
+    parsed = set(verb_options())
+    listing = cli.__doc__.split("\nVerbs:\n", 1)[1].split("\n\n", 1)[0]
+    docstring = {line.split()[0] for line in listing.splitlines()
+                 if line.startswith("    ") and not line.startswith("     ")}
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    readme = set(re.findall(r"^### (\S+)$", section, flags=re.M))
+    assert parsed == docstring == readme, (parsed, docstring, readme)
 
 
 def test_csv_output_is_byte_stable(tmp_path):
@@ -764,59 +778,6 @@ def test_bundled_reference_points_are_well_formed():
         assert (point.rel_tol is None) != (point.abs_tol is None)
 
 
-def test_calibrate_fits_two_point_samples(tmp_path, capsys):
-    samples = tmp_path / "samples.cfg"
-    samples.write_text(
-        "nbnxm_local.0 = 1500 19200\n"
-        "nbnxm_local.1 = 6144000 20000000\n", encoding="utf-8")
-    assert main(["calibrate", "--samples", str(samples)]) == 0
-    fitted = parse_config(capsys.readouterr().out)
-    slope = (20000000.0 - 19200.0) / (6144000 - 1500)
-    floor = 19200.0 - slope * 1500
-    assert fitted["nbnxm_local.slope_ns_per_atom"] == pytest.approx(slope, rel=1e-4)
-    assert fitted["nbnxm_local.floor_ns"] == pytest.approx(floor, rel=1e-4)
-
-
-def test_calibrate_rejects_unknown_kernel(tmp_path, capsys):
-    samples = tmp_path / "samples.cfg"
-    samples.write_text("warp_drive.0 = 10 20\n", encoding="utf-8")
-    assert main(["calibrate", "--samples", str(samples)]) == 2
-    assert "warp_drive" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("sample, message", [
-    ("1000 nan", "duration_ns must be a finite number >= 0, got 'nan'"),
-    ("1000 inf", "duration_ns must be a finite number >= 0, got 'inf'"),
-    ("1000 -inf", "duration_ns must be a finite number >= 0, got '-inf'"),
-    ("1000 -5000", "duration_ns must be a finite number >= 0, got '-5000'"),
-    ("1000 abc", "duration_ns must be a finite number >= 0, got 'abc'"),
-    ("1000 true", "duration_ns must be a finite number >= 0, got 'true'"),
-    ("-1000 10", "atoms must be an integer >= 0, got '-1000'"),
-    ("x1000 10", "atoms must be an integer >= 0, got 'x1000'"),
-    ("1000.5 10", "atoms must be an integer >= 0, got '1000.5'"),
-    ("1e3 10", "atoms must be an integer >= 0, got '1e3'"),
-])
-def test_calibrate_rejects_a_bad_sample(tmp_path, capsys, sample, message):
-    samples = tmp_path / "samples.cfg"
-    samples.write_text(f"nbnxm_local.a = {sample}\nnbnxm_local.b = 2000 5000\n",
-                       encoding="utf-8")
-    assert main(["calibrate", "--samples", str(samples)]) == 2
-    out = capsys.readouterr()
-    assert out.err == f"error: nbnxm_local.a: {message}\n"
-    assert out.out == ""
-
-
-def test_calibrate_rejects_durations_that_fall_with_atom_count(tmp_path, capsys):
-    samples = tmp_path / "samples.cfg"
-    samples.write_text("nbnxm_local.a = 1000 5000\nnbnxm_local.b = 2000 1000\n",
-                       encoding="utf-8")
-    assert main(["calibrate", "--samples", str(samples)]) == 2
-    out = capsys.readouterr()
-    assert out.err == ("error: nbnxm_local: duration falls with atom count "
-                       "(slope -4 ns/atom)\n")
-    assert out.out == ""
-
-
 _RUN_FLAGS = ["--system", "grappa_pme_1500", "--profile", "acpp-23.10", "--eras", "2"]
 
 
@@ -830,8 +791,6 @@ _RUN_FLAGS = ["--system", "grappa_pme_1500", "--profile", "acpp-23.10", "--eras"
     ["check", "--report", "{report}", "--references", "{latin1}"],
     ["sweep", "--scenarios", "{missing}"],
     ["sweep", "--scenarios", "{latin1}"],
-    ["calibrate", "--samples", "{missing}"],
-    ["calibrate", "--samples", "{latin1}"],
     ["simulate", *_RUN_FLAGS, "--output", "{unwritable}"],
     ["simulate", *_RUN_FLAGS, "--trace", "{unwritable}"],
     ["export-trace", *_RUN_FLAGS, "--output", "{unwritable}"],

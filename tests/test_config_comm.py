@@ -11,7 +11,6 @@ from mdgpusim.comm import (
 )
 from mdgpusim.config import (
     ConfigError,
-    dump_config,
     parse_config,
     require,
     subsection,
@@ -48,15 +47,6 @@ def test_parse_errors():
         parse_config(" = 3\n")
     with pytest.raises(ConfigError):
         parse_config("a =\n")
-
-
-def test_dump_parse_round_trip():
-    cfg = {"b.x": 2, "a.y": 1.5, "a.z": True, "name": "acpp-23.10"}
-    text = dump_config(cfg, header="generated")
-    assert text.startswith("# generated\n")
-    assert parse_config(text) == cfg
-    # dump is sorted, hence byte-stable regardless of insertion order
-    assert text == dump_config(dict(reversed(list(cfg.items()))), header="generated")
 
 
 def test_subsection_and_require():

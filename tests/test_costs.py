@@ -64,38 +64,6 @@ def test_per_atom_cost_plateaus_by_384k():
     assert per_atom_1500 / asymptote > 2.0
 
 
-def test_clamped_fit_never_goes_negative():
-    fit = fit_affine([(100, 50.0), (200, 300.0), (300, 550.0)])
-    assert fit.floor_ns >= 0.0
-    assert fit.slope_ns_per_atom > 0.0
-
-
-def test_fit_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        fit_affine([(100, 50.0)])
-    with pytest.raises(ValueError):
-        fit_affine([(100, 50.0), (100, 60.0)])
-
-
-@pytest.mark.parametrize("points", [
-    [(1000, 5000.0), (2000, 1000.0)],
-    [(100, 900.0), (200, 500.0), (300, 400.0)],
-    [(0, 10.0), (10, 10.0), (20, 9.0)],
-])
-def test_fit_rejects_durations_that_fall_with_atom_count(points):
-    with pytest.raises(ValueError, match="^duration falls with atom count"):
-        fit_affine(points)
-
-
-def test_flat_samples_fit_a_zero_slope_despite_rounding():
-    # the float least-squares slope of these comes out near -5e-19
-    points = [(714025, 5000.3), (889703, 5000.3), (2681474, 5000.3),
-              (4506482, 5000.3), (5568047, 5000.3), (8013602, 5000.3)]
-    fit = fit_affine(points)
-    assert fit.slope_ns_per_atom == 0.0
-    assert fit.floor_ns == pytest.approx(5000.3, rel=1e-12)
-
-
 def test_unknown_backend_raises():
     table = default_cost_table()
     with pytest.raises(KeyError):

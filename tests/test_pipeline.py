@@ -660,20 +660,59 @@ SUBMISSION_MODES = [(name, instant) for name, prof in sorted(load_profiles().ite
                     if (prof.supports_instant() if instant else prof.supports_deferred())]
 
 
+# a random plan: bundled system, submission mode, backend, ranks, MCN,
+# seed and a neighbour-list period, with 2 eras
+PLANS = dict(system=st.sampled_from(sorted(load_systems())),
+             mode=st.sampled_from(SUBMISSION_MODES),
+             backend=st.sampled_from(["sycl", "hip"]), ranks=st.integers(1, 64),
+             mcn=st.integers(0, 200), seed=st.integers(0, 2**32 - 1),
+             nstlist=st.integers(10, 40))
+
+
+def run_random_plan(system, mode, backend, ranks, mcn, seed, nstlist,
+                    event_mode="coarse", **overrides) -> RunReport:
+    """The report of one plan that ``PLANS`` draws, with the given
+    ``system.``/``settings.`` overrides on top."""
+    profile, instant = mode
+    scenario = Scenario("p", system, profile, ranks=ranks, backend=backend,
+                        max_cached_nodes=mcn, instant=instant, event_mode=event_mode,
+                        seed=seed, eras=2,
+                        overrides={"system.nstlist": nstlist, **overrides})
+    return simulate(scenario.build_plan())
+
+
 @hyp_settings(deadline=None, max_examples=40)
-@given(system=st.sampled_from(sorted(load_systems())), mode=st.sampled_from(SUBMISSION_MODES),
-       backend=st.sampled_from(["sycl", "hip"]), ranks=st.integers(1, 64),
-       mcn=st.integers(0, 200), seed=st.integers(0, 2**32 - 1), nstlist=st.integers(10, 40))
-def test_full_events_never_shorten_a_step(system, mode, backend, ranks, mcn, seed, nstlist):
+@given(**PLANS)
+def test_full_events_never_shorten_a_step(**plan):
     """FULL event recording adds API calls on the launching threads and a
     packet after every device task, and draws the same launch latencies
-    as COARSE, so it never gives a shorter step, all else equal."""
-    profile, instant = mode
+    as COARSE, so it never gives a shorter step, all else equal.  Both
+    runs also give a finite throughput above 0 and no negative launch
+    delay."""
+    full, coarse = (run_random_plan(**plan, event_mode=mode) for mode in ("full", "coarse"))
+    assert full.ms_per_step >= coarse.ms_per_step
+    for report in (full, coarse):
+        assert 0 < report.ns_per_day < math.inf
+        assert all(delay >= 0 for delays in report.launch_delays for delay in delays)
 
-    def ms_per_step(event_mode):
-        scenario = Scenario("p", system, profile, ranks=ranks, backend=backend,
-                            max_cached_nodes=mcn, instant=instant, event_mode=event_mode,
-                            seed=seed, eras=2, overrides={"system.nstlist": nstlist})
-        return simulate(scenario.build_plan()).ms_per_step
 
-    assert ms_per_step("full") >= ms_per_step("coarse")
+@hyp_settings(deadline=None, max_examples=30)
+@given(**PLANS)
+def test_hsa_affinity_override_never_lengthens_a_step(**plan):
+    """The override moves the HSA worker off the application core, so
+    the application thread gets the whole core and no step can take
+    longer than with the worker beside it, all else equal."""
+    apart = run_random_plan(**plan, **{"settings.hsa_affinity_override": True})
+    beside = run_random_plan(**plan)
+    assert apart.ms_per_step <= beside.ms_per_step
+
+
+@hyp_settings(deadline=None, max_examples=40)
+@given(**PLANS, atoms=st.integers(1, 768_000), more=st.integers(1, 768_000))
+def test_more_atoms_never_shorten_a_step(atoms, more, **plan):
+    """Every kernel and transfer cost is non-decreasing in the atom
+    count, so a system with more atoms never gives a shorter step, all
+    else equal."""
+    small, large = (run_random_plan(**plan, **{"system.atoms": n})
+                    for n in (atoms, atoms + more))
+    assert large.ms_per_step >= small.ms_per_step
