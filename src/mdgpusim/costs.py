@@ -15,13 +15,13 @@ expected cost is what the profile states.  Draws come from a counter
 hash keyed on (seed, actor, kind, index), never from a sequential RNG:
 two runs that issue the same Nth launch from the same actor see the
 same latency even when one of them records extra events in between.
-Being pure, each (actor, kind) stream is hashed once per process: a
-model keeps the latencies drawn so far (up to a fixed count), and
-``default_api_model`` shares one model per seed, so a run reads the
-draws an earlier run with its seed already hashed.  A sampler reads
-each stream through one iterator: the kept draws through a C list
-iterator, chained to a generator that hashes the rest, so a draw that
-was kept runs no bytecode of its own.
+Being pure, each (actor, kind) stream is hashed in immutable blocks of
+``_BLOCK`` consecutive indices, one loop per block.  A model keeps each
+block it hashes while it has room for a whole one (up to a fixed count
+of draws in all), and ``default_api_model`` shares one model per seed,
+so a run reads the blocks an earlier run with its seed already hashed.
+A sampler reads each stream as its blocks chained end to end by C
+iterators, so a draw runs no bytecode of its own.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import chain, count
+from functools import lru_cache, partial
+from itertools import chain, count, repeat
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple
 
 
 class KernelKind(Enum):
@@ -70,6 +70,20 @@ class ApiKind(Enum):
 
 def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
+
+
+class Table(dict):
+    """A dict whose ``table[key]`` is ``build(key)``, stored when first asked
+    for.  ``build`` must not hold the table's owner, or the two form a cycle."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 @dataclass
@@ -214,9 +228,9 @@ _KIND_MIX = 0x9E3779B97F4A7C15
 _INDEX_MIX = 0xD1B54A32D192ED03
 
 
-def _fnv1a64(data: bytes) -> int:
+def _fnv1a64(name: str) -> int:
     h = 0xCBF29CE484222325
-    for byte in data:
+    for byte in name.encode():
         h ^= byte
         h = (h * 0x100000001B3) & _MASK64
     return h
@@ -246,18 +260,20 @@ def _tail_cut(tail_prob: float) -> int:
     return lo
 
 
-# the most latencies one model keeps over all its streams; a draw past
-# them is hashed each time, so a long run cannot grow a shared model
+# a stream is hashed, kept and read in blocks of this many draws
+_BLOCK = 256
+# the most latencies one model keeps over all its streams; a block past
+# them is hashed each time it is read, so a run cannot grow a shared model
 _KEPT_DRAWS = 1 << 15
 
 
 class ApiLatencyModel:
     """Deterministic counter-hashed sampler over per-kind two-point laws.
 
-    The model keeps, per (actor, kind), the latencies drawn at indices
-    0, 1, 2, ..., up to ``_KEPT_DRAWS`` in all, and every ``ApiSampler``
-    on it reads them by its own index.  The table is read-only, since
-    those draws depend on it.
+    The model keeps, per (actor, kind), the blocks of latencies hashed
+    so far, up to ``_KEPT_DRAWS`` draws in all, and every ``ApiSampler``
+    on it reads them.  The table is read-only, since those draws depend
+    on it.
     """
 
     def __init__(self, table: Dict[ApiKind, TwoPointLatency], seed: int = 0):
@@ -267,19 +283,16 @@ class ApiLatencyModel:
         self.table: Mapping[ApiKind, TwoPointLatency] = MappingProxyType(dict(table))
         self.seed = seed & _MASK64
         # the FNV hashes of actor and kind names, computed once per name
-        self._actor_hash: Dict[str, int] = {}
-        self._kind_hash = {k: _fnv1a64(k.value.encode()) for k in ApiKind}
+        self._actor_hash = Table(_fnv1a64)
+        self._kind_hash = {k: _fnv1a64(k.value) for k in ApiKind}
         self._tail_cuts = {k: _tail_cut(law.tail_prob) for k, law in self.table.items()}
-        # (actor, kind) -> the latencies drawn so far, by index
-        self._drawn: Dict[Tuple[str, ApiKind], List[int]] = {}
+        # (actor, kind, b) -> the latencies at indices [b*_BLOCK, (b+1)*_BLOCK)
+        self._kept: Dict[Tuple[str, ApiKind, int], Tuple[int, ...]] = {}
         self._room = _KEPT_DRAWS  # how many more latencies it may keep
 
     def _stream_key(self, actor: str, kind: ApiKind) -> int:
         """The hash of (seed, actor, kind) that every index is mixed into."""
-        actor_hash = self._actor_hash.get(actor)
-        if actor_hash is None:
-            actor_hash = self._actor_hash[actor] = _fnv1a64(actor.encode())
-        h = _splitmix64(self.seed ^ actor_hash)
+        h = _splitmix64(self.seed ^ self._actor_hash[actor])
         return _splitmix64(h ^ (self._kind_hash[kind] * _KIND_MIX & _MASK64))
 
     def sample(self, actor: str, kind: ApiKind, index: int) -> int:
@@ -296,64 +309,43 @@ class ApiLatencyModel:
         value = law.tail_ns if u < law.tail_prob else law.common_ns
         return round_half_up(value)
 
+    def _block(self, actor: str, kind: ApiKind, b: int) -> Tuple[int, ...]:
+        """The latencies at indices ``[b*_BLOCK, (b+1)*_BLOCK)`` of the
+        stream: kept, or each hashed with one splitmix and one compare
+        against the integer tail cut, and kept if the model has room."""
+        where = actor, kind, b
+        if where in self._kept:
+            return self._kept[where]
+        key, cut = self._stream_key(actor, kind), self._tail_cuts[kind]
+        law = self.table[kind]
+        tail, common = round_half_up(law.tail_ns), round_half_up(law.common_ns)
+        values = []
+        for idx in range(b * _BLOCK, (b + 1) * _BLOCK):
+            # _splitmix64 inlined; both operands are below 2**64, so its first mask goes
+            x = key ^ (idx * _INDEX_MIX & _MASK64)
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+            values.append(tail if x ^ (x >> 31) < cut else common)
+        block = tuple(values)
+        if self._room >= _BLOCK:
+            self._room -= _BLOCK
+            self._kept[where] = block
+        return block
 
-class _Streams(dict):
-    """(actor, kind) -> the iterator of that stream's latencies, opened on
-    a miss: the model's kept draws first, through a C list iterator,
-    then ``_hashed`` from where they end."""
 
-    __slots__ = ("model",)
-
-    def __init__(self, model: ApiLatencyModel):
-        super().__init__()
-        self.model = model
-
-    def __missing__(self, key: Tuple[str, ApiKind]) -> Iterator[int]:
-        kept = self.model._drawn.setdefault(key, [])
-        stream = self[key] = chain(iter(kept), _hashed(self.model, *key, kept))
-        return stream
-
-
-def _hashed(model: ApiLatencyModel, actor: str, kind: ApiKind,
-            kept: List[int]) -> Iterator[int]:
-    """The latencies of one stream from index ``len(kept)`` on, taken when
-    the first is asked for.  Each is ``kept[idx]`` if another sampler has
-    kept it meanwhile; otherwise it is hashed with the stream's key,
-    integer tail cut and two rounded values (one splitmix and one
-    compare) and kept while the model has room."""
-    key, cut = model._stream_key(actor, kind), model._tail_cuts[kind]
-    law = model.table[kind]
-    tail, common = round_half_up(law.tail_ns), round_half_up(law.common_ns)
-    for idx in count(len(kept)):
-        if idx < len(kept):
-            yield kept[idx]
-            continue
-        # _splitmix64(key ^ (idx * _INDEX_MIX & _MASK64)), inlined; both
-        # operands are below 2**64, so its first mask is a no-op
-        x = key ^ (idx * _INDEX_MIX & _MASK64)
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        value = tail if x ^ (x >> 31) < cut else common
-        # idx is the list's length here: a list stops short of an index
-        # only once the model's room is spent, and room never comes back
-        if model._room:
-            model._room -= 1
-            kept.append(value)
-        yield value
+def _stream(model: ApiLatencyModel, key: Tuple[str, ApiKind]) -> Iterator[int]:
+    """A stream's latencies: its blocks, each read when the last runs out."""
+    actor, kind = key
+    return chain.from_iterable(map(model._block, repeat(actor), repeat(kind), count()))
 
 
 class ApiSampler:
-    """Auto-indexing wrapper: one iterator per (actor, kind) stream.
-
-    A stream yields the model's kept latencies first, so a latency is
-    hashed once per process, whichever sampler or run reaches it first,
-    and hashes the rest (``_hashed``).  Either way ``draw`` returns
-    exactly what ``ApiLatencyModel.sample`` does at the stream's own
-    index.
-    """
+    """Auto-indexing wrapper: one iterator per (actor, kind) stream, over
+    the model's blocks.  ``draw`` returns exactly what
+    ``ApiLatencyModel.sample`` does at the stream's own index."""
 
     def __init__(self, model: ApiLatencyModel):
-        self._streams = _Streams(model)
+        self._streams = Table(partial(_stream, model))
 
     def draw(self, actor: str, kind: ApiKind) -> int:
         return next(self._streams[actor, kind])

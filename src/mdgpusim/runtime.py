@@ -33,19 +33,17 @@ calls ``Engine.wake`` if it is parked, which resumes it exactly where
 posting such an event would have.  A busy one reaches the work itself,
 so it is not woken.
 
-Every charge that repeats is built once per run and yielded by
-reference (the engine never mutates a charge).  A rank keeps one
-``Work`` per ``(stream, name, duration_ns)`` node, holding its trace
-payloads and its kernel, device packet, submit, flush-processing and
-dispatch charges and a ``ChargeTable`` of its launch charges, plus one
-``ChargeTable`` of API-call charges per kind; a link keeps one ``Work``
-per direction.  A ``ChargeTable`` maps a drawn latency to its charge
-and builds the charge on a miss, so a site yields
-``table[draw(actor, kind)]`` and calls nothing but the draw.  The
-other charges whose costs vary are built once per rank and per distinct
-input: a flush trigger per ``(nodes, contention applies)``, a flush
-worker's bookkeeping per batch size and a retirement per ``(tax,
-flushes)``.  Contention applies only to a threshold flush on a rank
+Every charge that repeats is built once per run, in a ``costs.Table``
+that builds a missing entry from its key, and yielded by reference (the
+engine never mutates a charge).  A rank keeps one ``Work`` per
+``(stream, name, duration_ns)`` node, holding its trace payloads, its
+kernel, device packet, submit and flush-processing charges and tables
+of its launch charges by drawn latency and dispatch charges by gap,
+plus a table of API-call charges per kind; a link keeps one ``Work``
+per direction.  Per rank and distinct input it keeps a flush trigger
+per ``(nodes, contention applies)``, a flush worker's bookkeeping per
+batch size and a retirement per ``(tax, flushes)``.  No builder holds
+the runtime.  Contention applies only to a threshold flush on a rank
 with peers on its node, so a rank alone on its node does no contention
 arithmetic and keeps no count of its buffered kernel time.
 
@@ -71,10 +69,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 from .config import is_int, is_number
-from .costs import ApiKind, ApiLatencyModel, ApiSampler, round_half_up
+from .costs import ApiKind, ApiLatencyModel, ApiSampler, Table, round_half_up
 from .engine import PARK, Charge, Engine, Event, WaitFor
 
 
@@ -189,28 +188,13 @@ class RunSettings:
         for f in ("instant_submission", "hsa_affinity_override"):
             if not isinstance(getattr(self, f), bool):
                 raise ValueError(f"{f} must be true or false, got {getattr(self, f)!r}")
+        if not isinstance(self.event_mode, EventMode):
+            raise ValueError(f"event_mode must be an EventMode, got {self.event_mode!r}")
         if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 # -- device side -------------------------------------------------------------
-
-
-class ChargeTable(dict):
-    """A table of charges by cost, each built the first time its cost
-    comes up: ``charges[ns]`` is ``Charge(ns, name, args)``, one object
-    per ``ns``."""
-
-    __slots__ = ("name", "args")
-
-    def __init__(self, name: str, args: Optional[dict] = None):
-        super().__init__()
-        self.name = name
-        self.args = args
-
-    def __missing__(self, ns: int) -> Charge:
-        charge = self[ns] = Charge(ns, self.name, self.args)
-        return charge
 
 
 class Work:
@@ -222,24 +206,23 @@ class Work:
     stream's payload, or None on a link.  ``packet`` is the full-events
     device packet and ``process`` the flush worker's per-node charge,
     each None where the run pays none.  ``launches`` is the table of
-    ``kernel_launch`` charges by drawn latency, and ``dispatch`` is the
-    charge at the gap its slot last dispatched with.
+    ``kernel_launch`` charges by drawn latency, and ``dispatches`` that
+    of ``dispatch`` charges by its slot's gap.
     """
 
-    __slots__ = ("kernel", "for_args", "packet", "submit", "process",
-                 "done_name", "launches", "dispatch")
+    __slots__ = ("kernel", "packet", "submit", "process", "done_name",
+                 "launches", "dispatches")
 
     def __init__(self, kernel: Charge, for_args: Optional[dict] = None,
                  packet: Optional[Charge] = None, node_args: Optional[dict] = None,
                  submit: Optional[Charge] = None, process: Optional[Charge] = None):
         self.kernel = kernel
-        self.for_args = for_args
         self.packet = packet
         self.submit = submit
         self.process = process
         self.done_name = f"{kernel.name}.done"
-        self.launches = ChargeTable("kernel_launch", node_args)
-        self.dispatch: Optional[Charge] = None
+        self.launches = Table(partial(Charge, name="kernel_launch", args=node_args))
+        self.dispatches = Table(partial(Charge, name="dispatch", args=for_args))
 
 
 class DevTask(Event):
@@ -285,8 +268,8 @@ class Stream:
 class Slot:
     """One hardware queue or link: strict FIFO over the tasks of everything
     mapped to it.  Each task yields its ``Work``'s charges, so a kernel
-    carries its stream's payload; the dispatch charge is rebuilt only
-    when ``dispatch_gap_ns`` has changed since that ``Work`` last ran."""
+    carries its stream's payload, and its dispatch charge at the slot's
+    current ``dispatch_gap_ns``."""
 
     def __init__(self, engine: Engine, name: str):
         self.engine = engine
@@ -315,10 +298,7 @@ class Slot:
             work = task.work
             gap = self.dispatch_gap_ns
             if gap:
-                dispatch = work.dispatch
-                if dispatch is None or dispatch.cost_ns != gap:
-                    dispatch = work.dispatch = Charge(gap, "dispatch", work.for_args)
-                yield dispatch
+                yield work.dispatches[gap]
             yield work.kernel
             if work.packet is not None:
                 yield work.packet
@@ -397,7 +377,6 @@ class RankRuntime:
         self.engine = engine
         self.name = name
         self.profile = profile
-        self.settings = settings
         self.api = ApiSampler(api_model)
         self.instant = settings.instant_submission
         self.max_cached_nodes = settings.max_cached_nodes
@@ -414,12 +393,12 @@ class RankRuntime:
         self._batches: deque = deque()
         self._flushes_since_sync: List[int] = []  # trigger timestamps
         # (nodes, contention applies) -> the flush trigger charge
-        self._triggers: Dict[Tuple[int, bool], Charge] = {}
+        self._triggers = Table(partial(_trigger_charge, profile, self._peers))
         self._notify_requests: deque = deque()
         self.full = settings.event_mode is EventMode.FULL
-        self._works: Dict[Tuple[Stream, str, int], Work] = {}
+        self._works = Table(partial(_build_work, profile, self.full))
         # API calls without a payload: kind -> drawn ns -> its charge
-        self._api_charges = {kind: ChargeTable(kind.value) for kind in ApiKind}
+        self._api_charges = {kind: Table(partial(Charge, name=kind.value)) for kind in ApiKind}
 
         self.app_domain = engine.domain(f"{name}.core0", 1)
         if not settings.hsa_affinity_override:
@@ -438,29 +417,11 @@ class RankRuntime:
 
     # -- submission (runs on the application process) ----------------------
 
-    def _work(self, stream: Stream, name: str, duration_ns: int) -> Work:
-        """The ``Work`` of a node, built whole the first time it is
-        submitted on ``stream`` with ``duration_ns``.  A pipeline submits
-        each node name on one stream with one duration per run, so each
-        name's payloads are built once and trace records share them by
-        identity."""
-        prof = self.profile
-        node_args, for_args = {"node": name}, {"for": name}
-        packet = Charge(EVENT_PACKET_NS, "event_packet", for_args) if self.full else None
-        process = (Charge(prof.per_node_flush_cost_ns, "graph_process", node_args)
-                   if prof.per_node_flush_cost_ns else None)
-        work = self._works[stream, name, duration_ns] = Work(
-            Charge(duration_ns, name, stream.args), for_args, packet, node_args,
-            Charge(prof.submit_cost_ns, "submit_node", node_args), process)
-        return work
-
     def submit(self, stream: Stream, name: str, duration_ns: int,
                deps: Sequence[Event] = ()):
         """Generator; ``yield from`` it on the app process.  Returns the
         device task, which fires when it completes."""
-        work = self._works.get((stream, name, duration_ns))
-        if work is None:
-            work = self._work(stream, name, duration_ns)
+        work = self._works[stream, name, duration_ns]
         task = DevTask(work, deps, self.engine.now)
         if self.instant:
             app, draw, charges = self.app_actor, self.api.draw, self._api_charges
@@ -487,20 +448,9 @@ class RankRuntime:
         it, then call ``_hand_over``.  The contention terms apply to a
         threshold flush on a rank with peers, below the cutoff if one is
         set; the charge is built once per ``(nodes, applies)``."""
-        nodes = len(self._buffer)
-        prof = self.profile
         applies = (threshold and self._peers > 0
-                   and not 0 < prof.flush_contention_cutoff_ns <= self._buffer_ns)
-        charge = self._triggers.get((nodes, applies))
-        if charge is None:
-            cost = prof.flush_trigger_cost_ns
-            if applies:
-                pairs = nodes * (nodes - 1) // 2
-                cost += self._peers * (prof.flush_contention_ns_per_peer
-                                       + prof.flush_contention_scan_ns * pairs)
-            charge = self._triggers[nodes, applies] = Charge(cost, "flush_trigger",
-                                                             {"nodes": nodes})
-        return charge
+                   and not 0 < self.profile.flush_contention_cutoff_ns <= self._buffer_ns)
+        return self._triggers[len(self._buffer), applies]
 
     def _hand_over(self) -> None:
         """Give the buffered batch to the flush worker, and wake it if it
@@ -541,19 +491,14 @@ class RankRuntime:
         delays, full, flush = self.launch_delays, self.full, self.flush_actor
         waits, creates, records = (self._api_charges[kind]
                                    for kind in (_WAIT, _CREATE, _RECORD))
-        bookkeeping_ns = self.profile.flush_bookkeeping_cost_ns
-        bookkeeping: Dict[int, Charge] = {}  # nodes -> the batch's charge
+        # nodes -> the batch's charge
+        bookkeeping = Table(partial(_bookkeeping_charge, self.profile.flush_bookkeeping_cost_ns))
         while True:
             if not batches:
                 yield PARK
                 continue
             batch = batches.popleft()
-            nodes = len(batch)
-            charge = bookkeeping.get(nodes)
-            if charge is None:
-                charge = bookkeeping[nodes] = Charge(bookkeeping_ns, "flush_bookkeeping",
-                                                     {"nodes": nodes})
-            yield charge
+            yield bookkeeping[len(batch)]
             for task, stream in batch:
                 work = task.work
                 for _ in task.deps:
@@ -570,7 +515,7 @@ class RankRuntime:
     def _monitor_loop(self):
         prof = self.profile
         notify = Charge(prof.notify_cost_ns, "sync_notify")
-        retires: Dict[Tuple[int, int], Charge] = {}
+        retires = Table(_retire_charge)  # (tax, flushes) -> its charge
         while True:
             if not self._notify_requests:
                 yield PARK
@@ -579,12 +524,7 @@ class RankRuntime:
             yield notify
             tax = _retire_tax(prof, triggers, self.engine.now)
             if tax:
-                flushes = len(triggers)
-                retire = retires.get((tax, flushes))
-                if retire is None:
-                    retire = retires[tax, flushes] = Charge(tax, "graph_retire",
-                                                            {"flushes": flushes})
-                yield retire
+                yield retires[tax, len(triggers)]
             self.engine.post(req, 0)
 
 
@@ -603,3 +543,36 @@ def _retire_tax(prof: RuntimeProfile, triggers: Sequence[int], now: int) -> int:
         if tax >= sync_cap:
             return sync_cap
     return tax
+
+
+def _build_work(prof: RuntimeProfile, full: bool,
+                key: Tuple[Stream, str, int]) -> Work:
+    """The ``Work`` of a node, built whole the first time it is submitted
+    on ``stream`` with ``duration_ns``.  A pipeline submits each node
+    name on one stream with one duration per run, so each name's
+    payloads are built once and trace records share them by identity."""
+    stream, name, duration_ns = key
+    node_args, for_args = {"node": name}, {"for": name}
+    packet = Charge(EVENT_PACKET_NS, "event_packet", for_args) if full else None
+    process = (Charge(prof.per_node_flush_cost_ns, "graph_process", node_args)
+               if prof.per_node_flush_cost_ns else None)
+    return Work(Charge(duration_ns, name, stream.args), for_args, packet, node_args,
+                Charge(prof.submit_cost_ns, "submit_node", node_args), process)
+
+
+def _trigger_charge(prof: RuntimeProfile, peers: int, key: Tuple[int, bool]) -> Charge:
+    """The app's charge for handing ``nodes`` over, contended by ``peers``."""
+    nodes, applies = key
+    pairs = nodes * (nodes - 1) // 2
+    contention = prof.flush_contention_ns_per_peer + prof.flush_contention_scan_ns * pairs
+    return Charge(prof.flush_trigger_cost_ns + (peers * contention if applies else 0),
+                  "flush_trigger", {"nodes": nodes})
+
+
+def _bookkeeping_charge(cost_ns: int, nodes: int) -> Charge:
+    return Charge(cost_ns, "flush_bookkeeping", {"nodes": nodes})
+
+
+def _retire_charge(key: Tuple[int, int]) -> Charge:
+    tax, flushes = key
+    return Charge(tax, "graph_retire", {"flushes": flushes})

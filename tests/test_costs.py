@@ -199,14 +199,41 @@ def test_sampler_draws_equal_the_pure_sample():
         index[actor, kind] += 1
 
 
+B = costs._BLOCK
+
+
+def kept_blocks(model, actor, kind):
+    """The indices of the blocks of one stream that ``model`` keeps."""
+    return sorted(b for a, k, b in model._kept if (a, k) == (actor, kind))
+
+
+def test_blocks_meet_exactly_at_their_edges():
+    """A stream read across block edges returns ``sample`` at indices
+    ``B - 1``, ``B`` and ``2 B``, and each block holds ``B`` draws."""
+    table = dict(default_api_model().table)
+    table[ApiKind.HOST_SYNC_POLL] = TwoPointLatency(10000.0, 30000.0, tail_prob=0.3)
+    model = ApiLatencyModel(table, seed=10)
+    kind = ApiKind.HOST_SYNC_POLL
+    sampler = ApiSampler(model)
+    draws = [sampler.draw("a", kind) for _ in range(2 * B + 1)]
+    for i in (B - 1, B, 2 * B):
+        assert draws[i] == model.sample("a", kind, i)
+    assert draws == [model.sample("a", kind, i) for i in range(2 * B + 1)]
+    assert [len(model._kept["a", kind, b]) for b in range(3)] == [B] * 3
+    assert model._kept["a", kind, 1][0] == model.sample("a", kind, B)
+    assert len(set(draws)) == 2  # both values of the law come up
+
+
 def test_draws_are_shared_across_samplers():
-    """A second sampler on the same model reads the draws the first one
-    kept and hashes the rest; either way each draw is ``sample`` at its
-    own index, also around indices 511, 512 and 1024."""
+    """A second sampler on the same model reads the blocks the first one
+    kept, by reference, and hashes the rest; either way each draw is
+    ``sample`` at its own index, also around indices B - 1, B and 2 B."""
     model = ApiLatencyModel(dict(default_api_model().table), seed=11)
     first = ApiSampler(model)
     for _ in range(600):
         first.draw("pp0.app", ApiKind.KERNEL_LAUNCH)
+    assert kept_blocks(model, "pp0.app", ApiKind.KERNEL_LAUNCH) == list(range(-(-600 // B)))
+    before = dict(model._kept)
     kinds = (ApiKind.KERNEL_LAUNCH, ApiKind.EVENT_RECORD, ApiKind.STREAM_WAIT_EVENT)
     calls = [kind for kind in kinds for _ in range(1100)]
     random.Random(4).shuffle(calls)
@@ -216,14 +243,17 @@ def test_draws_are_shared_across_samplers():
         assert second.draw("pp0.app", kind) == model.sample("pp0.app", kind, index[kind])
         index[kind] += 1
     assert all(n == 1100 for n in index.values())
-    assert [len(model._drawn["pp0.app", kind]) for kind in kinds] == [1100] * 3
+    assert [kept_blocks(model, "pp0.app", kind) for kind in kinds] == \
+        [list(range(-(-1100 // B)))] * 3
+    assert all(model._kept[where] is block for where, block in before.items())
+    assert model._room == costs._KEPT_DRAWS - B * len(model._kept)
 
 
 def test_a_full_model_keeps_no_more_draws():
-    """Once a model has kept its share of latencies, later draws are
+    """Once a model has kept its share of latencies, later blocks are
     hashed without being kept, and still equal ``sample``."""
     model = ApiLatencyModel(dict(default_api_model().table), seed=12)
-    model._room = 100
+    model._room = 3 * B - 1  # room for two blocks
     kinds = (ApiKind.KERNEL_LAUNCH, ApiKind.EVENT_RECORD)
     for _ in range(2):  # the second sampler reads what the first kept
         sampler = ApiSampler(model)
@@ -231,13 +261,28 @@ def test_a_full_model_keeps_no_more_draws():
             for actor in ("pp0.app", "pme0.app"):
                 for kind in kinds:
                     assert sampler.draw(actor, kind) == model.sample(actor, kind, i)
-    assert sum(map(len, model._drawn.values())) == 100 and model._room == 0
+    assert set(model._kept) == {("pp0.app", kind, 0) for kind in kinds}
+    assert model._room == B - 1
+
+
+def test_a_model_with_less_room_than_a_block_keeps_nothing():
+    """With room for less than one block, a model keeps no draw, and
+    every draw, hashed anew by each sampler, still equals ``sample``."""
+    model = ApiLatencyModel(dict(default_api_model().table), seed=16)
+    model._room = B - 1
+    streams = [(actor, kind) for actor in ("a", "b") for kind in ApiKind]
+    for _ in range(2):
+        sampler = ApiSampler(model)
+        for actor, kind in streams:
+            assert [sampler.draw(actor, kind) for _ in range(B + 3)] == [
+                model.sample(actor, kind, i) for i in range(B + 3)]
+    assert model._kept == {} and model._room == B - 1
 
 
 def test_two_live_samplers_share_one_stream_in_turns():
     """Two samplers drawing one (actor, kind) in uneven turns each read
-    what the other kept, past the point where their own kept draws ran
-    out, and each draw is ``sample`` at its own index."""
+    the blocks the other kept, and each draw is ``sample`` at its own
+    index."""
     model = ApiLatencyModel(dict(default_api_model().table), seed=13)
     samplers = [ApiSampler(model), ApiSampler(model)]
     index = [0, 0]
@@ -247,40 +292,46 @@ def test_two_live_samplers_share_one_stream_in_turns():
         got = samplers[who].draw("pp0.app", ApiKind.KERNEL_LAUNCH)
         assert got == model.sample("pp0.app", ApiKind.KERNEL_LAUNCH, index[who])
         index[who] += 1
-    assert len(model._drawn["pp0.app", ApiKind.KERNEL_LAUNCH]) == max(index)
+    assert kept_blocks(model, "pp0.app", ApiKind.KERNEL_LAUNCH) == \
+        list(range(-(-max(index) // B)))
+    assert model._room == costs._KEPT_DRAWS - B * len(model._kept)
 
 
 def test_a_stream_goes_on_once_the_room_runs_out_within_it():
+    """With room for one block and a bit, a stream keeps its first block
+    and goes on hashing the later ones."""
     model = ApiLatencyModel(dict(default_api_model().table), seed=14)
-    model._room = 50
+    model._room = B + 50
     kind = ApiKind.STREAM_WAIT_EVENT
     first, second = ApiSampler(model), ApiSampler(model)
-    assert [first.draw("a", kind) for _ in range(120)] == [
-        model.sample("a", kind, i) for i in range(120)]
-    assert len(model._drawn["a", kind]) == 50 and model._room == 0
-    # the second reads the 50 kept, then hashes the rest
-    assert [second.draw("a", kind) for _ in range(130)] == [
-        model.sample("a", kind, i) for i in range(130)]
+    assert [first.draw("a", kind) for _ in range(3 * B)] == [
+        model.sample("a", kind, i) for i in range(3 * B)]
+    assert kept_blocks(model, "a", kind) == [0] and model._room == 50
+    # the second reads the kept block, then hashes the rest
+    assert [second.draw("a", kind) for _ in range(3 * B + 10)] == [
+        model.sample("a", kind, i) for i in range(3 * B + 10)]
+    assert kept_blocks(model, "a", kind) == [0] and model._room == 50
 
 
 def test_draws_stay_exact_after_a_stream_moves_from_kept_to_hashed():
-    """``late`` opens its stream on 10 kept draws and hashes from index
-    10 on; ``early`` opened on none, so from then on it reads the draws
-    ``late`` kept, and ``late`` reads the ones ``early`` keeps."""
+    """The model has room for one block: ``early`` hashes and keeps block
+    0, ``late`` reads it kept, and past index ``B`` both hash block 1
+    anew, each time it is read."""
     model = ApiLatencyModel(dict(default_api_model().table), seed=15)
+    model._room = B
     kind = ApiKind.EVENT_RECORD
 
     def expect(n, start=0):
         return [model.sample("a", kind, i) for i in range(start, start + n)]
 
     early = ApiSampler(model)
-    assert [early.draw("a", kind) for _ in range(10)] == expect(10)
+    assert [early.draw("a", kind) for _ in range(B - 5)] == expect(B - 5)
     late = ApiSampler(model)
-    assert [late.draw("a", kind) for _ in range(15)] == expect(15)
-    assert [early.draw("a", kind) for _ in range(10)] == expect(10, 10)
-    assert [early.draw("a", kind) for _ in range(10)] == expect(10, 20)
-    assert [late.draw("a", kind) for _ in range(20)] == expect(20, 15)
-    assert len(model._drawn["a", kind]) == 35
+    assert [late.draw("a", kind) for _ in range(B + 10)] == expect(B + 10)
+    assert [early.draw("a", kind) for _ in range(10)] == expect(10, B - 5)
+    assert [early.draw("a", kind) for _ in range(B)] == expect(B, B + 5)
+    assert [late.draw("a", kind) for _ in range(20)] == expect(20, B + 10)
+    assert list(model._kept) == [("a", kind, 0)] and model._room == 0
 
 
 def test_default_model_is_shared_per_seed_value():

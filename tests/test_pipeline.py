@@ -374,7 +374,7 @@ def test_a_warm_draw_cache_leaves_the_bytes_unchanged():
     costs._shared_api_model.cache_clear()
     for scenario in others:
         run_scenario(scenario)
-    assert max(map(len, costs.default_api_model(seed=0)._drawn.values())) > 1000
+    assert max(b + 1 for *_, b in costs.default_api_model(seed=0)._kept) * costs._BLOCK > 1000
     warm = [output(scenario) for scenario in reversed(runs)][::-1]
     assert warm == cold
 

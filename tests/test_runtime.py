@@ -177,6 +177,14 @@ def test_mode_support_is_enforced():
                     RunSettings(instant_submission=True), quiet_api())
 
 
+@pytest.mark.parametrize("mode", ["full", "coarse", None, 1])
+def test_run_settings_reject_an_event_mode_that_is_not_an_event_mode(mode):
+    """A plain string would run as COARSE whatever it said, so it is refused."""
+    with pytest.raises(ValueError) as err:
+        RunSettings(event_mode=mode)
+    assert str(err.value) == f"event_mode must be an EventMode, got {mode!r}"
+
+
 def test_streams_round_robin_onto_hw_slots():
     eng = Engine()
     settings = RunSettings(max_hw_queues=4)
