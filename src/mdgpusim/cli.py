@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .config import (ConfigError, is_int, is_number, load_config, parse_config,
                      parse_value, read_text, require, subsection)
-from .pipeline import RunPlan, RunReport, simulate
+from .pipeline import NODE, RunPlan, RunReport, simulate
 from .presets import get_profile, get_system
 from .runtime import EventMode, RunSettings
 from .topology import NODE_PROFILES, NodeTopology, plan_affinity
@@ -44,7 +44,7 @@ COLUMNS = ["scenario", "system", "atoms", "ranks", "nodes", "backend",
 # values to sweep over, scalar keys hold one
 AXIS_KEYS = ("system", "profile", "ranks", "max_cached_nodes", "instant",
              "event_mode", "backend")
-SCALAR_KEYS = ("eras", "seed", "node")
+SCALAR_KEYS = ("eras", "seed")
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -64,8 +64,7 @@ class Scenario:
 
     The command-line flags and the sweep reader pass on just the fields
     the user gave.  Each default is read from the ``RunSettings`` or
-    ``RunPlan`` field it becomes, save ``node``: ``RunPlan`` builds its
-    node from a factory, so the node's name is written here alone.
+    ``RunPlan`` field it becomes.
     """
 
     scenario_id: str
@@ -76,13 +75,11 @@ class Scenario:
     max_cached_nodes: int = RunSettings.max_cached_nodes
     instant: bool = RunSettings.instant_submission
     event_mode: str = RunSettings.event_mode.value
-    node: str = "lumi"
     eras: int = RunPlan.n_eras
     seed: int = RunSettings.seed
     overrides: Dict[str, Any] = field(default_factory=dict)
 
     def build_plan(self) -> RunPlan:
-        node = _node_profile(self.node)
         parts = dict(
             system=get_system(self.system), profile=get_profile(self.profile),
             settings=RunSettings(
@@ -91,7 +88,7 @@ class Scenario:
                 event_mode=EventMode(self.event_mode),
                 # a ranks that is not an integer >= 1 is left to
                 # RunPlan.validate, which names it
-                visible_devices=(max(1, min(self.ranks, node.n_gcds))
+                visible_devices=(max(1, min(self.ranks, NODE.n_gcds))
                                  if is_int(self.ranks) else 1),
                 seed=self.seed))
         for key in sorted(self.overrides):
@@ -110,7 +107,7 @@ class Scenario:
                 raise ConfigError(f"unknown {scope} field {name!r}") from None
         parts["system"].validate()
         parts["profile"].validate()
-        return RunPlan(**parts, backend=self.backend, ranks=self.ranks, node=node,
+        return RunPlan(**parts, backend=self.backend, ranks=self.ranks,
                        n_eras=self.eras).validate()
 
 
@@ -171,20 +168,8 @@ def scenarios_from_config(mapping: Dict[str, Any]) -> List[Scenario]:
 # -- running and reporting ----------------------------------------------------
 
 
-def _utilizations(report: RunReport) -> Tuple[float, float]:
-    span = report.makespan_ns
-    if span <= 0:
-        return 0.0, 0.0
-    gpu = [v for k, v in report.busy_ns.items() if ".gcd.q" in k]
-    app = [v for k, v in report.busy_ns.items() if k.endswith(".app")]
-    gpu_u = sum(gpu) / (span * len(gpu)) if gpu else 0.0
-    app_u = sum(app) / (span * len(app)) if app else 0.0
-    return gpu_u, app_u
-
-
 def _format_row(scenario: Scenario, report: RunReport) -> Dict[str, str]:
     plan = report.plan
-    gpu_u, app_u = _utilizations(report)
     return {
         "scenario": scenario.scenario_id,
         "system": str(plan.system.name),
@@ -199,8 +184,8 @@ def _format_row(scenario: Scenario, report: RunReport) -> Dict[str, str]:
         "steps": str(report.steps_measured),
         "ms_per_step": f"{report.ms_per_step:.6f}",
         "ns_per_day": f"{report.ns_per_day:.3f}",
-        "gpu_utilization": f"{gpu_u:.4f}",
-        "app_utilization": f"{app_u:.4f}",
+        "gpu_utilization": f"{report.gpu_utilization:.4f}",
+        "app_utilization": f"{report.app_utilization:.4f}",
         "max_launch_delay_us": f"{report.max_launch_delay_ns / 1000.0:.3f}",
         "median_ms_per_step": f"{report.ms_per_step:.6f}",
         "median_ns_per_day": f"{report.ns_per_day:.3f}",
@@ -522,8 +507,6 @@ def _add_scenario_flags(sub) -> None:
                      help="submit work as it arrives instead of batching")
     sub.add_argument("--event-mode", choices=["coarse", "full"],
                      default=absent, dest="event_mode")
-    sub.add_argument("--node", default=absent,
-                     help="node topology profile")
     sub.add_argument("--eras", type=int, default=absent,
                      help="neighbour-list eras to run; the first is warm-up")
     sub.add_argument("--seed", type=int, default=absent)
@@ -531,8 +514,15 @@ def _add_scenario_flags(sub) -> None:
                      help="override a system., profile. or settings. field")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors reach ``main`` as one-line ``ConfigError``s."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mdgpusim",
         description="Deterministic simulator of GPU-offloaded MD step "
                     "execution on multi-GPU nodes")
@@ -582,8 +572,8 @@ def _message(exc: Exception):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (KeyError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {_message(exc)}", file=sys.stderr)

@@ -43,7 +43,7 @@ constraints.  That is eleven kernels per step on one stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .comm import FORCE_BYTES_PER_ATOM, XYZ_BYTES_PER_ATOM, default_comm_model, slab_atoms
@@ -52,7 +52,7 @@ from .costs import KernelKind, default_api_model, default_cost_table
 from .engine import Charge, Engine, Event, WaitFor
 from .presets import SystemPreset
 from .runtime import DevTask, Device, RankRuntime, RunSettings, RuntimeProfile, Slot, Work
-from .topology import NodeTopology, lumi_node
+from .topology import lumi_node
 
 
 def balanced_dims(n: int) -> Tuple[int, int, int]:
@@ -86,17 +86,15 @@ class RunPlan:
     backend: str = "sycl"
     ranks: int = 1
     n_eras: int = 3
-    node: NodeTopology = field(default_factory=lumi_node)
 
     def validate(self) -> "RunPlan":
         """Reject a rank count, era count, device count or backend no run
         can use, naming the field."""
         if not (is_int(self.ranks) and self.ranks >= 1):
             raise ValueError(f"ranks must be an integer >= 1, got {self.ranks!r}")
-        visible, node = self.settings.visible_devices, self.node
-        if visible > node.n_gcds:
-            raise ValueError(f"visible_devices must be at most the {node.n_gcds} devices "
-                             f"of a {node.name} node, got {visible}")
+        if self.settings.visible_devices > NODE.n_gcds:
+            raise ValueError(f"visible_devices must be at most the {NODE.n_gcds} devices "
+                             f"of a {NODE.name} node, got {self.settings.visible_devices}")
         if not (is_int(self.n_eras) and self.n_eras >= 2):
             raise ValueError("n_eras must be an integer >= 2 (the first era is "
                              f"warm-up), got {self.n_eras!r}")
@@ -116,7 +114,7 @@ class RunPlan:
 
     @property
     def nodes_used(self) -> int:
-        return (self.ranks + self.node.n_gcds - 1) // self.node.n_gcds
+        return (self.ranks + NODE.n_gcds - 1) // NODE.n_gcds
 
 
 @dataclass
@@ -130,6 +128,9 @@ class RunReport:
     # each simulated rank's own list of launch delays, held by reference
     launch_delays: List[List[int]]
     busy_ns: Dict[str, int]
+    # the mean busy share of the run's device queues and app threads
+    gpu_utilization: float = 0.0
+    app_utilization: float = 0.0
     trace: object = None
 
     @property
@@ -141,11 +142,19 @@ class RunReport:
     def ns_per_day(self) -> float:
         if self.ms_per_step == 0:
             return float("inf")
-        return 86.4 * self.plan.system.dt_fs / self.ms_per_step
+        return 86.4 * DT_FS / self.ms_per_step
 
     @property
     def max_launch_delay_ns(self) -> int:
         return max((max(delays) for delays in self.launch_delays if delays), default=0)
+
+
+def _utilization(trace, actors) -> float:
+    """The mean busy share of the ``actors`` that finished some charge."""
+    busy, span = trace.busy_ns, trace.makespan_ns
+    used = [busy[actor] for actor in actors if actor in busy]
+    return sum(used) / (span * len(used)) if used and span > 0 else 0.0
+
 
 # the long-range chain, in queue order, at full system size
 _PME_CHAIN = (("pme_spread", KernelKind.PME_SPREAD),
@@ -164,8 +173,8 @@ def _build_rank(engine, plan, api, name):
 def _link(plan, comm, a, b, atoms, x_name, f_name):
     """The link between ranks ``a`` and ``b`` as one ``Work`` per direction,
     each transfer carrying ``atoms`` atoms' coordinates or forces."""
-    n = plan.node.n_gcds
-    link = plan.node.link_class(a % n, b % n, same_node=a // n == b // n)
+    n = NODE.n_gcds
+    link = NODE.link_class(a % n, b % n, same_node=a // n == b // n)
     return (Work(Charge(comm.transfer_ns(link, atoms * XYZ_BYTES_PER_ATOM), x_name)),
             Work(Charge(comm.transfer_ns(link, atoms * FORCE_BYTES_PER_ATOM), f_name)))
 
@@ -204,7 +213,7 @@ def simulate(plan: RunPlan, keep_trace: bool = False, *,
         return costs.duration_ns(kind, atoms, plan.backend, sys_.scale_for(kind))
 
     atoms_pp = max(1, sys_.atoms // pp_ranks)
-    slab = slab_atoms(atoms_pp, sys_.cutoff_nm, sys_.density_per_nm3)
+    slab = slab_atoms(atoms_pp, sys_.cutoff_nm, DENSITY_PER_NM3)
     # (stride, extent) in the grid and in the block, per split dimension
     split, stride, bstride = [], 1, 1
     for d, b in zip(dims, block):
@@ -237,10 +246,11 @@ def simulate(plan: RunPlan, keep_trace: bool = False, *,
     try:
         # a lone rank is rank0 with queue q0 in traces, as saved ones expect
         single = plan.ranks == 1
-        pps, queues, halo_x, halo_f = [], [], [], []
+        pps, devices, queues, halo_x, halo_f = [], [], [], [], []
         for k, pre in enumerate(prefixes):
             device, rt = _build_rank(engine, plan, api, "rank0" if single else f"pp{k}")
             pps.append(rt)
+            devices.append(device)
             queues.append((device.new_stream("q0" if single else "q_loc"),
                            device.new_stream("q_nl") if split else None))
             # (wire, sent, received, pack, unpack) per split dimension:
@@ -262,6 +272,7 @@ def simulate(plan: RunPlan, keep_trace: bool = False, *,
         if plan.pme_ranks:
             pme_device, pme = _build_rank(engine, plan, api, "pme0")
             ranks.append(pme)
+            devices.append(pme_device)
             q_pme = pme_device.new_stream("q_pme")
             x_wires = [Slot(engine, f"{pre}pme-x.wire") for pre in prefixes]
             f_wire = Slot(engine, "pme-f.wire")
@@ -295,14 +306,25 @@ def simulate(plan: RunPlan, keep_trace: bool = False, *,
     steps = (len(era_marks[0]) - 1) * sys_.nstlist
     rank_ms = [(marks[-1] - marks[0]) / steps / 1e6 for marks in era_marks]
     slowest = rank_ms.index(max(rank_ms))
+    slots = [slot.name for device in devices for slot in device.slots]
     return RunReport(plan=plan, steps_measured=steps, rank_ms_per_step=rank_ms,
                      makespan_ns=trace.makespan_ns, era_marks=era_marks[slowest],
                      launch_delays=[rt.launch_delays for rt in ranks],
-                     busy_ns=trace.busy_ns, trace=trace if keep_trace else None)
+                     busy_ns=trace.busy_ns, trace=trace if keep_trace else None,
+                     gpu_utilization=_utilization(trace, slots),
+                     app_utilization=_utilization(trace, [rt.app_actor for rt in ranks]))
 
 
 # the application thread's own work per step, the same under every runtime
 STEP_CPU_NS = 35000
+# the same for every system: the time step, the water density that sizes
+# halo slabs, the steps between prunes and the host search cost per atom
+DT_FS = 2.0
+DENSITY_PER_NM3 = 100.0
+PRUNE_EVERY = 10
+SEARCH_CPU_NS_PER_ATOM = 16.0
+# the node every run places its ranks on, the one node type the paper measures
+NODE = lumi_node()
 
 
 def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
@@ -327,11 +349,10 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     # every duration the steps submit, each priced only if some step uses it
     search_ns = kcost(KernelKind.PAIR_SEARCH, atoms)
     local_ns = kcost(KernelKind.NBNXM_LOCAL, atoms)
-    # some step prunes iff prune_every itself does: a step below
+    # some step prunes iff PRUNE_EVERY itself does: a step below
     # total_steps that nstlist does not divide (if nstlist divides
-    # prune_every, it divides every multiple of it)
-    if (sys_.prune_every and sys_.prune_every % sys_.nstlist
-            and sys_.prune_every < total_steps):
+    # PRUNE_EVERY, it divides every multiple of it)
+    if PRUNE_EVERY % sys_.nstlist and PRUNE_EVERY < total_steps:
         prune_ns = kcost(KernelKind.PRUNE_ONLY, atoms)
         sort_ns = round(0.3 * prune_ns)
     chain = [(name, kcost(kind, atoms)) for name, kind in _PME_CHAIN] if inline_pme else []
@@ -350,11 +371,10 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     prev_constraints: Optional[Event] = None
     for step in range(total_steps):
         search = step % sys_.nstlist == 0
-        prune = (not search) and sys_.prune_every and step % sys_.prune_every == 0
+        prune = (not search) and step % PRUNE_EVERY == 0
         yield Charge(STEP_CPU_NS, "step_cpu", {"step": step})
         if search:
-            yield Charge(round(sys_.search_cpu_ns_per_atom * atoms),
-                         "pair_search_cpu")
+            yield Charge(round(SEARCH_CPU_NS_PER_ATOM * atoms), "pair_search_cpu")
             ev = yield from rt.submit(q_loc, "pair_search", search_ns)
             pending.append(ev)
 

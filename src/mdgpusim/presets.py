@@ -55,11 +55,7 @@ class SystemPreset:
     atoms: int
     pme: bool
     cutoff_nm: float = 0.9
-    density_per_nm3: float = 100.0
-    dt_fs: float = 2.0
     nstlist: int = 100
-    prune_every: int = 10
-    search_cpu_ns_per_atom: float = 16.0
     nbnxm_scale: float = 1.0
     pme_scale: float = 1.0
     listed_scale: float = 1.0
@@ -70,25 +66,19 @@ class SystemPreset:
         def need(f: str, what: str):
             return ValueError(f"{self.name}: {f} must be {what}, got {getattr(self, f)!r}")
 
-        for f in ("atoms", "nstlist", "prune_every"):
+        for f in ("atoms", "nstlist"):
             if not is_int(getattr(self, f)):
                 raise need(f, "an integer")
         if self.atoms < 1:
             raise ValueError(f"{self.name}: need at least one atom, got {self.atoms}")
         if self.nstlist < 1:
             raise need("nstlist", ">= 1")
-        if self.prune_every < 0:
-            raise need("prune_every", ">= 0")
         if not isinstance(self.pme, bool):
             raise need("pme", "true or false")
-        for f in ("dt_fs", "cutoff_nm", "density_per_nm3",
-                  "nbnxm_scale", "pme_scale", "listed_scale", "update_scale"):
+        for f in ("cutoff_nm", "nbnxm_scale", "pme_scale", "listed_scale", "update_scale"):
             value = getattr(self, f)
             if not (is_number(value) and 0 < value < math.inf):
                 raise need(f, "a number above 0")
-        value = self.search_cpu_ns_per_atom
-        if not (is_number(value) and 0 <= value < math.inf):
-            raise need("search_cpu_ns_per_atom", "a number >= 0")
         return self
 
     def scale_for(self, kind: KernelKind) -> float:

@@ -25,7 +25,7 @@ from mdgpusim.costs import (
     default_api_model,
 )
 from mdgpusim.engine import Engine
-from mdgpusim.pipeline import simulate
+from mdgpusim.pipeline import DT_FS, simulate
 from mdgpusim.presets import get_profile
 from mdgpusim.runtime import (
     DISPATCH_GAP_NS,
@@ -451,9 +451,9 @@ def test_execution_properties(event_mode_pair, multinode):
                    for r in series.values())
     for report in reports:
         lhs = report.ns_per_day * report.ms_per_step
-        rhs = 86.4 * report.plan.system.dt_fs
+        rhs = 86.4 * DT_FS
         expect(failures, abs(lhs - rhs) <= 1e-12 * rhs,
-               "ns_per_day * ms_per_step deviates from 86.4 * dt_fs")
+               "ns_per_day * ms_per_step deviates from 86.4 * DT_FS")
     criterion("scheduling and throughput properties", failures)
 
 

@@ -232,7 +232,7 @@ def test_block_simulation_matches_the_reference(monkeypatch, fields, block, queu
     assert run() == _on_reference(monkeypatch, run)
 
 
-# -- busy_ns: cli._utilizations counts the keys it finds ---------------------
+# -- busy_ns: simulate's utilizations count the keys they find --------------
 
 
 def _gen(effects):

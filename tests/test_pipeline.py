@@ -222,7 +222,7 @@ def test_throughput_identity():
 
 
 def test_throughput_identity_on_simulated_run(pme12k):
-    dt = pme12k.plan.system.dt_fs
+    dt = pipeline.DT_FS
     product = pme12k.ns_per_day * pme12k.ms_per_step
     assert abs(product - 86.4 * dt) <= 1e-12 * 86.4 * dt
 
@@ -583,7 +583,7 @@ def link_classes(plan):
     """Per link role, the set of link classes the links of every real
     rank use: one halo role per split dimension, to the +1 neighbour,
     and the long-range role."""
-    node, pp_ranks = plan.node, plan.pp_ranks
+    node, pp_ranks = pipeline.NODE, plan.pp_ranks
 
     def link(a, b):
         return node.link_class(a % node.n_gcds, b % node.n_gcds,

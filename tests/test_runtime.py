@@ -83,6 +83,17 @@ def test_every_profile_field_differs_between_bundled_profiles():
     assert alike == []
 
 
+def test_only_nstlist_is_alike_across_bundled_systems():
+    """A field every bundled system sets alike is no property of a
+    system: it belongs where the model reads it, as one constant.
+    ``nstlist`` is the one exception: runs resize with
+    ``--set system.nstlist``, and the benchmark reads it off the plan."""
+    systems = presets.load_systems().values()
+    alike = [f.name for f in dataclasses.fields(SystemPreset)
+             if len({getattr(s, f.name) for s in systems}) < 2]
+    assert alike == ["nstlist"]
+
+
 @pytest.mark.parametrize("filename, line, loader, message", [
     ("runtime-acpp-23.10.cfg", "submit_cost = 1700", load_profiles,
      "runtime-acpp-23.10.cfg: unknown key 'submit_cost'"),
