@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Verbs:
-    simulate      run one scenario, print or save a CSV report
+    simulate      run one scenario, print or save a CSV report, and
+                  save its full event trace JSON if asked
     sweep         run every scenario in a config file, cross products
                   expanded over space-separated axis values
     check         compare a CSV report against published reference
                   points, exit nonzero if any point lands out of band
     plan-affinity print rank-to-device bindings for a node profile
-    export-trace  run one scenario and save the full event trace JSON
 
 All flags are long-form.  CSV reports carry a schema version in a
 leading comment line, quote per RFC 4180, and are byte-stable for
@@ -40,11 +40,10 @@ COLUMNS = ["scenario", "system", "atoms", "ranks", "nodes", "backend",
            "ms_per_step", "ns_per_day", "gpu_utilization", "app_utilization",
            "max_launch_delay_us", "median_ms_per_step", "median_ns_per_day"]
 
-# the run fields of a Scenario: axis keys may hold several space-separated
-# values to sweep over, scalar keys hold one
+# the run fields of a Scenario, each a sweep axis that may hold several
+# space-separated values; a cross product varies the last key fastest
 AXIS_KEYS = ("system", "profile", "ranks", "max_cached_nodes", "instant",
-             "event_mode", "backend")
-SCALAR_KEYS = ("eras", "seed")
+             "event_mode", "backend", "eras", "seed")
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -128,14 +127,11 @@ def scenarios_from_config(mapping: Dict[str, Any]) -> List[Scenario]:
         sub = subsection(mapping, prefix)
         overrides = {k[len("set."):]: v for k, v in sub.items()
                      if k.startswith("set.")}
-        unknown = [k for k in sub
-                   if not k.startswith("set.")
-                   and k not in AXIS_KEYS and k not in SCALAR_KEYS]
+        unknown = [k for k in sub if not k.startswith("set.") and k not in AXIS_KEYS]
         if unknown:
             raise ConfigError(f"{prefix}: unknown scenario key(s) {sorted(unknown)}")
         if "system" not in sub or "profile" not in sub:
             raise ConfigError(f"{prefix}: scenario needs system and profile")
-        scalars = {k: sub[k] for k in SCALAR_KEYS if k in sub}
         # a value parse_config already typed (one token) is a single point;
         # a list is split into raw tokens, which the scenario id keeps,
         # each paired with its typed value
@@ -161,7 +157,7 @@ def scenarios_from_config(mapping: Dict[str, Any]) -> List[Scenario]:
             suffix = "/".join(f"{k}={combo[k][0]}" for k in varying)
             typed = {k: value for k, (_, value) in combo.items()}
             scenarios.append(Scenario(f"{prefix}/{suffix}" if suffix else prefix,
-                                      overrides=dict(overrides), **typed, **scalars))
+                                      overrides=dict(overrides), **typed))
     return scenarios
 
 
@@ -405,21 +401,17 @@ def run_check(rows: List[Dict[str, str]],
 def _parse_set(items: List[str]) -> Dict[str, Any]:
     overrides: Dict[str, Any] = {}
     for item in items:
-        key, sep, raw = item.partition("=")
+        key, sep, raw = (part.strip() for part in item.partition("="))
         # one line, so one --set sets one key
-        if not sep or not key.strip() or len(item.splitlines()) > 1:
+        if not sep or not key or not raw or len(item.splitlines()) > 1:
             raise ConfigError(f"--set expects one key=value, got {item!r}")
-        overrides.update(parse_config(f"{key.strip()} = {raw.strip()}"))
+        overrides[key] = parse_value(raw)
     return overrides
 
 
-def _scenario_from_args(args, scenario_id: str) -> Scenario:
-    given = {k: v for k, v in vars(args).items() if k in Scenario.__dataclass_fields__}
-    return Scenario(scenario_id, overrides=_parse_set(args.set), **given)
-
-
 def cmd_simulate(args) -> int:
-    scenario = _scenario_from_args(args, "cli")
+    given = {k: v for k, v in vars(args).items() if k in Scenario.__dataclass_fields__}
+    scenario = Scenario("cli", overrides=_parse_set(args.set), **given)
     plan = scenario.build_plan()
     with ExitStack() as files:
         out = _output(files, args.output)
@@ -475,16 +467,6 @@ def cmd_plan_affinity(args) -> int:
               f"nic={binding.nic} cores={cores} mask={binding.cpu_bind_mask()}")
     for line in plan.env_lines():
         print(line)
-    return 0
-
-
-def cmd_export_trace(args) -> int:
-    scenario = _scenario_from_args(args, "trace")
-    plan = scenario.build_plan()
-    with ExitStack() as files:
-        out = _output(files, args.output)
-        _, trace = run_plan(scenario, plan, keep_trace=True)
-        _emit(trace.to_json(indent=2), out, end="\n")
     return 0
 
 
@@ -556,12 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     aff.add_argument("--threads-per-rank", type=int, default=None,
                      dest="threads_per_rank")
     aff.set_defaults(func=cmd_plan_affinity)
-
-    exp = verbs.add_parser("export-trace",
-                           help="run one scenario and save its trace")
-    _add_scenario_flags(exp)
-    exp.add_argument("--output", required=True, help="trace JSON path")
-    exp.set_defaults(func=cmd_export_trace)
 
     return parser
 

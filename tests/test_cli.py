@@ -2,7 +2,7 @@
 
 Runs ``main`` in-process with temp files, covering the CSV schema,
 one row per scenario, sweep expansion, reference checking with its
-exit-code contract, affinity printing, trace export, and the docs
+exit-code contract, affinity printing, trace files, and the docs
 of each verb.
 """
 
@@ -24,7 +24,6 @@ from mdgpusim.cli import (
     AXIS_KEYS,
     COLUMNS,
     CSV_SCHEMA,
-    SCALAR_KEYS,
     Scenario,
     load_bundled_references,
     main,
@@ -75,7 +74,7 @@ def test_simulate_writes_versioned_csv(tmp_path):
 def test_scenario_alone_defines_the_run_fields():
     run_fields = [f for f in Scenario.__dataclass_fields__
                   if f not in ("scenario_id", "overrides")]
-    assert sorted(run_fields) == sorted(AXIS_KEYS + SCALAR_KEYS)
+    assert sorted(run_fields) == sorted(AXIS_KEYS)
     parser = cli.build_parser()
     verbs = next(a for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction))
@@ -150,8 +149,8 @@ def test_every_verb_is_documented():
 
 def test_scenario_flags_and_sweep_keys_are_documented():
     """README's ``### simulate`` defaults paragraph names exactly the
-    scenario flags, and its sweep section lists exactly the axis and
-    scalar keys, so a run option that goes leaves no stale docs."""
+    scenario flags, and its sweep section lists exactly the sweep keys in
+    one list, so a run option that goes leaves no stale docs."""
     parser = argparse.ArgumentParser()
     cli._add_scenario_flags(parser)
     registered = {o for a in parser._actions for o in a.option_strings
@@ -161,10 +160,10 @@ def test_scenario_flags_and_sweep_keys_are_documented():
     defaults = next(p for p in section.split("\n\n") if "are required" in p)
     assert set(re.findall(r"--[\w-]+", defaults)) == registered
 
-    def listed(label):
-        return tuple(re.findall(r"`(\w+)`", re.search(label + r"\s+\(([^)]*)\)", text)[1]))
-
-    assert (listed("Axis keys"), listed("Scalar keys")) == (AXIS_KEYS, SCALAR_KEYS)
+    listed = re.search(r"Scenario keys\s+\(([^)]*)\)", text)[1]
+    assert tuple(re.findall(r"`(\w+)`", listed)) == AXIS_KEYS
+    # every key is an axis, so no second kind of key is documented
+    assert not re.search(r"(?i)scalar\s+keys", text)
 
 
 def test_csv_output_is_byte_stable(tmp_path):
@@ -224,7 +223,7 @@ def test_atomless_system_is_rejected(capsys, ranks, atoms):
     (["--backend", "cuda"], "backend must be one of sycl, hip, got 'cuda'"),
     (["--ranks", "2", "--set", "settings.visible_devices=9"],
      "visible_devices must be at most the 8 devices of a lumi node, got 9"),
-])
+], ids=["ranks-0", "ranks-neg", "eras-1", "backend-cuda", "visible-devices-9"])
 def test_bad_run_shape_is_one_error_line(capsys, flags, message):
     code = main(["simulate", "--system", "grappa_pme_1500",
                  "--profile", "acpp-23.10", "--eras", "2"] + flags)
@@ -241,7 +240,9 @@ _RUN = ["simulate", "--system", "grappa_pme_1500", "--profile", "acpp-23.10"]
     (_RUN + ["--event-mode", "bogus"], "--event-mode"),
     ([], "verb"),
     (_RUN + ["--node", "lumi"], "--node lumi"),
-], ids=["bad-int", "missing-flag", "bad-choice", "no-verb", "unknown-flag"])
+    (["export-trace", *_RUN[1:]], "argument verb: invalid choice: 'export-trace'"),
+], ids=["bad-int", "missing-flag", "bad-choice", "no-verb", "unknown-flag",
+        "unknown-verb"])
 def test_bad_command_line_is_one_error_line(capsys, argv, names):
     """argparse's own complaint, without its usage block and without
     raising ``SystemExit`` out of ``main``."""
@@ -295,6 +296,10 @@ def test_bad_system_field_is_one_error_line(capsys, override, message):
      "--set expects one key=value, got 'system.nstlist=10\\r\\nsystem.atoms=50'"),
     ("system.nstlist=10\u2028system.atoms=50",
      "--set expects one key=value, got 'system.nstlist=10\\u2028system.atoms=50'"),
+    # not a comment line to skip, and not a key without a value
+    ("#system.nstlist=5",
+     "override '#system.nstlist' must start with system., profile. or settings."),
+    ("system.nstlist=", "--set expects one key=value, got 'system.nstlist='"),
 ])
 def test_bad_override_is_one_error_line(capsys, override, message):
     code = main(["simulate", "--system", "grappa_pme_1500",
@@ -380,6 +385,24 @@ def test_sweep_types_axis_tokens_like_config_values():
         ("b", True, 100)]
 
 
+def test_eras_and_seed_sweep_like_every_other_key(tmp_path):
+    """Each point of an eras-by-seed sweep gives, bar its id, the row
+    that a sweep of that one point gives."""
+    def sweep_rows(eras, seed):
+        cfg, out = tmp_path / "matrix.cfg", tmp_path / "matrix.csv"
+        cfg.write_text("fig.system = grappa_pme_1500\nfig.profile = acpp-23.10\n"
+                       f"fig.eras = {eras}\nfig.seed = {seed}\n", encoding="utf-8")
+        assert main(["sweep", "--scenarios", str(cfg), "--output", str(out)]) == 0
+        # the schema and header lines, then one line a row, then ""
+        return [line.split(b",", 1) for line in out.read_bytes().split(b"\r\n")[2:-1]]
+
+    rows = sweep_rows("2 3", "1 2")
+    points = [(eras, seed) for eras in (2, 3) for seed in (1, 2)]
+    assert [sid for sid, _ in rows] == [f"fig/eras={e}/seed={s}".encode() for e, s in points]
+    assert [rest for _, rest in rows] == [sweep_rows(*point)[0][1] for point in points]
+    assert len({rest for _, rest in rows}) == 4
+
+
 def sweep_fails_before_any_scenario_runs(monkeypatch, tmp_path, capsys, line):
     """The one stderr line of a sweep over ``line`` that must not run."""
     def simulate(*args, **kwargs):
@@ -424,6 +447,7 @@ BAD_SWEEP_LINES = [
     ("fig.set.system.atoms = 0", "fig: grappa_pme_1500: need at least one atom, got 0"),
     ("fig.node = mars", "fig: unknown scenario key(s) ['node']"),
     ("fig.ranks = 1 2 01", "fig: ranks lists 1 twice"),
+    ("fig.seed = 1 01", "fig: seed lists 1 twice"),
 ]
 
 
@@ -534,7 +558,7 @@ _VALUES = st.one_of(
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(key=st.sampled_from(AXIS_KEYS + SCALAR_KEYS), value=_VALUES)
+@given(key=st.sampled_from(AXIS_KEYS), value=_VALUES)
 def test_sweep_value_runs_or_is_one_error_line(monkeypatch, tmp_path, capsys,
                                                key, value):
     def simulate(*args, **kwargs):
@@ -833,7 +857,6 @@ _RUN_FLAGS = ["--system", "grappa_pme_1500", "--profile", "acpp-23.10", "--eras"
     ["sweep", "--scenarios", "{latin1}"],
     ["simulate", *_RUN_FLAGS, "--output", "{unwritable}"],
     ["simulate", *_RUN_FLAGS, "--trace", "{unwritable}"],
-    ["export-trace", *_RUN_FLAGS, "--output", "{unwritable}"],
     ["simulate", *_RUN_FLAGS, "--output", "{csv}", "--trace", "{unwritable}"],
     ["sweep", "--scenarios", "{scenarios}", "--output", "{unwritable}"],
 ], ids=lambda argv: " ".join(a for a in argv if a not in _RUN_FLAGS))
@@ -893,10 +916,9 @@ def test_plan_affinity_out_of_range_states_the_range(capsys, flags, message):
 
 
 def test_export_trace_round_trips(tmp_path):
-    out = tmp_path / "trace.json"
-    code = main(["export-trace", "--system", "grappa_pme_1500",
-                 "--profile", "acpp-23.10", "--eras", "2",
-                 "--output", str(out)])
+    """``simulate --trace`` saves the trace beside the CSV report."""
+    report, out = tmp_path / "run.csv", tmp_path / "trace.json"
+    code = main(["simulate", *_RUN_FLAGS, "--output", str(report), "--trace", str(out)])
     assert code == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     assert set(data) == {"makespan_ns", "records"}
@@ -904,7 +926,8 @@ def test_export_trace_round_trips(tmp_path):
     record = data["records"][0]
     assert set(record) == {"actor", "name", "begin_ns", "end_ns", "args"}
     # the text and its line break, written one after the other
-    _, trace = cli.run_scenario(Scenario("trace", system="grappa_pme_1500",
-                                         profile="acpp-23.10", eras=2),
-                                keep_trace=True)
+    rows, trace = cli.run_scenario(Scenario("cli", system="grappa_pme_1500",
+                                            profile="acpp-23.10", eras=2),
+                                   keep_trace=True)
     assert out.read_bytes() == (trace.to_json(indent=2) + "\n").encode("ascii")
+    assert report.read_bytes() == cli.render_csv(rows).encode("ascii")

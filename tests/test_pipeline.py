@@ -72,7 +72,8 @@ def test_bad_plan_shape_raises_before_anything_runs(monkeypatch, field, value):
 
 
 @pytest.mark.parametrize("ranks, block", [(1, (2, 1, 1)), (4, (2, 2)), (4, (2, 0, 1)),
-                                          (8, (2.0, 2, 2)), (12, (2, 2, 2))])
+                                          (8, (2.0, 2, 2)), (12, (2, 2, 2))],
+                         ids=["1-2x1x1", "4-2x2", "4-2x0x1", "8-2.0x2x2", "12-2x2x2"])
 def test_block_that_does_not_tile_the_grid_raises(ranks, block):
     plan = RunPlan(system=get_system("grappa_rf_24k"), profile=get_profile("acpp-23.10"),
                    settings=RunSettings(), ranks=ranks)
