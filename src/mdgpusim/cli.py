@@ -225,12 +225,6 @@ def _output(files: ExitStack, path: Optional[str]) -> TextIO:
     return files.enter_context(open(path, "w", encoding="utf-8", newline=""))
 
 
-def _emit(text: str, out: TextIO, end: str = "") -> None:
-    """Write ``text`` then ``end`` to ``out`` without joining them into a
-    second copy of ``text``."""
-    out.writelines((text, end))
-
-
 def read_report(path: str) -> List[Dict[str, str]]:
     """The rows of a report, which must open with the schema line."""
     lines = read_text(path).splitlines()
@@ -405,6 +399,8 @@ def _parse_set(items: List[str]) -> Dict[str, Any]:
         # one line, so one --set sets one key
         if not sep or not key or not raw or len(item.splitlines()) > 1:
             raise ConfigError(f"--set expects one key=value, got {item!r}")
+        if key in overrides:  # as a config file refuses a duplicate key
+            raise ConfigError(f"--set gives {key} twice")
         overrides[key] = parse_value(raw)
     return overrides
 
@@ -417,9 +413,10 @@ def cmd_simulate(args) -> int:
         out = _output(files, args.output)
         trace_out = None if args.trace is None else _output(files, args.trace)
         row, trace = run_plan(scenario, plan, keep_trace=trace_out is not None)
-        _emit(render_csv([row]), out)
-        if trace_out is not None:
-            _emit(trace.to_json(indent=2), trace_out, end="\n")
+        out.write(render_csv([row]))
+        if trace_out is not None:  # piece by piece, never the whole text at once
+            trace_out.writelines(trace.json_chunks(indent=2))
+            trace_out.write("\n")
     return 0
 
 
@@ -437,7 +434,7 @@ def cmd_sweep(args) -> int:
         out = _output(files, args.output)
         rows = [run_plan(scenario, plan, keep_trace=False)[0]
                 for scenario, plan in zip(scenarios, plans)]
-        _emit(render_csv(rows), out)
+        out.write(render_csv(rows))
     return 0
 
 

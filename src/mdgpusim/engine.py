@@ -11,9 +11,9 @@ Building blocks:
   idle workers that only one waker ever resumes
 * ``Domain``     -- one core that runs its occupants' charges one at a
   time, in arrival order, each stretched by the background duty
-* ``Trace``      -- completed charge records plus per-actor busy time;
-  writes its own JSON from one template per payload object, joined
-  once
+* ``Trace``      -- completed charge records, kept as columns, plus
+  per-actor busy time; writes its own JSON in pieces of ``JSON_CHUNK``
+  records, each filled from one template per ``(actor, charge)`` head
 
 An event carries no payload: it only fires.  Busy time is kept on each
 ``Process``, counted when a charge begins (its end is fixed then), and
@@ -67,11 +67,14 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Generator, Optional
+from typing import Generator, Iterable, Iterator, Optional
 
 MILLI_DUTY = 1000  # duty units contributed by one fully-busy thread
+JSON_CHUNK = 2048  # records per piece of ``Trace.json_chunks``
 
 
 class CausalityError(RuntimeError):
@@ -86,7 +89,7 @@ class DeadlockError(RuntimeError):
         super().__init__("deadlock: blocked actors: " + ", ".join(self.actors))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Charge:
     """Yield to spend ``cost_ns`` of CPU work.
 
@@ -95,7 +98,8 @@ class Charge:
     it takes exactly ``cost_ns`` from now.  One charge may be yielded
     any number of times, by any process: the engine never mutates it
     and stores no per-yield state on it, so a charge that repeats can
-    be built once and yielded by reference.
+    be built once and yielded by reference.  It compares and hashes by
+    identity, as ``Process.heads`` keys it.
 
     Attributes:
         cost_ns: pure work in nanoseconds, before any slowdown
@@ -163,10 +167,13 @@ class Process:
     answered yet.  ``busy`` sums the ns of the charges it has begun, each
     counted whole when it begins, as its end is fixed then; once the run
     drains, that is the ns of its finished charges.  ``send`` is the
-    generator's bound ``send``, taken once.
+    generator's bound ``send``, taken once.  Under a kept trace,
+    ``heads`` maps each charge it has finished to the position of its
+    ``(name, charge)`` head in the trace's heads.
     """
 
-    __slots__ = ("name", "gen", "send", "domain", "daemon", "done", "parked", "busy")
+    __slots__ = ("name", "gen", "send", "domain", "daemon", "done", "parked", "busy",
+                 "heads")
 
     def __init__(self, name: str, gen: Generator, domain: Optional["Domain"], daemon: bool):
         self.name = name
@@ -177,6 +184,7 @@ class Process:
         self.done = False
         self.parked = False
         self.busy = 0
+        self.heads: dict = {}
 
     def __repr__(self):
         return f"Process({self.name!r}{', done' if self.done else ''})"
@@ -214,31 +222,55 @@ class Domain:
         return f"Domain({self.name!r}, cores={self.cores}, free_at={self.free_at})"
 
 
-@dataclass
 class Trace:
     """Everything a finished run left behind.
 
-    Each record is the tuple ``(actor, name, begin_ns, end_ns, args)``,
-    with ``args`` the charge's payload or None.
+    Its records are kept as columns: ``heads`` lists each distinct
+    ``(actor, charge)`` once, the array ``index`` gives each record's
+    head by its position there, and the signed 64-bit array ``times``
+    alternates each record's begin and end ns, so a record costs 20
+    bytes and no object of its own.  ``records`` reads them back as the
+    tuples ``(actor, name, begin_ns, end_ns, args)``, with ``args`` the
+    charge's payload or None.  ``Trace(records=...)`` builds the columns
+    from such tuples, with one ``Charge`` per distinct name and payload,
+    and keeps times that do not fit in 64 bits as a list of ints.
     """
 
-    records: list = field(default_factory=list)
-    makespan_ns: int = 0
-    busy_ns: dict = field(default_factory=dict)
+    def __init__(self, records: Iterable[tuple] = (), makespan_ns: int = 0,
+                 busy_ns: Optional[dict] = None, *, columns: Optional[tuple] = None):
+        self.makespan_ns = makespan_ns
+        self.busy_ns = {} if busy_ns is None else busy_ns
+        if columns is not None:
+            self.heads, self.index, self.times = columns
+            return
+        # (actor, name, id(args)) -> position in heads, whose charge keeps args alive
+        found: dict = {}
+        self.heads, self.index, times = [], array("I"), []
+        for actor, name, begin, end, args in records:
+            i = found.get((actor, name, id(args)))
+            if i is None:
+                i = found[actor, name, id(args)] = len(self.heads)
+                self.heads.append((actor, Charge(0, name, args)))
+            self.index.append(i)
+            times += begin, end
+        try:
+            self.times = array("q", times)
+        except OverflowError:
+            self.times = times
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The bytes ``json.dumps({"makespan_ns": ..., "records": [...]},
-        indent=indent)`` gives with each record the object ``{"actor",
-        "name", "begin_ns", "end_ns", "args"}``, ``args`` ``{}`` for none.
+    @property
+    def records(self) -> "_Records":
+        return _Records(self)
 
-        Each distinct ``(actor, name, id(args))`` is encoded once, with
-        the C string encoder, into a template of three strings: the text
-        of its record and the separator before it, split around
-        ``begin_ns`` and ``end_ns``.  A record is its template with the
-        two numbers written between those strings, and the header, every
-        record and the closing bracket are joined once.  Every payload
-        stays alive in ``records`` for the whole call, so an id names
-        one object.
+    def json_chunks(self, indent: Optional[int] = None) -> Iterator[str]:
+        """The text of ``to_json(indent)`` in pieces of at most
+        ``JSON_CHUNK`` records each, so a writer holds one piece at a time.
+
+        Each head is encoded once, with the C string encoder, into a
+        template: the %-format of its record and the separator before it,
+        with ``%d`` for ``begin_ns`` and ``end_ns``.  A piece is its
+        records' templates joined and then filled from that slice of
+        ``times`` with one ``%``, so no per-record string is ever made.
 
         ``json`` itself would fall back to its pure-Python encoder
         whenever ``indent`` is set.  ``indent=None`` and an int share one
@@ -255,35 +287,73 @@ class Trace:
         args_open, args_sep, args_close = "{" + p4, comma + p4, p3 + "}"
         enc = encode_basestring_ascii
 
-        def template(actor, name, args) -> tuple:
+        def template(head) -> str:
+            actor, charge = head
+            args = charge.args
             if args:
                 text = args_open + args_sep.join(
                     [enc(k) + ": " + _json_scalar(v) for k, v in args.items()]
                 ) + args_close
             else:
                 text = "{}"
-            return (comma + p2 + "{" + p3 + '"actor": ' + enc(actor) + field_sep
-                    + '"name": ' + enc(name) + field_sep + '"begin_ns": ',
-                    field_sep + '"end_ns": ',
-                    field_sep + '"args": ' + text + p2 + "}")
+            before = (comma + p2 + "{" + p3 + '"actor": ' + enc(actor) + field_sep
+                      + '"name": ' + enc(charge.name) + field_sep + '"begin_ns": ')
+            after = field_sep + '"args": ' + text + p2 + "}"
+            return (before.replace("%", "%%") + "%d" + field_sep + '"end_ns": %d'
+                    + after.replace("%", "%%"))
 
-        templates: dict = {}  # (actor, name, id(args)) -> (before, mid, after)
-        parts = ["{" + p1 + '"makespan_ns": %d' % self.makespan_ns + comma + p1
-                 + '"records": [']
-        append = parts.append
-        for actor, name, begin, end, args in self.records:
-            ref = (actor, name, id(args))
-            pieces = templates.get(ref)
-            if pieces is None:
-                pieces = templates[ref] = template(actor, name, args)
-            before, mid, after = pieces
-            append(f"{before}{begin}{mid}{end}{after}")
-        if len(parts) > 1:
-            parts[1] = parts[1][len(comma):]  # no separator before the first
-            append(p1 + "]" + p0 + "}")
-        else:
-            append("]" + p0 + "}")
-        return "".join(parts)
+        templates = [template(head) for head in self.heads]
+        index, times = self.index, self.times
+        yield "{" + p1 + '"makespan_ns": %d' % self.makespan_ns + comma + p1 + '"records": ['
+        for lo in range(0, len(index), JSON_CHUNK):
+            hi = lo + JSON_CHUNK
+            text = "".join(map(templates.__getitem__, index[lo:hi])) % tuple(
+                times[2 * lo:2 * hi])
+            yield text[len(comma):] if lo == 0 else text  # no separator before the first
+        yield (p1 if index else "") + "]" + p0 + "}"
+
+    def to_json(self, indent: Optional[int] = None) -> str:
+        """The bytes ``json.dumps({"makespan_ns": ..., "records": [...]},
+        indent=indent)`` gives with each record the object ``{"actor",
+        "name", "begin_ns", "end_ns", "args"}``, ``args`` ``{}`` for none:
+        the pieces of ``json_chunks`` joined once, so at its peak it holds
+        the text twice and no string per record."""
+        return "".join(self.json_chunks(indent))
+
+
+class _Records(Sequence):
+    """A read-only view of a ``Trace``'s records as ``(actor, name,
+    begin_ns, end_ns, args)`` tuples, each built when it is read; equal
+    to another view or a list holding the same tuples."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.index)
+
+    def __getitem__(self, index: int) -> tuple:
+        i = range(len(self))[index]  # the IndexError and negative indices of a list
+        trace = self._trace
+        actor, charge = trace.heads[trace.index[i]]
+        return actor, charge.name, trace.times[2 * i], trace.times[2 * i + 1], charge.args
+
+    def __iter__(self) -> Iterator[tuple]:
+        heads = self._trace.heads
+        times = iter(self._trace.times)  # zip over it twice reads begin, then end
+        for i, begin, end in zip(self._trace.index, times, times):
+            actor, charge = heads[i]
+            yield actor, charge.name, begin, end, charge.args
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Records)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 # kinds of heap entry, each the tuple (when, seq, kind, obj, charge, begin);
@@ -307,7 +377,9 @@ class Engine:
     """Event loop: spawn processes, post events, run to quiescence.
 
     With ``keep_trace`` false the returned ``Trace`` has no records;
-    ``busy_ns`` and the makespan are kept either way.
+    ``busy_ns`` and the makespan are kept either way.  A kept trace
+    stores its times in 64 bits, so a traced run must end before 2**63
+    ns (292 years); a later record raises ``OverflowError``.
     """
 
     def __init__(self, keep_trace: bool = True):
@@ -317,7 +389,10 @@ class Engine:
         self._seq = 0
         self._procs: list[Process] = []
         self._domains: dict[str, Domain] = {}
-        self._records: list[tuple] = []
+        # the columns of the trace it keeps
+        self._heads: list = []
+        self._index = array("I")
+        self._times = array("q")
         # processes that finished a zero-cost charge: each has a busy key
         # even if its busy time is 0
         self._zero_charged: set[Process] = set()
@@ -406,8 +481,10 @@ class Engine:
         """
         heap = self._heap
         pop, push = heapq.heappop, heapq.heappush
-        records = self._records if self.keep_trace else None
-        ends = _RESUME if records is None else _FINISH  # a queued charge's end entry
+        index = self._index if self.keep_trace else None
+        times = self._times
+        head = self._head
+        ends = _RESUME if index is None else _FINISH  # a queued charge's end entry
         zero_charged = self._zero_charged
         resume, finish, fire = _RESUME, _FINISH, _FIRE
         now = self.now
@@ -419,7 +496,10 @@ class Engine:
             self.now = now = when
             if kind is not resume:  # a resume, the commonest, needs nothing first
                 if kind is finish:  # charge ends now
-                    records.append((proc.name, charge.name, begin, now, charge.args))
+                    i = proc.heads.get(charge)
+                    index.append(head(proc, charge) if i is None else i)
+                    times.append(begin)
+                    times.append(now)
                 elif kind is fire:  # proc is the Event
                     event = proc
                     if event.fired:
@@ -471,14 +551,20 @@ class Engine:
                                 break
                             # zero cost: it ends now, its resume queued behind
                             # the entries due now
-                            if records is not None:
-                                records.append((proc.name, effect.name, now, now, effect.args))
+                            if index is not None:
+                                i = proc.heads.get(effect)
+                                index.append(head(proc, effect) if i is None else i)
+                                times.append(now)
+                                times.append(now)
                             push(heap, (now, self._seq, resume, proc, None, None))
                             self._seq += 1
                             break
                         # handed off: it ends here
-                        if records is not None:
-                            records.append((proc.name, effect.name, begin, when, effect.args))
+                        if index is not None:
+                            i = proc.heads.get(effect)
+                            index.append(head(proc, effect) if i is None else i)
+                            times.append(begin)
+                            times.append(when)
                         self.now = now = when
                     elif cls is WaitFor:
                         event = effect.event
@@ -515,7 +601,15 @@ class Engine:
         for p in self._procs:
             if p.busy or p in zero_charged:
                 busy[p.name] = busy.get(p.name, 0) + p.busy
-        return Trace(records=self._records, makespan_ns=self.now, busy_ns=busy)
+        return Trace(makespan_ns=self.now, busy_ns=busy,
+                     columns=(self._heads, self._index, self._times))
+
+    def _head(self, proc: Process, charge: Charge) -> int:
+        """Add ``(proc.name, charge)`` to the trace's heads, on its first
+        record, and return its position there."""
+        i = proc.heads[charge] = len(self._heads)
+        self._heads.append((proc.name, charge))
+        return i
 
     def close(self) -> None:
         """Close every unfinished process's generator.  A parked daemon's

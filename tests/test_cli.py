@@ -8,10 +8,12 @@ of each verb.
 
 import argparse
 import dataclasses
+import gc
 import io
 import json
 import math
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -310,7 +312,18 @@ def test_bad_override_is_one_error_line(capsys, override, message):
     assert out.out == ""
 
 
-_SET_KEYS = [f"{scope}.{f.name}" for scope, cls in (
+@pytest.mark.parametrize("second", ["system.nstlist=10", " system.nstlist = 5"],
+                         ids=["other-value", "same-value"])
+def test_repeated_override_is_one_error_line(capsys, second):
+    """A key that two ``--set`` give is refused, as a config file refuses
+    a duplicate key, instead of keeping the last value."""
+    code = main(["simulate", *_RUN_FLAGS, "--set", "system.nstlist=5", "--set", second])
+    out = capsys.readouterr()
+    assert code == 2
+    assert (out.out, out.err) == ("", "error: --set gives system.nstlist twice\n")
+
+
+_SET_KEYS =[f"{scope}.{f.name}" for scope, cls in (
     ("system", SystemPreset), ("profile", RuntimeProfile), ("settings", RunSettings))
     for f in dataclasses.fields(cls)]
 # nstlist sets how many steps run, so a large one asks for a long valid run
@@ -931,3 +944,28 @@ def test_export_trace_round_trips(tmp_path):
                                    keep_trace=True)
     assert out.read_bytes() == (trace.to_json(indent=2) + "\n").encode("ascii")
     assert report.read_bytes() == cli.render_csv(rows).encode("ascii")
+
+
+def test_simulate_trace_streams_to_its_file(tmp_path, monkeypatch):
+    """``simulate --trace`` writes the trace piece by piece: once the run
+    is done, the command allocates at peak less than half the file it
+    writes, where writing the whole text at once took more than twice."""
+    run_plan = cli.run_plan
+
+    def run_then_count_allocations(*args, **kwargs):
+        result = run_plan(*args, **kwargs)
+        gc.collect()
+        tracemalloc.start()
+        return result
+
+    monkeypatch.setattr(cli, "run_plan", run_then_count_allocations)
+    out = tmp_path / "trace.json"
+    try:
+        code = main(["simulate", "--system", "grappa_pme_12k", "--profile", "acpp-23.10",
+                     "--max-cached-nodes", "100", "--event-mode", "full",
+                     "--output", str(tmp_path / "run.csv"), "--trace", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < out.stat().st_size / 2

@@ -351,6 +351,20 @@ def test_trace_json_matches_json_dumps_of_the_dict_form(records, makespan, inden
     assert got == json.dumps(dict_form, indent=indent)
 
 
+def test_trace_built_from_records_reads_them_back():
+    """``Trace(records=...)`` keeps its records as columns and reads back
+    the same tuples, payloads by reference and times beyond 64 bits
+    included."""
+    shared = {"n": 1}
+    records = [("a", "x", 0, 5, shared), ("b", "x", 5, 2**70, shared), ("a", "y", 7, 7, None)]
+    trace = Trace(records=records)
+    assert len(trace.records) == 3 and trace.records == records
+    assert trace.records[-1] == records[-1]
+    assert trace.records[1][4] is shared
+    with pytest.raises(IndexError):
+        trace.records[3]
+
+
 @pytest.mark.parametrize("value", [[1], {"node": 3}, (1, 2)], ids=["list", "dict", "tuple"])
 @pytest.mark.parametrize("indent", [None, 2])
 def test_trace_json_refuses_a_nested_args_value(value, indent):

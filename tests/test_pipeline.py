@@ -380,15 +380,33 @@ def test_a_warm_draw_cache_leaves_the_bytes_unchanged():
     assert warm == cold
 
 
+FULL12K = Scenario(scenario_id="full12k", system="grappa_pme_12k", profile="acpp-23.10",
+                   max_cached_nodes=100, event_mode="full")
+
+
 @pytest.fixture(scope="module")
 def full12k_trace():
     """The 27,021-record trace of a full-event deferred 12k run, the
     largest one the benchmark writes."""
-    _, trace = run_scenario(Scenario(scenario_id="full12k", system="grappa_pme_12k",
-                                     profile="acpp-23.10", max_cached_nodes=100,
-                                     event_mode="full"),
-                            keep_trace=True)
+    _, trace = run_scenario(FULL12K, keep_trace=True)
     return trace
+
+
+def test_kept_trace_holds_few_bytes_per_record():
+    """A kept trace holds its records as columns: what a run leaves
+    allocated is under 48 B per record, where a tuple per record held
+    about 130 B."""
+    run_scenario(FULL12K, keep_trace=True)  # warms the draw cache and the memo tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, trace = run_scenario(FULL12K, keep_trace=True)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 27_021
+    assert held < 48 * 27_021
 
 
 def test_trace_json_peak_memory_stays_below_three_outputs(full12k_trace):

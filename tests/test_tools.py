@@ -44,3 +44,15 @@ def test_per_line_counts_sum_to_the_function_total(monkeypatch):
     # every counted line lies in that function's file, past its def line
     assert {f for f, _ in lines} == {filename}
     assert min(line for _, line in lines) > first_line and len(lines) > 5
+
+
+def test_per_line_counts_print_the_engine_loop(monkeypatch, capsys):
+    """Some opcodes of the engine loop have no line number; they print
+    as line 0 instead of breaking the sort of the per-line table."""
+    tool = _count_bytecodes(monkeypatch)
+    name = "Engine.run_until_idle"
+    ops, calls, lines = tool.count([SCENARIO], keep_trace=False, lines_of=name)
+    assert tool._print_lines(name, ops, calls, lines) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert name in out[0]
+    assert sum(int(row.split()[0].replace(",", "")) for row in out[2:]) == sum(lines.values())

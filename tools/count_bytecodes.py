@@ -14,7 +14,8 @@ the most bytecodes:
 
 With ``--lines QUALNAME`` it prints, in place of the function table,
 the bytecodes each source line of the functions with that qualified
-name executed.
+name executed.  Opcodes that belong to no line are counted under line
+0, shown as ``(no line)``.
 
 Only Python frames are counted: a builtin such as ``heapq.heappush``
 counts as no call and no bytecode.  A generator's every resume counts as
@@ -68,7 +69,8 @@ def count(scenarios: Iterable, keep_trace: bool,
     def on_line_event(frame, event, arg):
         if event == "opcode":
             ops[frame.f_code] += 1
-            lines[frame.f_code.co_filename, frame.f_lineno] += 1
+            # some opcodes have no line (f_lineno None): they count as line 0
+            lines[frame.f_code.co_filename, frame.f_lineno or 0] += 1
         return on_line_event
 
     # one untraced execution first warms every lazy import and memo, so
@@ -136,7 +138,7 @@ def _print_lines(qualname: str, ops: Counter, calls: Counter, lines: Counter) ->
         print(f"{ops[where]:>12,}{calls[where]:>10,}  {name} ({Path(filename).name}:{first})")
     print(f"{'bytecodes':>12}{'line':>10}  source")
     for (filename, line), n in sorted(lines.items()):
-        source = linecache.getline(filename, line).rstrip()
+        source = linecache.getline(filename, line).rstrip() if line else "(no line)"
         print(f"{n:>12,}{line:>10}  {source}")
     return 0
 
