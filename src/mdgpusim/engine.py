@@ -50,11 +50,14 @@ Invariants the rest of the package leans on:
   ``Sleep`` whose entry would be the next one popped -- the heap is
   empty or its head lies strictly later -- completes at once: the loop
   moves the clock, writes the record and resumes the process, with no
-  heap round trip.  Of the pop branches, fire resumes its first waiter
-  at once after queueing the others, and unpark its process unless
-  another entry is due now.  ``Engine.fire`` sets an event fired with
-  no entry when that entry would be popped next and resume no one; its
-  docstring states what its caller must keep to until it yields.  The
+  heap round trip.  One that must wait swaps its entry in for the head
+  with a single ``heapreplace``, and the head runs next.  Of the pop
+  branches, fire resumes its first waiter at once after queueing the
+  others, and unpark its process unless another entry is due now, when
+  it swaps the process's resume in for the head in the same way.
+  ``Engine.fire`` sets an event fired with no entry when that entry
+  would be popped next and resume no one; its docstring states what its
+  caller must keep to until it yields.  The
   order and the records match a run that pushes every entry
   (``tests/reference_engine.py``): sequence numbers only break ties
   between entries due at the same time, so an entry never pushed
@@ -478,9 +481,20 @@ class Engine:
         entry picks the process to resume, and the inner loop acts on
         each effect it yields until one must wait on the heap (the
         handoff in the module docstring).
+
+        An effect that must wait queues its entry with ``heapreplace``,
+        which returns the head and puts the new entry in its place, in
+        one sift instead of a push and the next pop.  It returns the
+        entry that push and pop would: the effect waits only if the
+        head's time is at or before the new entry's, and the new entry
+        holds the newest sequence number, so on a tie too the head comes
+        first.  While a process runs, the heap holds what it would after
+        that pop, so ``Engine.fire`` and the handoff read the same head.
+        A block, a park, a finished generator and a fire that resumes no
+        waiter at once queue nothing, and pop the next entry.
         """
         heap = self._heap
-        pop, push = heapq.heappop, heapq.heappush
+        pop, push, replace = heapq.heappop, heapq.heappush, heapq.heapreplace
         index = self._index if self.keep_trace else None
         times = self._times
         head = self._head
@@ -488,9 +502,14 @@ class Engine:
         zero_charged = self._zero_charged
         resume, finish, fire = _RESUME, _FINISH, _FIRE
         now = self.now
-        while heap:
+        entry = None  # the next entry to run when a swap took it, else None
+        while True:
+            if entry is None:
+                if not heap:
+                    break
+                entry = pop(heap)
             # charge and begin are a _FINISH entry's, None on the others
-            when, _, kind, proc, charge, begin = pop(heap)
+            when, _, kind, proc, charge, begin = entry
             if when < now:
                 raise CausalityError(f"event at {when} ns behind clock {now} ns")
             self.now = now = when
@@ -514,10 +533,11 @@ class Engine:
                         push(heap, (now, self._seq, resume, proc, None, None))
                         self._seq += 1
                     if not direct:
+                        entry = None
                         continue
                     proc = waiters[0]
                 elif heap and heap[0][0] <= now:  # _UNPARK, behind entries due now
-                    push(heap, (now, self._seq, resume, proc, None, None))
+                    entry = replace(heap, (now, self._seq, resume, proc, None, None))
                     self._seq += 1
                     continue
             send = proc.send
@@ -546,7 +566,8 @@ class Engine:
                             when = now + cost  # no core to wait for: exactly cost_ns
                         if heap and heap[0][0] <= when:
                             if cost:
-                                push(heap, (when, self._seq, ends, proc, effect, begin))
+                                entry = replace(heap, (when, self._seq, ends, proc, effect,
+                                                       begin))
                                 self._seq += 1
                                 break
                             # zero cost: it ends now, its resume queued behind
@@ -556,7 +577,7 @@ class Engine:
                                 index.append(head(proc, effect) if i is None else i)
                                 times.append(now)
                                 times.append(now)
-                            push(heap, (now, self._seq, resume, proc, None, None))
+                            entry = replace(heap, (now, self._seq, resume, proc, None, None))
                             self._seq += 1
                             break
                         # handed off: it ends here
@@ -570,20 +591,22 @@ class Engine:
                         event = effect.event
                         if not event.fired:
                             event._waiters.append(proc)
+                            entry = None
                             break
                         if heap and heap[0][0] <= now:
-                            push(heap, (now, self._seq, resume, proc, None, None))
+                            entry = replace(heap, (now, self._seq, resume, proc, None, None))
                             self._seq += 1
                             break
                     elif effect is PARK:
                         proc.parked = True
+                        entry = None
                         break
                     elif cls is Sleep:
                         if effect.delay_ns < 0:
                             raise CausalityError(f"{proc.name} slept for {effect.delay_ns} ns")
                         when = now + effect.delay_ns
                         if heap and heap[0][0] <= when:
-                            push(heap, (when, self._seq, resume, proc, None, None))
+                            entry = replace(heap, (when, self._seq, resume, proc, None, None))
                             self._seq += 1
                             break
                         self.now = now = when
@@ -592,6 +615,7 @@ class Engine:
                                         "expected Charge/Sleep/WaitFor/PARK")
             except StopIteration:
                 proc.done = True
+                entry = None
         blocked = [p.name for p in self._procs if not (p.done or p.daemon)]
         if blocked:
             raise DeadlockError(blocked)

@@ -343,6 +343,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
     send_x, recv_f = Charge(mpi_cpu, "mpi_send_x"), Charge(mpi_cpu, "mpi_recv_f")
     mpi_halo_x = Charge(2 * mpi_cpu, "mpi_halo_x")
     mpi_halo_f = Charge(2 * mpi_cpu, "mpi_halo_f")
+    search_cpu = Charge(round(SEARCH_CPU_NS_PER_ATOM * atoms), "pair_search_cpu")
     inline_pme = sys_.pme and pme_link is None
     if pme_link is not None:
         x_wire, x_sent, f_ready = pme_link
@@ -374,7 +375,7 @@ def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,
         prune = (not search) and step % PRUNE_EVERY == 0
         yield Charge(STEP_CPU_NS, "step_cpu", {"step": step})
         if search:
-            yield Charge(round(SEARCH_CPU_NS_PER_ATOM * atoms), "pair_search_cpu")
+            yield search_cpu
             ev = yield from rt.submit(q_loc, "pair_search", search_ns)
             pending.append(ev)
 

@@ -36,16 +36,17 @@ so it is not woken.
 Every charge that repeats is built once per run, in a ``costs.Table``
 that builds a missing entry from its key, and yielded by reference (the
 engine never mutates a charge).  A rank keeps one ``Work`` per
-``(stream, name, duration_ns)`` node, holding its trace payloads, its
-kernel, device packet, submit and flush-processing charges and tables
-of its launch charges by drawn latency and dispatch charges by gap,
-plus a table of API-call charges per kind; a link keeps one ``Work``
-per direction.  Per rank and distinct input it keeps a flush trigger
-per ``(nodes, contention applies)``, a flush worker's bookkeeping per
-batch size and a retirement per ``(tax, flushes)``.  No builder holds
-the runtime.  Contention applies only to a threshold flush on a rank
-with peers on its node, so a rank alone on its node does no contention
-arithmetic and keeps no count of its buffered kernel time.
+``(stream, name, duration_ns)`` node, holding that stream, its trace
+payloads, its kernel, device packet, submit and flush-processing
+charges and tables of its launch charges by drawn latency and dispatch
+charges by gap, plus a table of API-call charges per kind; a link keeps
+one ``Work`` per direction.  Per rank and distinct input it keeps a
+flush trigger per ``(nodes, contention applies)``, a flush worker's
+bookkeeping per batch size and a retirement per ``(tax, flushes)``.  No
+builder holds the runtime.  Contention applies only to a threshold
+flush on a rank with peers on its node, so a rank alone on its node
+does no contention arithmetic and keeps no count of its buffered kernel
+time.
 
 A submission is one object: the ``DevTask`` is itself the ``Event`` that
 its completion fires.  Its slot fires it with ``Engine.fire``, so a
@@ -53,7 +54,9 @@ task that nobody waits on, ending while nothing else is due, queues no
 heap entry.  A ``Stream`` puts a task on its slot's FIFO and wakes the
 slot itself.  ``submit`` and ``sync`` yield the flush trigger charge
 themselves and then hand the batch over with a plain method call, so a
-flush adds no generator of its own.
+flush adds no generator of its own.  The buffer and each batch hold
+bare tasks: the flush worker reaches a task's stream through its
+``Work``.
 
 Event-recording modes: ``COARSE`` records only the sync marker, while
 ``FULL`` records one event per node, paying host-side create/record
@@ -207,19 +210,22 @@ class Work:
     device packet and ``process`` the flush worker's per-node charge,
     each None where the run pays none.  ``launches`` is the table of
     ``kernel_launch`` charges by drawn latency, and ``dispatches`` that
-    of ``dispatch`` charges by its slot's gap.
+    of ``dispatch`` charges by its slot's gap.  ``stream`` is the stream
+    its tasks go to, or None on a link.
     """
 
-    __slots__ = ("kernel", "packet", "submit", "process", "done_name",
+    __slots__ = ("kernel", "packet", "submit", "process", "stream", "done_name",
                  "launches", "dispatches")
 
     def __init__(self, kernel: Charge, for_args: Optional[dict] = None,
                  packet: Optional[Charge] = None, node_args: Optional[dict] = None,
-                 submit: Optional[Charge] = None, process: Optional[Charge] = None):
+                 submit: Optional[Charge] = None, process: Optional[Charge] = None,
+                 stream: Optional["Stream"] = None):
         self.kernel = kernel
         self.packet = packet
         self.submit = submit
         self.process = process
+        self.stream = stream
         self.done_name = f"{kernel.name}.done"
         self.launches = Table(partial(Charge, name="kernel_launch", args=node_args))
         self.dispatches = Table(partial(Charge, name="dispatch", args=for_args))
@@ -387,7 +393,7 @@ class RankRuntime:
 
         self.app_actor = f"{name}.app"
         self.launch_delays: List[int] = []
-        self._buffer: List[Tuple[DevTask, Stream]] = []
+        self._buffer: List[DevTask] = []
         self._peers = settings.visible_devices - 1  # ranks sharing the node
         self._buffer_ns = 0  # the kernel ns of the buffered tasks, kept with peers
         self._batches: deque = deque()
@@ -435,7 +441,7 @@ class RankRuntime:
             stream.enqueue(task)
         else:
             yield work.submit
-            self._buffer.append((task, stream))
+            self._buffer.append(task)
             if self._peers:  # only contention reads the buffered kernel ns
                 self._buffer_ns += work.kernel.cost_ns
             if len(self._buffer) > self.max_cached_nodes:
@@ -499,7 +505,7 @@ class RankRuntime:
                 continue
             batch = batches.popleft()
             yield bookkeeping[len(batch)]
-            for task, stream in batch:
+            for task in batch:
                 work = task.work
                 for _ in task.deps:
                     yield waits[draw(flush, _WAIT)]
@@ -510,7 +516,7 @@ class RankRuntime:
                     yield work.process
                 yield work.launches[draw(flush, _LAUNCH)]
                 delays.append(engine.now - task.submit_time)
-                stream.enqueue(task)
+                work.stream.enqueue(task)
 
     def _monitor_loop(self):
         prof = self.profile
@@ -557,7 +563,7 @@ def _build_work(prof: RuntimeProfile, full: bool,
     process = (Charge(prof.per_node_flush_cost_ns, "graph_process", node_args)
                if prof.per_node_flush_cost_ns else None)
     return Work(Charge(duration_ns, name, stream.args), for_args, packet, node_args,
-                Charge(prof.submit_cost_ns, "submit_node", node_args), process)
+                Charge(prof.submit_cost_ns, "submit_node", node_args), process, stream)
 
 
 def _trigger_charge(prof: RuntimeProfile, peers: int, key: Tuple[int, bool]) -> Charge:

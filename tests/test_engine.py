@@ -684,15 +684,27 @@ def test_deadlock_names_parked_processes_but_not_parked_daemons():
 # -- Engine.fire ----------------------------------------------------------------
 
 
+def _spy_on_queued_entries(monkeypatch, on_entry):
+    """Call ``on_entry(entry)`` on every entry the engine queues: those it
+    pushes with ``heapq.heappush`` and those it swaps in for the heap's
+    head with ``heapq.heapreplace``."""
+    push, replace = heapq.heappush, heapq.heapreplace
+
+    def spy_push(heap, entry):
+        on_entry(entry)
+        push(heap, entry)
+
+    def spy_replace(heap, entry):
+        on_entry(entry)
+        return replace(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", spy_push)
+    monkeypatch.setattr(heapq, "heapreplace", spy_replace)
+
+
 def test_fire_with_no_waiter_and_nothing_due_pushes_nothing(monkeypatch):
     pushes = []
-    pushed = heapq.heappush
-
-    def spy(heap, entry):
-        pushes.append(entry[2])
-        pushed(heap, entry)
-
-    monkeypatch.setattr(heapq, "heappush", spy)
+    _spy_on_queued_entries(monkeypatch, lambda entry: pushes.append(entry[2]))
     eng = Engine()
     ev = eng.event("done")
     seen = []

@@ -9,7 +9,6 @@ of ``test_engine`` and on whole simulations, with ``ReferenceEngine``
 """
 
 import gc
-import heapq
 import random
 import weakref
 
@@ -61,15 +60,13 @@ def test_pooled_charges_take_every_path(monkeypatch):
     processes, on domains and without one, and they end both inline and
     through a pushed finish entry, so the oracle sees every path a
     shared charge can take."""
-    pushed = heapq.heappush
     finish_entries = []
 
-    def spy(heap, entry):
+    def spy(entry):
         if entry[2] is _FINISH:
             finish_entries.append(entry[4])
-        pushed(heap, entry)
 
-    monkeypatch.setattr(heapq, "heappush", spy)
+    test_engine._spy_on_queued_entries(monkeypatch, spy)
     trace = test_engine._random_workload(1234, n_procs=12, n_charges=60, pooled=True)
     pooled = {c.name for c in test_engine._POOLED}
     actors = {actor for actor, name, *_ in trace.records if name in pooled}
@@ -110,12 +107,7 @@ def test_untraced_charges_resume_straight_from_the_heap(monkeypatch, seed):
     """With no record to write, a charge that waits on the heap is queued
     as a plain resume; its busy time, counted when it began, and the
     makespan equal the traced twin's, which queues finish entries."""
-    pushed = heapq.heappush
     kinds = []
-
-    def spy(heap, entry):
-        kinds.append(entry[2])
-        pushed(heap, entry)
 
     def run(keep_trace):
         kinds.clear()
@@ -123,12 +115,44 @@ def test_untraced_charges_resume_straight_from_the_heap(monkeypatch, seed):
                                              keep_trace=keep_trace, pooled=True)
         return trace, kinds.count(_FINISH), len(kinds)
 
-    monkeypatch.setattr(heapq, "heappush", spy)
+    test_engine._spy_on_queued_entries(monkeypatch, lambda entry: kinds.append(entry[2]))
     traced, traced_finishes, traced_pushes = run(True)
     bare, bare_finishes, bare_pushes = run(False)
     assert traced_finishes > 0 and bare_finishes == 0
     assert bare_pushes == traced_pushes  # each finish became one resume
     assert (bare.busy_ns, bare.makespan_ns) == (traced.busy_ns, traced.makespan_ns)
+
+
+@pytest.mark.parametrize("keep_trace", [True, False], ids=["traced", "untraced"])
+def test_charge_ending_when_an_older_entry_is_due_runs_after_it(keep_trace):
+    """A charge that ends exactly when an older entry is due swaps its end
+    entry in for that head; the older entry, with the lower sequence
+    number, still runs first."""
+    def run(engine_cls):
+        eng = engine_cls(keep_trace=keep_trace)
+        log = []
+
+        def older():
+            yield Sleep(10)
+            log.append(("older", eng.now))
+            yield Charge(0, "older.zero")
+            log.append(("older", eng.now))
+
+        def newer():
+            yield Charge(10, "newer.work")
+            log.append(("newer", eng.now))
+            yield Charge(0, "newer.zero")
+
+        eng.spawn("older", older())
+        eng.spawn("newer", newer())
+        return _outcome(eng.run_until_idle()), log
+
+    outcome, log = run(Engine)
+    assert log == [("older", 10), ("newer", 10), ("older", 10)]
+    if keep_trace:
+        assert [(name, begin, end) for _, name, begin, end, _ in outcome[0]] == [
+            ("older.zero", 10, 10), ("newer.work", 0, 10), ("newer.zero", 10, 10)]
+    assert (outcome, log) == run(ReferenceEngine)
 
 
 def _wake_workload(engine_cls, seed, n_daemons=6, n_wakers=3, n_steps=40):

@@ -11,10 +11,14 @@ the most bytecodes:
     python3 tools/count_bytecodes.py submit-12k --seed 0 --top 20
     python3 tools/count_bytecodes.py strong-46m --root ../other-checkout
     python3 tools/count_bytecodes.py submit-12k --lines Slot._run
+    python3 tools/count_bytecodes.py submit-12k --by-module
 
-With ``--lines QUALNAME`` it prints, in place of the function table,
-the bytecodes each source line of the functions with that qualified
-name executed.  Opcodes that belong to no line are counted under line
+With ``--by-module`` it prints, in place of the function table, the
+totals per source file, largest first: the package's modules are its
+layers (the engine, the runtime, the cost draws, the step programs, the
+CLI and its CSV).  With ``--lines QUALNAME`` it prints, in place of the
+function table, the bytecodes each source line of the functions with
+that qualified name executed.  Opcodes that belong to no line are counted under line
 0, shown as ``(no line)``.
 
 Only Python frames are counted: a builtin such as ``heapq.heappush``
@@ -97,6 +101,17 @@ def count(scenarios: Iterable, keep_trace: bool,
             Counter({key(c): n for c, n in calls.items()}), lines)
 
 
+def by_module(ops: Counter, calls: Counter) -> Tuple[Counter, Counter]:
+    """The bytecodes and calls of ``count`` summed per source file."""
+    module_ops: Counter = Counter()
+    module_calls: Counter = Counter()
+    for (filename, _, _), n in ops.items():
+        module_ops[filename] += n
+    for (filename, _, _), n in calls.items():
+        module_calls[filename] += n
+    return module_ops, module_calls
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload")
@@ -107,6 +122,8 @@ def main(argv=None) -> int:
                         help="checkout to count (default: this one)")
     parser.add_argument("--lines", metavar="QUALNAME",
                         help="print per-line bytecodes of the functions so named")
+    parser.add_argument("--by-module", action="store_true",
+                        help="print bytecodes and calls per source file")
     args = parser.parse_args(argv)
     _import_checkout(args.root.resolve())
     from workloads import WORKLOADS
@@ -120,10 +137,23 @@ def main(argv=None) -> int:
           f"{sum(calls.values()):,} calls")
     if args.lines is not None:
         return _print_lines(args.lines, ops, calls, lines)
+    if args.by_module:
+        return _print_modules(*by_module(ops, calls), args.root.resolve())
     print(f"{'bytecodes':>12}{'calls':>10}  function")
     for where, n in ops.most_common(args.top):
         filename, line, name = where
         print(f"{n:>12,}{calls[where]:>10,}  {name} ({Path(filename).name}:{line})")
+    return 0
+
+
+def _print_modules(ops: Counter, calls: Counter, root: Path) -> int:
+    """Bytecodes and calls per source file, a file under ``root`` by its
+    path there."""
+    print(f"{'bytecodes':>12}{'calls':>10}  module")
+    for filename, n in ops.most_common():
+        path = Path(filename)
+        shown = path.relative_to(root) if path.is_relative_to(root) else path
+        print(f"{n:>12,}{calls[filename]:>10,}  {shown}")
     return 0
 
 
