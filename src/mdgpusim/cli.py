@@ -29,10 +29,10 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .config import (ConfigError, is_int, is_number, load_config, parse_config,
                      parse_value, read_text, require, subsection)
-from .pipeline import NODE, RunPlan, RunReport, simulate
+from .pipeline import RunPlan, RunReport, simulate
 from .presets import get_profile, get_system
 from .runtime import EventMode, RunSettings
-from .topology import NODE_PROFILES, NodeTopology, plan_affinity
+from .topology import GCDS, NODE_PROFILES, NodeTopology, plan_affinity
 
 CSV_SCHEMA = "mdgpusim-csv v1"
 COLUMNS = ["scenario", "system", "atoms", "ranks", "nodes", "backend",
@@ -87,7 +87,7 @@ class Scenario:
                 event_mode=EventMode(self.event_mode),
                 # a ranks that is not an integer >= 1 is left to
                 # RunPlan.validate, which names it
-                visible_devices=(max(1, min(self.ranks, NODE.n_gcds))
+                visible_devices=(max(1, min(self.ranks, GCDS))
                                  if is_int(self.ranks) else 1),
                 seed=self.seed))
         for key in sorted(self.overrides):

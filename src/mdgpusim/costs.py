@@ -9,9 +9,10 @@ and bandwidth-bound fixed parts; the slope is the asymptotic per-atom
 cost, so cost/atom flattens out once ``slope * atoms`` dwarfs the floor.
 
 Host API calls (launches, event records, stream waits, ...) are priced
-by a two-point distribution: a common value with probability ``1 - p``
-and a tail value with probability ``p``, parameterised by its mean so the
-expected cost is what the profile states.  Draws come from a counter
+by a two-point distribution: a common value with probability
+``1 - TAIL_PROB`` and a tail value with probability ``TAIL_PROB``,
+parameterised by its mean so the expected cost is what the law states.
+Draws come from a counter
 hash keyed on (seed, actor, kind, index), never from a sequential RNG:
 two runs that issue the same Nth launch from the same actor see the
 same latency even when one of them records extra events in between.
@@ -201,26 +202,26 @@ def default_cost_table() -> CostTable:
 # -- host API latency ------------------------------------------------------
 
 
+# the chance that a host API call of any kind takes its tail value
+TAIL_PROB = 0.02
+
+
 @dataclass
 class TwoPointLatency:
     """Latency with a rare tail: common value most of the time, ``tail_ns``
-    with probability ``tail_prob``, parameterised so the mean is ``mean_ns``."""
+    with probability ``TAIL_PROB``, parameterised so the mean is
+    ``mean_ns``.  A tail equal to the mean makes every draw the mean."""
 
     mean_ns: float
     tail_ns: float
-    tail_prob: float = 0.02
 
     def __post_init__(self):
-        if not 0.0 <= self.tail_prob < 1.0:
-            raise ValueError("tail_prob must be in [0, 1)")
-        if self.tail_prob and self.tail_ns < self.mean_ns:
+        if self.tail_ns < self.mean_ns:
             raise ValueError("tail must not undercut the mean")
 
     @property
     def common_ns(self) -> float:
-        if self.tail_prob == 0.0:
-            return self.mean_ns
-        return (self.mean_ns - self.tail_prob * self.tail_ns) / (1.0 - self.tail_prob)
+        return (self.mean_ns - TAIL_PROB * self.tail_ns) / (1.0 - TAIL_PROB)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -260,6 +261,8 @@ def _tail_cut(tail_prob: float) -> int:
     return lo
 
 
+# every kind's cut: a draw whose hash lies below it takes the tail
+_TAIL_CUT = _tail_cut(TAIL_PROB)
 # a stream is hashed, kept and read in blocks of this many draws
 _BLOCK = 256
 # the most latencies one model keeps over all its streams; a block past
@@ -285,7 +288,6 @@ class ApiLatencyModel:
         # the FNV hashes of actor and kind names, computed once per name
         self._actor_hash = Table(_fnv1a64)
         self._kind_hash = {k: _fnv1a64(k.value) for k in ApiKind}
-        self._tail_cuts = {k: _tail_cut(law.tail_prob) for k, law in self.table.items()}
         # (actor, kind, b) -> the latencies at indices [b*_BLOCK, (b+1)*_BLOCK)
         self._kept: Dict[Tuple[str, ApiKind, int], Tuple[int, ...]] = {}
         self._room = _KEPT_DRAWS  # how many more latencies it may keep
@@ -302,11 +304,9 @@ class ApiLatencyModel:
         extra calls of other kinds cannot shift this draw.
         """
         law = self.table[kind]
-        if law.tail_prob == 0.0:
-            return round_half_up(law.common_ns)
         h = _splitmix64(self._stream_key(actor, kind) ^ (index * _INDEX_MIX & _MASK64))
         u = h / 2.0**64
-        value = law.tail_ns if u < law.tail_prob else law.common_ns
+        value = law.tail_ns if u < TAIL_PROB else law.common_ns
         return round_half_up(value)
 
     def _block(self, actor: str, kind: ApiKind, b: int) -> Tuple[int, ...]:
@@ -316,7 +316,7 @@ class ApiLatencyModel:
         where = actor, kind, b
         if where in self._kept:
             return self._kept[where]
-        key, cut = self._stream_key(actor, kind), self._tail_cuts[kind]
+        key, cut = self._stream_key(actor, kind), _TAIL_CUT
         law = self.table[kind]
         tail, common = round_half_up(law.tail_ns), round_half_up(law.common_ns)
         values = []

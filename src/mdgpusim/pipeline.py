@@ -52,7 +52,7 @@ from .costs import KernelKind, default_api_model, default_cost_table
 from .engine import Charge, Engine, Event, WaitFor
 from .presets import SystemPreset
 from .runtime import DevTask, Device, RankRuntime, RunSettings, RuntimeProfile, Slot, Work
-from .topology import lumi_node
+from .topology import GCDS, link_class
 
 
 def balanced_dims(n: int) -> Tuple[int, int, int]:
@@ -92,9 +92,9 @@ class RunPlan:
         can use, naming the field."""
         if not (is_int(self.ranks) and self.ranks >= 1):
             raise ValueError(f"ranks must be an integer >= 1, got {self.ranks!r}")
-        if self.settings.visible_devices > NODE.n_gcds:
-            raise ValueError(f"visible_devices must be at most the {NODE.n_gcds} devices "
-                             f"of a {NODE.name} node, got {self.settings.visible_devices}")
+        if self.settings.visible_devices > GCDS:
+            raise ValueError(f"visible_devices must be at most the {GCDS} devices "
+                             f"of a node, got {self.settings.visible_devices}")
         if not (is_int(self.n_eras) and self.n_eras >= 2):
             raise ValueError("n_eras must be an integer >= 2 (the first era is "
                              f"warm-up), got {self.n_eras!r}")
@@ -114,7 +114,7 @@ class RunPlan:
 
     @property
     def nodes_used(self) -> int:
-        return (self.ranks + NODE.n_gcds - 1) // NODE.n_gcds
+        return (self.ranks + GCDS - 1) // GCDS
 
 
 @dataclass
@@ -173,8 +173,7 @@ def _build_rank(engine, plan, api, name):
 def _link(plan, comm, a, b, atoms, x_name, f_name):
     """The link between ranks ``a`` and ``b`` as one ``Work`` per direction,
     each transfer carrying ``atoms`` atoms' coordinates or forces."""
-    n = NODE.n_gcds
-    link = NODE.link_class(a % n, b % n, same_node=a // n == b // n)
+    link = link_class(a % GCDS, b % GCDS, same_node=a // GCDS == b // GCDS)
     return (Work(Charge(comm.transfer_ns(link, atoms * XYZ_BYTES_PER_ATOM), x_name)),
             Work(Charge(comm.transfer_ns(link, atoms * FORCE_BYTES_PER_ATOM), f_name)))
 
@@ -323,8 +322,6 @@ DT_FS = 2.0
 DENSITY_PER_NM3 = 100.0
 PRUNE_EVERY = 10
 SEARCH_CPU_NS_PER_ATOM = 16.0
-# the node every run places its ranks on, the one node type the paper measures
-NODE = lumi_node()
 
 
 def _pp_rank_app(engine, plan, rt, q_loc, q_nl, kcost, atoms, slab,

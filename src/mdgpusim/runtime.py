@@ -12,7 +12,8 @@ Two submission disciplines are modelled:
   flushed batch has been in flight, capped per batch and per sync.
   Every batch's term is >= 0, so the sum stops once it reaches the
   sync cap: at a cache of 0 that is after a few of a sync's hundreds
-  of flushes.
+  of flushes.  Only the per-batch retirement term is the profile's;
+  its growth with age, both caps and the hand-over charge are shared.
 
 * instant: ``submit`` pays the launch API cost directly on the
   application thread and the node reaches its queue immediately; sync
@@ -68,14 +69,13 @@ run and can only add cost, never reshuffle it.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from .config import is_int, is_number
+from .config import is_int
 from .costs import ApiKind, ApiLatencyModel, ApiSampler, Table, round_half_up
 from .engine import PARK, Charge, Engine, Event, WaitFor
 
@@ -85,33 +85,38 @@ class EventMode(Enum):
     FULL = "full"
 
 
+# costs every deferring version shares: the app's hand-over of a batch,
+# and the retirement per ns of batch age, capped per batch and per sync
+FLUSH_TRIGGER_NS = 500
+RETIRE_RATE = 0.009
+RETIRE_FLUSH_CAP_NS = 25000
+RETIRE_SYNC_CAP_NS = 60000
+
+
 @dataclass(frozen=True)
 class RuntimeProfile:
     """Mechanics constants of one runtime version.
 
-    All times in nanoseconds.  The costs all versions share are module
-    constants where the model reads them.  Every bundled profile sets
-    each field without a default; only the contention terms (which
-    ``hip-native`` omits) and the HSA worker duty (which the acpp files
-    omit) fall back to one.  ``validate`` enforces the relation that
-    keeps launch delay non-decreasing in the node-cache size: the
-    per-batch worker bookkeeping must not exceed what the application
-    pays per submission, otherwise batching could beat eager flushing
-    even for the head-of-batch node.  Frozen, like ``SystemPreset``: the
-    loader hands every caller the same object.
+    All times in nanoseconds.  A cost that all versions share, or all
+    that defer, is a module constant where the model reads it.  Every
+    bundled profile sets each field without a default (``hip-native``
+    also the deferred costs no run of it reads); only the contention
+    terms (which ``hip-native`` omits) and the HSA worker duty (which
+    the acpp files omit) fall back to one.  ``validate`` enforces the
+    relation that keeps launch delay non-decreasing in the node-cache
+    size: the per-batch worker bookkeeping must not exceed what the
+    application pays per submission, otherwise batching could beat
+    eager flushing even for the head-of-batch node.  Frozen, like
+    ``SystemPreset``: the loader hands every caller the same object.
     """
 
     name: str
     submission: str                      # "deferred", "instant" or "both"
     submit_cost_ns: int                  # app: record one node into the buffer
-    flush_trigger_cost_ns: int           # app: hand the batch over
     flush_bookkeeping_cost_ns: int       # worker: per batch
     per_node_flush_cost_ns: int          # worker: per node, excl. launch API
     notify_cost_ns: int                  # monitor: wake the host after sync
     retire_fixed_ns: int                 # monitor: per flushed batch at sync
-    retire_rate: float                   # extra retire ns per ns of batch age
-    retire_flush_cap_ns: int
-    retire_sync_cap_ns: int
     mpi_msg_cpu_ns: int
     pme_comm_overlap: bool               # overlap PME-rank MPI with its chain
     # app: extra cost per threshold-triggered flush for every other rank
@@ -139,14 +144,11 @@ class RuntimeProfile:
                                  f"got {value!r}")
         if self.submission not in ("deferred", "instant", "both"):
             raise ValueError(f"{self.name}: bad submission mode {self.submission!r}")
-        if not (is_number(self.retire_rate) and 0 <= self.retire_rate < math.inf):
-            raise ValueError(f"{self.name}: retire_rate must be a number >= 0, "
-                             f"got {self.retire_rate!r}")
         if not isinstance(self.pme_comm_overlap, bool):
             raise ValueError(f"{self.name}: pme_comm_overlap must be true or false, "
                              f"got {self.pme_comm_overlap!r}")
         if self.supports_deferred():
-            budget = self.submit_cost_ns + self.flush_trigger_cost_ns
+            budget = self.submit_cost_ns + FLUSH_TRIGGER_NS
             if self.flush_bookkeeping_cost_ns > budget:
                 raise ValueError(
                     f"{self.name}: flush bookkeeping ({self.flush_bookkeeping_cost_ns}) "
@@ -536,12 +538,12 @@ class RankRuntime:
 
 def _retire_tax(prof: RuntimeProfile, triggers: Sequence[int], now: int) -> int:
     """The monitor's retirement tax at ``now`` for batches flushed at
-    ``triggers``: ``min(sum(min(fixed + round_half_up(rate * age),
-    flush_cap)), sync_cap)``.  Every term is >= 0, so the sum stops once
-    it reaches the sync cap: at MCN 0 that is after a few of a sync's
-    hundreds of flushes."""
-    fixed, rate = prof.retire_fixed_ns, prof.retire_rate
-    flush_cap, sync_cap = prof.retire_flush_cap_ns, prof.retire_sync_cap_ns
+    ``triggers``: ``min(sum(min(fixed + round_half_up(RETIRE_RATE * age),
+    RETIRE_FLUSH_CAP_NS)), RETIRE_SYNC_CAP_NS)``.  Every term is >= 0, so
+    the sum stops once it reaches the sync cap: at MCN 0 that is after a
+    few of a sync's hundreds of flushes."""
+    fixed, rate = prof.retire_fixed_ns, RETIRE_RATE
+    flush_cap, sync_cap = RETIRE_FLUSH_CAP_NS, RETIRE_SYNC_CAP_NS
     tax = 0
     for t in triggers:
         per_flush = fixed + round_half_up(rate * (now - t))
@@ -571,7 +573,7 @@ def _trigger_charge(prof: RuntimeProfile, peers: int, key: Tuple[int, bool]) -> 
     nodes, applies = key
     pairs = nodes * (nodes - 1) // 2
     contention = prof.flush_contention_ns_per_peer + prof.flush_contention_scan_ns * pairs
-    return Charge(prof.flush_trigger_cost_ns + (peers * contention if applies else 0),
+    return Charge(FLUSH_TRIGGER_NS + (peers * contention if applies else 0),
                   "flush_trigger", {"nodes": nodes})
 
 

@@ -1,18 +1,19 @@
 """Node topology and rank placement.
 
-Models one dual-socket-free, GPU-dense compute node of the kind both
+Models the one dual-socket-free, GPU-dense compute node type both
 target machines use: 8 CPU core complexes (CCX) of 8 cores each, four
 two-die GPU packages exposing 8 logical devices (GCDs), and four NICs,
-one per GPU package.  The physical wiring is fixed:
+one per GPU package.  The counts and the wiring are the node's, not a
+profile's:
 
 * GCD ``g`` lives in package ``g // 2`` and its NIC is ``g // 2``
-* CCX ``c`` is cabled to GCD ``(c + 4) % 8``; the map is its own inverse
+* CCX ``c`` is cabled to GCD ``(c + 4) % 8``, so ``wired`` is its own inverse
 
-Placement profiles differ per machine: one reserves the first core of
-every CCX for the OS and runs cores single-threaded, the other keeps
-all cores and enables SMT.  ``plan_affinity`` turns a rank count into
-per-rank core masks plus the runtime environment needed to keep each
-rank on the CCX wired to its GCD.
+Placement profiles differ per machine, and only in placement: one
+reserves the first core of every CCX for the OS and runs cores
+single-threaded, the other keeps all cores and enables SMT.
+``plan_affinity`` turns a rank count into per-rank core masks plus the
+runtime environment needed to keep each rank on the CCX wired to its GCD.
 """
 
 from __future__ import annotations
@@ -28,15 +29,47 @@ class LinkClass(Enum):
     INTER_NODE = auto()       # over the interconnect
 
 
+# logical GPU devices per node, one CCX wired to each, and cores per CCX
+GCDS = 8
+CORES_PER_CCX = 8
+
+
+def wired(i: int) -> int:
+    """The CCX cabled to GCD ``i``, which is also the GCD cabled to CCX ``i``."""
+    if not 0 <= i < GCDS:
+        raise ValueError(f"device or CCX {i} out of range 0..{GCDS - 1}")
+    return (i + 4) % GCDS
+
+
+def nic_for_gcd(gcd: int) -> int:
+    _check_gcd(gcd)
+    return gcd // 2
+
+
+def link_class(gcd_a: int, gcd_b: int, same_node: bool = True) -> LinkClass:
+    _check_gcd(gcd_a)
+    _check_gcd(gcd_b)
+    if not same_node:
+        return LinkClass.INTER_NODE
+    if gcd_a == gcd_b:
+        raise ValueError("no link from a device to itself")
+    if gcd_a // 2 == gcd_b // 2:
+        return LinkClass.INTRA_GCD_PAIR
+    return LinkClass.INTRA_NODE
+
+
+def _check_gcd(gcd: int) -> None:
+    if not 0 <= gcd < GCDS:
+        raise ValueError(f"gcd {gcd} out of range 0..{GCDS - 1}")
+
+
 @dataclass(frozen=True)
 class NodeTopology:
-    """Core counts and wiring of one compute node.
+    """How one machine places ranks on the node: every field is one
+    that its two bundled profiles set apart.
 
     Attributes:
-        name:                 profile name ("lumi", "dardel", ...)
-        n_ccx:                CPU core complexes per node
-        cores_per_ccx:        physical cores per CCX
-        n_gcds:               logical GPU devices per node
+        name:                 profile name ("lumi", "dardel")
         reserve_first_core:   whether core 0 of each CCX belongs to the OS
         smt:                  hardware threads per core (1 = SMT off)
         placement:            "bind-ranks-to-ccx" moves the rank onto the
@@ -46,59 +79,24 @@ class NodeTopology:
     """
 
     name: str
-    n_ccx: int = 8
-    cores_per_ccx: int = 8
-    n_gcds: int = 8
-    reserve_first_core: bool = False
-    smt: int = 1
-    placement: str = "bind-ranks-to-ccx"
-
-    # -- wiring ------------------------------------------------------------
-
-    def ccx_for_gcd(self, gcd: int) -> int:
-        self._check_gcd(gcd)
-        return (gcd + 4) % self.n_ccx
-
-    def gcd_for_ccx(self, ccx: int) -> int:
-        if not 0 <= ccx < self.n_ccx:
-            raise ValueError(f"ccx {ccx} out of range 0..{self.n_ccx - 1}")
-        return (ccx + 4) % self.n_gcds
-
-    def nic_for_gcd(self, gcd: int) -> int:
-        self._check_gcd(gcd)
-        return gcd // 2
-
-    def link_class(self, gcd_a: int, gcd_b: int, same_node: bool = True) -> LinkClass:
-        self._check_gcd(gcd_a)
-        self._check_gcd(gcd_b)
-        if not same_node:
-            return LinkClass.INTER_NODE
-        if gcd_a == gcd_b:
-            raise ValueError("no link from a device to itself")
-        if gcd_a // 2 == gcd_b // 2:
-            return LinkClass.INTRA_GCD_PAIR
-        return LinkClass.INTRA_NODE
-
-    def _check_gcd(self, gcd: int) -> None:
-        if not 0 <= gcd < self.n_gcds:
-            raise ValueError(f"gcd {gcd} out of range 0..{self.n_gcds - 1}")
-
-    # -- cores -------------------------------------------------------------
+    reserve_first_core: bool
+    smt: int
+    placement: str
 
     def usable_cores(self, ccx: int) -> List[int]:
         """Global ids of the cores a rank may occupy on this CCX."""
-        if not 0 <= ccx < self.n_ccx:
-            raise ValueError(f"ccx {ccx} out of range 0..{self.n_ccx - 1}")
-        first = self.cores_per_ccx * ccx
+        if not 0 <= ccx < GCDS:
+            raise ValueError(f"ccx {ccx} out of range 0..{GCDS - 1}")
+        first = CORES_PER_CCX * ccx
         skip = 1 if self.reserve_first_core else 0
-        return list(range(first + skip, first + self.cores_per_ccx))
+        return list(range(first + skip, first + CORES_PER_CCX))
 
     def usable_cores_per_ccx(self) -> int:
-        return self.cores_per_ccx - (1 if self.reserve_first_core else 0)
+        return CORES_PER_CCX - (1 if self.reserve_first_core else 0)
 
     def hw_threads(self, cores: List[int]) -> List[int]:
         """Hardware thread ids for ``cores``, covering all SMT siblings."""
-        total = self.n_ccx * self.cores_per_ccx
+        total = GCDS * CORES_PER_CCX
         out = list(cores)
         for s in range(1, self.smt):
             out.extend(c + s * total for c in cores)
@@ -153,8 +151,8 @@ class AffinityPlan:
 def plan_affinity(node: NodeTopology, n_ranks: int,
                   threads_per_rank: Optional[int] = None) -> AffinityPlan:
     """Assign ``n_ranks`` single-GPU ranks to devices, CCXs and cores."""
-    if not 1 <= n_ranks <= node.n_gcds:
-        raise ValueError(f"ranks must be 1 to {node.n_gcds} on node {node.name!r}, "
+    if not 1 <= n_ranks <= GCDS:
+        raise ValueError(f"ranks must be 1 to {GCDS} on node {node.name!r}, "
                          f"got {n_ranks}")
     limit = node.usable_cores_per_ccx()
     threads = limit if threads_per_rank is None else threads_per_rank
@@ -165,11 +163,9 @@ def plan_affinity(node: NodeTopology, n_ranks: int,
     ranks = []
     for i in range(n_ranks):
         if node.placement == "bind-ranks-to-ccx":
-            gcd = i
-            ccx = node.ccx_for_gcd(gcd)
+            gcd, ccx = i, wired(i)
         else:
-            ccx = i
-            gcd = node.gcd_for_ccx(ccx)
+            ccx, gcd = i, wired(i)
         cores = node.usable_cores(ccx)[:threads]
         env = {
             "ROCR_VISIBLE_DEVICES": str(gcd),
@@ -179,6 +175,6 @@ def plan_affinity(node: NodeTopology, n_ranks: int,
             "MPICH_OFI_NIC_POLICY": "GPU",
         }
         ranks.append(RankBinding(rank=i, gcd=gcd, ccx=ccx,
-                                 nic=node.nic_for_gcd(gcd), cores=cores,
+                                 nic=nic_for_gcd(gcd), cores=cores,
                                  hw_threads=node.hw_threads(cores), env=env))
     return AffinityPlan(node=node, ranks=ranks)

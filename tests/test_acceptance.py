@@ -10,6 +10,7 @@ criterion judges the points bound to it through ``cli.run_check``, as
 ``mdgpusim check`` does.  The bands written here are those no point states.
 """
 
+import itertools
 import random
 import sys
 import time
@@ -35,7 +36,8 @@ from mdgpusim.runtime import (
     RunSettings,
     RuntimeProfile,
 )
-from mdgpusim.topology import NODE_PROFILES, NodeTopology, lumi_node, plan_affinity
+from mdgpusim.topology import (GCDS, NODE_PROFILES, NodeTopology, nic_for_gcd, plan_affinity,
+                               wired)
 
 # the bundled reference points each published-number criterion judges
 SINGLE_GCD_POINTS = ("instant-12k", "best-094-12k", "flush-penalty-094-12k",
@@ -109,18 +111,17 @@ NODE_POINTS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 def multinode():
     """Every 46M-atom node-count run the scaling checks need, timed."""
     t0 = time.perf_counter()
-    gcds = lumi_node().n_gcds
     instant = {n: run_one("grappa_rf_46m", "acpp-23.10", instant=True,
-                          ranks=n * gcds)
+                          ranks=n * GCDS)
                for n in (1, 128, 256, 512)}
     cached = {}
     for profile_id in ("acpp-23.10", "acpp-0.9.4"):
         for mcn in (5, 0):
             cached[(profile_id, mcn)] = {
-                n: run_one("grappa_rf_46m", profile_id, mcn=mcn, ranks=n * gcds)
+                n: run_one("grappa_rf_46m", profile_id, mcn=mcn, ranks=n * GCDS)
                 for n in NODE_POINTS}
         cached[(profile_id, 100)] = {
-            n: run_one("grappa_rf_46m", profile_id, mcn=100, ranks=n * gcds)
+            n: run_one("grappa_rf_46m", profile_id, mcn=100, ranks=n * GCDS)
             for n in (256, 512)}
     return instant, cached, time.perf_counter() - t0
 
@@ -277,9 +278,8 @@ def test_each_bundled_point_is_bound_to_one_criterion():
 
 ZERO_PROFILE = RuntimeProfile(
     name="zero", submission="instant", submit_cost_ns=0,
-    flush_trigger_cost_ns=0, flush_bookkeeping_cost_ns=0,
+    flush_bookkeeping_cost_ns=0,
     per_node_flush_cost_ns=0, notify_cost_ns=0, retire_fixed_ns=0,
-    retire_rate=0.0, retire_flush_cap_ns=0, retire_sync_cap_ns=0,
     mpi_msg_cpu_ns=0, pme_comm_overlap=True,
     hsa_worker_duty_milli=0)
 
@@ -419,7 +419,7 @@ def test_execution_properties(event_mode_pair, multinode):
            "coarse event mode ran longer than full event mode")
 
     # makespan equals an independent longest-path computation
-    quiet = TwoPointLatency(0.0, 0.0, 0.0)
+    quiet = TwoPointLatency(0.0, 0.0)
     zero_api = ApiLatencyModel({kind: quiet for kind in ApiKind}, seed=0)
     dag_rng = random.Random(9)
     for i in range(40):
@@ -467,13 +467,12 @@ def _check_plan_invariants(failures, node, plan, where):
     expect(failures, len(set(ccxs)) == len(ccxs), f"{where}: duplicate CCXs")
     seen_threads = set()
     for b in plan.ranks:
-        if node.placement == "bind-ranks-to-ccx":
-            wired = b.gcd == b.rank and b.ccx == node.ccx_for_gcd(b.gcd)
-        else:
-            wired = b.ccx == b.rank and b.gcd == node.gcd_for_ccx(b.ccx)
-        expect(failures, wired,
+        placed = b.gcd if node.placement == "bind-ranks-to-ccx" else b.ccx
+        # the cabling read both ways: the CCX wired to the rank's device,
+        # and the device wired to its CCX
+        expect(failures, placed == b.rank and b.gcd == wired(b.ccx) and b.ccx == wired(b.gcd),
                f"{where}: rank{b.rank} placement disagrees with the wiring")
-        expect(failures, b.nic == node.nic_for_gcd(b.gcd),
+        expect(failures, b.nic == nic_for_gcd(b.gcd),
                f"{where}: rank{b.rank} bound to the wrong NIC")
         expect(failures, b.cores and
                set(b.cores) <= set(node.usable_cores(b.ccx)),
@@ -492,7 +491,7 @@ def test_affinity_planner_bindings():
     failures = []
     for name in ("lumi", "dardel"):
         node = NODE_PROFILES[name]()
-        plan = plan_affinity(node, node.n_gcds)
+        plan = plan_affinity(node, GCDS)
         _check_plan_invariants(failures, node, plan, name)
 
     lumi_plan = plan_affinity(NODE_PROFILES["lumi"](), 8)
@@ -500,20 +499,16 @@ def test_affinity_planner_bindings():
     expect(failures, len(ccx0) == 1 and ccx0[0].gcd == 4 and ccx0[0].nic == 2,
            "CCX0 is not paired with GCD4 and NIC2 on the lumi profile")
 
-    rng = random.Random(11)
-    for i in range(30):
-        n = rng.choice((2, 4, 6, 8, 12, 16))
-        node = NodeTopology(
-            name=f"rand{i}", n_ccx=n, cores_per_ccx=rng.randint(2, 16),
-            n_gcds=n,
-            reserve_first_core=rng.random() < 0.5,
-            smt=rng.choice((1, 2)),
-            placement=rng.choice(("bind-ranks-to-ccx", "reorder-devices")))
-        ranks = rng.randint(1, n)
+    # every placement profile a node can have, at every rank count
+    for reserve, smt, placement, ranks in itertools.product(
+            (False, True), (1, 2), ("bind-ranks-to-ccx", "reorder-devices"),
+            range(1, GCDS + 1)):
+        node = NodeTopology(name="any", reserve_first_core=reserve, smt=smt,
+                            placement=placement)
+        where = f"{placement}, reserve {reserve}, smt {smt}, {ranks} ranks"
         plan = plan_affinity(node, ranks)
-        expect(failures, len(plan.ranks) == ranks,
-               f"random topology {i}: wrong rank count")
-        _check_plan_invariants(failures, node, plan, f"random topology {i}")
+        expect(failures, len(plan.ranks) == ranks, f"{where}: wrong rank count")
+        _check_plan_invariants(failures, node, plan, where)
         if failures:
             break
     criterion("affinity planner bindings", failures)

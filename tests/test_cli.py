@@ -224,7 +224,7 @@ def test_atomless_system_is_rejected(capsys, ranks, atoms):
     (["--eras", "1"], "n_eras must be an integer >= 2 (the first era is warm-up), got 1"),
     (["--backend", "cuda"], "backend must be one of sycl, hip, got 'cuda'"),
     (["--ranks", "2", "--set", "settings.visible_devices=9"],
-     "visible_devices must be at most the 8 devices of a lumi node, got 9"),
+     "visible_devices must be at most the 8 devices of a node, got 9"),
 ], ids=["ranks-0", "ranks-neg", "eras-1", "backend-cuda", "visible-devices-9"])
 def test_bad_run_shape_is_one_error_line(capsys, flags, message):
     code = main(["simulate", "--system", "grappa_pme_1500",
@@ -272,24 +272,21 @@ def test_bad_system_field_is_one_error_line(capsys, override, message):
 @pytest.mark.parametrize("override, message", [
     ("settings.max_hw_queues=abc",
      "GPU_MAX_HW_QUEUES must be an integer >= 1, got 'abc'"),
-    ("profile.retire_rate=abc",
-     "acpp-23.10: retire_rate must be a number >= 0, got 'abc'"),
     ("profile.submit_cost_ns=abc",
      "acpp-23.10: submit_cost_ns must be an integer >= 0, got 'abc'"),
     ("profile.pme_comm_overlap=abc",
      "acpp-23.10: pme_comm_overlap must be true or false, got 'abc'"),
-    # the costs every runtime version shares are model constants, not
-    # profile fields
+    # the costs every runtime version shares, or every version that
+    # defers, are model constants, not profile fields
     *[(f"profile.{key}=0", f"unknown profile field {key!r}")
       for key in ("app_step_cpu_ns", "dispatch_gap_ns", "oversub_extra_ns",
-                  "event_device_cost_ns")],
+                  "event_device_cost_ns", "flush_trigger_cost_ns", "retire_rate",
+                  "retire_flush_cap_ns", "retire_sync_cap_ns")],
     # every system shares these, so they are model constants, not system
     # fields
     *[(f"system.{key}=4", f"unknown system field {key!r}")
       for key in ("dt_fs", "search_cpu_ns_per_atom")],
     ("system.nbnxm_scale=1.7e308",
-     "a setting is too large to simulate: cannot convert float infinity to integer"),
-    ("profile.retire_rate=1.7e308",
      "a setting is too large to simulate: cannot convert float infinity to integer"),
     # a line break would start a second key
     ("system.nstlist=10\nsystem.atoms=50",

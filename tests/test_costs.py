@@ -100,15 +100,15 @@ def test_duration_monotone_in_atoms(atoms, more):
 
 
 def test_two_point_latency_mean_is_exact():
-    law = TwoPointLatency(mean_ns=2000.0, tail_ns=30000.0, tail_prob=0.02)
-    mean = law.tail_prob * law.tail_ns + (1 - law.tail_prob) * law.common_ns
+    law = TwoPointLatency(mean_ns=2000.0, tail_ns=30000.0)
+    mean = costs.TAIL_PROB * law.tail_ns + (1 - costs.TAIL_PROB) * law.common_ns
     assert mean == pytest.approx(2000.0, rel=1e-12)
     assert law.common_ns < law.mean_ns
 
 
 def test_latency_tail_must_not_undercut_mean():
     with pytest.raises(ValueError):
-        TwoPointLatency(mean_ns=5000.0, tail_ns=1000.0, tail_prob=0.02)
+        TwoPointLatency(mean_ns=5000.0, tail_ns=1000.0)
 
 
 def test_sampler_is_pure_in_its_arguments():
@@ -157,7 +157,7 @@ def test_sampler_tail_frequency_is_near_nominal():
     n = 20000
     draws = [model.sample("app", ApiKind.STREAM_WAIT_EVENT, i) for i in range(n)]
     tails = sum(1 for d in draws if d == round_half_up(law.tail_ns))
-    assert abs(tails / n - law.tail_prob) < 0.005
+    assert abs(tails / n - costs.TAIL_PROB) < 0.005
     mean = sum(draws) / n
     assert mean == pytest.approx(law.mean_ns, rel=0.05)
 
@@ -170,8 +170,13 @@ def test_different_actors_get_different_streams():
 
 
 def test_zero_tail_prob_is_deterministic_mean():
-    model = ApiLatencyModel({k: TwoPointLatency(1000.0, 1000.0, 0.0) for k in ApiKind})
-    assert all(model.sample("x", k, i) == 1000 for k in ApiKind for i in range(10))
+    """A law whose tail equals its mean has no tail: every draw, tail or
+    common, is the mean, for each mean a test model uses."""
+    for mean in (0.0, 1.0, 1000.0, 2000.0, 3000.0, 4000.0, 5500.0, 10000.0):
+        law = TwoPointLatency(mean, mean)
+        assert law.common_ns == mean
+        model = ApiLatencyModel({k: law for k in ApiKind})
+        assert all(model.sample("x", k, i) == mean for k in ApiKind for i in range(300))
 
 
 def test_default_api_means():
@@ -185,8 +190,7 @@ def test_sampler_draws_equal_the_pure_sample():
     """Interleaved draws over several actors and every kind, one of them
     with no tail, return ``sample`` at each stream's own index."""
     table = dict(default_api_model().table)
-    table[ApiKind.MEMCPY_ASYNC] = TwoPointLatency(3000.0, 30000.0, tail_prob=0.0)
-    table[ApiKind.HOST_SYNC_POLL] = TwoPointLatency(10000.0, 30000.0, tail_prob=0.3)
+    table[ApiKind.MEMCPY_ASYNC] = TwoPointLatency(3000.0, 3000.0)
     model = ApiLatencyModel(table, seed=2024)
     streams = [(actor, kind) for actor in ("rank0.app", "pp3.dag-flush", "pme0.app")
                for kind in ApiKind]
@@ -210,9 +214,7 @@ def kept_blocks(model, actor, kind):
 def test_blocks_meet_exactly_at_their_edges():
     """A stream read across block edges returns ``sample`` at indices
     ``B - 1``, ``B`` and ``2 B``, and each block holds ``B`` draws."""
-    table = dict(default_api_model().table)
-    table[ApiKind.HOST_SYNC_POLL] = TwoPointLatency(10000.0, 30000.0, tail_prob=0.3)
-    model = ApiLatencyModel(table, seed=10)
+    model = ApiLatencyModel(default_api_model().table, seed=10)
     kind = ApiKind.HOST_SYNC_POLL
     sampler = ApiSampler(model)
     draws = [sampler.draw("a", kind) for _ in range(2 * B + 1)]
@@ -354,19 +356,18 @@ def test_model_table_is_read_only():
     would silently change later runs; a copy stays editable."""
     model = default_api_model()
     with pytest.raises(TypeError):
-        model.table[ApiKind.KERNEL_LAUNCH] = TwoPointLatency(1.0, 1.0, 0.0)
+        model.table[ApiKind.KERNEL_LAUNCH] = TwoPointLatency(1.0, 1.0)
     table = dict(model.table)
-    table[ApiKind.KERNEL_LAUNCH] = TwoPointLatency(1.0, 1.0, 0.0)
+    table[ApiKind.KERNEL_LAUNCH] = TwoPointLatency(1.0, 1.0)
     assert model.table[ApiKind.KERNEL_LAUNCH].mean_ns == 2000.0
 
 
 def test_tail_cuts_are_the_edge_of_the_float_test():
     """``h < cut`` must agree with ``sample``'s ``h / 2.0**64 < p`` at the
-    edge, where rounding ``h`` to a float decides."""
-    probs = [0.0, 0.02, 0.3, 0.5, 1 / 3, 1.0 - 2.0**-53]
-    model = ApiLatencyModel({kind: TwoPointLatency(1000.0, 5000.0, prob)
-                             for kind, prob in zip(ApiKind, probs, strict=True)})
-    for kind, prob in zip(ApiKind, probs):
-        cut = model._tail_cuts[kind]
+    edge, where rounding ``h`` to a float decides: at the bundled
+    ``TAIL_PROB``, whose cut the blocks compare against, and at others."""
+    assert costs._TAIL_CUT == costs._tail_cut(costs.TAIL_PROB)
+    for prob in (0.0, costs.TAIL_PROB, 0.3, 0.5, 1 / 3, 1.0 - 2.0**-53):
+        cut = costs._tail_cut(prob)
         for h in range(max(0, cut - 3), min(2**64, cut + 3)):
             assert (h < cut) == (h / 2.0**64 < prob)

@@ -33,6 +33,7 @@ from mdgpusim.runtime import (
     RunSettings,
     RuntimeProfile,
 )
+from mdgpusim.topology import GCDS, link_class
 
 PME_STEP = ("nbnxm_local", "pme_spread", "fft_3d_forward", "pme_solve",
             "fft_3d_inverse", "pme_gather", "listed_forces", "reduce_forces",
@@ -528,15 +529,14 @@ def test_stmv_single_device_rates():
 
 ZERO_PROFILE = RuntimeProfile(
     name="zero", submission="instant", submit_cost_ns=0,
-    flush_trigger_cost_ns=0, flush_bookkeeping_cost_ns=0,
+    flush_bookkeeping_cost_ns=0,
     per_node_flush_cost_ns=0, notify_cost_ns=0, retire_fixed_ns=0,
-    retire_rate=0.0, retire_flush_cap_ns=0, retire_sync_cap_ns=0,
     mpi_msg_cpu_ns=0, pme_comm_overlap=True,
     hsa_worker_duty_milli=0)
 
 
 def zero_api():
-    quiet = TwoPointLatency(0.0, 0.0, 0.0)
+    quiet = TwoPointLatency(0.0, 0.0)
     return ApiLatencyModel({kind: quiet for kind in ApiKind}, seed=0)
 
 
@@ -594,7 +594,7 @@ def test_makespan_equals_longest_path(tasks):
 def tail_free_api():
     """The default latency laws with no tail: every call costs its mean."""
     laws = costs.default_api_model().table
-    return ApiLatencyModel({kind: TwoPointLatency(law.mean_ns, law.tail_ns, 0.0)
+    return ApiLatencyModel({kind: TwoPointLatency(law.mean_ns, law.mean_ns)
                             for kind, law in laws.items()}, seed=0)
 
 
@@ -602,11 +602,10 @@ def link_classes(plan):
     """Per link role, the set of link classes the links of every real
     rank use: one halo role per split dimension, to the +1 neighbour,
     and the long-range role."""
-    node, pp_ranks = pipeline.NODE, plan.pp_ranks
+    pp_ranks = plan.pp_ranks
 
     def link(a, b):
-        return node.link_class(a % node.n_gcds, b % node.n_gcds,
-                               same_node=a // node.n_gcds == b // node.n_gcds)
+        return link_class(a % GCDS, b % GCDS, same_node=a // GCDS == b // GCDS)
 
     roles, stride = [], 1
     for size in balanced_dims(pp_ranks):
@@ -689,7 +688,7 @@ PLANS = dict(system=st.sampled_from(sorted(load_systems())),
 
 
 def run_random_plan(system, mode, backend, ranks, mcn, seed, nstlist,
-                    event_mode="coarse", **overrides) -> RunReport:
+                    event_mode="coarse", keep_trace=False, **overrides) -> RunReport:
     """The report of one plan that ``PLANS`` draws, with the given
     ``system.``/``settings.`` overrides on top."""
     profile, instant = mode
@@ -697,7 +696,7 @@ def run_random_plan(system, mode, backend, ranks, mcn, seed, nstlist,
                         max_cached_nodes=mcn, instant=instant, event_mode=event_mode,
                         seed=seed, eras=2,
                         overrides={"system.nstlist": nstlist, **overrides})
-    return simulate(scenario.build_plan())
+    return simulate(scenario.build_plan(), keep_trace=keep_trace)
 
 
 @hyp_settings(deadline=None, max_examples=40)
@@ -735,3 +734,27 @@ def test_more_atoms_never_shorten_a_step(atoms, more, **plan):
     small, large = (run_random_plan(**plan, **{"system.atoms": n})
                     for n in (atoms, atoms + more))
     assert large.ms_per_step >= small.ms_per_step
+
+
+def queue_kernels(trace):
+    """Each device queue's kernel names, in record order."""
+    queues = {}
+    for actor, name, *_ in trace.records:
+        if ".gcd.q" in actor and name not in ("dispatch", "event_packet"):
+            queues.setdefault(actor, []).append(name)
+    return queues
+
+
+@hyp_settings(deadline=None, max_examples=30)
+@given(**{key: PLANS[key] for key in PLANS if key not in ("mode", "mcn")},
+       event_mode=st.sampled_from(["coarse", "full"]))
+def test_instant_and_uncached_deferred_runs_order_kernels_alike_on_random_plans(**plan):
+    """Under ``acpp-23.10``, instant submission and deferred submission
+    that flushes on every submit give each device queue the same kernels
+    in the same order, in either event mode.  The fixed plans of
+    ``test_acceptance`` reach 4,096 ranks; these reach 64."""
+    instant, deferred = (
+        queue_kernels(run_random_plan(**plan, mode=("acpp-23.10", eager), mcn=0,
+                                      keep_trace=True).trace)
+        for eager in (True, False))
+    assert instant and instant == deferred

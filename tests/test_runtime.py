@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -13,24 +14,29 @@ from mdgpusim.config import ConfigError
 from mdgpusim.presets import SystemPreset, get_profile, load_profiles
 from mdgpusim.runtime import (
     DISPATCH_GAP_NS,
+    FLUSH_TRIGGER_NS,
     OVERSUB_EXTRA_NS,
+    RETIRE_FLUSH_CAP_NS,
+    RETIRE_RATE,
+    RETIRE_SYNC_CAP_NS,
     Device,
     EventMode,
     RankRuntime,
     RunSettings,
     RuntimeProfile,
 )
+from mdgpusim.topology import NODE_PROFILES, NodeTopology
 
 
 def quiet_api(seed=0):
     """Tail-free latencies so arithmetic in tests is exact."""
     return ApiLatencyModel({
-        ApiKind.KERNEL_LAUNCH: TwoPointLatency(2000.0, 2000.0, 0.0),
-        ApiKind.EVENT_RECORD: TwoPointLatency(2000.0, 2000.0, 0.0),
-        ApiKind.EVENT_CREATE_DESTROY: TwoPointLatency(5500.0, 5500.0, 0.0),
-        ApiKind.STREAM_WAIT_EVENT: TwoPointLatency(4000.0, 4000.0, 0.0),
-        ApiKind.MEMCPY_ASYNC: TwoPointLatency(3000.0, 3000.0, 0.0),
-        ApiKind.HOST_SYNC_POLL: TwoPointLatency(2000.0, 2000.0, 0.0),
+        ApiKind.KERNEL_LAUNCH: TwoPointLatency(2000.0, 2000.0),
+        ApiKind.EVENT_RECORD: TwoPointLatency(2000.0, 2000.0),
+        ApiKind.EVENT_CREATE_DESTROY: TwoPointLatency(5500.0, 5500.0),
+        ApiKind.STREAM_WAIT_EVENT: TwoPointLatency(4000.0, 4000.0),
+        ApiKind.MEMCPY_ASYNC: TwoPointLatency(3000.0, 3000.0),
+        ApiKind.HOST_SYNC_POLL: TwoPointLatency(2000.0, 2000.0),
     }, seed=seed)
 
 
@@ -74,12 +80,76 @@ def test_profiles_load_and_validate():
         p.validate()
 
 
+# the profile fields an instant run reads; every other field only a
+# deferred run reads, so no byte of an instant run moves with it
+# (test_deferred_only_fields_go_unread_on_instant_runs)
+INSTANT_READ = ("name", "submission", "mpi_msg_cpu_ns", "pme_comm_overlap",
+                "hsa_worker_duty_milli")
+DEFERRED_ONLY = tuple(f.name for f in dataclasses.fields(RuntimeProfile)
+                      if f.name not in INSTANT_READ)
+
+
 def test_every_profile_field_differs_between_bundled_profiles():
     """A field all runtime versions set alike is no property of a version:
-    it belongs where the model reads it, as one constant."""
+    it belongs where the model reads it, as one constant.  A deferred-only
+    field counts only over the profiles that defer: no run reads the
+    value an instant-only profile gives it."""
     profiles = load_profiles().values()
+    deferring = [p for p in profiles if p.supports_deferred()]
+    assert len(deferring) >= 2
     alike = [f.name for f in dataclasses.fields(RuntimeProfile)
-             if len({getattr(p, f.name) for p in profiles}) < 2]
+             if len({getattr(p, f.name)
+                     for p in (deferring if f.name in DEFERRED_ONLY else profiles)}) < 2]
+    assert alike == []
+
+
+# an instant run of each profile that submits instantly
+INSTANT_RUNS = {
+    "stmv-hip-native-8r": ["--system", "stmv", "--profile", "hip-native",
+                           "--ranks", "8", "--backend", "hip", "--instant"],
+    "pme12k-acpp-23.10-3r": ["--system", "grappa_pme_12k", "--profile", "acpp-23.10",
+                             "--instant", "--ranks", "3"],
+}
+
+
+@pytest.mark.parametrize("flags", INSTANT_RUNS.values(), ids=INSTANT_RUNS)
+def test_deferred_only_fields_go_unread_on_instant_runs(tmp_path, flags):
+    """Raising any deferred-only field leaves an instant run's CSV and
+    trace byte-identical.  Flush bookkeeping rises only to the budget
+    ``RuntimeProfile.validate`` allows it, one submission's cost."""
+    csv_path, trace_path = tmp_path / "run.csv", tmp_path / "run.json"
+
+    def digests(*overrides):
+        sets = [arg for key in overrides for arg in ("--set", key)]
+        assert main(["simulate", *flags, "--output", str(csv_path),
+                     "--trace", str(trace_path), *sets]) == 0
+        return [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, trace_path)]
+
+    profile = get_profile(flags[flags.index("--profile") + 1])
+    base = digests()
+    for name in DEFERRED_ONLY:
+        value = 2 * getattr(profile, name) + 1
+        if name == "flush_bookkeeping_cost_ns":
+            value = min(value, profile.submit_cost_ns + FLUSH_TRIGGER_NS)
+        assert value != getattr(profile, name)
+        assert digests(f"profile.{name}={value}") == base, name
+
+
+def test_every_node_field_differs_between_bundled_nodes():
+    """The counts and the wiring are the one node type's, module
+    constants and functions; a node profile holds only what differs."""
+    nodes = [make() for make in NODE_PROFILES.values()]
+    alike = [f.name for f in dataclasses.fields(NodeTopology)
+             if len({getattr(n, f.name) for n in nodes}) < 2]
+    assert alike == []
+
+
+def test_every_latency_field_differs_between_bundled_laws():
+    """The tail probability is every kind's, ``costs.TAIL_PROB``; a law
+    holds only what differs between kinds."""
+    laws = default_api_model().table.values()
+    alike = [f.name for f in dataclasses.fields(TwoPointLatency)
+             if len({getattr(law, f.name) for law in laws}) < 2]
     assert alike == []
 
 
@@ -170,9 +240,8 @@ def test_monotonicity_guard_rejects_heavy_bookkeeping():
     with pytest.raises(ValueError):
         RuntimeProfile(
             name="bad", submission="deferred", submit_cost_ns=1000,
-            flush_trigger_cost_ns=0, flush_bookkeeping_cost_ns=2000,
+            flush_bookkeeping_cost_ns=2000,
             per_node_flush_cost_ns=5000, notify_cost_ns=0, retire_fixed_ns=0,
-            retire_rate=0.0, retire_flush_cap_ns=0, retire_sync_cap_ns=0,
             mpi_msg_cpu_ns=0, pme_comm_overlap=True,
         ).validate()
 
@@ -346,27 +415,23 @@ def test_deferred_sync_pays_notify_and_retire():
     # retirement's begin, capped per flush and per sync
     ages = [begin - end for *_, end, _ in named(trace, "flush_trigger")]
     assert len(ages) == 6
-    tax = min(sum(min(prof.retire_fixed_ns + round_half_up(prof.retire_rate * age),
-                      prof.retire_flush_cap_ns) for age in ages),
-              prof.retire_sync_cap_ns)
+    tax = min(sum(min(prof.retire_fixed_ns + round_half_up(RETIRE_RATE * age),
+                      RETIRE_FLUSH_CAP_NS) for age in ages),
+              RETIRE_SYNC_CAP_NS)
     assert end - begin == tax > 0
     assert notifies[0][3] == begin
 
 
 @settings(max_examples=200, deadline=None)
-@given(fixed=st.integers(0, 40_000), rate=st.floats(0, 2),
-       flush_cap=st.integers(0, 60_000), sync_cap=st.integers(0, 200_000),
-       ages=st.lists(st.integers(0, 5_000_000), max_size=300))
-def test_retire_tax_is_the_capped_sum(fixed, rate, flush_cap, sync_cap, ages):
+@given(fixed=st.integers(0, 40_000), ages=st.lists(st.integers(0, 5_000_000), max_size=300))
+def test_retire_tax_is_the_capped_sum(fixed, ages):
     """Stopping the sum once it reaches the sync cap gives the whole
     formula's value: every term is >= 0."""
-    prof = dataclasses.replace(get_profile("acpp-23.10"), retire_fixed_ns=fixed,
-                               retire_rate=rate, retire_flush_cap_ns=flush_cap,
-                               retire_sync_cap_ns=sync_cap)
+    prof = dataclasses.replace(get_profile("acpp-23.10"), retire_fixed_ns=fixed)
     now = 10_000_000
     triggers = [now - age for age in ages]
-    full = min(sum(min(fixed + round_half_up(rate * (now - t)), flush_cap)
-                   for t in triggers), sync_cap)
+    full = min(sum(min(fixed + round_half_up(RETIRE_RATE * (now - t)), RETIRE_FLUSH_CAP_NS)
+                   for t in triggers), RETIRE_SYNC_CAP_NS)
     assert runtime._retire_tax(prof, triggers, now) == full
 
 
@@ -394,9 +459,9 @@ def test_flush_trigger_is_one_charge_per_nodes_and_contention(visible):
     eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
     triggers = named(eng.run_until_idle(), "flush_trigger")
     peers = visible - 1
-    contended = prof.flush_trigger_cost_ns + peers * (
+    contended = FLUSH_TRIGGER_NS + peers * (
         prof.flush_contention_ns_per_peer + prof.flush_contention_scan_ns * 1)
-    base = prof.flush_trigger_cost_ns
+    base = FLUSH_TRIGGER_NS
     assert [(args["nodes"], end - begin) for _, _, begin, end, args in triggers] == \
         [(2, contended)] * 2 + [(2, base)] * 2 + [(1, base)]
     applies = peers > 0

@@ -59,16 +59,21 @@ def test_per_line_counts_print_the_engine_loop(monkeypatch, capsys):
 
 
 def test_module_totals_sum_to_the_pass_total(monkeypatch, capsys):
+    """The rows sum to the pass, untraced and with a kept trace written
+    to JSON as the benchmark does; that trace's output is a row of its own."""
     tool = _count_bytecodes(monkeypatch)
-    ops, calls, _ = tool.count([SCENARIO], keep_trace=False)
-    module_ops, module_calls = tool.by_module(ops, calls)
-    assert sum(module_ops.values()) == sum(ops.values())
-    assert sum(module_calls.values()) == sum(calls.values())
-    # the engine and the runtime are layers of their own
-    names = {Path(filename).name for filename in module_ops}
-    assert {"engine.py", "runtime.py"} <= names
-    assert tool._print_modules(module_ops, module_calls, ROOT) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert len(rows) == len(module_ops)
-    assert sum(int(row.split()[0].replace(",", "")) for row in rows) == sum(ops.values())
-    assert any(row.endswith("src/mdgpusim/engine.py") for row in rows)
+    for keep_trace in (False, True):
+        ops, calls, _ = tool.count([SCENARIO], keep_trace=keep_trace)
+        module_ops, module_calls = tool.by_module(ops, calls)
+        assert sum(module_ops.values()) == sum(ops.values())
+        assert sum(module_calls.values()) == sum(calls.values())
+        # the engine and the runtime are layers of their own
+        names = {Path(filename).name for filename in module_ops}
+        assert {"engine.py", "runtime.py"} <= names
+        assert tool._print_modules(module_ops, module_calls, ROOT) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == len(module_ops)
+        assert sum(int(row.split()[0].replace(",", "")) for row in rows) == sum(ops.values())
+        assert any(row.endswith("src/mdgpusim/engine.py") for row in rows)
+    (row,) = [row for row in rows if row.endswith("src/mdgpusim/engine.py (trace output)")]
+    assert int(row.split()[0].replace(",", "")) > 0

@@ -5,40 +5,41 @@ from hypothesis import strategies as st
 from mdgpusim.topology import (
     LinkClass,
     dardel_node,
+    link_class,
     lumi_node,
+    nic_for_gcd,
     plan_affinity,
+    wired,
 )
 
 
 def test_ccx0_is_wired_to_gcd4_and_nic2():
-    node = lumi_node()
-    assert node.gcd_for_ccx(0) == 4
-    assert node.nic_for_gcd(4) == 2
+    assert wired(0) == 4
+    assert nic_for_gcd(4) == 2
 
 
 def test_ccx_gcd_map_is_self_inverse_bijection():
-    node = lumi_node()
-    gcds = [node.gcd_for_ccx(c) for c in range(8)]
+    gcds = [wired(c) for c in range(8)]
     assert sorted(gcds) == list(range(8))
     for c in range(8):
-        assert node.ccx_for_gcd(node.gcd_for_ccx(c)) == c
-        assert node.gcd_for_ccx(node.ccx_for_gcd(c)) == c
+        assert wired(wired(c)) == c
+    for i in (-1, 8):
+        with pytest.raises(ValueError):
+            wired(i)
 
 
 def test_one_nic_per_gpu_package():
-    node = lumi_node()
-    assert [node.nic_for_gcd(g) for g in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert [nic_for_gcd(g) for g in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def test_link_classes():
-    node = lumi_node()
-    assert node.link_class(0, 1) is LinkClass.INTRA_GCD_PAIR
-    assert node.link_class(6, 7) is LinkClass.INTRA_GCD_PAIR
-    assert node.link_class(0, 2) is LinkClass.INTRA_NODE
-    assert node.link_class(3, 4) is LinkClass.INTRA_NODE
-    assert node.link_class(0, 0, same_node=False) is LinkClass.INTER_NODE
+    assert link_class(0, 1) is LinkClass.INTRA_GCD_PAIR
+    assert link_class(6, 7) is LinkClass.INTRA_GCD_PAIR
+    assert link_class(0, 2) is LinkClass.INTRA_NODE
+    assert link_class(3, 4) is LinkClass.INTRA_NODE
+    assert link_class(0, 0, same_node=False) is LinkClass.INTER_NODE
     with pytest.raises(ValueError):
-        node.link_class(3, 3)
+        link_class(3, 3)
 
 
 def test_reserved_core_profile_exposes_7_cores_per_ccx():

@@ -16,7 +16,8 @@ the most bytecodes:
 With ``--by-module`` it prints, in place of the function table, the
 totals per source file, largest first: the package's modules are its
 layers (the engine, the runtime, the cost draws, the step programs, the
-CLI and its CSV).  With ``--lines QUALNAME`` it prints, in place of the
+CLI and its CSV).  The engine's trace output (``Trace``, ``_Records``
+and ``_json_scalar``) is a layer of its own, on a row of its own.  With ``--lines QUALNAME`` it prints, in place of the
 function table, the bytecodes each source line of the functions with
 that qualified name executed.  Opcodes that belong to no line are counted under line
 0, shown as ``(no line)``.
@@ -101,14 +102,27 @@ def count(scenarios: Iterable, keep_trace: bool,
             Counter({key(c): n for c, n in calls.items()}), lines)
 
 
+# engine.py's trace output, counted apart from the engine loop it sits beside
+TRACE_OUTPUT = ("Trace.", "_Records.", "_json_scalar")
+
+
+def _layer(filename: str, qualname: str) -> str:
+    """The row of a function: its source file, or, for engine.py's trace
+    output, that file marked ``(trace output)``."""
+    if Path(filename).name == "engine.py" and qualname.startswith(TRACE_OUTPUT):
+        return f"{filename} (trace output)"
+    return filename
+
+
 def by_module(ops: Counter, calls: Counter) -> Tuple[Counter, Counter]:
-    """The bytecodes and calls of ``count`` summed per source file."""
+    """The bytecodes and calls of ``count`` summed per source file, with
+    engine.py's trace output on a row of its own."""
     module_ops: Counter = Counter()
     module_calls: Counter = Counter()
-    for (filename, _, _), n in ops.items():
-        module_ops[filename] += n
-    for (filename, _, _), n in calls.items():
-        module_calls[filename] += n
+    for (filename, _, qualname), n in ops.items():
+        module_ops[_layer(filename, qualname)] += n
+    for (filename, _, qualname), n in calls.items():
+        module_calls[_layer(filename, qualname)] += n
     return module_ops, module_calls
 
 
