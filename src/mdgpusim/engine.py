@@ -13,7 +13,9 @@ Building blocks:
   time, in arrival order, each stretched by the background duty
 * ``Trace``      -- completed charge records, kept as columns, plus
   per-actor busy time; writes its own JSON in pieces of ``JSON_CHUNK``
-  records, each filled from one template per ``(actor, charge)`` head
+  records, each filled with one ``bytes %`` from an ASCII template per
+  ``(actor, charge)`` head, whose parts are cached per ``(actor, name)``
+  and per payload
 
 An event carries no payload: it only fires.  Busy time is kept on each
 ``Process``, counted when a charge begins (its end is fixed then), and
@@ -269,11 +271,16 @@ class Trace:
         """The text of ``to_json(indent)`` in pieces of at most
         ``JSON_CHUNK`` records each, so a writer holds one piece at a time.
 
-        Each head is encoded once, with the C string encoder, into a
-        template: the %-format of its record and the separator before it,
-        with ``%d`` for ``begin_ns`` and ``end_ns``.  A piece is its
-        records' templates joined and then filled from that slice of
-        ``times`` with one ``%``, so no per-record string is ever made.
+        Each head is encoded once, with the C string encoder, into an
+        ASCII ``bytes`` template: the %-format of its record and the
+        separator before it, with ``%d`` for ``begin_ns`` and ``end_ns``.
+        A template is two cached parts, the text up to ``begin_ns``'s
+        value, built once per ``(actor, name)``, and the text from
+        ``args`` on, built once per payload object.  A piece is its
+        records' templates joined, filled from that slice of ``times``
+        with one ``bytes %`` and decoded once, so no per-record string is
+        ever made.  ``bytes %`` finds each ``%`` with ``memchr``, where
+        ``str %`` reads its format one character at a time.
 
         ``json`` itself would fall back to its pure-Python encoder
         whenever ``indent`` is set.  ``indent=None`` and an int share one
@@ -289,30 +296,41 @@ class Trace:
         field_sep = comma + p3
         args_open, args_sep, args_close = "{" + p4, comma + p4, p3 + "}"
         enc = encode_basestring_ascii
+        times_text = ("%d" + field_sep + '"end_ns": %d').encode()
+        # (actor, name) -> the template up to begin_ns's value, then both %d
+        befores: dict = {}
+        # id(args) -> the template from args on; the heads keep each args alive
+        afters: dict = {}
 
-        def template(head) -> str:
+        def template(head) -> bytes:
             actor, charge = head
-            args = charge.args
-            if args:
-                text = args_open + args_sep.join(
-                    [enc(k) + ": " + _json_scalar(v) for k, v in args.items()]
-                ) + args_close
-            else:
-                text = "{}"
-            before = (comma + p2 + "{" + p3 + '"actor": ' + enc(actor) + field_sep
-                      + '"name": ' + enc(charge.name) + field_sep + '"begin_ns": ')
-            after = field_sep + '"args": ' + text + p2 + "}"
-            return (before.replace("%", "%%") + "%d" + field_sep + '"end_ns": %d'
-                    + after.replace("%", "%%"))
+            name, args = charge.name, charge.args
+            before = befores.get((actor, name))
+            if before is None:
+                text = (comma + p2 + "{" + p3 + '"actor": ' + enc(actor) + field_sep
+                        + '"name": ' + enc(name) + field_sep + '"begin_ns": ')
+                before = befores[actor, name] = text.replace("%", "%%").encode() + times_text
+            after = afters.get(id(args))
+            if after is None:
+                if args:
+                    text = args_open + args_sep.join(
+                        [enc(k) + ": " + _json_scalar(v) for k, v in args.items()]
+                    ) + args_close
+                else:
+                    text = "{}"
+                text = field_sep + '"args": ' + text + p2 + "}"
+                after = afters[id(args)] = text.replace("%", "%%").encode()
+            return before + after
 
         templates = [template(head) for head in self.heads]
         index, times = self.index, self.times
         yield "{" + p1 + '"makespan_ns": %d' % self.makespan_ns + comma + p1 + '"records": ['
         for lo in range(0, len(index), JSON_CHUNK):
             hi = lo + JSON_CHUNK
-            text = "".join(map(templates.__getitem__, index[lo:hi])) % tuple(
+            text = b"".join(map(templates.__getitem__, index[lo:hi])) % tuple(
                 times[2 * lo:2 * hi])
-            yield text[len(comma):] if lo == 0 else text  # no separator before the first
+            # no separator before the first record
+            yield (text[len(comma):] if lo == 0 else text).decode()
         yield (p1 if index else "") + "]" + p0 + "}"
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -337,8 +355,10 @@ class _Records(Sequence):
     def __len__(self) -> int:
         return len(self._trace.index)
 
-    def __getitem__(self, index: int) -> tuple:
-        i = range(len(self))[index]  # the IndexError and negative indices of a list
+    def __getitem__(self, index):
+        i = range(len(self))[index]  # the IndexError, negative indices and slices of a list
+        if isinstance(i, range):
+            return [self[j] for j in i]
         trace = self._trace
         actor, charge = trace.heads[trace.index[i]]
         return actor, charge.name, trace.times[2 * i], trace.times[2 * i + 1], charge.args
@@ -369,7 +389,15 @@ _UNPARK = "unpark"  # obj: a Process that Engine.wake roused
 
 
 def _json_scalar(value) -> str:
-    """``value`` as ``json.dumps`` writes it; only scalars are accepted."""
+    """``value`` as ``json.dumps`` writes it; only scalars are accepted.
+    An exact ``int`` or ``str``, nearly every payload value, is written by
+    the function ``json.dumps`` would call; a subclass, such as ``bool``
+    or an ``IntEnum``, goes through ``json.dumps`` itself."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
     if not (value is None or isinstance(value, (str, int, float))):
         raise TypeError(f"trace args value {value!r} is not a JSON scalar "
                         "(str, int, float, bool or None)")

@@ -19,25 +19,14 @@ from dataclasses import replace
 import pytest
 
 from mdgpusim import cli
-from mdgpusim.costs import (
-    ApiKind,
-    ApiLatencyModel,
-    TwoPointLatency,
-    default_api_model,
-)
+from mdgpusim.costs import default_api_model
 from mdgpusim.engine import Engine
 from mdgpusim.pipeline import DT_FS, simulate
 from mdgpusim.presets import get_profile
-from mdgpusim.runtime import (
-    DISPATCH_GAP_NS,
-    Device,
-    EventMode,
-    RankRuntime,
-    RunSettings,
-    RuntimeProfile,
-)
+from mdgpusim.runtime import Device, EventMode, RankRuntime, RunSettings
 from mdgpusim.topology import (GCDS, NODE_PROFILES, NodeTopology, nic_for_gcd, plan_affinity,
                                wired)
+from oracles import ZERO_PROFILE, longest_path_ns, queue_kernels, zero_api
 
 # the bundled reference points each published-number criterion judges
 SINGLE_GCD_POINTS = ("instant-12k", "best-094-12k", "flush-penalty-094-12k",
@@ -276,14 +265,6 @@ def test_each_bundled_point_is_bound_to_one_criterion():
 # -- execution properties -----------------------------------------------------
 
 
-ZERO_PROFILE = RuntimeProfile(
-    name="zero", submission="instant", submit_cost_ns=0,
-    flush_bookkeeping_cost_ns=0,
-    per_node_flush_cost_ns=0, notify_cost_ns=0, retire_fixed_ns=0,
-    mpi_msg_cpu_ns=0, pme_comm_overlap=True,
-    hsa_worker_duty_milli=0)
-
-
 def _random_burst_spec(rng, force_deferred=False):
     instant = not force_deferred and rng.random() < 0.4
     if instant:
@@ -344,15 +325,6 @@ def _check_queues_in_order(failures, trace, where):
                 return
 
 
-def _queue_kernels(trace):
-    """Each device queue's kernel names, in record order."""
-    queues = {}
-    for actor, name, *_ in trace.records:
-        if ".gcd.q" in actor and name not in ("dispatch", "event_packet"):
-            queues.setdefault(actor, []).append(name)
-    return queues
-
-
 # (system, ranks): one rank with the mesh inline, short-range ranks on
 # one node, STMV with a long-range rank on 2 and 5 ranks, a mesh system
 # on 4 ranks, and 46M atoms across 512 nodes
@@ -370,7 +342,7 @@ def test_instant_and_uncached_deferred_runs_order_kernels_alike(system, ranks):
     runs = [run_one(system, "acpp-23.10", eras=2, ranks=ranks, keep_trace=True,
                     overrides={"system.nstlist": 20}, **mode)
             for mode in (dict(instant=True), dict(mcn=0))]
-    instant, deferred = (_queue_kernels(run.trace) for run in runs)
+    instant, deferred = (queue_kernels(run.trace) for run in runs)
     assert instant and instant == deferred
 
 
@@ -419,8 +391,7 @@ def test_execution_properties(event_mode_pair, multinode):
            "coarse event mode ran longer than full event mode")
 
     # makespan equals an independent longest-path computation
-    quiet = TwoPointLatency(0.0, 0.0)
-    zero_api = ApiLatencyModel({kind: quiet for kind in ApiKind}, seed=0)
+    quiet = zero_api()
     dag_rng = random.Random(9)
     for i in range(40):
         n = dag_rng.randint(1, 30)
@@ -432,16 +403,11 @@ def test_execution_properties(event_mode_pair, multinode):
                           tuple(deps), False))
         spec = ("unused", RunSettings(instant_submission=True, max_hw_queues=3),
                 3, tuple(tasks))
-        trace, _ = _run_burst(spec, profile=ZERO_PROFILE, api=zero_api)
-        end = [0] * n
-        stream_last = [0, 0, 0]
-        for j, (dur, q, deps, _) in enumerate(tasks):
-            start = max([stream_last[q]] + [end[d] for d in deps])
-            end[j] = start + DISPATCH_GAP_NS + dur
-            stream_last[q] = end[j]
-        if trace.makespan_ns != max(end):
+        trace, _ = _run_burst(spec, profile=ZERO_PROFILE, api=quiet)
+        longest = longest_path_ns((dur, q, deps) for dur, q, deps, _ in tasks)
+        if trace.makespan_ns != longest:
             failures.append(f"makespan {trace.makespan_ns} != longest path "
-                            f"{max(end)} on DAG {i}")
+                            f"{longest} on DAG {i}")
             break
 
     # the throughput formula is exact, not fitted

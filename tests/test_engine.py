@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from mdgpusim.engine import (
     _FIRE,
+    JSON_CHUNK,
     PARK,
     CausalityError,
     Charge,
@@ -20,6 +22,7 @@ from mdgpusim.engine import (
     Sleep,
     Trace,
     WaitFor,
+    _json_scalar,
 )
 
 
@@ -371,6 +374,57 @@ def test_trace_json_refuses_a_nested_args_value(value, indent):
     trace = Trace(records=[("app", "submit", 0, 10, {"nested": value})])
     with pytest.raises(TypeError, match="not a JSON scalar"):
         trace.to_json(indent)
+
+
+@pytest.mark.parametrize("part", [slice(None), slice(0, 0), slice(2, 1), slice(-2, None),
+                                  slice(None, -1), slice(None, None, 2), slice(None, None, -1),
+                                  slice(-1, 0, -2), slice(1, 99)],
+                         ids=["all", "empty", "reversed-bounds", "last-two", "all-but-last",
+                              "every-second", "reversed", "back-by-two", "past-the-end"])
+def test_trace_records_slice_like_a_list(part):
+    records = [("a", "x", 0, 5, None), ("b", "y", 5, 7, {"n": 1}), ("a", "x", 7, 9, None),
+               ("c", "z", 9, 9, {})]
+    assert Trace(records=records).records[part] == records[part]
+
+
+@pytest.mark.parametrize("indent", [None, 0, 2, 4])
+def test_json_chunks_join_to_the_json_text(indent):
+    trace = Trace(records=(_EVERY_SCALAR + _ONE_HEAD) * 200, makespan_ns=7)
+    assert "".join(trace.json_chunks(indent)) == trace.to_json(indent)
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_json_chunks_hold_at_most_a_chunk_of_records_each(indent):
+    """A head, two full pieces, one record and the tail: every piece of
+    records holds at most ``JSON_CHUNK`` of them, and the pieces join to
+    what ``json.dumps`` writes across their seams."""
+    records = [("app", "step", i, i + 1, {"step": i % 3}) for i in range(2 * JSON_CHUNK + 1)]
+    pieces = list(Trace(records=records).json_chunks(indent))
+    assert [piece.count('"actor": ') for piece in pieces] == [0, JSON_CHUNK, JSON_CHUNK, 1, 0]
+    assert "".join(pieces) == json.dumps({"makespan_ns": 0, "records": [
+        {"actor": actor, "name": name, "begin_ns": begin, "end_ns": end, "args": args}
+        for actor, name, begin, end, args in records]}, indent=indent)
+
+
+class _Level(IntEnum):
+    HIGH = 3
+
+
+class _Label(str):
+    def __str__(self):
+        return "not what json writes"
+
+
+@pytest.mark.parametrize("value", [
+    0, -3, 2**70, True, False, _Level.HIGH, None, -0.0, 1 / 3, 5e-324, math.nan, math.inf,
+    -math.inf, "", "%d%s%%", '"quoted"', "\\back", "\x00\x1f\n\t\x7f", "é€\u2028😀",
+    "\ud800", _Label("label%")],
+    ids=lambda value: f"{type(value).__name__}-{value!r}")
+def test_json_scalar_writes_what_json_dumps_writes(value):
+    """Exact ``int`` and ``str`` values take a path of their own; their
+    subclasses (``bool``, an ``IntEnum`` member, a ``str`` subclass) and
+    every other scalar go through ``json.dumps``, and all read alike."""
+    assert _json_scalar(value) == json.dumps(value)
 
 
 @settings(max_examples=80, deadline=None)

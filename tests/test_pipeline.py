@@ -21,19 +21,13 @@ from hypothesis import strategies as st
 
 from mdgpusim import costs, pipeline
 from mdgpusim.cli import Scenario, render_csv, run_scenario
-from mdgpusim.costs import ApiKind, ApiLatencyModel, TwoPointLatency
+from mdgpusim.costs import ApiLatencyModel, TwoPointLatency
 from mdgpusim.engine import Charge, Engine
 from mdgpusim.pipeline import RunPlan, RunReport, balanced_dims, simulate
 from mdgpusim.presets import get_profile, get_system, load_profiles, load_systems
-from mdgpusim.runtime import (
-    DISPATCH_GAP_NS,
-    Device,
-    EventMode,
-    RankRuntime,
-    RunSettings,
-    RuntimeProfile,
-)
+from mdgpusim.runtime import Device, EventMode, RankRuntime, RunSettings
 from mdgpusim.topology import GCDS, link_class
+from oracles import ZERO_PROFILE, longest_path_ns, queue_kernels, zero_api
 
 PME_STEP = ("nbnxm_local", "pme_spread", "fft_3d_forward", "pme_solve",
             "fft_3d_inverse", "pme_gather", "listed_forces", "reduce_forces",
@@ -527,19 +521,6 @@ def test_stmv_single_device_rates():
 # -- critical path ------------------------------------------------------------
 
 
-ZERO_PROFILE = RuntimeProfile(
-    name="zero", submission="instant", submit_cost_ns=0,
-    flush_bookkeeping_cost_ns=0,
-    per_node_flush_cost_ns=0, notify_cost_ns=0, retire_fixed_ns=0,
-    mpi_msg_cpu_ns=0, pme_comm_overlap=True,
-    hsa_worker_duty_milli=0)
-
-
-def zero_api():
-    quiet = TwoPointLatency(0.0, 0.0)
-    return ApiLatencyModel({kind: quiet for kind in ApiKind}, seed=0)
-
-
 task_lists = st.lists(
     st.tuples(st.integers(min_value=1, max_value=10_000),
               st.integers(min_value=0, max_value=2),
@@ -579,13 +560,8 @@ def test_makespan_equals_longest_path(tasks):
     eng.spawn(rt.app_actor, app(), domain=rt.app_domain)
     trace = eng.run_until_idle()
 
-    end = [0] * len(tasks)
-    stream_last = [0, 0, 0]
-    for i, (dur, s, _) in enumerate(tasks):
-        start = max([stream_last[s]] + [end[j] for j in deps_of[i]])
-        end[i] = start + DISPATCH_GAP_NS + dur
-        stream_last[s] = end[i]
-    assert trace.makespan_ns == max(end)
+    assert trace.makespan_ns == longest_path_ns(
+        (dur, s, deps) for (dur, s, _), deps in zip(tasks, deps_of))
 
 
 # -- the mirror against ranks wired for real ----------------------------------
@@ -734,15 +710,6 @@ def test_more_atoms_never_shorten_a_step(atoms, more, **plan):
     small, large = (run_random_plan(**plan, **{"system.atoms": n})
                     for n in (atoms, atoms + more))
     assert large.ms_per_step >= small.ms_per_step
-
-
-def queue_kernels(trace):
-    """Each device queue's kernel names, in record order."""
-    queues = {}
-    for actor, name, *_ in trace.records:
-        if ".gcd.q" in actor and name not in ("dispatch", "event_packet"):
-            queues.setdefault(actor, []).append(name)
-    return queues
 
 
 @hyp_settings(deadline=None, max_examples=30)

@@ -1,6 +1,7 @@
 """The developer tools under ``tools/``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from mdgpusim.cli import Scenario
@@ -77,3 +78,24 @@ def test_module_totals_sum_to_the_pass_total(monkeypatch, capsys):
         assert any(row.endswith("src/mdgpusim/engine.py") for row in rows)
     (row,) = [row for row in rows if row.endswith("src/mdgpusim/engine.py (trace output)")]
     assert int(row.split()[0].replace(",", "")) > 0
+
+
+def test_json_is_one_line_of_machine_facts_totals_and_modules(monkeypatch, capsys):
+    """``--json`` prints only one line per ``(workload, seed)``; its module
+    rows are those of ``--by-module``, named alike on any machine."""
+    tool = _count_bytecodes(monkeypatch)
+    counted = tool.count([SCENARIO], keep_trace=True)
+    monkeypatch.setattr(tool, "count", lambda *args: counted)
+    assert tool.main(["trace-export", "--seed", "3", "--json"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    got = json.loads(line)
+    ops, calls, _ = counted
+    assert (got["workload"], got["seed"]) == ("trace-export", 3)
+    assert {"revision", "python"} <= set(got["machine"])
+    assert (got["bytecodes"], got["calls"]) == (sum(ops.values()), sum(calls.values()))
+    module_ops, module_calls = tool.by_module(ops, calls)
+    assert sorted((row["bytecodes"], row["calls"]) for row in got["modules"].values()) == \
+        sorted((n, module_calls[filename]) for filename, n in module_ops.items())
+    modules = set(got["modules"])
+    assert {"src/mdgpusim/engine.py", "src/mdgpusim/engine.py (trace output)"} <= modules
+    assert all(not name.startswith("/") for name in modules)

@@ -12,15 +12,21 @@ the most bytecodes:
     python3 tools/count_bytecodes.py strong-46m --root ../other-checkout
     python3 tools/count_bytecodes.py submit-12k --lines Slot._run
     python3 tools/count_bytecodes.py submit-12k --by-module
+    python3 tools/count_bytecodes.py trace-export --json >> counts.jsonl
 
 With ``--by-module`` it prints, in place of the function table, the
 totals per source file, largest first: the package's modules are its
 layers (the engine, the runtime, the cost draws, the step programs, the
 CLI and its CSV).  The engine's trace output (``Trace``, ``_Records``
-and ``_json_scalar``) is a layer of its own, on a row of its own.  With ``--lines QUALNAME`` it prints, in place of the
-function table, the bytecodes each source line of the functions with
-that qualified name executed.  Opcodes that belong to no line are counted under line
-0, shown as ``(no line)``.
+and ``_json_scalar``) is a layer of its own, on a row of its own.  A
+file under the checkout is named by its path there, and a file of the
+standard library by its path under ``<stdlib>``.  With ``--json`` it
+prints only one JSON line for the ``(workload, seed)``: the machine
+facts of ``bench/run.py``, revision and Python version among them, the
+pass totals and the per-module counts.  With ``--lines QUALNAME`` it
+prints, in place of the function table, the bytecodes each source line
+of the functions with that qualified name executed.  Opcodes that
+belong to no line are counted under line 0, shown as ``(no line)``.
 
 Only Python frames are counted: a builtin such as ``heapq.heappush``
 counts as no call and no bytecode.  A generator's every resume counts as
@@ -33,13 +39,16 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import linecache
 import sys
+import sysconfig
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+STDLIB = Path(sysconfig.get_paths()["stdlib"]).resolve()
 
 
 def _import_checkout(root: Path) -> None:
@@ -138,6 +147,8 @@ def main(argv=None) -> int:
                         help="print per-line bytecodes of the functions so named")
     parser.add_argument("--by-module", action="store_true",
                         help="print bytecodes and calls per source file")
+    parser.add_argument("--json", action="store_true",
+                        help="print one JSON line: machine facts, totals, per-module counts")
     args = parser.parse_args(argv)
     _import_checkout(args.root.resolve())
     from workloads import WORKLOADS
@@ -147,12 +158,16 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload]
     ops, calls, lines = count(workload.scenarios(args.seed), workload.keep_trace,
                               args.lines)
+    root = args.root.resolve()
+    if args.json:
+        print(json.dumps(record(args.workload, args.seed, ops, calls, root), sort_keys=True))
+        return 0
     print(f"{args.workload} seed {args.seed}: {sum(ops.values()):,} bytecodes, "
           f"{sum(calls.values()):,} calls")
     if args.lines is not None:
         return _print_lines(args.lines, ops, calls, lines)
     if args.by_module:
-        return _print_modules(*by_module(ops, calls), args.root.resolve())
+        return _print_modules(*by_module(ops, calls), root)
     print(f"{'bytecodes':>12}{'calls':>10}  function")
     for where, n in ops.most_common(args.top):
         filename, line, name = where
@@ -160,14 +175,35 @@ def main(argv=None) -> int:
     return 0
 
 
+def shown(filename: str, root: Path) -> str:
+    """A row's file: by its path under ``root``, or under ``<stdlib>`` for
+    the standard library, so rows of two machines compare."""
+    module, _, mark = filename.partition(" (")
+    path = Path(module)
+    if path.is_relative_to(root):
+        module = str(path.relative_to(root))
+    elif path.is_relative_to(STDLIB):
+        module = str("<stdlib>" / path.relative_to(STDLIB))
+    return module + (" (" + mark if mark else "")
+
+
+def record(workload: str, seed: int, ops: Counter, calls: Counter, root: Path) -> dict:
+    """One count as a JSON-ready object: the machine facts, the pass
+    totals and, per module row, its bytecodes and calls."""
+    from run import machine_facts  # bench/run.py, on the path by now
+
+    module_ops, module_calls = by_module(ops, calls)
+    return {"workload": workload, "seed": seed, "machine": machine_facts(),
+            "bytecodes": sum(ops.values()), "calls": sum(calls.values()),
+            "modules": {shown(filename, root): {"bytecodes": n, "calls": module_calls[filename]}
+                        for filename, n in module_ops.most_common()}}
+
+
 def _print_modules(ops: Counter, calls: Counter, root: Path) -> int:
-    """Bytecodes and calls per source file, a file under ``root`` by its
-    path there."""
+    """Bytecodes and calls per source file, each file as ``shown`` names it."""
     print(f"{'bytecodes':>12}{'calls':>10}  module")
     for filename, n in ops.most_common():
-        path = Path(filename)
-        shown = path.relative_to(root) if path.is_relative_to(root) else path
-        print(f"{n:>12,}{calls[filename]:>10,}  {shown}")
+        print(f"{n:>12,}{calls[filename]:>10,}  {shown(filename, root)}")
     return 0
 
 
